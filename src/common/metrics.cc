@@ -1,5 +1,6 @@
 #include "common/metrics.hh"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/json.hh"
@@ -46,26 +47,27 @@ MetricSnapshot::matches(const std::string &pattern,
 }
 
 std::uint64_t
+integerReading(const MetricValue &v)
+{
+    switch (v.kind) {
+      case MetricKind::counter:
+      case MetricKind::gaugeU64:
+        return v.u64;
+      case MetricKind::stats:
+      case MetricKind::histogram:
+        return v.count;
+      default:
+        return static_cast<std::uint64_t>(v.value);
+    }
+}
+
+std::uint64_t
 MetricSnapshot::sumU64(const std::string &pattern) const
 {
     std::uint64_t total = 0;
-    for (const auto &[path, v] : vals) {
-        if (!matches(pattern, path))
-            continue;
-        switch (v.kind) {
-          case MetricKind::counter:
-          case MetricKind::gaugeU64:
-            total += v.u64;
-            break;
-          case MetricKind::stats:
-          case MetricKind::histogram:
-            total += v.count;
-            break;
-          default:
-            total += static_cast<std::uint64_t>(v.value);
-            break;
-        }
-    }
+    for (const auto &[path, v] : vals)
+        if (matches(pattern, path))
+            total += integerReading(v);
     return total;
 }
 
@@ -73,26 +75,9 @@ std::uint64_t
 MetricSnapshot::maxU64(const std::string &pattern) const
 {
     std::uint64_t best = 0;
-    for (const auto &[path, v] : vals) {
-        if (!matches(pattern, path))
-            continue;
-        std::uint64_t x;
-        switch (v.kind) {
-          case MetricKind::counter:
-          case MetricKind::gaugeU64:
-            x = v.u64;
-            break;
-          case MetricKind::stats:
-          case MetricKind::histogram:
-            x = v.count;
-            break;
-          default:
-            x = static_cast<std::uint64_t>(v.value);
-            break;
-        }
-        if (x > best)
-            best = x;
-    }
+    for (const auto &[path, v] : vals)
+        if (matches(pattern, path))
+            best = std::max(best, integerReading(v));
     return best;
 }
 

@@ -82,6 +82,13 @@ struct MetricValue
 };
 
 /**
+ * Integer reading of @p v as the U64 pattern queries count it: the
+ * exact value of a counter or gaugeU64, the sample count of stats and
+ * histograms, the truncated scalar otherwise.
+ */
+std::uint64_t integerReading(const MetricValue &v);
+
+/**
  * A read-only view of every registered metric, taken at one instant.
  * Pattern arguments use '*' to match any run of characters (including
  * dots), so "switch*.merge.loadReqs" and "*.hbm.bytes" both work.

@@ -1,6 +1,7 @@
 #include "gpu/hub.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
@@ -19,10 +20,17 @@ GpuHub::GpuHub(EventQueue &eq_, Fabric &fabric_, GpuId gpu_,
 {
     // Watch our uplinks so the injection window tracks actual wire
     // occupancy (each dequeue = one of our packets started the wire).
-    for (int i = 0; i < fabric.uplinksPerGpu(); ++i) {
-        fabric.uplink(gpu, i).setDequeueCallback(
-            [this](int) { onWireInjected(); });
-    }
+    for (int i = 0; i < fabric.uplinksPerGpu(); ++i)
+        fabric.uplink(gpu, i).setDequeueListener(this);
+}
+
+GpuHub::JobState *
+GpuHub::findJob(std::uint64_t job_id)
+{
+    std::uint64_t slot = (job_id & 0xffffffffu) - 1;
+    if (slot >= jobs.size() || jobs[slot].id != job_id)
+        return nullptr;
+    return &jobs[slot];
 }
 
 void
@@ -50,8 +58,18 @@ GpuHub::chunkify(const RemoteOp &op) const
 void
 GpuHub::submit(std::unique_ptr<HubJob> job)
 {
-    std::uint64_t id = nextJobId++;
-    JobState &js = jobs[id];
+    std::uint32_t slot;
+    if (freeSlots.empty()) {
+        slot = static_cast<std::uint32_t>(jobs.size());
+        jobs.emplace_back();
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+    }
+    std::uint64_t id = (++nextJobSerial << 32) | (slot + 1u);
+    JobState &js = jobs[slot];
+    js = JobState{};
+    js.id = id;
     js.job = std::move(job);
     js.submitAt = eq.now();
     js.awaitingInject = static_cast<int>(js.job->chunks.size());
@@ -107,7 +125,7 @@ GpuHub::pump()
 
     while (inflightChunks < maxInflight && !issueQueue.empty()) {
         std::uint64_t id = issueQueue.front();
-        JobState &js = jobs.at(id);
+        JobState &js = *findJob(id);
 
         RemoteOpKind next_kind = js.job->chunks[js.nextChunk].kind;
 
@@ -149,13 +167,10 @@ GpuHub::pump()
         HubJob::Chunk chunk = js.job->chunks[js.nextChunk];
         ++js.nextChunk;
         issueQueue.pop_front();
-        if (js.nextChunk < js.job->chunks.size()) {
-            std::size_t pos = std::min<std::size_t>(
-                issueWindow - 1, issueQueue.size());
-            issueQueue.insert(issueQueue.begin() +
-                                  static_cast<std::ptrdiff_t>(pos),
-                              id);
-        }
+        if (js.nextChunk < js.job->chunks.size())
+            issueQueue.insert(
+                std::min<std::size_t>(issueWindow - 1, issueQueue.size()),
+                id);
         injectChunk(id, js, chunk);
         checkInjectDone(id);
     }
@@ -170,10 +185,10 @@ GpuHub::pump()
 void
 GpuHub::checkInjectDone(std::uint64_t job_id)
 {
-    auto it = jobs.find(job_id);
-    if (it == jobs.end())
+    JobState *jp = findJob(job_id);
+    if (!jp)
         return;
-    JobState &js = it->second;
+    JobState &js = *jp;
     if (!js.injectedAll && js.awaitingInject <= 0 &&
         js.nextChunk == js.job->chunks.size()) {
         finishInject(js);
@@ -240,7 +255,12 @@ GpuHub::injectChunk(std::uint64_t job_id, JobState &js,
     pkt.group = js.job->group;
     pkt.cookie = cookie;
 
-    cookieToJob[cookie] = job_id;
+    // Only responses look a cookie up; a table with no outstanding
+    // response starts at the next one that expects one.
+    if (isPullKind(c.kind) || c.kind == RemoteOpKind::nvlsSt)
+        cookieJobs.push_back(job_id);
+    else if (!cookieJobs.empty())
+        cookieJobs.push_back(0);
 
     if (c.kind == RemoteOpKind::caisLoad)
         ++caisLoadsOutstanding;
@@ -264,7 +284,7 @@ GpuHub::injectChunk(std::uint64_t job_id, JobState &js,
 }
 
 void
-GpuHub::onWireInjected()
+GpuHub::onLinkDequeue(int, int)
 {
     if (wireOrder.empty())
         panic("hub %d: wire event with empty order queue", gpu);
@@ -274,9 +294,8 @@ GpuHub::onWireInjected()
         return; // sync or service traffic: not window-tracked
 
     --inflightChunks;
-    auto it = jobs.find(job_id);
-    if (it != jobs.end()) {
-        --it->second.awaitingInject;
+    if (JobState *js = findJob(job_id)) {
+        --js->awaitingInject;
         checkInjectDone(job_id);
     }
     pump();
@@ -293,15 +312,18 @@ GpuHub::finishInject(JobState &js)
 void
 GpuHub::maybeFinish(std::uint64_t job_id)
 {
-    auto it = jobs.find(job_id);
-    if (it == jobs.end())
+    JobState *jp = findJob(job_id);
+    if (!jp)
         return;
-    JobState &js = it->second;
+    JobState &js = *jp;
     if (!js.injectedAll || js.awaitingReply > 0)
         return;
     if (js.job->onComplete)
         js.job->onComplete();
-    jobs.erase(it);
+    js.job.reset();
+    js.id = 0;
+    freeSlots.push_back(
+        static_cast<std::uint32_t>((job_id & 0xffffffffu) - 1));
 }
 
 void
@@ -381,16 +403,19 @@ GpuHub::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
             // Capped loads may now resume.
             eq.scheduleAfter(0, [this] { pump(); });
         }
-        auto it = cookieToJob.find(pkt.cookie);
-        if (it == cookieToJob.end())
+        std::uint64_t first = nextCookie - cookieJobs.size();
+        std::uint64_t job_id = 0;
+        if (pkt.cookie >= first && pkt.cookie < nextCookie)
+            job_id = std::exchange(cookieJobs[pkt.cookie - first], 0);
+        if (job_id == 0)
             panic("hub %d: response with unknown cookie %llu", gpu,
                   static_cast<unsigned long long>(pkt.cookie));
-        std::uint64_t job_id = it->second;
-        cookieToJob.erase(it);
-        auto jit = jobs.find(job_id);
-        if (jit == jobs.end())
+        while (!cookieJobs.empty() && cookieJobs.front() == 0)
+            cookieJobs.pop_front();
+        JobState *js = findJob(job_id);
+        if (!js)
             panic("hub %d: response for finished job", gpu);
-        --jit->second.awaitingReply;
+        --js->awaitingReply;
         maybeFinish(job_id);
         return;
       }
@@ -416,7 +441,8 @@ GpuHub::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
 bool
 GpuHub::idle() const
 {
-    return jobs.empty() && issueQueue.empty() && inflightChunks == 0;
+    return jobs.size() == freeSlots.size() && issueQueue.empty() &&
+           inflightChunks == 0;
 }
 
 } // namespace cais

@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "common/metrics.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "gpu/gpu_config.hh"
 #include "gpu/hbm.hh"
@@ -82,7 +83,9 @@ struct HubJob
 };
 
 /** The per-GPU fabric endpoint. */
-class GpuHub : public PacketSink, public Probe
+class GpuHub : public PacketSink,
+               public LinkDequeueListener,
+               public Probe
 {
   public:
     GpuHub(EventQueue &eq, Fabric &fabric, GpuId gpu,
@@ -106,6 +109,10 @@ class GpuHub : public PacketSink, public Probe
 
     // PacketSink
     void acceptPacket(Packet &&pkt, CreditLink *from, int vc) override;
+
+    /** One of our uplinks started a packet on the wire: the injection
+     *  window tracks actual wire occupancy. */
+    void onLinkDequeue(int tag, int vc) override;
 
     GpuId gpuId() const { return gpu; }
     HbmModel &hbm() { return mem; }
@@ -144,13 +151,16 @@ class GpuHub : public PacketSink, public Probe
         int awaitingReply = 0;   ///< responses/acks outstanding
         bool injectedAll = false;
         Cycle submitAt = 0;      ///< profiler: injection-wait origin
+        std::uint64_t id = 0;    ///< job id while live, 0 when free
     };
+
+    /** Live job with id @p job_id, or nullptr once it finished. */
+    JobState *findJob(std::uint64_t job_id);
 
     void pump();
     void checkInjectDone(std::uint64_t job_id);
     void injectChunk(std::uint64_t job_id, JobState &js,
                      const HubJob::Chunk &c);
-    void onWireInjected();
     void finishInject(JobState &js);
     void maybeFinish(std::uint64_t job_id);
 
@@ -173,12 +183,24 @@ class GpuHub : public PacketSink, public Probe
     Synchronizer *synchronizer = nullptr;
     CausalProfiler *prof = nullptr;
 
-    std::unordered_map<std::uint64_t, JobState> jobs;
-    std::uint64_t nextJobId = 1;
-    std::deque<std::uint64_t> issueQueue; ///< jobs with chunks to send
+    /**
+     * Job table indexed by slot. A job id is (serial << 32) | (slot +
+     * 1), so 0 never names a job and a finished job's id stops
+     * matching once its slot is recycled. A deque keeps JobState
+     * references stable while nested callbacks submit new jobs.
+     */
+    std::deque<JobState> jobs;
+    std::vector<std::uint32_t> freeSlots;
+    std::uint64_t nextJobSerial = 0;
+    Ring<std::uint64_t> issueQueue; ///< jobs with chunks to send
 
-    /** cookie -> owning job. */
-    std::unordered_map<std::uint64_t, std::uint64_t> cookieToJob;
+    /**
+     * Owning job of each cookie awaiting a response, indexed by
+     * cookie - (nextCookie - size()); 0 marks a cookie that expects
+     * no response or already got one. Leading zeros are trimmed, so
+     * the table spans only the oldest outstanding response onward.
+     */
+    Ring<std::uint64_t> cookieJobs;
     std::uint64_t nextCookie = 1;
 
     /** Group pause deadlines from throttle hints. */
@@ -197,7 +219,7 @@ class GpuHub : public PacketSink, public Probe
      * (0 = non-job traffic). Dequeues across the parallel uplinks are
      * matched FIFO, a close approximation of wire order.
      */
-    std::deque<std::uint64_t> wireOrder;
+    Ring<std::uint64_t> wireOrder;
 
     Counter injected;
     Counter responses;

@@ -6,23 +6,14 @@ namespace cais
 {
 
 RoundRobinArbiter::RoundRobinArbiter(int num_inputs)
-    : n(num_inputs), last(num_inputs - 1)
+    : n(num_inputs), last(num_inputs - 1),
+      valid(num_inputs >= maxInputs
+                ? ~std::uint64_t(0)
+                : (std::uint64_t(1) << num_inputs) - 1)
 {
-    if (num_inputs <= 0)
-        panic("arbiter needs at least one input");
-}
-
-int
-RoundRobinArbiter::pick(const std::function<bool(int)> &ready)
-{
-    for (int i = 1; i <= n; ++i) {
-        int idx = (last + i) % n;
-        if (ready(idx)) {
-            last = idx;
-            return idx;
-        }
-    }
-    return -1;
+    if (num_inputs <= 0 || num_inputs > maxInputs)
+        panic("arbiter needs 1..%d inputs (got %d)", maxInputs,
+              num_inputs);
 }
 
 } // namespace cais

@@ -18,12 +18,10 @@ CreditLink::CreditLink(EventQueue &eq_, std::string name,
 {
     if (bw <= 0.0)
         panic("link %s: non-positive bandwidth", linkName.c_str());
-}
-
-void
-CreditLink::setDequeueCallback(std::function<void(int)> cb)
-{
-    dequeueCb = std::move(cb);
+    if (vc_credits > 0)
+        creditMask = num_vcs >= RoundRobinArbiter::maxInputs
+                         ? ~std::uint64_t(0)
+                         : (std::uint64_t(1) << num_vcs) - 1;
 }
 
 void
@@ -41,6 +39,7 @@ CreditLink::send(Packet &&pkt)
         pkt.profCreditStalled = false;
     }
     queues[static_cast<std::size_t>(vc)].push_back(std::move(pkt));
+    queuedMask |= std::uint64_t(1) << vc;
     ++queuedTotal;
     tryIssue();
 }
@@ -74,7 +73,7 @@ CreditLink::returnCredit(int vc)
         // the captured cell pointer stays valid until trimmed.
         const std::pair<Cycle, int> *cell = &pend.back();
         eq.schedule(at, [this, vc, cell] {
-            creditCount[static_cast<std::size_t>(vc)] += cell->second;
+            addCredits(static_cast<std::size_t>(vc), cell->second);
             tryIssue();
         });
         return;
@@ -87,7 +86,7 @@ CreditLink::returnCredit(int vc)
     pend.emplace_back(at, 1);
     eq.scheduleAfter(lat, [this, vc] {
         auto &pd = pendingCredits[static_cast<std::size_t>(vc)];
-        creditCount[static_cast<std::size_t>(vc)] += pd.front().second;
+        addCredits(static_cast<std::size_t>(vc), pd.front().second);
         pd.pop_front();
         tryIssue();
     });
@@ -113,10 +112,7 @@ CreditLink::tryIssue()
         return;
     }
 
-    int vc = arb.pick([this](int i) {
-        auto idx = static_cast<std::size_t>(i);
-        return !queues[idx].empty() && creditCount[idx] > 0;
-    });
+    int vc = arb.pick(queuedMask & creditMask);
     if (vc < 0) {
         // Every non-empty queue is blocked on credits (the serializer
         // is idle here); mark the heads so their queue-wait edge is
@@ -132,7 +128,10 @@ CreditLink::tryIssue()
     Packet pkt = std::move(queues[idx].front());
     queues[idx].pop_front();
     --queuedTotal;
-    --creditCount[idx];
+    if (queues[idx].empty())
+        queuedMask &= ~(std::uint64_t(1) << vc);
+    if (--creditCount[idx] == 0)
+        creditMask &= ~(std::uint64_t(1) << vc);
 
     Cycle ser = serDiv.cycles(pkt.wireBytes());
     if (ser == 0)
@@ -147,8 +146,8 @@ CreditLink::tryIssue()
     payloadBytes.inc(pkt.payloadBytes);
     packets.inc();
 
-    if (dequeueCb)
-        dequeueCb(vc);
+    if (dequeueListener)
+        dequeueListener->onLinkDequeue(dequeueTag, vc);
 
     if (!sink)
         panic("link %s has no sink", linkName.c_str());

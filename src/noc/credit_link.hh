@@ -14,14 +14,15 @@
 #ifndef CAIS_NOC_CREDIT_LINK_HH
 #define CAIS_NOC_CREDIT_LINK_HH
 
+#include <cstdint>
 #include <deque>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/event_queue.hh"
 #include "common/intmath.hh"
 #include "common/metrics.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "noc/arbiter.hh"
 #include "noc/packet.hh"
@@ -43,6 +44,16 @@ class PacketSink
      * from->returnCredit(vc) to free the receive-buffer slot.
      */
     virtual void acceptPacket(Packet &&pkt, CreditLink *from, int vc) = 0;
+};
+
+/** Told whenever one of a link's packets starts the wire. */
+class LinkDequeueListener
+{
+  public:
+    virtual ~LinkDequeueListener() = default;
+
+    /** @p tag is the value the listener registered with. */
+    virtual void onLinkDequeue(int tag, int vc) = 0;
 };
 
 /** One direction of an NVLink between a GPU and a switch. */
@@ -83,8 +94,16 @@ class CreditLink : public Probe
     /** True when sender and sink live on different shards. */
     bool splitShards() const { return sinkEq != &eq; }
 
-    /** Notified with the VC index whenever a packet starts the wire. */
-    void setDequeueCallback(std::function<void(int)> cb);
+    /**
+     * Notify @p l (non-owning) with @p tag and the VC index whenever a
+     * packet starts the wire: the switch's output-space wakeups and
+     * the hub's injection window.
+     */
+    void setDequeueListener(LinkDequeueListener *l, int tag = -1)
+    {
+        dequeueListener = l;
+        dequeueTag = tag;
+    }
 
     /**
      * Attach the causal profiler (DESIGN.md §6g); @p node is this
@@ -150,8 +169,20 @@ class CreditLink : public Probe
     SerDivider serDiv;
     Cycle lat;
 
-    std::vector<std::deque<Packet>> queues;
+    /** Credits for @p vc have arrived back at the sender. */
+    void addCredits(std::size_t vc, int n)
+    {
+        creditCount[vc] += n;
+        creditMask |= std::uint64_t(1) << vc;
+    }
+
+    std::vector<Ring<Packet>> queues;
     std::vector<int> creditCount;
+
+    /** Bit v set while queues[v] is non-empty / creditCount[v] > 0;
+     *  their AND is the arbiter's ready set. */
+    std::uint64_t queuedMask = 0;
+    std::uint64_t creditMask = 0;
 
     /** In-flight credit batches per VC: (arrival cycle, count), one
      *  scheduled event per batch, ordered by arrival cycle. Under
@@ -166,7 +197,8 @@ class CreditLink : public Probe
     std::uint64_t profNode_ = 0;
     PacketSink *sink = nullptr;
     int tag_ = -1;
-    std::function<void(int)> dequeueCb;
+    LinkDequeueListener *dequeueListener = nullptr;
+    int dequeueTag = -1;
 
     std::size_t queuedTotal = 0;
     Cycle busyUntil = 0;

@@ -225,31 +225,30 @@ Fabric::buildTiered()
         }
     }
 
-    for (int l = 0; l < leaves; ++l) {
-        int lg = l / p.railsPerGroup;
-        switches[static_cast<std::size_t>(l)]->setPortRouter(
-            [this, lg, gpp](const Packet &pkt) {
-                if (!isSwitchNode(pkt.dst)) {
-                    if (pkt.dst / gpp == lg)
-                        return pkt.dst % gpp;
-                    return gpp + spinePort(pkt);
-                }
-                int s = pkt.dst - p.numGpus;
-                if (p.isSpineSwitch(s))
-                    return gpp + (s - p.numLeaves());
-                // Foreign leaf: reachable only through a spine.
-                return gpp + spinePort(pkt);
-            });
+    for (auto &chip : switches)
+        chip->setPortRouter(this);
+}
+
+int
+Fabric::outputPort(SwitchId sw, const Packet &pkt) const
+{
+    const int gpp = p.gpusPerGroup();
+    if (p.isSpineSwitch(sw)) {
+        if (!isSwitchNode(pkt.dst))
+            return p.leafIndex(pkt.dst / gpp, railFor(pkt));
+        int s = pkt.dst - p.numGpus;
+        return p.isSpineSwitch(s) ? -1 : s;
     }
-    for (int k = 0; k < p.numSpines; ++k) {
-        switches[static_cast<std::size_t>(leaves + k)]->setPortRouter(
-            [this, gpp](const Packet &pkt) {
-                if (!isSwitchNode(pkt.dst))
-                    return p.leafIndex(pkt.dst / gpp, railFor(pkt));
-                int s = pkt.dst - p.numGpus;
-                return p.isSpineSwitch(s) ? -1 : s;
-            });
+    if (!isSwitchNode(pkt.dst)) {
+        if (pkt.dst / gpp == sw / p.railsPerGroup)
+            return pkt.dst % gpp;
+        return gpp + spinePort(pkt);
     }
+    int s = pkt.dst - p.numGpus;
+    if (p.isSpineSwitch(s))
+        return gpp + (s - p.numLeaves());
+    // Foreign leaf: reachable only through a spine.
+    return gpp + spinePort(pkt);
 }
 
 int

@@ -19,6 +19,7 @@
 #include "common/event_queue.hh"
 #include "noc/credit_link.hh"
 #include "noc/routing.hh"
+#include "noc/switch_chip.hh"
 #include "noc/topology.hh"
 
 namespace cais
@@ -28,7 +29,7 @@ class CausalProfiler;
 class ShardedEventQueue;
 
 /** A fully wired multi-GPU fabric. */
-class Fabric
+class Fabric : public PortRouter
 {
   public:
     /**
@@ -71,6 +72,14 @@ class Fabric
      */
     static Cycle crossShardLookahead(const FabricParams &params,
                                      int shards);
+
+    /**
+     * Port router of every chip on multi-tier shapes (flat chips
+     * route by destination id): a leaf sends local GPUs to their
+     * port and everything else up the hashed spine; a spine sends
+     * down to the destination's leaf on the packet's rail.
+     */
+    int outputPort(SwitchId sw, const Packet &pkt) const override;
 
     /** Attach the GPU's packet sink to all its downlinks. */
     void attachGpu(GpuId g, PacketSink *sink);

@@ -10,14 +10,15 @@ SwitchChip::SwitchChip(EventQueue &eq_, SwitchId id, int node_id,
                        int num_gpus, const SwitchParams &params)
     : eq(eq_), switchId(id), node(node_id), p(params),
       inPorts(static_cast<std::size_t>(num_gpus)),
-      outPorts(static_cast<std::size_t>(num_gpus)),
+      outLinks(static_cast<std::size_t>(num_gpus), nullptr),
       waiting(static_cast<std::size_t>(num_gpus),
               std::vector<std::vector<std::pair<int, int>>>(
                   static_cast<std::size_t>(params.numVcs)))
 {
     for (auto &port : inPorts) {
-        port.vcs.assign(static_cast<std::size_t>(p.numVcs),
-                        VirtualChannel(static_cast<std::size_t>(p.vcDepth)));
+        port.vcs.reserve(static_cast<std::size_t>(p.numVcs));
+        for (int v = 0; v < p.numVcs; ++v)
+            port.vcs.emplace_back(static_cast<std::size_t>(p.vcDepth));
         port.busy.assign(static_cast<std::size_t>(p.numVcs), false);
     }
 }
@@ -34,10 +35,8 @@ SwitchChip::attachUplink(GpuId g, CreditLink *from_gpu)
 void
 SwitchChip::attachDownlink(GpuId g, CreditLink *to_gpu)
 {
-    outPorts[static_cast<std::size_t>(g)] =
-        std::make_unique<OutputPort>(to_gpu, p.outQueueDepth);
-    outPorts[static_cast<std::size_t>(g)]->setSpaceCallback(
-        [this, g](int vc) { onDownlinkSpace(g, vc); });
+    outLinks[static_cast<std::size_t>(g)] = to_gpu;
+    to_gpu->setDequeueListener(this, g);
 }
 
 void
@@ -104,16 +103,17 @@ SwitchChip::processHead(int port, int vc)
     // Plain unicast forward. Without a router the output port is the
     // destination GPU id (flat shape); a router maps remote or
     // switch-node destinations onto tier links.
-    int dst = router ? router(head) : head.dst;
+    int dst = outPort(head);
     if (dst < 0 || dst >= numPorts())
         panic("switch %d: cannot route packet type %s to node %d",
               switchId, packetTypeName(head.type), head.dst);
 
-    auto &out = outPorts[static_cast<std::size_t>(dst)];
-    if (!out->canAccept(head.vc)) {
+    CreditLink *out = outLinks[static_cast<std::size_t>(dst)];
+    if (out->queueLen(static_cast<int>(head.vc)) >=
+        static_cast<std::size_t>(p.outQueueDepth)) {
         // Head-of-line block: park until the output VC drains. The VC
         // stays busy (no service event) and resumes via
-        // onDownlinkSpace.
+        // onLinkDequeue.
         waiting[static_cast<std::size_t>(dst)]
                [static_cast<std::size_t>(head.vc)]
                    .emplace_back(port, vc);
@@ -128,15 +128,15 @@ SwitchChip::processHead(int port, int vc)
     forwarded.inc();
     {
         CausalProfiler::ScopedCause sc(prof, in_node, eq.now());
-        out->enqueue(std::move(pkt));
+        out->send(std::move(pkt));
     }
     scheduleProcess(port, vc, p.perPacketProcess);
 }
 
 void
-SwitchChip::onDownlinkSpace(GpuId g, int vc)
+SwitchChip::onLinkDequeue(int out_port, int vc)
 {
-    auto &list = waiting[static_cast<std::size_t>(g)]
+    auto &list = waiting[static_cast<std::size_t>(out_port)]
                         [static_cast<std::size_t>(vc)];
     if (list.empty())
         return;
@@ -150,18 +150,18 @@ SwitchChip::onDownlinkSpace(GpuId g, int vc)
 void
 SwitchChip::sendToGpu(Packet &&pkt)
 {
-    int dst = router ? router(pkt) : pkt.dst;
+    int dst = outPort(pkt);
     if (dst < 0 || dst >= numPorts())
         panic("switch %d: sendToGpu to bad node %d", switchId, pkt.dst);
     pkt.vc = policedVc(pkt.vc, p.unifiedDataVc);
     generated.inc();
-    outPorts[static_cast<std::size_t>(dst)]->enqueueForced(std::move(pkt));
+    outLinks[static_cast<std::size_t>(dst)]->send(std::move(pkt));
 }
 
 std::size_t
 SwitchChip::downlinkQueue(GpuId g, VcClass vc) const
 {
-    return outPorts[static_cast<std::size_t>(g)]->link()->queueLen(
+    return outLinks[static_cast<std::size_t>(g)]->queueLen(
         static_cast<int>(vc));
 }
 

@@ -8,8 +8,9 @@
 #define CAIS_NOC_VIRTUAL_CHANNEL_HH
 
 #include <cstddef>
-#include <deque>
 
+#include "common/log.hh"
+#include "common/ring.hh"
 #include "noc/packet.hh"
 
 namespace cais
@@ -27,14 +28,36 @@ class VirtualChannel
     std::size_t depth() const { return maxDepth; }
 
     /** Enqueue; the caller must have checked !full(). */
-    void push(Packet &&pkt);
+    void
+    push(Packet &&pkt)
+    {
+        if (full())
+            panic("VC overflow (depth %zu); credit protocol violated",
+                  maxDepth);
+        fifo.push_back(std::move(pkt));
+        if (fifo.size() > peak)
+            peak = fifo.size();
+    }
 
     /** Head packet; the caller must have checked !empty(). */
-    Packet &front();
-    const Packet &front() const;
+    Packet &
+    front()
+    {
+        if (fifo.empty())
+            panic("front() on empty VC");
+        return fifo.front();
+    }
 
     /** Pop and return the head packet. */
-    Packet pop();
+    Packet
+    pop()
+    {
+        if (fifo.empty())
+            panic("pop() on empty VC");
+        Packet p = std::move(fifo.front());
+        fifo.pop_front();
+        return p;
+    }
 
     /** Largest occupancy ever observed (for buffer-sizing studies). */
     std::size_t peakOccupancy() const { return peak; }
@@ -42,7 +65,7 @@ class VirtualChannel
   private:
     CAIS_OWNED_BY_DOMAIN(parent);
 
-    std::deque<Packet> fifo;
+    Ring<Packet> fifo;
     std::size_t maxDepth;
     std::size_t peak = 0;
 };

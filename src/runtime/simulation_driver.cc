@@ -1,7 +1,10 @@
 #include "runtime/simulation_driver.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <string_view>
+#include <utility>
 
 #include "analysis/bound_model.hh"
 #include "analysis/causal_profile.hh"
@@ -65,6 +68,10 @@ RunConfig::validationError() const
     if (!isPowerOfTwo(chunkBytes))
         return strfmt("chunkBytes is the address-hash interleave "
                       "width and must be a non-zero power of two "
+                      "(got %u)",
+                      chunkBytes);
+    if (chunkBytes < 128)
+        return strfmt("chunkBytes must be >= 128, one coalesced packet "
                       "(got %u)",
                       chunkBytes);
     if (perGpuBwPerDir <= 0.0)
@@ -161,6 +168,77 @@ RunConfig::toSystemConfig(const StrategySpec &spec) const
     return sc;
 }
 
+namespace
+{
+
+/**
+ * Fill @p r's counter-shaped fields in one walk over @p snap. Each
+ * test below is exactly the '*' pattern it replaces: a path matches
+ * "*.merge.<tail>" iff its last ".merge." is followed by <tail>, and
+ * "link.*.wireBytes" iff it has both ends without overlap. The walk
+ * visits paths in the same order as the pattern queries, so the
+ * stagger mean sums identically.
+ */
+void
+harvestCounters(const MetricSnapshot &snap, RunResult &r)
+{
+    static constexpr std::string_view merge = ".merge.";
+    static constexpr std::string_view linkHead = "link.";
+    static constexpr std::string_view wireTail = ".wireBytes";
+    static constexpr std::pair<std::string_view,
+                               std::uint64_t RunResult::*>
+        mergeSums[] = {
+            {"loadReqs", &RunResult::mergeLoadReqs},
+            {"redReqs", &RunResult::mergeRedReqs},
+            {"loadHits", &RunResult::mergeLoadHits},
+            {"redHits", &RunResult::mergeRedHits},
+            {"fetches", &RunResult::mergeFetches},
+            {"sessionsClosed", &RunResult::sessionsClosed},
+            {"evictions.lru", &RunResult::lruEvictions},
+            {"evictions.timeout", &RunResult::timeoutEvictions},
+            {"throttle.hintsSent", &RunResult::throttleHints},
+        };
+    double stagger_weighted = 0.0;
+    std::uint64_t stagger_n = 0;
+    for (const auto &[path, v] : snap.all()) {
+        std::string_view p = path;
+        if (p == "eventq.executed") {
+            r.eventsExecuted += integerReading(v);
+            continue;
+        }
+        if (p.size() >= linkHead.size() + wireTail.size() &&
+            p.starts_with(linkHead) && p.ends_with(wireTail)) {
+            r.wireBytes += integerReading(v);
+            continue;
+        }
+        std::size_t at = p.rfind(merge);
+        if (at == std::string_view::npos)
+            continue;
+        std::string_view tail = p.substr(at + merge.size());
+        if (tail == "stagger") {
+            stagger_weighted += v.mean * static_cast<double>(v.count);
+            stagger_n += v.count;
+        } else if (tail == "peakTableBytes") {
+            r.peakMergeBytes =
+                std::max(r.peakMergeBytes, integerReading(v));
+        } else {
+            for (const auto &[name, field] : mergeSums)
+                if (tail == name) {
+                    r.*field += integerReading(v);
+                    break;
+                }
+        }
+    }
+    // Count-weighted mean over the per-switch stagger histograms.
+    r.staggerSamples = stagger_n;
+    r.staggerUs = stagger_n
+        ? stagger_weighted / static_cast<double>(stagger_n) /
+              static_cast<double>(cyclesPerUs)
+        : 0.0;
+}
+
+} // namespace
+
 RunResult
 runGraph(const StrategySpec &spec, const OpGraph &graph,
          const RunConfig &cfg, const std::string &workload_name)
@@ -238,34 +316,7 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
     // the windowed utilization aggregates still need Fabric methods
     // (they are computations over [0, makespan), not plain readings).
     MetricSnapshot snap = reg.snapshot();
-    r.eventsExecuted = snap.sumU64("eventq.executed");
-    r.wireBytes = snap.sumU64("link.*.wireBytes");
-    r.mergeLoadReqs = snap.sumU64("*.merge.loadReqs");
-    r.mergeRedReqs = snap.sumU64("*.merge.redReqs");
-    r.mergeLoadHits = snap.sumU64("*.merge.loadHits");
-    r.mergeRedHits = snap.sumU64("*.merge.redHits");
-    r.mergeFetches = snap.sumU64("*.merge.fetches");
-    r.sessionsClosed = snap.sumU64("*.merge.sessionsClosed");
-    r.lruEvictions = snap.sumU64("*.merge.evictions.lru");
-    r.timeoutEvictions =
-        snap.sumU64("*.merge.evictions.timeout");
-    r.throttleHints =
-        snap.sumU64("*.merge.throttle.hintsSent");
-    r.peakMergeBytes = snap.maxU64("*.merge.peakTableBytes");
-
-    // Count-weighted mean over the per-switch stagger histograms.
-    double stagger_weighted = 0.0;
-    std::uint64_t stagger_n = 0;
-    snap.forEach("*.merge.stagger",
-                 [&](const std::string &, const MetricValue &v) {
-        stagger_weighted += v.mean * static_cast<double>(v.count);
-        stagger_n += v.count;
-    });
-    r.staggerSamples = stagger_n;
-    r.staggerUs = stagger_n
-        ? stagger_weighted / static_cast<double>(stagger_n) /
-              static_cast<double>(cyclesPerUs)
-        : 0.0;
+    harvestCounters(snap, r);
 
     Cycle end = r.makespan ? r.makespan : 1;
     r.avgUtil = sys.fabric().avgUtilization(0, end);

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "noc/arbiter.hh"
 #include "noc/network.hh"
 
 using namespace cais;
@@ -154,4 +155,16 @@ TEST(FabricDeathTest, InvalidConfigsAreFatal)
     FabricParams bad2 = params();
     bad2.sw.numVcs = 2;
     EXPECT_DEATH(bad2.validate(), "VCs");
+}
+
+TEST(Fabric, RejectsMoreVcsThanTheArbiterMaskHolds)
+{
+    // Each VC is one bit of the link arbiter's 64-bit ready mask.
+    FabricParams p = params();
+    p.sw.numVcs = RoundRobinArbiter::maxInputs + 1;
+    EXPECT_NE(p.validationError().find("at most 64 VCs"),
+              std::string::npos);
+    p.sw.numVcs = RoundRobinArbiter::maxInputs;
+    EXPECT_EQ(p.validationError().find("at most 64 VCs"),
+              std::string::npos);
 }

@@ -154,10 +154,21 @@ TEST(CreditLink, DequeueCallbackFiresPerPacket)
     CaptureSink sink;
     sink.eq = &eq;
     link.setSink(&sink);
-    int dequeues = 0;
-    link.setDequeueCallback([&](int) { ++dequeues; });
+    struct Counting : public LinkDequeueListener
+    {
+        int dequeues = 0;
+        int lastTag = -1;
+        void
+        onLinkDequeue(int tag, int) override
+        {
+            ++dequeues;
+            lastTag = tag;
+        }
+    } counting;
+    link.setDequeueListener(&counting, 7);
     link.send(dataPacket(ids, 100));
     link.send(dataPacket(ids, 100));
     eq.runAll();
-    EXPECT_EQ(dequeues, 2);
+    EXPECT_EQ(counting.dequeues, 2);
+    EXPECT_EQ(counting.lastTag, 7);
 }

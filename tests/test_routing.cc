@@ -1,5 +1,7 @@
 /** @file Tests for deterministic routing and round-robin arbitration. */
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "noc/arbiter.hh"
@@ -52,7 +54,7 @@ TEST(Routing, GroupRoutingInRangeAndDeterministic)
 TEST(Arbiter, RoundRobinFairness)
 {
     RoundRobinArbiter arb(4);
-    auto all_ready = [](int) { return true; };
+    const std::uint64_t all_ready = 0xf;
     EXPECT_EQ(arb.pick(all_ready), 0);
     EXPECT_EQ(arb.pick(all_ready), 1);
     EXPECT_EQ(arb.pick(all_ready), 2);
@@ -63,20 +65,66 @@ TEST(Arbiter, RoundRobinFairness)
 TEST(Arbiter, SkipsNotReady)
 {
     RoundRobinArbiter arb(4);
-    auto only2 = [](int i) { return i == 2; };
+    const std::uint64_t only2 = 1u << 2;
     EXPECT_EQ(arb.pick(only2), 2);
     EXPECT_EQ(arb.pick(only2), 2);
-    auto none = [](int) { return false; };
-    EXPECT_EQ(arb.pick(none), -1);
+    EXPECT_EQ(arb.pick(0), -1);
 }
 
 TEST(Arbiter, ResumesAfterLastGrant)
 {
     RoundRobinArbiter arb(3);
-    auto all = [](int) { return true; };
+    const std::uint64_t all = 0x7;
     EXPECT_EQ(arb.pick(all), 0);
-    auto only0 = [](int i) { return i == 0; };
+    const std::uint64_t only0 = 1u;
     EXPECT_EQ(arb.pick(only0), 0);
     // After granting 0, input 1 has priority.
     EXPECT_EQ(arb.pick(all), 1);
+}
+
+TEST(Arbiter, IgnoresBitsBeyondInputs)
+{
+    RoundRobinArbiter arb(3);
+    EXPECT_EQ(arb.pick(~std::uint64_t(0) << 3), -1);
+    EXPECT_EQ(arb.pick(0xff), 0);
+}
+
+TEST(Arbiter, MaskPickMatchesPredicateLoopExhaustively)
+{
+    // Reference: the predicate scan the mask rotate replaced. For
+    // every width, starting cursor and ready set, both must grant the
+    // same input and leave the same cursor behind.
+    for (int n = 1; n <= 8; ++n) {
+        for (int cursor = 0; cursor < n; ++cursor) {
+            for (std::uint64_t ready = 0; ready < (1u << n); ++ready) {
+                RoundRobinArbiter arb(n);
+                // Granting the input before the cursor moves it there.
+                arb.pick(std::uint64_t(1) << ((cursor + n - 1) % n));
+                ASSERT_EQ(arb.cursor(), cursor);
+
+                int expect = -1;
+                for (int i = 0; i < n; ++i) {
+                    int idx = (cursor + i) % n;
+                    if (ready & (std::uint64_t(1) << idx)) {
+                        expect = idx;
+                        break;
+                    }
+                }
+                int expect_cursor =
+                    expect < 0 ? cursor : (expect + 1) % n;
+                ASSERT_EQ(arb.pick(ready), expect)
+                    << "n=" << n << " cursor=" << cursor
+                    << " ready=" << ready;
+                ASSERT_EQ(arb.cursor(), expect_cursor);
+            }
+        }
+    }
+}
+
+TEST(Arbiter, FullWidthMask)
+{
+    RoundRobinArbiter arb(RoundRobinArbiter::maxInputs);
+    EXPECT_EQ(arb.pick(std::uint64_t(1) << 63), 63);
+    EXPECT_EQ(arb.pick(~std::uint64_t(0)), 0);
+    EXPECT_EQ(arb.pick(std::uint64_t(1) << 63), 63);
 }

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.hh"
+#include "runtime/execution_strategy.hh"
 #include "runtime/simulation_driver.hh"
+#include "runtime/system.hh"
+#include "workload/llm_config.hh"
 #include "workload/transformer.hh"
 
 using namespace cais;
@@ -97,4 +101,82 @@ TEST(Driver, BarrierBaselineCommComputeDontOverlap)
     EXPECT_GT(static_cast<double>(covered),
               0.85 * static_cast<double>(r.makespan));
     EXPECT_LE(covered, r.makespan + 10);
+}
+
+namespace
+{
+
+/**
+ * runGraph's counter fields against the '*' pattern queries they
+ * stand for, evaluated on the snapshot of an identical run driven
+ * step by step (runs are deterministic, so both see the same
+ * counters).
+ */
+void
+expectHarvestMatchesPatterns(const RunConfig &cfg, const LlmConfig &m)
+{
+    StrategySpec spec = strategyByName("CAIS");
+    OpGraph g = buildSubLayer(m, SubLayerId::L1);
+    RunResult r = runGraph(spec, g, cfg, "L1");
+
+    System sys(cfg.toSystemConfig(spec));
+    MetricRegistry reg;
+    sys.registerMetrics(reg);
+    OpGraph g2 = buildSubLayer(m, SubLayerId::L1);
+    GraphLowering lowering(sys, g2, spec.opts);
+    lowering.lower();
+    sys.run();
+    MetricSnapshot snap = reg.snapshot();
+
+    EXPECT_EQ(r.makespan, sys.makespan());
+    EXPECT_EQ(r.eventsExecuted, snap.sumU64("eventq.executed"));
+    EXPECT_EQ(r.wireBytes, snap.sumU64("link.*.wireBytes"));
+    EXPECT_EQ(r.mergeLoadReqs, snap.sumU64("*.merge.loadReqs"));
+    EXPECT_EQ(r.mergeRedReqs, snap.sumU64("*.merge.redReqs"));
+    EXPECT_EQ(r.mergeLoadHits, snap.sumU64("*.merge.loadHits"));
+    EXPECT_EQ(r.mergeRedHits, snap.sumU64("*.merge.redHits"));
+    EXPECT_EQ(r.mergeFetches, snap.sumU64("*.merge.fetches"));
+    EXPECT_EQ(r.sessionsClosed, snap.sumU64("*.merge.sessionsClosed"));
+    EXPECT_EQ(r.lruEvictions, snap.sumU64("*.merge.evictions.lru"));
+    EXPECT_EQ(r.timeoutEvictions,
+              snap.sumU64("*.merge.evictions.timeout"));
+    EXPECT_EQ(r.throttleHints,
+              snap.sumU64("*.merge.throttle.hintsSent"));
+    EXPECT_EQ(r.peakMergeBytes, snap.maxU64("*.merge.peakTableBytes"));
+
+    double weighted = 0.0;
+    std::uint64_t n = 0;
+    snap.forEach("*.merge.stagger",
+                 [&](const std::string &, const MetricValue &v) {
+        weighted += v.mean * static_cast<double>(v.count);
+        n += v.count;
+    });
+    EXPECT_EQ(r.staggerSamples, n);
+    EXPECT_EQ(r.staggerUs,
+              n ? weighted / static_cast<double>(n) /
+                      static_cast<double>(cyclesPerUs)
+                : 0.0);
+
+    // The run exercised the merge path, so the equalities are not
+    // all 0 == 0.
+    EXPECT_GT(r.eventsExecuted, 0u);
+    EXPECT_GT(r.wireBytes, 0u);
+    EXPECT_GT(r.mergeLoadReqs + r.mergeRedReqs, 0u);
+    EXPECT_GT(r.staggerSamples, 0u);
+}
+
+} // namespace
+
+TEST(Driver, HarvestMatchesPatternQueriesFlat)
+{
+    RunConfig cfg;
+    expectHarvestMatchesPatterns(cfg, megaGpt4B().scaled(0.25, 0.125));
+}
+
+TEST(Driver, HarvestMatchesPatternQueriesNvl72)
+{
+    RunConfig cfg;
+    cfg.topology = "nvl72";
+    cfg.numGpus = FabricParams::preset("nvl72").numGpus;
+    expectHarvestMatchesPatterns(cfg, llama7B().scaled(0.0625, 0.03125));
 }

@@ -554,6 +554,21 @@ TEST(Verify, RunConfigValidationRejectsBadBounds)
               std::string::npos);
 }
 
+TEST(Verify, RunConfigValidationRejectsSubPacketChunk)
+{
+    // A power of two below one coalesced packet used to pass here and
+    // then abort inside GpuParams::validate.
+    RunConfig c;
+    for (std::uint32_t bytes : {1u, 32u, 64u}) {
+        c.chunkBytes = bytes;
+        EXPECT_NE(c.validationError().find("chunkBytes must be >= 128"),
+                  std::string::npos)
+            << bytes;
+    }
+    c.chunkBytes = 128;
+    EXPECT_EQ(c.validationError(), "");
+}
+
 TEST(Verify, RunConfigValidateIsFatal)
 {
     RunConfig c;
