@@ -102,10 +102,7 @@ struct BenchArgs
             "trace_sample",
             static_cast<std::int64_t>(cfg.traceSampleCycles)));
         cfg.verify = params.getBool("verify", true);
-        // shards=<n> selects the sharded event core (DESIGN.md §6f);
-        // the default 0 defers to CAIS_SHARDS, then sequential.
-        cfg.shards = static_cast<int>(params.getInt("shards", 0));
-        // Reject bad values (shards=-2, chunk=3000, ...) here with
+        // Reject bad values (chunk=3000, gpus=1, ...) here with
         // the bounds message instead of aborting deep inside the
         // first queued run — and never silently clamp them.
         std::string err = cfg.validationError();

@@ -10,24 +10,19 @@
  *  - a fig12-shaped end-to-end run (CAIS strategy over a scaled-down
  *    Mega-GPT sub-layer) counting real simulator events.
  *
- * Each shape runs against three schedulers: a local replica of the
- * seed implementation (std::function callbacks in one binary heap),
- * the legacy single-heap mode of the current EventQueue, and the
- * default bucketed scheduler. CI uses the emitted
- * BENCH_eventcore.json to enforce a throughput floor; see
+ * The hop storm also runs against a local replica of the seed
+ * implementation (std::function callbacks in one binary heap), the
+ * baseline of the bucketed scheduler's ratio floor. CI uses the
+ * emitted BENCH_eventcore.json to enforce a throughput floor; see
  * .github/workflows/ci.yml.
  */
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <map>
 #include <queue>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/event_queue.hh"
@@ -163,55 +158,15 @@ BM_HopStorm_SeedReplica(benchmark::State &state)
 BENCHMARK(BM_HopStorm_SeedReplica);
 
 void
-BM_HopStorm_Heap(benchmark::State &state)
-{
-    for (auto _ : state) {
-        EventQueue eq(EventQueue::SchedulerKind::heap);
-        benchmark::DoNotOptimize(hopStorm(eq));
-    }
-    state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
-}
-BENCHMARK(BM_HopStorm_Heap);
-
-void
 BM_HopStorm_Bucketed(benchmark::State &state)
 {
     for (auto _ : state) {
-        EventQueue eq(EventQueue::SchedulerKind::bucketed);
+        EventQueue eq;
         benchmark::DoNotOptimize(hopStorm(eq));
     }
     state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
 }
 BENCHMARK(BM_HopStorm_Bucketed);
-
-/**
- * Pin CAIS_EVENTQ for the duration of a scope so the System inside
- * runGraph constructs its EventQueue with the requested scheduler.
- */
-class ScopedEventqEnv
-{
-  public:
-    explicit ScopedEventqEnv(const char *kind)
-    {
-        if (const char *old = std::getenv("CAIS_EVENTQ")) {
-            hadOld = true;
-            oldVal = old;
-        }
-        setenv("CAIS_EVENTQ", kind, 1);
-    }
-
-    ~ScopedEventqEnv()
-    {
-        if (hadOld)
-            setenv("CAIS_EVENTQ", oldVal.c_str(), 1);
-        else
-            unsetenv("CAIS_EVENTQ");
-    }
-
-  private:
-    bool hadOld = false;
-    std::string oldVal;
-};
 
 /** Fig. 12-shaped job: CAIS on a scaled-down Mega-GPT L3 sub-layer. */
 RunResult
@@ -228,25 +183,10 @@ fig12Shaped()
 }
 
 void
-BM_Fig12Shaped_Heap(benchmark::State &state)
-{
-    std::uint64_t events = 0;
-    for (auto _ : state) {
-        ScopedEventqEnv env("heap");
-        RunResult r = fig12Shaped();
-        events += r.eventsExecuted;
-        benchmark::DoNotOptimize(r.makespan);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-}
-BENCHMARK(BM_Fig12Shaped_Heap);
-
-void
 BM_Fig12Shaped_Bucketed(benchmark::State &state)
 {
     std::uint64_t events = 0;
     for (auto _ : state) {
-        ScopedEventqEnv env("bucketed");
         RunResult r = fig12Shaped();
         events += r.eventsExecuted;
         benchmark::DoNotOptimize(r.makespan);
@@ -254,92 +194,6 @@ BM_Fig12Shaped_Bucketed(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(events));
 }
 BENCHMARK(BM_Fig12Shaped_Bucketed);
-
-// --- Multi-tier sharded section (DESIGN.md §6f) --------------------
-//
-// End-to-end CAIS runs on the flat node and the tiered presets at
-// shards = 1, 2, 4, 8. Each entry reports:
-//  - "shards":     the requested shard count (clamped inside System);
-//  - "hw_threads": std::thread::hardware_concurrency() — CI gates the
-//    sharded speedup floor on this, single-core runners can't scale;
-//  - "speedup":    wall-time of the same preset's shards=1 entry over
-//    this entry's wall time (>= 1 means sharding helped). Baselines
-//    resolve because benchmarks execute in registration order and the
-//    shards=1 entry of each preset registers first.
-
-/** Wall-clock baselines: preset key -> seconds/iteration at shards=1. */
-std::map<std::string, double> &
-shardBaselines()
-{
-    // cais-lint: allow(D4) -- benchmark-harness speedup baseline
-    // shared across registrations, not simulation state.
-    static std::map<std::string, double> m;
-    return m;
-}
-
-RunResult
-presetRun(const char *preset, int gpus, int shards)
-{
-    LlmConfig m = llama7B().scaled(0.25, 0.125);
-    RunConfig cfg;
-    cfg.topology = preset;
-    cfg.numGpus = gpus;
-    cfg.shards = shards;
-    StrategySpec spec = strategyByName("CAIS");
-    OpGraph graph = buildSubLayer(m, SubLayerId::L1);
-    return runGraph(spec, graph, cfg, subLayerName(SubLayerId::L1));
-}
-
-void
-BM_MultiTierSharded(benchmark::State &state, const char *preset,
-                    int gpus, int shards)
-{
-    std::uint64_t events = 0;
-    double secs = 0.0;
-    for (auto _ : state) {
-        auto t0 = std::chrono::steady_clock::now();
-        RunResult r = presetRun(preset, gpus, shards);
-        auto t1 = std::chrono::steady_clock::now();
-        secs += std::chrono::duration<double>(t1 - t0).count();
-        events += r.eventsExecuted;
-        benchmark::DoNotOptimize(r.makespan);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(events));
-
-    double per_iter =
-        secs / static_cast<double>(state.iterations() ? state.iterations()
-                                                      : 1);
-    std::string key = std::string(preset) + "/" + std::to_string(gpus);
-    if (shards == 1)
-        shardBaselines()[key] = per_iter;
-    auto base = shardBaselines().find(key);
-    if (base != shardBaselines().end() && per_iter > 0.0)
-        state.counters["speedup"] = base->second / per_iter;
-    state.counters["shards"] = static_cast<double>(shards);
-    state.counters["hw_threads"] =
-        static_cast<double>(std::thread::hardware_concurrency());
-}
-
-#define CAIS_SHARD_BENCH(tag, preset, gpus, shards)                     \
-    BENCHMARK_CAPTURE(BM_MultiTierSharded, tag, preset, gpus, shards)   \
-        ->UseRealTime()                                                 \
-        ->Unit(benchmark::kMillisecond)                                 \
-        ->Iterations(3)
-
-CAIS_SHARD_BENCH(dgx_h100_s1, "dgx-h100", 8, 1);
-CAIS_SHARD_BENCH(dgx_h100_s2, "dgx-h100", 8, 2);
-CAIS_SHARD_BENCH(dgx_h100_s4, "dgx-h100", 8, 4);
-CAIS_SHARD_BENCH(dgx_h100_s8, "dgx-h100", 8, 8);
-CAIS_SHARD_BENCH(nvl72_s1, "nvl72", 72, 1);
-CAIS_SHARD_BENCH(nvl72_s2, "nvl72", 72, 2);
-CAIS_SHARD_BENCH(nvl72_s4, "nvl72", 72, 4);
-CAIS_SHARD_BENCH(nvl72_s8, "nvl72", 72, 8);
-CAIS_SHARD_BENCH(rail4node_s1, "rail-optimized-4node", 32, 1);
-CAIS_SHARD_BENCH(rail4node_s2, "rail-optimized-4node", 32, 2);
-CAIS_SHARD_BENCH(rail4node_s4, "rail-optimized-4node", 32, 4);
-CAIS_SHARD_BENCH(rail4node_s8, "rail-optimized-4node", 32, 8);
-
-#undef CAIS_SHARD_BENCH
 
 } // namespace
 

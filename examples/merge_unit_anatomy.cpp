@@ -78,8 +78,9 @@ main(int argc, char **argv)
     int gpus = static_cast<int>(args.getInt("gpus", 4));
 
     EventQueue eq;
+    PacketIdAllocator chip_ids;
     SwitchParams sp;
-    SwitchChip sw(eq, 0, gpus, gpus, sp);
+    SwitchChip sw(eq, chip_ids, 0, gpus, gpus, sp);
     InSwitchParams ip;
     ip.merge.tableBytesPerPort = 2 * ip.merge.chunkBytes; // tiny table
     SwitchComputeComplex complex(sw, ip);

@@ -6,7 +6,6 @@
 #include <tuple>
 
 #include "analysis/trace.hh"
-#include "common/event_queue.hh"
 #include "common/json.hh"
 
 namespace cais
@@ -51,24 +50,6 @@ waitClassName(WaitClass c)
 CausalProfiler::CausalProfiler() = default;
 CausalProfiler::~CausalProfiler() = default;
 
-CausalProfiler::Log &
-CausalProfiler::log()
-{
-    if (ShardCtx *c = EventQueue::threadShardCtx())
-        if (c->userData)
-            return *static_cast<Log *>(c->userData);
-    return mainLog;
-}
-
-const CausalProfiler::Log &
-CausalProfiler::log() const
-{
-    if (ShardCtx *c = EventQueue::threadShardCtx())
-        if (c->userData)
-            return *static_cast<const Log *>(c->userData);
-    return mainLog;
-}
-
 void
 CausalProfiler::record(ProfNode dst, WaitClass cls, Cycle t0,
                        Cycle t1, ProfNode src, Cycle src_t)
@@ -86,27 +67,26 @@ CausalProfiler::record(ProfNode dst, WaitClass cls, Cycle t0,
     }
     e.src = src;
     e.srcT = std::min(src_t, t1);
-    log().edges.push_back(e);
+    edges.push_back(e);
 }
 
 void
 CausalProfiler::record(ProfNode dst, WaitClass cls, Cycle t0,
                        Cycle t1)
 {
-    Log &l = log();
-    record(dst, cls, t0, t1, l.cause, l.causeT);
+    record(dst, cls, t0, t1, cause, causeT);
 }
 
 ProfNode
 CausalProfiler::causeNode() const
 {
-    return log().cause;
+    return cause;
 }
 
 Cycle
 CausalProfiler::causeTime() const
 {
-    return log().causeT;
+    return causeT;
 }
 
 CausalProfiler::ScopedCause::ScopedCause(CausalProfiler *p,
@@ -115,20 +95,18 @@ CausalProfiler::ScopedCause::ScopedCause(CausalProfiler *p,
 {
     if (!prof)
         return;
-    Log &l = prof->log();
-    prevNode = l.cause;
-    prevT = l.causeT;
-    l.cause = node;
-    l.causeT = t;
+    prevNode = prof->cause;
+    prevT = prof->causeT;
+    prof->cause = node;
+    prof->causeT = t;
 }
 
 CausalProfiler::ScopedCause::~ScopedCause()
 {
     if (!prof)
         return;
-    Log &l = prof->log();
-    l.cause = prevNode;
-    l.causeT = prevT;
+    prof->cause = prevNode;
+    prof->causeT = prevT;
 }
 
 void
@@ -146,35 +124,12 @@ CausalProfiler::addLink(const std::string &name)
 }
 
 void
-CausalProfiler::setNumShards(int n)
-{
-    shardLogs.clear();
-    shardLogs.reserve(static_cast<std::size_t>(n));
-    for (int i = 0; i < n; ++i)
-        shardLogs.push_back(std::make_unique<Log>());
-}
-
-void *
-CausalProfiler::shardLogSlot(int shard)
-{
-    return shardLogs[static_cast<std::size_t>(shard)].get();
-}
-
-void
 CausalProfiler::finalize()
 {
     if (finalized)
         return;
-    edges = std::move(mainLog.edges);
-    mainLog.edges.clear();
-    for (auto &l : shardLogs) {
-        edges.insert(edges.end(), l->edges.begin(), l->edges.end());
-        l->edges.clear();
-    }
-    // Canonical order: the record multiset is identical at any shard
-    // count (the simulation is bit-identical and hooks are pure), so
-    // the full-tuple sort makes the merged log — and everything
-    // derived from it — byte-identical as well.
+    // Canonical order: the full-tuple sort makes the log, and
+    // everything derived from it, independent of recording order.
     std::sort(edges.begin(), edges.end(),
               [](const WaitEdge &a, const WaitEdge &b) {
                   return std::tie(a.dst, a.t1, a.t0, a.cls, a.src,

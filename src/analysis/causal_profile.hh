@@ -13,10 +13,9 @@
  *    and append to side logs; a profiled run is bit-identical to an
  *    unprofiled one, and a run with no profiler attached executes the
  *    exact pre-profiler instruction stream.
- *  - Shard determinism: each PDES shard appends to its own log (via
- *    ShardCtx::userData); finalize() merges all logs into one
- *    canonical (dst, t1, t0, cls, src, srcT) order, so the analysis
- *    is byte-identical at any shards= setting.
+ *  - Canonical output: finalize() sorts the edge log into
+ *    (dst, t1, t0, cls, src, srcT) order, so the analysis is a
+ *    function of the recorded edge multiset alone.
  */
 
 #ifndef CAIS_ANALYSIS_CAUSAL_PROFILE_HH
@@ -24,7 +23,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -192,8 +190,6 @@ nvls(SwitchId s)
  */
 struct WaitEdge
 {
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     ProfNode dst = 0;
     ProfNode src = 0;
     Cycle t0 = 0;
@@ -205,8 +201,6 @@ struct WaitEdge
 /** One attributed span of the critical path (forward time order). */
 struct PathSegment
 {
-    CAIS_OWNED_BY_DOMAIN(host);
-
     ProfNode node = 0;
     WaitClass cls = WaitClass::unattributed;
     Cycle t0 = 0;
@@ -216,8 +210,6 @@ struct PathSegment
 /** Result of a backward critical-path walk. */
 struct Attribution
 {
-    CAIS_OWNED_BY_DOMAIN(host);
-
     Cycle makespan = 0;
     ProfNode start = 0;
 
@@ -249,9 +241,7 @@ struct Attribution
 
 /**
  * The wait-for edge recorder + post-run analyzer. One instance per
- * run; attach with System::setProfiler() before lowering. Recording
- * routes through the executing shard's private log, so hot-path
- * appends never synchronize.
+ * run; attach with System::setProfiler() before lowering.
  */
 class CausalProfiler
 {
@@ -274,14 +264,13 @@ class CausalProfiler
     /** Record an edge caused by the active ScopedCause (if any). */
     void record(ProfNode dst, WaitClass cls, Cycle t0, Cycle t1);
 
-    /** The active cause on the calling shard (0 if none). */
+    /** The active cause (0 if none). */
     ProfNode causeNode() const;
     Cycle causeTime() const;
 
     /**
-     * RAII "current enabling cause" for the calling shard: while in
-     * scope, cause-less record() calls and packet stamps inherit
-     * (node, t). Nests; always restored before the enclosing event
+     * RAII "current enabling cause": while in scope, cause-less
+     * record() calls and packet stamps inherit (node, t). Nests; always restored before the enclosing event
      * returns, so causes never leak across events.
      */
     class ScopedCause
@@ -307,22 +296,10 @@ class CausalProfiler
     /** Dense link id for CreditLink hooks; names the node too. */
     std::uint32_t addLink(const std::string &name);
 
-    /**
-     * Size the per-shard log array; shard @p i's log pointer (for
-     * ShardedEventQueue::setShardUserData) is shardLogSlot(i).
-     * Channel functions: they touch the shard-shared log array, but
-     * only before the worker threads start (setup) — no domain runs
-     * concurrently with them.
-     */
-    CAIS_CROSS_SHARD_CHANNEL void setNumShards(int n);
-    CAIS_CROSS_SHARD_CHANNEL void *shardLogSlot(int shard);
-
     // ---- analysis (post-run, single-threaded) ----
 
-    /** Merge per-shard logs into the canonical sorted edge list.
-     *  Channel function: drains every shard's log after the workers
-     *  have joined, so the merge cannot race the window loop. */
-    CAIS_CROSS_SHARD_CHANNEL void finalize();
+    /** Sort the recorded edges into the canonical order. */
+    void finalize();
 
     /** Total recorded edges (valid after finalize()). */
     std::size_t numEdges() const { return edges.size(); }
@@ -351,29 +328,14 @@ class CausalProfiler
                         const Attribution &a) const;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
-    /** Per-shard append log + active-cause register. */
-    struct Log
-    {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
-        std::vector<WaitEdge> edges;
-        ProfNode cause = 0;
-        Cycle causeT = 0;
-    };
-
-    Log &log();
-    const Log &log() const;
-
-    Log mainLog;
-    /** Stable-address shard logs (ShardCtx::userData points here). */
-    CAIS_SHARD_SHARED std::vector<std::unique_ptr<Log>> shardLogs;
+    /** Active-cause register (see ScopedCause). */
+    ProfNode cause = 0;
+    Cycle causeT = 0;
 
     std::unordered_map<ProfNode, std::string> names;
     std::uint32_t nextLinkId = 0;
 
-    /** Canonical merged edges (valid after finalize()). */
+    /** Recorded edges; canonically sorted once finalize() ran. */
     std::vector<WaitEdge> edges;
     bool finalized = false;
 };

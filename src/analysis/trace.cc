@@ -23,7 +23,6 @@ TraceCollector::addSpan(const std::string &name,
     e.ts = start;
     e.dur = end > start ? end - start : 0;
     e.value = 0.0;
-    std::lock_guard<std::mutex> lk(mu);
     events.push_back(std::move(e));
 }
 
@@ -41,7 +40,6 @@ TraceCollector::addInstant(const std::string &name,
     e.ts = at;
     e.dur = 0;
     e.value = 0.0;
-    std::lock_guard<std::mutex> lk(mu);
     events.push_back(std::move(e));
 }
 
@@ -58,7 +56,6 @@ TraceCollector::addCounter(const std::string &name, int pid, Cycle at,
     e.ts = at;
     e.dur = 0;
     e.value = value;
-    std::lock_guard<std::mutex> lk(mu);
     events.push_back(std::move(e));
 }
 
@@ -74,7 +71,6 @@ TraceCollector::nameLane(int pid, int tid, const std::string &name)
     e.dur = 0;
     e.value = 0.0;
     e.metaValue = name;
-    std::lock_guard<std::mutex> lk(mu);
     events.push_back(std::move(e));
 }
 
@@ -90,22 +86,15 @@ TraceCollector::nameProcess(int pid, const std::string &name)
     e.dur = 0;
     e.value = 0.0;
     e.metaValue = name;
-    std::lock_guard<std::mutex> lk(mu);
     events.push_back(std::move(e));
 }
 
 std::string
 TraceCollector::toJson() const
 {
-    // Canonical order: under sharded execution switch-side hooks
-    // record from worker threads, so insertion order is
-    // schedule-dependent; sorting on the full event value makes the
+    // Canonical order: sorting on the full event value makes the
     // rendered trace a function of the simulated behaviour alone.
-    std::vector<Event> sorted;
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        sorted = events;
-    }
+    std::vector<Event> sorted = events;
     auto key = [](const Event &e) {
         return std::tie(e.ts, e.pid, e.tid, e.phase, e.category,
                         e.name, e.dur, e.value, e.metaValue);

@@ -11,7 +11,6 @@
 #define CAIS_ANALYSIS_TRACE_HH
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -22,11 +21,8 @@ namespace cais
 
 /**
  * Collects trace events and renders Chrome trace-event JSON.
- *
- * Recording is thread-safe: under sharded execution (DESIGN.md §6f)
- * switch-side hooks fire from worker threads. Rendering sorts
- * events into a canonical (ts, pid, tid, ...) order, so a sharded
- * trace is byte-identical to the sequential run's.
+ * Rendering sorts events into a canonical (ts, pid, tid, ...) order,
+ * so the output does not depend on recording order.
  */
 class TraceCollector
 {
@@ -54,11 +50,7 @@ class TraceCollector
     /** Label a pid (process_name metadata). */
     void nameProcess(int pid, const std::string &name);
 
-    std::size_t numEvents() const
-    {
-        std::lock_guard<std::mutex> lk(mu);
-        return events.size();
-    }
+    std::size_t numEvents() const { return events.size(); }
 
     /** Render the whole trace as Chrome trace-event JSON. */
     std::string toJson() const;
@@ -80,7 +72,6 @@ class TraceCollector
         std::string metaValue; // M only
     };
 
-    mutable std::mutex mu;
     std::vector<Event> events;
 };
 

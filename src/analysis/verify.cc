@@ -531,6 +531,22 @@ checkV3(Ctx &cx)
     const std::uint64_t interleave = sc.fabric.interleaveBytes;
     const std::uint64_t chunk = sc.gpu.chunkBytes;
     const Fabric &fab = cx.sys.fabric();
+    const bool tiered = sc.fabric.multiTier();
+
+    // Switches an address's merge traffic lands on: its rail (its
+    // switch on flat shapes) and, on multi-tier ones, its spine.
+    auto sameSwitches = [&](Addr a, Addr b) {
+        return fab.routeAddr(a) == fab.routeAddr(b) &&
+               (!tiered ||
+                fab.spineNodeForAddr(a) == fab.spineNodeForAddr(b));
+    };
+    auto where = [&](Addr a) {
+        return tiered ? strfmt("rail%d/spine.sw%d", fab.routeAddr(a),
+                               fab.spineNodeForAddr(a) -
+                                   fab.switchNodeId(
+                                       sc.fabric.numLeaves()))
+                      : strfmt("sw%d", fab.routeAddr(a));
+    };
 
     // Per (kernel, kind, base, bytes): contribution count per GPU and
     // the expected participant counts the issuers carry. std::map so
@@ -556,7 +572,8 @@ checkV3(Ctx &cx)
                             continue;
                         // A session chunk spanning two interleave
                         // blocks splits one address class across two
-                        // switches (routing keys on the chunk base).
+                        // switches (routing keys on the chunk base),
+                        // unless both blocks hash to the same one.
                         bool aligned = interleave % chunk == 0 &&
                                        op.base % chunk == 0;
                         if (!aligned) {
@@ -568,8 +585,9 @@ checkV3(Ctx &cx)
                                     std::uint64_t>(chunk,
                                                    op.bytes - off);
                                 Addr a = op.base + off;
-                                if (a / interleave !=
-                                    (a + n - 1) / interleave) {
+                                Addr z = a + n - 1;
+                                if (a / interleave != z / interleave &&
+                                    !sameSwitches(a, z)) {
                                     cx.report(
                                         "V3",
                                         strfmt(
@@ -578,26 +596,21 @@ checkV3(Ctx &cx)
                                             "straddles interleave "
                                             "blocks, splitting one "
                                             "address class across "
-                                            "switches %d and %d",
+                                            "%s and %s",
                                             k.name.c_str(),
                                             kindName(op.kind),
                                             static_cast<unsigned long
                                                             long>(a),
                                             static_cast<unsigned long
                                                             long>(n),
-                                            fab.routeAddr(a),
-                                            fab.routeAddr(a + n -
-                                                          1)),
+                                            where(a).c_str(),
+                                            where(z).c_str()),
                                         {k.name,
                                          strfmt("addr=0x%llx",
                                                 static_cast<
                                                     unsigned long
                                                         long>(a)),
-                                         strfmt("sw%d",
-                                                fab.routeAddr(a)),
-                                         strfmt("sw%d",
-                                                fab.routeAddr(
-                                                    a + n - 1))});
+                                         where(a), where(z)});
                                     break;
                                 }
                                 off += n;
@@ -1016,214 +1029,6 @@ checkV5(Ctx &cx)
     }
 }
 
-// ------------------------------------------------------------------
-// V6/V7: shard-domain model (DESIGN.md §6f)
-// ------------------------------------------------------------------
-
-/**
- * Shard hosting switch @p s when the fabric splits over @p shards
- * shards, with the Options seeded-defect override applied (the hook
- * lets tests mis-map one switch and watch V6/V7 catch it).
- */
-int
-shardOfSwitch(const Ctx &cx, SwitchId s, int shards)
-{
-    if (cx.opts.v7DomainOverrideSwitch == s)
-        return cx.opts.v7DomainOverrideShard;
-    return Fabric::switchShard(cx.sys.fabric().params(), s, shards);
-}
-
-/** Shard of fabric node @p node: GPUs (with the host and the kernel
- *  lifecycle) pin to shard 0, switches to their domain's shard. */
-int
-shardOfNode(const Ctx &cx, int node, int shards)
-{
-    const FabricParams &p = cx.sys.fabric().params();
-    if (node < p.numGpus)
-        return 0;
-    return shardOfSwitch(cx, node - p.numGpus, shards);
-}
-
-/**
- * V6 — lookahead soundness. The conservative-PDES window every shard
- * advances behind (Fabric::crossShardLookahead) is only safe if no
- * cross-domain link is faster than the declared value, and only
- * tight (no wasted parallelism) if one link matches it exactly.
- * Recompute the minimum latency over all links whose endpoints map
- * to different domains — via the endpoint-reporting forEachLink, so
- * the walk sees exactly the links the packets use — for every shard
- * count the shape supports, and demand equality.
- */
-void
-checkV6(Ctx &cx)
-{
-    const Fabric &fab = cx.sys.fabric();
-    const FabricParams &p = fab.params();
-    const int domains = Fabric::numDomains(p);
-    for (int shards = 2; shards <= domains; ++shards) {
-        const Cycle declared = cx.opts.v6LookaheadOverride
-                                   ? cx.opts.v6LookaheadOverride
-                                   : Fabric::crossShardLookahead(
-                                         p, shards);
-        const CreditLink *minLink = nullptr;
-        Cycle actual = 0;
-        int minSrc = invalidId, minDst = invalidId;
-        fab.forEachLink([&](const CreditLink &l,
-                            const Fabric::LinkEndpoints &ep) {
-            if (shardOfNode(cx, ep.srcNode, shards) ==
-                shardOfNode(cx, ep.dstNode, shards))
-                return;
-            if (!minLink || l.latencyCycles() < actual) {
-                minLink = &l;
-                actual = l.latencyCycles();
-                minSrc = ep.srcNode;
-                minDst = ep.dstNode;
-            }
-        });
-        if (!minLink) {
-            if (declared != 0)
-                cx.report(
-                    "V6",
-                    strfmt("declared cross-shard lookahead %llu for "
-                           "%d shard(s) but no link crosses domains "
-                           "(the shape cannot hide a window)",
-                           static_cast<unsigned long long>(declared),
-                           shards),
-                    {strfmt("shards=%d", shards)});
-            continue;
-        }
-        if (actual != declared)
-            cx.report(
-                "V6",
-                strfmt("declared cross-shard lookahead %llu for %d "
-                       "shard(s) does not equal the minimum "
-                       "cross-domain link latency %llu (link %s, "
-                       "node %d -> node %d)",
-                       static_cast<unsigned long long>(declared),
-                       shards,
-                       static_cast<unsigned long long>(actual),
-                       minLink->name().c_str(), minSrc, minDst),
-                {strfmt("shards=%d", shards), minLink->name(),
-                 strfmt("node %d -> node %d", minSrc, minDst),
-                 strfmt("latency=%llu",
-                        static_cast<unsigned long long>(actual)),
-                 strfmt("declared=%llu",
-                        static_cast<unsigned long long>(declared))});
-    }
-}
-
-/**
- * V7 — domain closure. Two layers: (a) the static switchShard map
- * must place every switch on exactly one non-primary shard for every
- * supported shard count, with the rails of a leaf group and the
- * whole spine tier agreeing (a group's rails share chip state via
- * the GPU hub, and the spine tier arbitrates as one domain); (b) on
- * the constructed System, a link must run in split-delivery mode
- * exactly when its endpoints' domains differ — which also proves the
- * shard-0 closure: GPUs never host a switch, so every GPU<->switch
- * link crosses out of the host+GPU+kernel-lifecycle domain.
- */
-void
-checkV7(Ctx &cx)
-{
-    const Fabric &fab = cx.sys.fabric();
-    const FabricParams &p = fab.params();
-    const int domains = Fabric::numDomains(p);
-
-    for (int shards = 2; shards <= domains; ++shards) {
-        for (SwitchId s = 0; s < p.numSwitches; ++s) {
-            int sh = shardOfSwitch(cx, s, shards);
-            if (sh < 1 || sh >= shards)
-                cx.report(
-                    "V7",
-                    strfmt("switch %d (node %d) maps to shard %d, "
-                           "outside the switch-domain range [1, %d) "
-                           "for %d shard(s)",
-                           s, fab.switchNodeId(s), sh, shards,
-                           shards),
-                    {strfmt("shards=%d", shards),
-                     strfmt("node %d", fab.switchNodeId(s)),
-                     strfmt("shard %d", sh)});
-        }
-        if (!p.multiTier())
-            continue;
-        for (int g = 0; g < p.numGroups; ++g) {
-            int first = shardOfSwitch(cx, p.leafIndex(g, 0), shards);
-            for (int r = 1; r < p.railsPerGroup; ++r) {
-                SwitchId leaf = p.leafIndex(g, r);
-                int sh = shardOfSwitch(cx, leaf, shards);
-                if (sh != first)
-                    cx.report(
-                        "V7",
-                        strfmt("group %d rails disagree on their "
-                               "shard for %d shard(s): rail 0 "
-                               "(node %d) maps to shard %d but rail "
-                               "%d (node %d) maps to shard %d",
-                               g, shards,
-                               fab.switchNodeId(p.leafIndex(g, 0)),
-                               first, r, fab.switchNodeId(leaf), sh),
-                        {strfmt("shards=%d", shards),
-                         strfmt("node %d", fab.switchNodeId(leaf)),
-                         strfmt("shard %d", sh),
-                         strfmt("expected shard %d", first)});
-            }
-        }
-        int spineFirst = shardOfSwitch(cx, p.numLeaves(), shards);
-        for (int k = 1; k < p.numSpines; ++k) {
-            SwitchId spine = p.numLeaves() + k;
-            int sh = shardOfSwitch(cx, spine, shards);
-            if (sh != spineFirst)
-                cx.report(
-                    "V7",
-                    strfmt("spine tier disagrees on its shard for "
-                           "%d shard(s): spine 0 (node %d) maps to "
-                           "shard %d but spine %d (node %d) maps to "
-                           "shard %d",
-                           shards, fab.switchNodeId(p.numLeaves()),
-                           spineFirst, k, fab.switchNodeId(spine),
-                           sh),
-                    {strfmt("shards=%d", shards),
-                     strfmt("node %d", fab.switchNodeId(spine)),
-                     strfmt("shard %d", sh),
-                     strfmt("expected shard %d", spineFirst)});
-        }
-    }
-
-    const int active = cx.sys.activeShards();
-    fab.forEachLink([&](const CreditLink &l,
-                        const Fabric::LinkEndpoints &ep) {
-        bool cross =
-            active > 1 && shardOfNode(cx, ep.srcNode, active) !=
-                              shardOfNode(cx, ep.dstNode, active);
-        if (cross == l.splitShards())
-            return;
-        if (cross)
-            cx.report(
-                "V7",
-                strfmt("link %s crosses domains (node %d -> node %d "
-                       "over %d shard(s)) but is not in "
-                       "split-delivery mode: its events would bypass "
-                       "the cross-shard outbox",
-                       l.name().c_str(), ep.srcNode, ep.dstNode,
-                       active),
-                {strfmt("shards=%d", active), l.name(),
-                 strfmt("node %d -> node %d", ep.srcNode,
-                        ep.dstNode)});
-        else
-            cx.report(
-                "V7",
-                strfmt("link %s is in split-delivery mode but its "
-                       "endpoints (node %d -> node %d) share a "
-                       "domain at %d shard(s): split delivery "
-                       "off-domain breaks the shard-0 closure",
-                       l.name().c_str(), ep.srcNode, ep.dstNode,
-                       active),
-                {strfmt("shards=%d", active), l.name(),
-                 strfmt("node %d -> node %d", ep.srcNode,
-                        ep.dstNode)});
-    });
-}
-
 } // namespace
 
 // ------------------------------------------------------------------
@@ -1266,20 +1071,6 @@ ruleTable()
          "remove the dependency back edge, or pair a pull-direction "
          "kernel with a push-direction one on the disjoint SM "
          "partition"},
-        {"V6",
-         "the declared cross-shard lookahead equals the minimum "
-         "latency over every cross-domain link, for every shard "
-         "count the shape supports",
-         "recompute Fabric::crossShardLookahead from the link map: "
-         "the conservative window must match the fastest link that "
-         "crosses shard domains"},
-        {"V7",
-         "every switch maps to exactly one non-primary shard domain "
-         "(rails of a group and the spine tier agree), and a link is "
-         "split exactly when its endpoints' domains differ",
-         "fix the Fabric::switchShard domain map or the link "
-         "sink-queue binding so the conservative-PDES partition is "
-         "closed over shard 0 = host + GPUs + kernel lifecycle"},
         {"V8",
          "the simulated makespan must be at least the static "
          "analytical bound of every resource class (SM compute, HBM, "
@@ -1380,10 +1171,6 @@ verifySystem(const System &sys, const Options &opts)
         checkV4(cx);
     if (cx.enabled("V5"))
         checkV5(cx);
-    if (cx.enabled("V6"))
-        checkV6(cx);
-    if (cx.enabled("V7"))
-        checkV7(cx);
     return r;
 }
 

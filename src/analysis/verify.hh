@@ -27,18 +27,8 @@
  *  - V5  kernel-graph sanity: kernel and tile-level producer/consumer
  *        dependencies are acyclic, and asymmetric-overlap pairs have
  *        complementary traffic directions.
- *  - V6  lookahead soundness: the declared conservative window
- *        (Fabric::crossShardLookahead) equals the minimum latency
- *        recomputed over every link whose endpoints map to different
- *        shard domains, for every shard count the shape supports; a
- *        violation names the faster cross-domain link as a concrete
- *        path.
- *  - V7  domain closure: every switch node maps to exactly one
- *        non-primary shard domain (rails of a group and the spine
- *        tier agree on multi-tier shapes), shard 0 holds exactly the
- *        host + GPU + kernel-lifecycle set, and a constructed link
- *        runs in split-delivery mode exactly when its endpoints'
- *        domains differ.
+ *  (V6 and V7 checked the sharded event core's domain model; they
+ *  were retired with it and their ids are not reused.)
  *  - V8  bound soundness (post-run): the simulated makespan must be
  *        at least the static analytical bound of every resource class
  *        (analysis/bound_model.hh); a violation names the resource
@@ -130,18 +120,6 @@ struct Options
 
     /** Injected CDG couplings (testing / protocol exploration). */
     std::vector<ExtraCoupling> extraCouplings;
-
-    /**
-     * Seeded-defect hooks for the shard-model rules (testing the
-     * checker itself, like extraCouplings): a non-zero
-     * v6LookaheadOverride replaces the declared
-     * Fabric::crossShardLookahead() value V6 compares against; a
-     * v7DomainOverrideSwitch >= 0 remaps that switch onto
-     * v7DomainOverrideShard in the shard map V6/V7 recompute.
-     */
-    Cycle v6LookaheadOverride = 0;
-    int v7DomainOverrideSwitch = -1;
-    int v7DomainOverrideShard = 0;
 
     /**
      * V9 slack threshold: a post-run check fires when the simulated

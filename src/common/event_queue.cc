@@ -1,8 +1,6 @@
 #include "common/event_queue.hh"
 
 #include <bit>
-#include <cstdlib>
-#include <cstring>
 
 #include "common/log.hh"
 
@@ -14,30 +12,9 @@ namespace
 
 constexpr Cycle noCycle = ~0ull;
 
-EventQueue::SchedulerKind
-kindFromEnv()
-{
-    if (const char *env = std::getenv("CAIS_EVENTQ")) {
-        if (std::strcmp(env, "heap") == 0)
-            return EventQueue::SchedulerKind::heap;
-        if (*env != '\0' && std::strcmp(env, "bucketed") != 0)
-            warn("CAIS_EVENTQ=%s not recognized; using bucketed", env);
-    }
-    return EventQueue::SchedulerKind::bucketed;
-}
-
 } // namespace
 
-// cais-lint: allow(D4) -- per-thread shard binding, see event_queue.hh
-thread_local ShardCtx *EventQueue::tlsCtx = nullptr;
-
-EventQueue::EventQueue() : EventQueue(kindFromEnv()) {}
-
-EventQueue::EventQueue(SchedulerKind kind) : mode(kind)
-{
-    if (mode == SchedulerKind::bucketed)
-        buckets.resize(nearWindow);
-}
+EventQueue::EventQueue() : buckets(nearWindow) {}
 
 std::uint32_t
 EventQueue::allocSlot()
@@ -89,20 +66,20 @@ EventQueue::nextOccupied(Cycle from) const
 }
 
 void
-EventQueue::insertSlot(Cycle when, std::uint64_t seq,
-                       std::uint32_t src_exec, std::uint32_t src_call,
-                       Callback cb)
+EventQueue::schedule(Cycle when, Callback cb)
 {
+    if (when < curTick)
+        panic("scheduling event in the past: %llu < %llu",
+              static_cast<unsigned long long>(when),
+              static_cast<unsigned long long>(curTick));
     std::uint32_t idx = allocSlot();
     Slot &s = slotAt(idx);
     s.when = when;
-    s.seq = seq;
+    s.seq = nextSeq++;
     s.next = nilIdx;
-    s.srcExec = src_exec;
-    s.srcCall = src_call;
     s.cb = std::move(cb);
 
-    if (mode == SchedulerKind::bucketed && when - curTick < nearWindow) {
+    if (when - curTick < nearWindow) {
         std::size_t b = static_cast<std::size_t>(when & bucketMask);
         Fifo &f = buckets[b];
         if (f.head == nilIdx) {
@@ -114,92 +91,13 @@ EventQueue::insertSlot(Cycle when, std::uint64_t seq,
         }
         ++nearCount;
     } else {
-        heap.push(HeapKey{when, seq, idx});
+        heap.push(HeapKey{when, s.seq, idx});
     }
-}
-
-void
-EventQueue::schedule(Cycle when, Callback cb)
-{
-    if (shardGroup) {
-        if (ShardCtx *ctx = tlsCtx) {
-            shardRoute(*ctx, when, std::move(cb));
-            return;
-        }
-        // Main thread outside any window (pre-run assembly, barrier
-        // epilogues): call order *is* sequential order, so a class-0
-        // vseq straight off the shared counter reproduces it.
-        if (when < curTick)
-            panic("scheduling event in the past: %llu < %llu",
-                  static_cast<unsigned long long>(when),
-                  static_cast<unsigned long long>(curTick));
-        insertSlot(when, shardGroup->nextVseq++, 0, 0, std::move(cb));
-        return;
-    }
-    if (when < curTick)
-        panic("scheduling event in the past: %llu < %llu",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(curTick));
-    insertSlot(when, nextSeq++, 0, 0, std::move(cb));
-}
-
-void
-EventQueue::shardRoute(ShardCtx &ctx, Cycle when, Callback cb)
-{
-    // Every schedule call consumes a call index, whether it inserts
-    // locally or defers to the barrier: the indices order the calls
-    // of one event when the barrier reconstructs sequential order.
-    std::uint32_t call = ctx.curCall++;
-
-    if (this == ctx.q) {
-        if (when < curTick)
-            panic("scheduling event in the past: %llu < %llu",
-                  static_cast<unsigned long long>(when),
-                  static_cast<unsigned long long>(curTick));
-        if (when < ctx.windowEnd) {
-            insertSlot(when, inWindowSeqBit | ctx.localSeq++,
-                       ctx.curExec, call, std::move(cb));
-            return;
-        }
-        // Own-queue but beyond the window: it may tie with other
-        // shards' deliveries at the same cycle, so its vseq must come
-        // from the globally sorted barrier merge like theirs.
-    } else {
-        if (shardGroup != ctx.q->shardGroup)
-            panic("schedule crosses shard groups (queues of different "
-                  "systems?)");
-        if (when < ctx.windowEnd)
-            panic("cross-shard event at %llu lands inside the open "
-                  "window ending at %llu: conservative lookahead "
-                  "violated (zero-latency cross-domain coupling; see "
-                  "cais-lint rule D8)",
-                  static_cast<unsigned long long>(when),
-                  static_cast<unsigned long long>(ctx.windowEnd));
-    }
-    ctx.outbox.push_back(
-        ShardOutRec{this, when, ctx.curExec, call, std::move(cb)});
-}
-
-void
-EventQueue::scheduleExternal(Cycle when, std::uint64_t vseq, Callback cb)
-{
-    if (when < curTick)
-        panic("barrier insertion in the past: %llu < %llu",
-              static_cast<unsigned long long>(when),
-              static_cast<unsigned long long>(curTick));
-    insertSlot(when, vseq, 0, 0, std::move(cb));
 }
 
 void
 EventQueue::scheduleAfter(Cycle delta, Callback cb)
 {
-    if (shardGroup) {
-        ShardCtx *ctx = tlsCtx;
-        if (ctx && ctx->q != this)
-            panic("scheduleAfter on another shard's queue: its clock "
-                  "is concurrent; compute an absolute cycle from the "
-                  "caller's own queue instead");
-    }
     schedule(curTick + delta, std::move(cb));
 }
 
@@ -268,15 +166,6 @@ EventQueue::runOne()
         runObserver(s.when);
     curTick = s.when;
     ++numExecuted;
-    if (shardGroup) {
-        if (ShardCtx *ctx = tlsCtx) {
-            ctx->curExec =
-                static_cast<std::uint32_t>(ctx->execLog.size());
-            ctx->curCall = 0;
-            ctx->execLog.push_back(
-                ShardExecRec{s.when, s.seq, s.srcExec, s.srcCall});
-        }
-    }
     s.cb();
     s.cb.reset();
     releaseSlot(idx);

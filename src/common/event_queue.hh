@@ -6,16 +6,10 @@
  * callbacks at absolute or relative cycles; ties are broken by
  * insertion order so simulations are fully deterministic.
  *
- * Two implementations share the same (when, seq) total order:
- *
- *  - **bucketed** (default): a calendar-queue-style near-future ring
- *    of `nearWindow` per-cycle FIFO buckets backed by a far-future
- *    binary heap. Scheduling within the window and popping are O(1)
- *    amortized; only events more than `nearWindow` cycles out touch
- *    the heap.
- *  - **heap**: the original single binary heap, kept for one release
- *    behind `CAIS_EVENTQ=heap` as a determinism cross-check (see
- *    tests/test_event_determinism.cc).
+ * The scheduler is a calendar-queue-style near-future ring of
+ * `nearWindow` per-cycle FIFO buckets backed by a far-future binary
+ * heap. Scheduling within the window and popping are O(1) amortized;
+ * only events more than `nearWindow` cycles out touch the heap.
  *
  * Callbacks are `InlineEvent`s: move-only callables stored entirely
  * inside the event entry (no heap allocation, ever — a capture that
@@ -137,90 +131,11 @@ class InlineEvent
     void (*relocate)(void *dst, void *src) noexcept = nullptr;
 };
 
-class EventQueue;
-
-// ---------------------------------------------------------------------
-// Sharded-execution support (common/sharded_event_queue.hh).
-//
-// Under conservative-PDES sharding, every event carries a sequence
-// number that reconstructs the *sequential* scheduler's total order:
-//
-//  - class-0 ("cross-window") events — scheduled before the run or
-//    exchanged between shards at a window barrier — carry a global
-//    virtual sequence number (vseq, bit 63 clear) handed out in
-//    sequential call order by the barrier merge;
-//  - class-1 ("in-window") events — scheduled by a shard onto its own
-//    queue inside the open window — carry bit 63 set plus a per-shard
-//    local counter, and are always consumed before the window closes.
-//
-// At equal `when`, class-0 numerically precedes class-1, which matches
-// the sequential order because a class-0 event's scheduling call ran
-// in an earlier window (i.e. at an earlier sequential seq).
-// ---------------------------------------------------------------------
-
-/** One executed event, logged per shard per window so the barrier can
- *  reconstruct the sequential order of the schedule calls it made. */
-struct ShardExecRec
-{
-    Cycle when;
-    std::uint64_t seq;     ///< class-encoded (see above)
-    std::uint32_t srcExec; ///< scheduling event's log index (class-1)
-    std::uint32_t srcCall; ///< schedule-call index within it (class-1)
-};
-
-/** One deferred schedule call bound for a window barrier: either a
- *  cross-shard delivery or an own-queue event beyond the window. */
-struct ShardOutRec
-{
-    EventQueue *dst;
-    Cycle when;
-    std::uint32_t srcExec;
-    std::uint32_t srcCall;
-    InlineEvent cb;
-};
-
-/** Counters shared by every queue of one sharded group. Only touched
- *  single-threaded: pre-run on the main thread and at barriers. */
-struct ShardGroup
-{
-    std::uint64_t nextVseq = 0;
-};
-
-/** Per-shard execution context, installed thread-locally while the
- *  shard drains a window (see ShardedEventQueue::runAll). */
-struct ShardCtx
-{
-    EventQueue *q = nullptr; ///< this shard's queue
-
-    /** Open window is [safeHorizon, windowEnd): events strictly below
-     *  safeHorizon have all executed on every shard. */
-    Cycle windowEnd = 0;
-    Cycle safeHorizon = 0;
-
-    std::uint64_t localSeq = 0; ///< class-1 counter (never reset)
-    std::uint32_t curExec = 0;  ///< log index of the running event
-    std::uint32_t curCall = 0;  ///< its next schedule-call index
-
-    std::vector<ShardExecRec> execLog; ///< this window's executions
-    std::vector<ShardOutRec> outbox;   ///< this window's deferred calls
-
-    /** Opaque per-shard observer state (the causal profiler's
-     *  private edge log); never read by the scheduler itself. */
-    void *userData = nullptr;
-};
-
 /** A deterministic discrete-event queue with nanosecond resolution. */
 class EventQueue
 {
   public:
     using Callback = InlineEvent;
-
-    /** Scheduler implementation selector (see file comment). */
-    enum class SchedulerKind
-    {
-        bucketed, ///< near-future bucket ring + far-future heap
-        heap,     ///< legacy single binary heap
-    };
 
     /**
      * Cycles covered by the near-future bucket ring (power of two).
@@ -230,11 +145,7 @@ class EventQueue
      */
     static constexpr Cycle nearWindow = 4096;
 
-    /** Scheduler kind chosen via CAIS_EVENTQ ("heap" selects legacy). */
     EventQueue();
-
-    /** Scheduler kind pinned explicitly (unit tests). */
-    explicit EventQueue(SchedulerKind kind);
 
     /** Schedule @p cb at absolute cycle @p when (>= now). */
     void schedule(Cycle when, Callback cb);
@@ -270,9 +181,6 @@ class EventQueue
     /** Number of pending events. */
     std::size_t size() const { return nearCount + heap.size(); }
 
-    /** Earliest pending cycle, or ~0ull when empty (window loop). */
-    Cycle peekNextWhen() const { return nextWhen(); }
-
     /** Total number of events executed since construction. */
     std::uint64_t executed() const { return numExecuted; }
 
@@ -290,38 +198,6 @@ class EventQueue
      */
     void setPeriodicObserver(Cycle period,
                              std::function<void(Cycle)> fn);
-
-    /** Scheduler implementation in use. */
-    SchedulerKind kind() const { return mode; }
-
-    // --- Sharded execution (common/sharded_event_queue.hh) ---------
-
-    /** Seq-space bit marking class-1 (in-window) events. */
-    static constexpr std::uint64_t inWindowSeqBit = 1ull << 63;
-
-    /**
-     * Bind this queue into a sharded group. From then on schedule()
-     * routes by the caller's thread-local ShardCtx: in-window
-     * own-queue events insert locally with class-1 seqs, everything
-     * else is deferred to the group's window barrier; calls with no
-     * ShardCtx (main thread, pre-run) draw class-0 vseqs directly.
-     */
-    void bindShardGroup(ShardGroup *g) { shardGroup = g; }
-
-    const ShardGroup *boundShardGroup() const { return shardGroup; }
-
-    /** Install/clear the calling thread's shard context. */
-    static void setThreadShardCtx(ShardCtx *ctx) { tlsCtx = ctx; }
-    static ShardCtx *threadShardCtx() { return tlsCtx; }
-
-    /**
-     * Barrier-time insertion of a class-0 event with an
-     * already-assigned @p vseq. Callers must insert in ascending vseq
-     * order per queue (the barrier merge drains its mailboxes in
-     * globally sorted order, which guarantees this) so the bucket
-     * FIFOs stay seq-ordered.
-     */
-    void scheduleExternal(Cycle when, std::uint64_t vseq, Callback cb);
 
     /**
      * Reset time to zero and discard all pending events. The
@@ -346,8 +222,6 @@ class EventQueue
         Cycle when;
         std::uint64_t seq;
         std::uint32_t next;
-        std::uint32_t srcExec; ///< class-1 origin (shard mode only)
-        std::uint32_t srcCall;
         Callback cb;
     };
 
@@ -422,21 +296,6 @@ class EventQueue
     /** Detach and return the earliest (when, seq) slot's index. */
     std::uint32_t popNext();
 
-    /** Shard-mode schedule() routing (see bindShardGroup). */
-    void shardRoute(ShardCtx &ctx, Cycle when, Callback cb);
-
-    /** Common insertion tail once the seq is decided. */
-    void insertSlot(Cycle when, std::uint64_t seq,
-                    std::uint32_t src_exec, std::uint32_t src_call,
-                    Callback cb);
-
-    SchedulerKind mode;
-
-    ShardGroup *shardGroup = nullptr;
-    // cais-lint: allow(D4) -- per-thread shard binding (which shard
-    // this OS thread is draining), not simulation state.
-    static thread_local ShardCtx *tlsCtx;
-
     // Slot arena: chunked so addresses stay stable while callbacks
     // execute (an in-flight callback may grow the arena).
     std::vector<std::unique_ptr<Slot[]>> chunks;
@@ -448,8 +307,7 @@ class EventQueue
     std::uint64_t occupied[bitmapWords] = {};
     std::size_t nearCount = 0;
 
-    // Far-future events, and the only ordering in legacy heap mode
-    // (payloads stay in the arena either way).
+    // Far-future events (payloads stay in the arena).
     std::priority_queue<HeapKey, std::vector<HeapKey>, Later> heap;
 
     Cycle curTick = 0;

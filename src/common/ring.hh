@@ -2,7 +2,7 @@
  * @file
  * Growable power-of-two ring buffer: the FIFO behind every per-hop
  * queue of the fabric model (link VC queues, switch input VCs, the
- * GPU hub's issue and wire-order queues).
+ * GPU hub's issue and wire-order queues, in-flight credit batches).
  *
  * Compared with std::deque it keeps one contiguous buffer, so push and
  * pop are an index mask and a placement move. Storage is allocated on
@@ -23,8 +23,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/types.hh"
-
 namespace cais
 {
 
@@ -33,8 +31,6 @@ template <class T>
 class Ring
 {
   public:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     /** First allocation, in elements. */
     static constexpr std::size_t initialCapacity = 4;
 
@@ -86,6 +82,10 @@ class Ring
     /** Head element; requires !empty(). */
     T &front() { return buf[head]; }
     const T &front() const { return buf[head]; }
+
+    /** Tail element; requires !empty(). */
+    T &back() { return (*this)[count - 1]; }
+    const T &back() const { return (*this)[count - 1]; }
 
     void
     push_back(T &&v)

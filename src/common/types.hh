@@ -69,46 +69,6 @@ addrOffset(Addr a)
     return a & ((Addr(1) << addrGpuShift) - 1);
 }
 
-// ------------------------------------------------------------------
-// Shard-ownership annotations (DESIGN.md §6f, checked by cais_lint
-// rules D9-D11 — cais-shardcheck).
-//
-// The sharded conservative-PDES core is only deterministic because
-// every mutable field of a fabric-resident component is touched from
-// exactly one domain's event queue, except through two sanctioned
-// channels: the barrier outbox merge and the safeHorizon-trimmed
-// credit cells. These macros make that contract machine-checkable:
-//
-//  - CAIS_OWNED_BY_DOMAIN(d) declares, inside a class body, which
-//    domain's queue runs every method of the class. The argument is
-//    one of the identifiers below; it is documentation for humans and
-//    an anchor for the linter, not code.
-//      host          domain 0: host, GPUs, kernel lifecycle
-//      switch_domain the owning switch's domain (shard >= 1)
-//      sender        the link sender's domain (CreditLink)
-//      parent        same domain as the enclosing/owning object
-//      message       travels by value between domains (Packet)
-//      config        immutable after construction (parameter blocks)
-//      barrier       the cross-shard barrier coordinator itself
-//  - CAIS_SHARD_SHARED prefixes the declaration of a field that is
-//    legitimately read or written from more than one domain; every
-//    access outside a channel function is a D11 violation.
-//  - CAIS_CROSS_SHARD_CHANNEL prefixes the declaration or definition
-//    of a function implementing a sanctioned cross-domain protocol
-//    (credit split-return, outbox merge, barrier control); D9/D11 do
-//    not fire inside such functions.
-// ------------------------------------------------------------------
-
-/** Domain-ownership declaration for a class (statement position). */
-#define CAIS_OWNED_BY_DOMAIN(domain)                                   \
-    static_assert(true, "owned by shard domain: " #domain)
-
-/** Marks one field as sanctioned multi-domain state (D11 scope). */
-#define CAIS_SHARD_SHARED
-
-/** Marks one function as a sanctioned cross-domain channel. */
-#define CAIS_CROSS_SHARD_CHANNEL
-
 } // namespace cais
 
 #endif // CAIS_COMMON_TYPES_HH

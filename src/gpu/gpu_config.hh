@@ -19,8 +19,6 @@ namespace cais
 /** Per-GPU model parameters. */
 struct GpuParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     /** Streaming multiprocessors (66 = half-scale H100, per paper). */
     int numSms = 66;
 

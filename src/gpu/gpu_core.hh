@@ -62,8 +62,6 @@ class GpuCore
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
     GpuId gpuId;
     GpuParams p;
     EventQueue &eq;

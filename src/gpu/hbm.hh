@@ -58,8 +58,6 @@ class HbmModel : public Probe
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
     EventQueue &eq;
     double bw;
     SerDivider serDiv;

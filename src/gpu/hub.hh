@@ -57,16 +57,12 @@ class DataArrivalHandler
 /** One chunked communication request stream from a thread block. */
 struct HubJob
 {
-    CAIS_OWNED_BY_DOMAIN(host);
-
     KernelId kernel = invalidId;
     TbId tb = invalidId;
     GroupId group = invalidId;
 
     struct Chunk
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         RemoteOpKind kind;
         Addr addr;
         std::uint32_t bytes;
@@ -139,12 +135,8 @@ class GpuHub : public PacketSink,
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
     struct JobState
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         std::unique_ptr<HubJob> job;
         std::size_t nextChunk = 0;
         int awaitingInject = 0;  ///< chunks not yet on the wire

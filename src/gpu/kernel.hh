@@ -44,8 +44,6 @@ bool isCaisKind(RemoteOpKind k);
 /** One contiguous remote access stream of a thread block. */
 struct RemoteOp
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     RemoteOpKind kind = RemoteOpKind::plainLoad;
     Addr base = 0;
     std::uint64_t bytes = 0;
@@ -61,8 +59,6 @@ struct RemoteOp
 /** Reference to a tile of a tracked tensor, at a specific GPU. */
 struct TileRef
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     int tracker = invalidId; ///< index into the system's trackers
     int tile = 0;
     GpuId atGpu = invalidId;
@@ -71,8 +67,6 @@ struct TileRef
 /** One thread block of a kernel. */
 struct TbDesc
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     /** Compute cost in cycles (before jitter). */
     Cycle computeCycles = 0;
 
@@ -99,8 +93,6 @@ struct TbDesc
 /** One logical operator kernel across all GPUs. */
 struct KernelDesc
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     KernelId id = invalidId;
     std::string name;
 

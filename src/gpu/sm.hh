@@ -49,8 +49,6 @@ class SmPool
     double utilization(Cycle t) const;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
     int smOfSlot(int slot) const { return slot % sms; }
 
     EventQueue &eq;

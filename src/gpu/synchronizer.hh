@@ -62,8 +62,6 @@ class Synchronizer : public Probe
                static_cast<std::uint64_t>(p);
     }
 
-    CAIS_OWNED_BY_DOMAIN(host);
-
     GpuId gpu;
     GpuHub *hub = nullptr;
     std::unordered_map<std::uint64_t, std::function<void()>> pending;

@@ -50,12 +50,8 @@ class TbScheduler : public Probe
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
     struct Bucket
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         std::deque<std::function<void(int)>> fifo;
     };
 

@@ -31,8 +31,6 @@ namespace cais
 /** Shared per-GPU context handed to every TbRun. */
 struct TbRunContext
 {
-    CAIS_OWNED_BY_DOMAIN(host);
-
     EventQueue *eq = nullptr;
     GpuHub *hub = nullptr;
     Synchronizer *sync = nullptr;
@@ -81,8 +79,6 @@ class TbRun
 
     /** This TB's profile-graph node. */
     std::uint64_t profNode() const;
-
-    CAIS_OWNED_BY_DOMAIN(host);
 
     TbRunContext ctx;
     GpuId gpuId;

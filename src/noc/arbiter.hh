@@ -51,8 +51,6 @@ class RoundRobinArbiter
     int cursor() const { return last + 1 == n ? 0 : last + 1; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     int n;
     int last;
     std::uint64_t valid; ///< low n bits set

@@ -9,7 +9,7 @@ namespace cais
 CreditLink::CreditLink(EventQueue &eq_, std::string name,
                        double bytes_per_cycle, Cycle latency, int num_vcs,
                        int vc_credits, Cycle util_bin_width)
-    : eq(eq_), sinkEq(&eq_), linkName(std::move(name)), bw(bytes_per_cycle),
+    : eq(eq_), linkName(std::move(name)), bw(bytes_per_cycle),
       serDiv(bytes_per_cycle), lat(latency),
       queues(static_cast<std::size_t>(num_vcs)),
       creditCount(static_cast<std::size_t>(num_vcs), vc_credits),
@@ -51,39 +51,12 @@ CreditLink::returnCredit(int vc)
     // but no serialization (credits ride dedicated wires). Credits for
     // the same VC freed in the same cycle share one arrival event.
     auto &pend = pendingCredits[static_cast<std::size_t>(vc)];
-    if (splitShards()) {
-        // The sink frees slots from its own shard; its clock is the
-        // authoritative one here. The batch cell stays sink-owned —
-        // the sender-side arrival event only reads it (the sink wrote
-        // it at least one window earlier; the barrier orders the
-        // accesses) — and dead cells are trimmed against the safe
-        // horizon instead of popped by the arrival. Event count and
-        // coalescing match the sequential path 1:1.
-        ShardCtx *ctx = EventQueue::threadShardCtx();
-        Cycle horizon = ctx ? ctx->safeHorizon : sinkEq->now();
-        while (!pend.empty() && pend.front().first < horizon)
-            pend.pop_front();
-        Cycle at = sinkEq->now() + lat;
-        if (!pend.empty() && pend.back().first == at) {
-            ++pend.back().second;
-            return;
-        }
-        pend.emplace_back(at, 1);
-        // Deque references are stable under push_back/pop_front, so
-        // the captured cell pointer stays valid until trimmed.
-        const std::pair<Cycle, int> *cell = &pend.back();
-        eq.schedule(at, [this, vc, cell] {
-            addCredits(static_cast<std::size_t>(vc), cell->second);
-            tryIssue();
-        });
-        return;
-    }
     Cycle at = eq.now() + lat;
     if (!pend.empty() && pend.back().first == at) {
         ++pend.back().second;
         return;
     }
-    pend.emplace_back(at, 1);
+    pend.push_back({at, 1});
     eq.scheduleAfter(lat, [this, vc] {
         auto &pd = pendingCredits[static_cast<std::size_t>(vc)];
         addCredits(static_cast<std::size_t>(vc), pd.front().second);
@@ -169,12 +142,9 @@ CreditLink::tryIssue()
                      deliver_at, profNode_, start);
     }
 
-    if (deliver_at == busyUntil && !wakeScheduled && !splitShards()) {
+    if (deliver_at == busyUntil && !wakeScheduled) {
         // Zero-latency link: the drain wake would land on the same
         // cycle directly after the delivery; fold it into one event.
-        // (Split links always have lat >= lookahead >= 1, so the fold
-        // — which mixes sender and sink state in one event — can only
-        // apply when both ends share a queue.)
         wakeScheduled = true;
         eq.schedule(deliver_at, [this, p = std::move(pkt), vc]() mutable {
             {
@@ -188,12 +158,10 @@ CreditLink::tryIssue()
         return;
     }
 
-    // Delivery executes on the sink's shard (== eq when co-located).
-    sinkEq->schedule(deliver_at, [this, p = std::move(pkt), vc]() mutable {
+    eq.schedule(deliver_at, [this, p = std::move(pkt), vc]() mutable {
         // The delivery is the enabling cause of whatever the sink
         // records downstream (hub completions, TB wakeups).
-        CausalProfiler::ScopedCause sc(prof, profNode_,
-                                       sinkEq->now());
+        CausalProfiler::ScopedCause sc(prof, profNode_, eq.now());
         sink->acceptPacket(std::move(p), this, vc);
     });
 

@@ -15,7 +15,6 @@
 #define CAIS_NOC_CREDIT_LINK_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -80,21 +79,6 @@ class CreditLink : public Probe
     int sinkTag() const { return tag_; }
 
     /**
-     * Under sharded execution (DESIGN.md §6f), bind the queue of the
-     * shard the *sink* lives on. The link then runs split: sender
-     * state (VC queues, serializer, credits, counters) stays on the
-     * constructor queue, deliveries are scheduled onto the sink's
-     * queue, and credit returns — which the sink issues from its own
-     * shard — ride the barrier mailboxes back. Defaults to the
-     * constructor queue (sequential, both ends co-located), which
-     * keeps the historical single-queue behaviour bit-for-bit.
-     */
-    void setSinkQueue(EventQueue &q) { sinkEq = &q; }
-
-    /** True when sender and sink live on different shards. */
-    bool splitShards() const { return sinkEq != &eq; }
-
-    /**
      * Notify @p l (non-owning) with @p tag and the VC index whenever a
      * packet starts the wire: the switch's output-space wakeups and
      * the hub's injection window.
@@ -128,11 +112,8 @@ class CreditLink : public Probe
      * Free one receive-buffer slot; the credit flies back upstream.
      * Credits freed for the same VC in the same cycle coalesce into
      * one arrival event (they ride the same reverse-channel beat).
-     * Under split execution the sink's shard calls this, appending a
-     * safeHorizon-trimmed cell and scheduling the arrival back onto
-     * the sender's queue through the barrier mailbox.
      */
-    CAIS_CROSS_SHARD_CHANNEL void returnCredit(int vc);
+    void returnCredit(int vc);
 
     double bytesPerCycle() const { return bw; }
     Cycle latencyCycles() const { return lat; }
@@ -156,14 +137,10 @@ class CreditLink : public Probe
                          const std::string &prefix) const override;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(sender);
-
-    /** Try to start serializing the next eligible packet; split
-     *  deliveries are scheduled onto the sink shard's queue. */
-    CAIS_CROSS_SHARD_CHANNEL void tryIssue();
+    /** Try to start serializing the next eligible packet. */
+    void tryIssue();
 
     EventQueue &eq;
-    EventQueue *sinkEq; ///< == &eq unless split across shards
     std::string linkName;
     double bw;
     SerDivider serDiv;
@@ -185,12 +162,8 @@ class CreditLink : public Probe
     std::uint64_t creditMask = 0;
 
     /** In-flight credit batches per VC: (arrival cycle, count), one
-     *  scheduled event per batch, ordered by arrival cycle. Under
-     *  split execution both shards touch these cells: the sink shard
-     *  appends/coalesces inside returnCredit (trimmed at the window's
-     *  safeHorizon), the sender shard consumes arrived batches. */
-    CAIS_SHARD_SHARED std::vector<std::deque<std::pair<Cycle, int>>>
-        pendingCredits;
+     *  scheduled event per batch, ordered by arrival cycle. */
+    std::vector<Ring<std::pair<Cycle, int>>> pendingCredits;
 
     RoundRobinArbiter arb;
     CausalProfiler *prof = nullptr;

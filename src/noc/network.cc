@@ -4,7 +4,6 @@
 
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
-#include "common/sharded_event_queue.hh"
 
 namespace cais
 {
@@ -23,66 +22,15 @@ validated(const FabricParams &params)
 
 } // namespace
 
-Fabric::Fabric(EventQueue &eq_, const FabricParams &params,
-               ShardedEventQueue *shq_)
-    : eq(eq_), shq(shq_), p(validated(params)),
+Fabric::Fabric(EventQueue &eq_, const FabricParams &params)
+    : eq(eq_), p(validated(params)),
       route(p.multiTier() ? p.railsPerGroup : p.numSwitches,
             p.interleaveBytes)
 {
-    if (shq && &shq->shard(0) != &eq)
-        panic("fabric's base queue must be the sharded core's shard 0");
     if (p.multiTier())
         buildTiered();
     else
         buildFlat();
-}
-
-int
-Fabric::numDomains(const FabricParams &params)
-{
-    return 1 + (params.multiTier() ? params.numGroups + 1
-                                   : params.numSwitches);
-}
-
-int
-Fabric::switchShard(const FabricParams &params, SwitchId s, int shards)
-{
-    if (shards < 2)
-        panic("switchShard needs >= 2 shards (got %d)", shards);
-    int domain;
-    if (!params.multiTier())
-        domain = 1 + s;
-    else if (params.isSpineSwitch(s))
-        domain = 1 + params.numGroups;
-    else
-        domain = 1 + s / params.railsPerGroup;
-    return 1 + (domain - 1) % (shards - 1);
-}
-
-Cycle
-Fabric::crossShardLookahead(const FabricParams &params, int shards)
-{
-    // GPU<->switch links always cross: GPUs live on shard 0, every
-    // switch on a shard >= 1.
-    Cycle la = params.linkLatency;
-    if (!params.multiTier() || shards < 3)
-        return la; // two shards put every switch together
-    int spine_shard = switchShard(params, params.numLeaves(), shards);
-    for (int l = 0; l < params.numLeaves(); ++l) {
-        if (switchShard(params, l, shards) != spine_shard) {
-            la = std::min(la, params.effectiveTierLinkLatency());
-            break;
-        }
-    }
-    return la;
-}
-
-EventQueue &
-Fabric::switchQueue(SwitchId s)
-{
-    if (!shq)
-        return eq;
-    return shq->shard(switchShard(p, s, shq->numShards()));
 }
 
 void
@@ -91,14 +39,9 @@ Fabric::buildFlat()
     double link_bw = p.perLinkBytesPerCycle();
 
     switches.reserve(static_cast<std::size_t>(p.numSwitches));
-    for (SwitchId s = 0; s < p.numSwitches; ++s) {
+    for (SwitchId s = 0; s < p.numSwitches; ++s)
         switches.push_back(std::make_unique<SwitchChip>(
-            switchQueue(s), s, switchNodeId(s), p.numGpus, p.sw));
-        // Sharded chips keep their private per-chip id allocators:
-        // a fabric-wide pool would be written from every shard.
-        if (!shq)
-            switches.back()->setPacketIds(&pktIds);
-    }
+            eq, pktIds, s, switchNodeId(s), p.numGpus, p.sw));
 
     up.resize(static_cast<std::size_t>(p.numGpus));
     down.resize(static_cast<std::size_t>(p.numSwitches));
@@ -110,22 +53,15 @@ Fabric::buildFlat()
         auto &row = up[static_cast<std::size_t>(g)];
         row.resize(static_cast<std::size_t>(p.numSwitches));
         for (SwitchId s = 0; s < p.numSwitches; ++s) {
-            // A link lives on its sender's queue; the sink's queue is
-            // bound so deliveries execute on the sink's shard.
             row[static_cast<std::size_t>(s)] = std::make_unique<CreditLink>(
                 eq, strfmt("up.g%d.s%d", g, s), link_bw, p.linkLatency,
                 p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            if (shq)
-                row[static_cast<std::size_t>(s)]->setSinkQueue(
-                    switchQueue(s));
             switches[static_cast<std::size_t>(s)]->attachUplink(
                 g, row[static_cast<std::size_t>(s)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                switchQueue(s), strfmt("dn.s%d.g%d", s, g), link_bw,
+                eq, strfmt("dn.s%d.g%d", s, g), link_bw,
                 p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            if (shq)
-                dl->setSinkQueue(eq);
             switches[static_cast<std::size_t>(s)]->attachDownlink(
                 g, dl.get());
             down[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] =
@@ -149,9 +85,7 @@ Fabric::buildTiered()
     for (SwitchId s = 0; s < p.numSwitches; ++s) {
         int ports = p.isSpineSwitch(s) ? leaves : gpp + p.numSpines;
         switches.push_back(std::make_unique<SwitchChip>(
-            switchQueue(s), s, switchNodeId(s), ports, p.sw));
-        if (!shq)
-            switches.back()->setPacketIds(&pktIds);
+            eq, pktIds, s, switchNodeId(s), ports, p.sw));
     }
 
     up.resize(static_cast<std::size_t>(p.numGpus));
@@ -170,17 +104,12 @@ Fabric::buildTiered()
             row[static_cast<std::size_t>(r)] = std::make_unique<CreditLink>(
                 eq, strfmt("up.g%d.l%d", g, l), rail_bw, p.linkLatency,
                 p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            if (shq)
-                row[static_cast<std::size_t>(r)]->setSinkQueue(
-                    switchQueue(l));
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 local, row[static_cast<std::size_t>(r)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                switchQueue(l), strfmt("dn.l%d.g%d", l, g), rail_bw,
+                eq, strfmt("dn.l%d.g%d", l, g), rail_bw,
                 p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            if (shq)
-                dl->setSinkQueue(eq);
             switches[static_cast<std::size_t>(l)]->attachDownlink(
                 local, dl.get());
             down[static_cast<std::size_t>(l)][static_cast<std::size_t>(
@@ -200,19 +129,14 @@ Fabric::buildTiered()
         for (int k = 0; k < p.numSpines; ++k) {
             int spine = leaves + k;
             row[static_cast<std::size_t>(k)] = std::make_unique<CreditLink>(
-                switchQueue(l), strfmt("t_up.l%d.k%d", l, k), tier_bw,
+                eq, strfmt("t_up.l%d.k%d", l, k), tier_bw,
                 tier_lat, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            if (shq)
-                row[static_cast<std::size_t>(k)]->setSinkQueue(
-                    switchQueue(spine));
             switches[static_cast<std::size_t>(spine)]->attachUplink(
                 l, row[static_cast<std::size_t>(k)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                switchQueue(spine), strfmt("t_dn.k%d.l%d", k, l), tier_bw,
+                eq, strfmt("t_dn.k%d.l%d", k, l), tier_bw,
                 tier_lat, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
-            if (shq)
-                dl->setSinkQueue(switchQueue(l));
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 gpp + k, dl.get());
             switches[static_cast<std::size_t>(spine)]->attachDownlink(
@@ -402,7 +326,7 @@ Fabric::setProfiler(CausalProfiler *pr)
 {
     // Containers are walked in forEachLink visit order, so the dense
     // link ids — and with them every profile-graph node and the
-    // merged edge log — are identical across runs and shard counts.
+    // edge log — are identical across runs.
     auto attach = [pr](CreditLink &l) {
         l.setProfiler(pr,
                       profnode::link(pr->addLink(l.name())));
@@ -427,52 +351,10 @@ void
 Fabric::forEachLink(
     const std::function<void(const CreditLink &)> &fn) const
 {
-    forEachLink([&fn](const CreditLink &l, const LinkEndpoints &) {
-        fn(l);
-    });
-}
-
-void
-Fabric::forEachLink(
-    const std::function<void(const CreditLink &,
-                             const LinkEndpoints &)> &fn) const
-{
-    const int gpp = p.multiTier() ? p.gpusPerGroup() : 0;
-    for (GpuId g = 0; g < static_cast<GpuId>(up.size()); ++g) {
-        const auto &row = up[static_cast<std::size_t>(g)];
-        for (int i = 0; i < static_cast<int>(row.size()); ++i) {
-            int s = p.multiTier() ? p.leafIndex(g / gpp, i) : i;
-            fn(*row[static_cast<std::size_t>(i)],
-               {g, switchNodeId(s)});
-        }
-    }
-    for (SwitchId s = 0; s < static_cast<SwitchId>(down.size()); ++s) {
-        const auto &row = down[static_cast<std::size_t>(s)];
-        for (int i = 0; i < static_cast<int>(row.size()); ++i) {
-            // Tiered rows are leaf-indexed over local GPUs; the GPU id
-            // recomposes from the leaf's group and the local index.
-            GpuId g = p.multiTier()
-                          ? (s / p.railsPerGroup) * gpp + i
-                          : i;
-            fn(*row[static_cast<std::size_t>(i)],
-               {switchNodeId(s), g});
-        }
-    }
-    if (!p.multiTier())
-        return;
-    const int leaves = p.numLeaves();
-    for (int l = 0; l < static_cast<int>(tierUp.size()); ++l) {
-        const auto &row = tierUp[static_cast<std::size_t>(l)];
-        for (int k = 0; k < static_cast<int>(row.size()); ++k)
-            fn(*row[static_cast<std::size_t>(k)],
-               {switchNodeId(l), switchNodeId(leaves + k)});
-    }
-    for (int k = 0; k < static_cast<int>(tierDown.size()); ++k) {
-        const auto &row = tierDown[static_cast<std::size_t>(k)];
-        for (int l = 0; l < static_cast<int>(row.size()); ++l)
-            fn(*row[static_cast<std::size_t>(l)],
-               {switchNodeId(leaves + k), switchNodeId(l)});
-    }
+    for (const auto *rows : {&up, &down, &tierUp, &tierDown})
+        for (const auto &row : *rows)
+            for (const auto &l : row)
+                fn(*l);
 }
 
 std::vector<const CreditLink *>

@@ -26,52 +26,15 @@ namespace cais
 {
 
 class CausalProfiler;
-class ShardedEventQueue;
 
 /** A fully wired multi-GPU fabric. */
 class Fabric : public PortRouter
 {
   public:
-    /**
-     * @p shq selects sharded execution (DESIGN.md §6f): every switch
-     * is placed on its domain's shard — its chip and compute complex
-     * run on that shard's queue — and each link is built on its
-     * sender's queue with the sink's queue bound for split delivery.
-     * Null (the default) keeps everything on @p eq, bit-identical to
-     * the historical single-queue build.
-     */
-    Fabric(EventQueue &eq, const FabricParams &params,
-           ShardedEventQueue *shq = nullptr);
+    Fabric(EventQueue &eq, const FabricParams &params);
 
     Fabric(const Fabric &) = delete;
     Fabric &operator=(const Fabric &) = delete;
-
-    /**
-     * Number of conservative-PDES domains this shape partitions
-     * into: the host+GPU domain plus one per leaf group and one for
-     * the whole spine tier (multi-tier), or one per switch (flat).
-     * More shards than domains cannot help.
-     */
-    static int numDomains(const FabricParams &params);
-
-    /**
-     * Shard (in [1, shards)) hosting switch @p s when the fabric is
-     * split over @p shards >= 2 shards: domains round-robin over the
-     * non-primary shards. Shard 0 always hosts the GPUs and the host.
-     */
-    static int switchShard(const FabricParams &params, SwitchId s,
-                           int shards);
-
-    /**
-     * Conservative lookahead for @p shards shards: the minimum
-     * latency over every link that crosses shards. GPU<->switch
-     * links always cross, so this is at most linkLatency; tier links
-     * only count when some leaf lands off the spine shard. Zero
-     * means the shape cannot be sharded — there is no latency to
-     * hide a window behind.
-     */
-    static Cycle crossShardLookahead(const FabricParams &params,
-                                     int shards);
 
     /**
      * Port router of every chip on multi-tier shapes (flat chips
@@ -87,7 +50,7 @@ class Fabric : public PortRouter
     /**
      * Attach the causal profiler (DESIGN.md §6g) to every link and
      * switch chip. Links get dense profile-node ids in forEachLink
-     * visit order (deterministic across runs and shard counts), with
+     * visit order (deterministic across runs), with
      * their names registered for the artifact/flame-lane output.
      */
     void setProfiler(CausalProfiler *pr);
@@ -152,25 +115,6 @@ class Fabric : public PortRouter
     void forEachLink(
         const std::function<void(const CreditLink &)> &fn) const;
 
-    /**
-     * Sender/sink node ids of one link, in the same node-id space the
-     * packets use (GPUs then switchNodeId()). cais-verify V6/V7 map
-     * them to shard domains to recompute the cross-shard lookahead.
-     */
-    struct LinkEndpoints
-    {
-        CAIS_OWNED_BY_DOMAIN(message);
-
-        int srcNode = invalidId;
-        int dstNode = invalidId;
-    };
-
-    /** forEachLink variant also reporting each link's endpoints, in
-     *  the same visit order as the name-only overload. */
-    void forEachLink(
-        const std::function<void(const CreditLink &,
-                                 const LinkEndpoints &)> &fn) const;
-
     const FabricParams &params() const { return p; }
     const DeterministicRouting &routing() const { return route; }
 
@@ -211,13 +155,9 @@ class Fabric : public PortRouter
                          const std::string &prefix) const;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(host);
-
     void buildFlat();
     void buildTiered();
 
-    /** Queue switch @p s schedules on: its shard's, or eq unsharded. */
-    EventQueue &switchQueue(SwitchId s);
     int spinePort(const Packet &pkt) const;
     int railFor(const Packet &pkt) const;
 
@@ -226,7 +166,6 @@ class Fabric : public PortRouter
     std::vector<const CreditLink *> allLinks(int dir) const; // 0 up,1 dn,2 both
 
     EventQueue &eq;
-    ShardedEventQueue *shq; ///< null when running single-queue
     FabricParams p;
     DeterministicRouting route;
     PacketIdAllocator pktIds;

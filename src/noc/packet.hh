@@ -74,8 +74,6 @@ constexpr std::uint32_t protocolPadDivisor = 2;
 /** A packet in flight. */
 struct Packet
 {
-    CAIS_OWNED_BY_DOMAIN(message);
-
     std::uint64_t id = 0;
     PacketType type = PacketType::readReq;
     VcClass vc = VcClass::request;
@@ -179,8 +177,6 @@ class PacketIdAllocator
     void reset() { counter = 0; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     std::uint64_t counter = 0;
 };
 

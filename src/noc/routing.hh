@@ -51,8 +51,6 @@ class DeterministicRouting
     static std::uint64_t mix64(std::uint64_t x);
 
   private:
-    CAIS_OWNED_BY_DOMAIN(config);
-
     int switches;
     std::uint64_t interleave;
 };

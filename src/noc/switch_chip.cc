@@ -6,14 +6,16 @@
 namespace cais
 {
 
-SwitchChip::SwitchChip(EventQueue &eq_, SwitchId id, int node_id,
-                       int num_gpus, const SwitchParams &params)
+SwitchChip::SwitchChip(EventQueue &eq_, PacketIdAllocator &ids,
+                       SwitchId id, int node_id, int num_gpus,
+                       const SwitchParams &params)
     : eq(eq_), switchId(id), node(node_id), p(params),
       inPorts(static_cast<std::size_t>(num_gpus)),
       outLinks(static_cast<std::size_t>(num_gpus), nullptr),
       waiting(static_cast<std::size_t>(num_gpus),
               std::vector<std::vector<std::pair<int, int>>>(
-                  static_cast<std::size_t>(params.numVcs)))
+                  static_cast<std::size_t>(params.numVcs))),
+      pktIds(ids)
 {
     for (auto &port : inPorts) {
         port.vcs.reserve(static_cast<std::size_t>(p.numVcs));

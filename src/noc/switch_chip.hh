@@ -32,8 +32,6 @@ class CausalProfiler;
 /** Tunables of one switch chip. */
 struct SwitchParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     Cycle pipelineDelay = 100;  ///< input-to-output latency, cycles
     Cycle perPacketProcess = 1; ///< per-VC head service interval
     int numVcs = 8;
@@ -92,8 +90,10 @@ class SwitchChip : public PacketSink,
                    public Probe
 {
   public:
-    SwitchChip(EventQueue &eq, SwitchId id, int node_id, int num_gpus,
-               const SwitchParams &params);
+    /** Unit-generated packets draw their ids from @p ids (the owning
+     *  Fabric's simulation-wide allocator). */
+    SwitchChip(EventQueue &eq, PacketIdAllocator &ids, SwitchId id,
+               int node_id, int num_gpus, const SwitchParams &params);
 
     /** Register the GPU->switch link arriving at port @p g. */
     void attachUplink(GpuId g, CreditLink *from_gpu);
@@ -117,21 +117,14 @@ class SwitchChip : public PacketSink,
      */
     void setPortRouter(const PortRouter *r) { router = r; }
 
-    /**
-     * Point unit-generated packets at the simulation-wide id source
-     * (the owning Fabric's allocator). A standalone chip (unit tests)
-     * falls back to a private allocator.
-     */
-    void setPacketIds(PacketIdAllocator *ids) { pktIds = ids; }
-
     /** Id source for packets the attached compute units generate. */
-    PacketIdAllocator &packetIds() { return *pktIds; }
+    PacketIdAllocator &packetIds() { return pktIds; }
 
     /** Build a unit-generated packet (src = this switch's node id)
      *  with a fresh id from the simulation-wide allocator. */
     Packet makePacket(PacketType t, int dst)
     {
-        return cais::makePacket(*pktIds, t, node, dst);
+        return cais::makePacket(pktIds, t, node, dst);
     }
 
     void acceptPacket(Packet &&pkt, CreditLink *from, int vc) override;
@@ -171,12 +164,8 @@ class SwitchChip : public PacketSink,
                          const std::string &prefix) const override;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     struct InPort
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         CreditLink *link = nullptr;
         std::vector<VirtualChannel> vcs;
         /** True while a service event or a blocked head owns the VC. */
@@ -209,8 +198,7 @@ class SwitchChip : public PacketSink,
     CausalProfiler *prof = nullptr;
     const PortRouter *router = nullptr;
 
-    PacketIdAllocator ownIds;
-    PacketIdAllocator *pktIds = &ownIds;
+    PacketIdAllocator &pktIds;
 
     Counter forwarded;
     Counter consumed;

@@ -15,8 +15,6 @@ namespace
 /** A preset and the name it is registered under. */
 struct Preset
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     const char *name;
     FabricParams params;
 };

@@ -27,8 +27,6 @@ namespace cais
 /** Parameters of the whole NVLink/NVSwitch fabric. */
 struct FabricParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     int numGpus = 8;
     int numSwitches = 4;
 

@@ -63,8 +63,6 @@ class VirtualChannel
     std::size_t peakOccupancy() const { return peak; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     Ring<Packet> fifo;
     std::size_t maxDepth;
     std::size_t peak = 0;

@@ -29,21 +29,6 @@ isPowerOfTwo(std::uint64_t v)
 
 } // namespace
 
-int
-RunConfig::effectiveShards() const
-{
-    if (shards != 0)
-        return shards;
-    const char *env = std::getenv("CAIS_SHARDS");
-    if (!env || !*env)
-        return 1;
-    char *end = nullptr;
-    long v = std::strtol(env, &end, 10);
-    if (end == env || *end != '\0' || v < 1)
-        return 1;
-    return static_cast<int>(v);
-}
-
 std::string
 RunConfig::validationError() const
 {
@@ -97,9 +82,9 @@ RunConfig::validationError() const
         return strfmt("gpu.maxCaisLoadOutstanding must be >= 1 "
                       "(got %d)",
                       gpu.maxCaisLoadOutstanding);
-    if (shards < 0)
-        return strfmt("shards must be >= 0 (0 resolves CAIS_SHARDS; "
-                      "got %d)",
+    if (shards != 1)
+        return strfmt("shards must be 1: the event core is sequential "
+                      "and intra-run sharding was removed (got %d)",
                       shards);
     // Fabric-level bounds (VC count, credits, buffer depths) on the
     // derived SystemConfig, so zero-VC / zero-credit setups are
@@ -109,16 +94,6 @@ RunConfig::validationError() const
     std::string fab_err = sc.fabric.validationError();
     if (!fab_err.empty())
         return fab_err;
-    // Sharded execution needs lookahead: some latency on every link
-    // that crosses shards (checked on the clamped shard count — the
-    // count the System would actually run).
-    int eff = std::min(effectiveShards(),
-                       Fabric::numDomains(sc.fabric));
-    if (eff > 1 && Fabric::crossShardLookahead(sc.fabric, eff) == 0)
-        return strfmt("shards=%d requires a non-zero cross-shard "
-                      "link latency (conservative lookahead); "
-                      "linkLatency is 0",
-                      effectiveShards());
     return "";
 }
 
@@ -164,7 +139,6 @@ RunConfig::toSystemConfig(const StrategySpec &spec) const
     sc.inswitch.merge.throttleEnabled = spec.opts.caisCoordination;
 
     sc.maxEvents = maxEvents;
-    sc.shards = effectiveShards();
     return sc;
 }
 
@@ -368,7 +342,7 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
         prof.finalize();
         // Walk backward from the makespan-defining event: the kernel
         // that finished last (ties break toward the lowest id, which
-        // is deterministic across shard counts).
+        // is deterministic).
         KernelId crit = invalidId;
         Cycle crit_finish = 0;
         for (std::size_t k = 0; k < sys.numKernels(); ++k) {

@@ -69,18 +69,11 @@ struct RunConfig
     std::uint64_t maxEvents = 400ull * 1000 * 1000;
 
     /**
-     * Event-core shards (DESIGN.md §6f). 0 (the default) resolves
-     * from the CAIS_SHARDS environment variable (absent or invalid
-     * means 1); 1 is the historical sequential scheduler; >= 2
-     * splits the fabric over worker threads under conservative-PDES
-     * windows, bit-identical to sequential. Clamped to the shape's
-     * domain count at System construction.
+     * Retired: the event core is sequential (DESIGN.md §6f). Kept
+     * only so existing callers that assign 1 still compile;
+     * validationError() rejects any other value.
      */
-    int shards = 0;
-
-    /** The shard count this config actually requests: shards, or
-     *  the CAIS_SHARDS environment value when shards == 0. */
-    int effectiveShards() const;
+    int shards = 1;
 
     /** When non-empty, a Chrome trace (Perfetto-loadable) of kernel
      *  spans, switch-side merge/sync lanes and counter tracks is
@@ -95,8 +88,7 @@ struct RunConfig
      * When non-empty, the causal critical-path profile
      * (cais-profile-v1 JSON, analysis/causal_profile.hh) is written
      * here. Hooks only append to out-of-band edge logs, so a
-     * profiled run is bit-identical to an unprofiled one, at any
-     * shards= setting.
+     * profiled run is bit-identical to an unprofiled one.
      */
     std::string profilePath;
 

@@ -39,21 +39,6 @@ SweepRunner::SweepRunner(int threads)
 {
 }
 
-int
-SweepRunner::cappedThreads(int want, int shards, unsigned hw)
-{
-    if (want < 1)
-        want = 1;
-    if (shards < 1)
-        shards = 1;
-    if (hw == 0 || shards == 1)
-        return want; // unknown machine or sequential jobs: trust want
-    int cap = static_cast<int>(hw) / shards;
-    if (cap < 1)
-        cap = 1;
-    return want < cap ? want : cap;
-}
-
 std::vector<RunResult>
 SweepRunner::run(const std::vector<SweepJob> &jobs)
 {
@@ -84,26 +69,6 @@ SweepRunner::run(const std::vector<SweepJob> &jobs)
     std::size_t want = jobs.size() < static_cast<std::size_t>(nThreads)
                            ? jobs.size()
                            : static_cast<std::size_t>(nThreads);
-
-    // Sharded jobs multiply the thread count: cap workers so jobs x
-    // shards stays within the machine (results are unaffected —
-    // worker count never changes a RunResult).
-    int max_shards = 1;
-    for (std::size_t i = 0; i < jobs.size(); ++i)
-        max_shards = std::max(max_shards, jobs[i].cfg.effectiveShards());
-    if (max_shards > 1) {
-        int capped = cappedThreads(
-            static_cast<int>(want), max_shards,
-            std::thread::hardware_concurrency());
-        if (capped < static_cast<int>(want)) {
-            warn("sweep: capping workers %zu -> %d (jobs run with "
-                 "up to %d event shards each; machine has %u "
-                 "hardware threads)",
-                 want, capped, max_shards,
-                 std::thread::hardware_concurrency());
-            want = static_cast<std::size_t>(capped);
-        }
-    }
 
     if (want <= 1) {
         // Serial reference path: no pool, same results bit-for-bit.

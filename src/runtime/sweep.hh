@@ -70,16 +70,6 @@ class SweepRunner
     /** CAIS_JOBS if set (>0), else hardware_concurrency(), min 1. */
     static int defaultThreads();
 
-    /**
-     * Worker count after capping the jobs x shards thread product at
-     * the machine: with sharded jobs (DESIGN.md §6f) each sweep
-     * worker spins up @p shards event threads of its own, so @p want
-     * workers would oversubscribe @p hw hardware threads whenever
-     * want * shards > hw. Returns max(1, min(want, hw / shards)).
-     * Pure so tests can pin every input.
-     */
-    static int cappedThreads(int want, int shards, unsigned hw);
-
   private:
     int nThreads;
 };

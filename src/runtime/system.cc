@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "analysis/causal_profile.hh"
+#include "common/intmath.hh"
 #include "common/log.hh"
 
 namespace cais
@@ -93,17 +94,7 @@ System::System(const SystemConfig &cfg_)
     cfg.fabric.validate();
     cfg.gpu.validate();
 
-    int shards = std::max(cfg.shards, 1);
-    shards = std::min(shards, Fabric::numDomains(cfg.fabric));
-    if (shards > 1) {
-        Cycle la = Fabric::crossShardLookahead(cfg.fabric, shards);
-        if (la == 0)
-            panic("shards=%d needs a non-zero cross-shard link "
-                  "latency for conservative lookahead",
-                  shards);
-        shq = std::make_unique<ShardedEventQueue>(queue, shards, la);
-    }
-    fab = std::make_unique<Fabric>(queue, cfg.fabric, shq.get());
+    fab = std::make_unique<Fabric>(queue, cfg.fabric);
     const FabricParams &fp = cfg.fabric;
     for (SwitchId s = 0; s < fp.numSwitches; ++s) {
         InSwitchParams isp = cfg.inswitch;
@@ -146,7 +137,7 @@ System::System(const SystemConfig &cfg_)
         gpus.back()->hub().setArrivalHandler(this);
     }
     localBump.assign(static_cast<std::size_t>(cfg.fabric.numGpus),
-                     4096);
+                     allocAlign());
 }
 
 System::~System() = default;
@@ -241,13 +232,12 @@ System::setProfiler(CausalProfiler *pr)
         g->setProfiler(pr);
     for (std::size_t i = 0; i < trackers.size(); ++i)
         trackers[i]->setProfiler(pr, static_cast<int>(i), &queue);
-    if (shq) {
-        // One private edge log per shard; finalize() merges them back
-        // into the canonical sequential order.
-        pr->setNumShards(shq->numShards());
-        for (int s = 0; s < shq->numShards(); ++s)
-            shq->setShardUserData(s, pr->shardLogSlot(s));
-    }
+}
+
+std::uint64_t
+System::allocAlign() const
+{
+    return std::max<std::uint64_t>(4096, cfg.gpu.chunkBytes);
 }
 
 Addr
@@ -255,16 +245,18 @@ System::allocLocal(GpuId g, std::uint64_t bytes)
 {
     Addr &bump = localBump[static_cast<std::size_t>(g)];
     Addr base = makeAddr(g, bump);
-    // Keep ranges chunk-aligned and separated.
-    bump += (bytes + 8191) & ~std::uint64_t(4095);
+    // Keep ranges chunk-aligned and separated by a guard gap.
+    const std::uint64_t align = allocAlign();
+    bump += ceilDiv(bytes + align, align) * align;
     return base;
 }
 
 Addr
 System::allocShared(std::uint64_t bytes)
 {
-    Addr base = makeAddr(sharedWindowGpu(numGpus()), sharedBump + 4096);
-    sharedBump += (bytes + 8191) & ~std::uint64_t(4095);
+    const std::uint64_t align = allocAlign();
+    Addr base = makeAddr(sharedWindowGpu(numGpus()), sharedBump + align);
+    sharedBump += ceilDiv(bytes + align, align) * align;
     return base;
 }
 
@@ -322,10 +314,7 @@ System::run()
         if (ks->remainingDeps == 0)
             tryLaunch(*ks);
 
-    if (shq)
-        shq->runAll(cfg.maxEvents);
-    else
-        queue.runAll(cfg.maxEvents);
+    queue.runAll(cfg.maxEvents);
 
     if (unfinishedKernels != 0)
         reportDeadlock();
@@ -665,9 +654,8 @@ System::kernelGpuSpan(KernelId k, GpuId g) const
 void
 System::registerMetrics(MetricRegistry &reg) const
 {
-    reg.addGaugeU64("eventq.executed", [this] {
-        return shq ? shq->executed() : queue.executed();
-    });
+    reg.addGaugeU64("eventq.executed",
+                    [this] { return queue.executed(); });
     const FabricParams &fp = cfg.fabric;
     for (std::size_t s = 0; s < complexes.size(); ++s) {
         // Tier-prefixed switch paths on multi-tier fabrics; flat
@@ -729,10 +717,7 @@ System::peakMergeTableBytes() const
 void
 System::setPeriodicObserver(Cycle period, std::function<void(Cycle)> fn)
 {
-    if (shq)
-        shq->setPeriodicObserver(period, std::move(fn));
-    else
-        queue.setPeriodicObserver(period, std::move(fn));
+    queue.setPeriodicObserver(period, std::move(fn));
 }
 
 double

@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "common/event_queue.hh"
-#include "common/sharded_event_queue.hh"
 #include "dataflow/tile_dependency.hh"
 #include "gpu/gpu_core.hh"
 #include "switchcompute/switch_compute.hh"
@@ -84,15 +83,6 @@ struct SystemConfig
 
     /** Event-budget safety valve for run(). */
     std::uint64_t maxEvents = 400ull * 1000 * 1000;
-
-    /**
-     * Event-core shards (DESIGN.md §6f). 1 (the default) runs the
-     * historical sequential scheduler; >= 2 splits the fabric's
-     * switch domains over worker threads under conservative-PDES
-     * windows, bit-identical to sequential. Values above the shape's
-     * domain count are clamped — extra shards would idle.
-     */
-    int shards = 1;
 };
 
 /** The full machine plus execution engine. */
@@ -144,6 +134,11 @@ class System : public DataArrivalHandler
     }
     std::size_t numTrackers() const { return trackers.size(); }
 
+    /**
+     * Bump-allocate @p bytes in GPU @p g's window / the shared
+     * window. Bases and guard gaps are multiples of allocAlign(), so
+     * a chunk never straddles two interleave blocks.
+     */
     Addr allocLocal(GpuId g, std::uint64_t bytes);
     Addr allocShared(std::uint64_t bytes);
 
@@ -163,17 +158,10 @@ class System : public DataArrivalHandler
     /** Run every registered kernel to completion. */
     void run();
 
-    Cycle now() const { return shq ? shq->now() : queue.now(); }
+    Cycle now() const { return queue.now(); }
 
-    /** Shards actually running after clamping (1 = sequential). */
-    int activeShards() const { return shq ? shq->numShards() : 1; }
-
-    /**
-     * Sampling hook for instrumented runs, routed to whichever core
-     * is driving events (the sharded core fires observers at window
-     * barriers, where all shards have quiesced — identical sample
-     * points and state to the sequential scheduler's lazy catch-up).
-     */
+    /** Sampling hook for instrumented runs (EventQueue's periodic
+     *  observer: outside the event stream, never perturbs a run). */
     void setPeriodicObserver(Cycle period, std::function<void(Cycle)> fn);
     Cycle makespan() const { return finishedAt; }
     Cycle kernelStartTime(KernelId k) const;
@@ -203,8 +191,7 @@ class System : public DataArrivalHandler
     /**
      * Attach the causal wait-for profiler (DESIGN.md §6g) to every
      * layer: fabric links and switches, GPU hubs/HBM/TB contexts,
-     * tile trackers (existing and future), and — under the sharded
-     * core — one private edge log per shard. Call before run();
+     * and tile trackers (existing and future). Call before run();
      * nullptr is a no-op (profiling stays off).
      */
     void setProfiler(CausalProfiler *pr);
@@ -242,12 +229,11 @@ class System : public DataArrivalHandler
     void maybeFinishKernel(KernelState &ks);
     void reportDeadlock() const;
 
+    /** Allocation alignment: max(4 KiB, the chunk size). */
+    std::uint64_t allocAlign() const;
+
     SystemConfig cfg;
     EventQueue queue;
-    // Declared after queue and before fab: destruction joins the
-    // workers while the shard queues (and nothing referencing them)
-    // are still alive.
-    std::unique_ptr<ShardedEventQueue> shq;
     std::unique_ptr<Fabric> fab;
     std::vector<std::unique_ptr<SwitchComputeComplex>> complexes;
     std::vector<std::unique_ptr<GpuCore>> gpus;

@@ -44,8 +44,6 @@ class CamLookupTable
         return (addr << 1) | (is_load ? 1u : 0u);
     }
 
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     std::unordered_map<std::uint64_t, int> map;
 };
 

@@ -20,8 +20,6 @@ namespace cais
 /** Eviction statistics exposed by the merge unit. */
 struct EvictionStats
 {
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     Counter lruEvictions;
     Counter timeoutEvictions;
     Counter deferredEvictions; ///< LRU pick failed: all entries Load-Wait
@@ -58,8 +56,6 @@ class EvictionPolicy
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(config);
-
     Cycle timeoutCycles;
 };
 

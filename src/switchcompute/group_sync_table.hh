@@ -60,12 +60,8 @@ class GroupSyncTable : public Probe
                          const std::string &prefix) const override;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     struct Entry
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         int count = 0;
         NodeMask mask;
         Cycle first = 0;

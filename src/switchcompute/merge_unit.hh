@@ -40,8 +40,6 @@ namespace cais
 /** Merge unit tunables. */
 struct MergeParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     /** Session data granularity: one request chunk. */
     std::uint32_t chunkBytes = 4096;
 
@@ -67,8 +65,6 @@ struct MergeParams
 /** Aggregated merge-unit statistics. */
 struct MergeStats
 {
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     Counter loadReqs;
     Counter redReqs;
     Counter loadHits;       ///< requests merged into an open session
@@ -141,12 +137,8 @@ class MergeUnit : public Probe
                          const std::string &prefix) const override;
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     struct FetchCtx
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         GpuId port = invalidId;
         Addr addr = 0;
         bool bypass = false;
@@ -190,8 +182,6 @@ class MergeUnit : public Probe
 
     struct ProbeEntry
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         Cycle first = 0;
         int count = 0;
         int expected = 0;

@@ -36,8 +36,6 @@ enum class SessionState : std::uint8_t
 /** One merging-table entry. */
 struct MergeEntry
 {
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     SessionState state = SessionState::invalid;
     Addr addr = 0;
     GpuId homeGpu = invalidId;
@@ -117,8 +115,6 @@ class MergingTable
     std::vector<MergeEntry> &slots() { return entries; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(parent);
-
     std::uint64_t capacity;
     std::uint32_t chunk;
     std::size_t maxEntries; ///< 0 == unbounded

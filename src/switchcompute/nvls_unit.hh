@@ -38,8 +38,6 @@ namespace cais
 /** NVLS unit tunables. */
 struct NvlsParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     /** In-flight reduction latency charged per completed session. */
     Cycle reduceDelay = 8;
 };
@@ -79,12 +77,8 @@ class NvlsUnit : public Probe
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     struct GatherSession
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         /** Node the reduced response returns to: the requesting GPU
          *  at its own leaf, the downstream switch for tier legs. */
         int requester = invalidId;
@@ -101,8 +95,6 @@ class NvlsUnit : public Probe
 
     struct RedSession
     {
-        CAIS_OWNED_BY_DOMAIN(parent);
-
         int arrived = 0;
         int expected = 0;
         std::uint32_t bytes = 0;

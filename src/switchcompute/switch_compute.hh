@@ -20,8 +20,6 @@ namespace cais
 /** Configuration of one switch's compute complex. */
 struct InSwitchParams
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     NvlsParams nvls;
     MergeParams merge;
     /** Placement of this switch in the fabric (flat by default). */
@@ -63,8 +61,6 @@ class SwitchComputeComplex : public SwitchComputeHandler
     const GroupSyncTable &sync() const { return syncTable; }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     SwitchChip &sw;
     NvlsUnit nvlsUnit;
     MergeUnit mergeUnit;

@@ -62,8 +62,6 @@ class ThrottleController : public Probe
     }
 
   private:
-    CAIS_OWNED_BY_DOMAIN(switch_domain);
-
     int numGpus;
     int threshold;
     Cycle pauseCycles;

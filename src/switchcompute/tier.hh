@@ -28,8 +28,6 @@ enum class TierRole : std::uint8_t { flat, leaf, spine };
 /** One switch's placement in the fabric tier structure. */
 struct TierInfo
 {
-    CAIS_OWNED_BY_DOMAIN(config);
-
     TierRole role = TierRole::flat;
 
     /** Total GPUs in the fabric; 0 falls back to the chip's port

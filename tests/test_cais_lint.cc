@@ -1,6 +1,6 @@
 /**
  * @file
- * cais-lint rule tests: each determinism rule D1..D8 gets at least
+ * cais-lint rule tests: each determinism rule D1..D12 gets at least
  * one positive fixture (the hazard is reported) and one negative
  * fixture (the deterministic idiom passes), plus coverage of the
  * suppression-comment grammar and the baseline diff machinery.
@@ -128,7 +128,7 @@ TEST(LintD2, PointerKeyedMapIsFlagged)
                       "#include <unordered_map>\n"
                       "struct Link;\n"
                       "struct S {\n"
-                      "    CAIS_OWNED_BY_DOMAIN(parent);\n"
+                      "    int hits = 0;\n"
                       "    std::unordered_map<const Link *, int> portOf;\n"
                       "};\n");
     ASSERT_EQ(countRule(fs, "D2"), 1);
@@ -390,372 +390,6 @@ TEST(LintD7, SuppressionCommentIsHonored)
 }
 
 // --------------------------------------------------------------------
-// D8: schedule on a queue fetched from a looked-up component
-// --------------------------------------------------------------------
-
-TEST(LintD8, ScheduleOnLookedUpComponentQueueIsFlagged)
-{
-    // The classic cross-shard hazard: grab another component through
-    // a lookup call, then schedule straight onto its queue.
-    auto fs = lintOne(
-        "src/runtime/x.cc",
-        "void f(cais::Fabric &fab, int s) {\n"
-        "    fab.switchAt(s).eq().schedule(100, [] {});\n"
-        "}\n");
-    ASSERT_EQ(countRule(fs, "D8"), 1);
-    EXPECT_EQ(fs[0].line, 2);
-}
-
-TEST(LintD8, ScheduleAfterThroughPointerChainIsFlagged)
-{
-    auto fs = lintOne(
-        "src/runtime/x.cc",
-        "void f(cais::Fabric *fab, int s) {\n"
-        "    fab->switchAt(s)->eventQueue().scheduleAfter(10, [] {});\n"
-        "}\n");
-    EXPECT_EQ(countRule(fs, "D8"), 1);
-}
-
-TEST(LintD8, OwnQueueSchedulingPasses)
-{
-    // A component scheduling on its own queue — including through the
-    // plain-ident getter idiom the switch-compute units use — is the
-    // supported pattern and must not need suppressions.
-    auto fs = lintOne(
-        "src/noc/x.cc",
-        "void f(cais::EventQueue &eq, cais::SwitchChip &sw) {\n"
-        "    eq.scheduleAfter(10, [] {});\n"
-        "    sw.eventQueue().scheduleAfter(5, [] {});\n"
-        "    sw.eq().schedule(7, [] {});\n"
-        "}\n");
-    EXPECT_EQ(countRule(fs, "D8"), 0);
-}
-
-TEST(LintD8, TestsAndBenchAreOutOfScope)
-{
-    std::string src =
-        "void f(cais::Fabric &fab) {\n"
-        "    fab.switchAt(0).eq().schedule(1, [] {});\n"
-        "}\n";
-    EXPECT_EQ(countRule(lintOne("tests/t.cc", src), "D8"), 0);
-    EXPECT_EQ(countRule(lintOne("bench/b.cc", src), "D8"), 0);
-}
-
-TEST(LintD8, SuppressionCommentIsHonored)
-{
-    auto fs = lintOne(
-        "src/runtime/x.cc",
-        "void f(cais::Fabric &fab) {\n"
-        "    // cais-lint: allow(D8) -- pre-run wiring, queues idle\n"
-        "    fab.switchAt(0).eq().schedule(1, [] {});\n"
-        "}\n");
-    EXPECT_EQ(countRule(fs, "D8"), 0);
-    EXPECT_EQ(countRule(fs, "X1"), 0);
-}
-
-// --------------------------------------------------------------------
-// D9: owned-class scheduling on a foreign queue handle
-// --------------------------------------------------------------------
-
-TEST(LintD9, ForeignQueueHandleInOwnedClassIsFlagged)
-{
-    auto fs = lintOne("src/noc/x.hh",
-                      "struct Relay {\n"
-                      "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                      "    cais::EventQueue &eq;\n"
-                      "    cais::EventQueue *peerEq;\n"
-                      "    void push() {\n"
-                      "        peerEq->schedule(10, [] {});\n"
-                      "    }\n"
-                      "};\n");
-    ASSERT_EQ(countRule(fs, "D9"), 1);
-    EXPECT_EQ(fs[0].line, 6);
-}
-
-TEST(LintD9, OutOfLineMethodOfClassOwnedInHeaderIsFlagged)
-{
-    // The ownership declaration lives in the header; the hazard in
-    // the matching .cc. Owned-class names are pooled across files and
-    // the out-of-line definition resolves the class from `Relay::`.
-    Linter l;
-    l.addSource("src/noc/relay.hh",
-                "struct Relay {\n"
-                "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                "    cais::EventQueue *peerEq;\n"
-                "    void push();\n"
-                "};\n");
-    l.addSource("src/noc/relay.cc",
-                "#include \"relay.hh\"\n"
-                "void\n"
-                "Relay::push()\n"
-                "{\n"
-                "    peerEq->scheduleAt(5, [] {});\n"
-                "}\n");
-    auto fs = l.run();
-    ASSERT_EQ(countRule(fs, "D9"), 1);
-    EXPECT_EQ(fs[0].file, "src/noc/relay.cc");
-    EXPECT_EQ(fs[0].line, 5);
-}
-
-TEST(LintD9, IndexedQueueReceiverIsFlagged)
-{
-    auto fs = lintOne(
-        "src/common/x.hh",
-        "struct Core {\n"
-        "    CAIS_OWNED_BY_DOMAIN(barrier);\n"
-        "    std::vector<cais::EventQueue *> queues;\n"
-        "    void kick() { queues[1]->scheduleAfter(1, [] {}); }\n"
-        "};\n");
-    ASSERT_EQ(countRule(fs, "D9"), 1);
-    EXPECT_EQ(fs[0].line, 4);
-}
-
-TEST(LintD9, CrossShardChannelFunctionIsExempt)
-{
-    // The sanctioned idiom: the cross-domain delivery is declared a
-    // channel in the header, so its definition may touch the sink's
-    // queue (CreditLink::tryIssue in the real tree).
-    Linter l;
-    l.addSource("src/noc/relay.hh",
-                "struct Relay {\n"
-                "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                "    cais::EventQueue *sinkEq;\n"
-                "    CAIS_CROSS_SHARD_CHANNEL void deliver();\n"
-                "};\n");
-    l.addSource("src/noc/relay.cc",
-                "#include \"relay.hh\"\n"
-                "void\n"
-                "Relay::deliver()\n"
-                "{\n"
-                "    sinkEq->schedule(1, [] {});\n"
-                "}\n");
-    EXPECT_EQ(countRule(l.run(), "D9"), 0);
-}
-
-TEST(LintD9, OwnQueueAndUnownedClassPass)
-{
-    // `eq` is by convention the component's own queue; a class with
-    // no ownership declaration is not in D9's scope (D10 will demand
-    // the annotation separately when the class is fabric-resident).
-    auto fs = lintOne("src/runtime/x.hh",
-                      "struct Owned {\n"
-                      "    CAIS_OWNED_BY_DOMAIN(host);\n"
-                      "    cais::EventQueue &eq;\n"
-                      "    void go() { eq.scheduleAfter(3, [] {}); }\n"
-                      "};\n"
-                      "struct Plain {\n"
-                      "    cais::EventQueue *peerEq;\n"
-                      "    void go() { peerEq->schedule(3, [] {}); }\n"
-                      "};\n");
-    EXPECT_EQ(countRule(fs, "D9"), 0);
-}
-
-TEST(LintD9, SuppressionCommentIsHonored)
-{
-    auto fs = lintOne(
-        "src/noc/x.hh",
-        "struct Relay {\n"
-        "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-        "    cais::EventQueue *peerEq;\n"
-        "    void push() {\n"
-        "        // cais-lint: allow(D9) -- wiring phase, queues idle\n"
-        "        peerEq->schedule(10, [] {});\n"
-        "    }\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "D9"), 0);
-    EXPECT_EQ(countRule(fs, "X1"), 0);
-}
-
-// --------------------------------------------------------------------
-// D10: fabric-resident class without an ownership declaration
-// --------------------------------------------------------------------
-
-TEST(LintD10, UnannotatedMutableClassInNocIsFlagged)
-{
-    auto fs = lintOne("src/noc/x.hh",
-                      "struct Port {\n"
-                      "    int credits = 0;\n"
-                      "    bool busy = false;\n"
-                      "};\n");
-    ASSERT_EQ(countRule(fs, "D10"), 1);
-    EXPECT_EQ(fs[0].line, 1);
-}
-
-TEST(LintD10, UnannotatedClassInSwitchComputeIsFlagged)
-{
-    auto fs = lintOne("src/switchcompute/x.cc",
-                      "namespace cais {\n"
-                      "namespace {\n"
-                      "struct Probe {\n"
-                      "    cais::Cycle firstSeen;\n"
-                      "    std::uint64_t hits;\n"
-                      "};\n"
-                      "} // namespace\n"
-                      "} // namespace cais\n");
-    ASSERT_EQ(countRule(fs, "D10"), 1);
-    EXPECT_EQ(fs[0].line, 3);
-}
-
-TEST(LintD10, ShardedEventCoreIsInScope)
-{
-    auto fs = lintOne("src/common/sharded_event_queue.hh",
-                      "class Window {\n"
-                      "  public:\n"
-                      "    void run();\n"
-                      "  private:\n"
-                      "    std::uint64_t gen = 0;\n"
-                      "};\n");
-    EXPECT_EQ(countRule(fs, "D10"), 1);
-}
-
-TEST(LintD10, AnnotatedClassAndPureInterfacePass)
-{
-    auto fs = lintOne("src/gpu/x.hh",
-                      "struct Slot {\n"
-                      "    CAIS_OWNED_BY_DOMAIN(host);\n"
-                      "    int tb = -1;\n"
-                      "};\n"
-                      "class Sink {\n"
-                      "  public:\n"
-                      "    virtual ~Sink() = default;\n"
-                      "    virtual void acceptPacket(int vc) = 0;\n"
-                      "};\n");
-    EXPECT_EQ(countRule(fs, "D10"), 0);
-}
-
-TEST(LintD10, NonFabricDirectoriesAreOutOfScope)
-{
-    std::string src = "struct Plan {\n"
-                      "    int steps = 0;\n"
-                      "};\n";
-    EXPECT_EQ(countRule(lintOne("src/compiler/x.hh", src), "D10"), 0);
-    EXPECT_EQ(countRule(lintOne("src/runtime/x.hh", src), "D10"), 0);
-    EXPECT_EQ(countRule(lintOne("tests/t.hh", src), "D10"), 0);
-}
-
-TEST(LintD10, SuppressionCommentIsHonored)
-{
-    auto fs = lintOne(
-        "src/noc/x.hh",
-        "// cais-lint: allow(D10) -- scratch POD, never fabric-wired\n"
-        "struct Scratch {\n"
-        "    int tmp = 0;\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "D10"), 0);
-    EXPECT_EQ(countRule(fs, "X1"), 0);
-}
-
-// --------------------------------------------------------------------
-// D11: shard-shared field accessed outside a channel
-// --------------------------------------------------------------------
-
-TEST(LintD11, SharedFieldAccessOutsideChannelIsFlagged)
-{
-    auto fs = lintOne("src/noc/x.hh",
-                      "struct Link {\n"
-                      "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                      "    CAIS_SHARD_SHARED int creditBatch = 0;\n"
-                      "    void poke() { creditBatch += 1; }\n"
-                      "};\n");
-    ASSERT_EQ(countRule(fs, "D11"), 1);
-    EXPECT_EQ(fs[0].line, 4);
-}
-
-TEST(LintD11, FieldDeclaredInHeaderIsFlaggedInSourceFile)
-{
-    Linter l;
-    l.addSource("src/noc/link.hh",
-                "struct Link {\n"
-                "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                "    CAIS_SHARD_SHARED int creditBatch = 0;\n"
-                "    void drain();\n"
-                "};\n");
-    l.addSource("src/noc/link.cc",
-                "#include \"link.hh\"\n"
-                "void\n"
-                "Link::drain()\n"
-                "{\n"
-                "    creditBatch = 0;\n"
-                "}\n");
-    auto fs = l.run();
-    ASSERT_EQ(countRule(fs, "D11"), 1);
-    EXPECT_EQ(fs[0].file, "src/noc/link.cc");
-    EXPECT_EQ(fs[0].line, 5);
-}
-
-TEST(LintD11, AccessThroughAnotherObjectIsFlagged)
-{
-    auto fs = lintOne("src/common/x.hh",
-                      "struct Core {\n"
-                      "    CAIS_OWNED_BY_DOMAIN(barrier);\n"
-                      "    CAIS_SHARD_SHARED bool stopFlag = false;\n"
-                      "};\n"
-                      "inline void\n"
-                      "halt(Core &c)\n"
-                      "{\n"
-                      "    c.stopFlag = true;\n"
-                      "}\n");
-    ASSERT_EQ(countRule(fs, "D11"), 1);
-    EXPECT_EQ(fs[0].line, 8);
-}
-
-TEST(LintD11, ChannelFunctionAndCtorInitPass)
-{
-    // The declaration itself, a ctor-init-list mention, and accesses
-    // inside a declared channel are all sanctioned.
-    Linter l;
-    l.addSource("src/noc/link.hh",
-                "struct Link {\n"
-                "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                "    CAIS_SHARD_SHARED int creditBatch;\n"
-                "    Link();\n"
-                "    CAIS_CROSS_SHARD_CHANNEL void returnCredit();\n"
-                "};\n");
-    l.addSource("src/noc/link.cc",
-                "#include \"link.hh\"\n"
-                "Link::Link() : creditBatch(0) {}\n"
-                "void\n"
-                "Link::returnCredit()\n"
-                "{\n"
-                "    creditBatch += 1;\n"
-                "    auto trim = [this] { creditBatch = 0; };\n"
-                "    trim();\n"
-                "}\n");
-    EXPECT_EQ(countRule(l.run(), "D11"), 0);
-}
-
-TEST(LintD11, TestsAndBenchAreOutOfScope)
-{
-    Linter l;
-    l.addSource("src/noc/link.hh",
-                "struct Link {\n"
-                "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-                "    CAIS_SHARD_SHARED int creditBatch = 0;\n"
-                "};\n");
-    l.addSource("tests/t.cc",
-                "#include \"link.hh\"\n"
-                "void probe(Link &l) { l.creditBatch = 9; }\n");
-    EXPECT_EQ(countRule(l.run(), "D11"), 0);
-}
-
-TEST(LintD11, SuppressionCommentIsHonored)
-{
-    auto fs = lintOne(
-        "src/noc/x.hh",
-        "struct Link {\n"
-        "    CAIS_OWNED_BY_DOMAIN(sender);\n"
-        "    CAIS_SHARD_SHARED int creditBatch = 0;\n"
-        "    void poke() {\n"
-        "        // cais-lint: allow(D11) -- read-only diagnostic\n"
-        "        int x = creditBatch;\n"
-        "        (void)x;\n"
-        "    }\n"
-        "};\n");
-    EXPECT_EQ(countRule(fs, "D11"), 0);
-    EXPECT_EQ(countRule(fs, "X1"), 0);
-}
-
-// --------------------------------------------------------------------
 // D12: floating-point arithmetic on cycle-typed values in hot paths
 // --------------------------------------------------------------------
 
@@ -1012,10 +646,8 @@ TEST(LintLexer, CommentsAndStringsAreInvisible)
 
 TEST(LintLexer, RuleTableCoversAllRules)
 {
-    std::vector<std::string> want = {"D1", "D2",  "D3",  "D4",
-                                     "D5", "D6",  "D7",  "D8",
-                                     "D9", "D10", "D11", "D12",
-                                     "X1"};
+    std::vector<std::string> want = {"D1", "D2", "D3", "D4", "D5",
+                                     "D6", "D7", "D12", "X1"};
     const auto &table = cais::lint::ruleTable();
     ASSERT_EQ(table.size(), want.size());
     for (std::size_t i = 0; i < want.size(); ++i)

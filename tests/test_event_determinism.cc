@@ -1,40 +1,37 @@
 /**
  * @file
- * Determinism regression for the event-core overhaul: the bucketed
- * scheduler (default) and the legacy single-heap scheduler (behind
- * CAIS_EVENTQ=heap) implement the same (when, seq) total order, so a
- * full end-to-end run must produce bit-identical results — makespan,
- * utilizations, merge-unit counters, per-kernel timings, and a
- * StatRegistry snapshot of live counters — under either one.
+ * Determinism regression for the event core. The bucketed scheduler
+ * must implement the (when, seq) total order exactly: on a schedule
+ * shaped like the fabric's (per-hop deliver/drain-wake/credit-return
+ * chains, same-cycle follow-ups, far-future timeouts) it must execute
+ * every event at the same cycle and in the same order as a sorted
+ * reference model. End to end, repeated runs must produce
+ * bit-identical results — makespan, utilizations, merge-unit
+ * counters, per-kernel timings, and a StatRegistry snapshot of live
+ * counters.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <functional>
 #include <map>
+#include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
+#include "common/event_queue.hh"
 #include "common/stats.hh"
 #include "runtime/execution_strategy.hh"
 #include "runtime/simulation_driver.hh"
 #include "runtime/system.hh"
 #include "workload/transformer.hh"
+#include "sorted_event_model.hh"
 
 using namespace cais;
 
 namespace
 {
-
-/** Pin CAIS_EVENTQ while a test body runs. */
-class ScopedEventqEnv
-{
-  public:
-    explicit ScopedEventqEnv(const char *kind)
-    {
-        setenv("CAIS_EVENTQ", kind, 1);
-    }
-    ~ScopedEventqEnv() { unsetenv("CAIS_EVENTQ"); }
-};
 
 RunConfig
 smallConfig()
@@ -53,24 +50,22 @@ smallModel()
     return m;
 }
 
-/** End-to-end run under @p kind, harvested through runGraph. */
+/** End-to-end run, harvested through runGraph. */
 RunResult
-runSmall(const char *kind, const char *strategy, SubLayerId sub)
+runSmall(const char *strategy, SubLayerId sub)
 {
-    ScopedEventqEnv env(kind);
     return runGraph(strategyByName(strategy),
                     buildSubLayer(smallModel(), sub), smallConfig(),
                     subLayerName(sub));
 }
 
 /**
- * End-to-end run under @p kind with a live System, snapshotting the
- * merge-unit counters through a StatRegistry.
+ * End-to-end run with a live System, snapshotting the merge-unit
+ * counters through a StatRegistry.
  */
 std::map<std::string, double>
-snapshotSmall(const char *kind)
+snapshotSmall()
 {
-    ScopedEventqEnv env(kind);
     StrategySpec spec = strategyByName("CAIS");
     OpGraph graph = buildSubLayer(smallModel(), SubLayerId::L2);
     RunConfig cfg = smallConfig();
@@ -134,34 +129,89 @@ expectIdentical(const RunResult &a, const RunResult &b)
     EXPECT_EQ(a.utilSeries, b.utilSeries);
 }
 
+/** One executed event: who ran, and at which cycle. */
+using Trace = std::vector<std::pair<int, Cycle>>;
+
+/**
+ * Drive @p q through a fabric-shaped schedule: kLinks links each
+ * push kPackets packets. Issuing one schedules its delivery
+ * (serialization + 250-cycle latency) and a drain wake at the end of
+ * serialization; a delivery schedules a same-cycle sink follow-up and
+ * a credit return one latency later; every 16th packet also arms a
+ * far-future timeout (merge-table sweep) beyond the near window.
+ */
+template <class Queue>
+Trace
+fabricShaped(unsigned seed)
+{
+    constexpr int kLinks = 24;
+    constexpr int kPackets = 96;
+    constexpr Cycle kLatency = 250;
+    Queue q;
+    Trace trace;
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<Cycle> ser(1, 160);
+    std::uniform_int_distribution<Cycle> timeout(
+        EventQueue::nearWindow, 12 * EventQueue::nearWindow);
+    std::vector<int> sent(kLinks, 0);
+    auto log = [&](int tag) { trace.emplace_back(tag, q.now()); };
+
+    std::function<void(int)> issue = [&](int l) {
+        if (sent[static_cast<std::size_t>(l)] == kPackets)
+            return;
+        int pkt = sent[static_cast<std::size_t>(l)]++;
+        int tag = l * 10000 + pkt * 10;
+        Cycle s = ser(rng);
+        q.scheduleAfter(s + kLatency, [&, tag] {
+            log(tag + 1); // deliver
+            q.scheduleAfter(0, [&, tag] { log(tag + 2); });
+            q.scheduleAfter(kLatency, [&, tag] { log(tag + 3); });
+        });
+        q.scheduleAfter(s, [&, l, tag] {
+            log(tag + 4); // drain wake
+            issue(l);
+        });
+        if (pkt % 16 == 0)
+            q.scheduleAfter(timeout(rng), [&, tag] { log(tag + 5); });
+    };
+    for (int l = 0; l < kLinks; ++l)
+        q.schedule(static_cast<Cycle>(l % 3), [&, l] { issue(l); });
+    q.runAll();
+    return trace;
+}
+
 } // namespace
 
-TEST(EventDeterminism, BucketedMatchesHeapAcrossStrategies)
+TEST(EventDeterminism, MatchesSortedModelOnFabricShapedSchedule)
 {
-    for (const char *strategy : {"CAIS", "SP-NVLS", "LADM"}) {
-        for (SubLayerId sub : {SubLayerId::L1, SubLayerId::L3}) {
-            RunResult bucketed = runSmall("bucketed", strategy, sub);
-            RunResult heap = runSmall("heap", strategy, sub);
-            SCOPED_TRACE(std::string(strategy) + "/" + subLayerName(sub));
-            expectIdentical(bucketed, heap);
-        }
+    for (unsigned seed : {1u, 7u, 2024u}) {
+        Trace bucketed = fabricShaped<EventQueue>(seed);
+        Trace model = fabricShaped<test::SortedEventModel>(seed);
+        SCOPED_TRACE(seed);
+        ASSERT_EQ(bucketed.size(), model.size());
+        EXPECT_EQ(bucketed, model);
     }
 }
 
 TEST(EventDeterminism, StatSnapshotsBitIdentical)
 {
-    auto bucketed = snapshotSmall("bucketed");
-    auto heap = snapshotSmall("heap");
-    ASSERT_EQ(bucketed.size(), heap.size());
-    for (const auto &[name, value] : bucketed) {
-        ASSERT_TRUE(heap.count(name)) << name;
-        EXPECT_EQ(value, heap.at(name)) << name;
+    auto first = snapshotSmall();
+    auto second = snapshotSmall();
+    ASSERT_EQ(first.size(), second.size());
+    for (const auto &[name, value] : first) {
+        ASSERT_TRUE(second.count(name)) << name;
+        EXPECT_EQ(value, second.at(name)) << name;
     }
 }
 
 TEST(EventDeterminism, RepeatedRunsAreBitIdentical)
 {
-    RunResult first = runSmall("bucketed", "CAIS", SubLayerId::L2);
-    RunResult second = runSmall("bucketed", "CAIS", SubLayerId::L2);
-    expectIdentical(first, second);
+    for (const char *strategy : {"CAIS", "SP-NVLS", "LADM"}) {
+        for (SubLayerId sub :
+             {SubLayerId::L1, SubLayerId::L2, SubLayerId::L3}) {
+            SCOPED_TRACE(std::string(strategy) + "/" + subLayerName(sub));
+            expectIdentical(runSmall(strategy, sub),
+                            runSmall(strategy, sub));
+        }
+    }
 }

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <random>
+#include <vector>
 
 #include "common/event_queue.hh"
+#include "sorted_event_model.hh"
 
 using namespace cais;
 
@@ -101,14 +104,19 @@ TEST(EventQueueDeathTest, SchedulingInThePastPanics)
 }
 
 // ---------------------------------------------------------------------
-// Bucketed-vs-heap scheduler equivalence and boundary behavior.
+// Equivalence with a sorted (when, seq) reference model, and boundary
+// behavior of the near ring / far heap split.
 // ---------------------------------------------------------------------
 
-/** Both scheduler kinds must produce the same execution order. */
-static std::vector<int>
-runRandomSchedule(EventQueue::SchedulerKind kind, unsigned seed)
+namespace
 {
-    EventQueue eq(kind);
+
+/** Execution order of a random schedule on @p Queue. */
+template <class Queue>
+std::vector<int>
+runRandomSchedule(unsigned seed)
+{
+    Queue eq;
     std::vector<int> order;
     std::mt19937 rng(seed);
     // Mixed same-cycle bursts, in-window deltas, and far-heap deltas.
@@ -130,13 +138,15 @@ runRandomSchedule(EventQueue::SchedulerKind kind, unsigned seed)
     return order;
 }
 
+} // namespace
+
+/** The two schedulers: the bucketed EventQueue and the sorted model. */
 TEST(EventQueue, SchedulerKindsAgreeOnRandomSchedule)
 {
     for (unsigned seed : {1u, 2u, 42u}) {
-        auto bucketed =
-            runRandomSchedule(EventQueue::SchedulerKind::bucketed, seed);
-        auto heap = runRandomSchedule(EventQueue::SchedulerKind::heap, seed);
-        EXPECT_EQ(bucketed, heap) << "seed " << seed;
+        auto bucketed = runRandomSchedule<EventQueue>(seed);
+        auto model = runRandomSchedule<test::SortedEventModel>(seed);
+        EXPECT_EQ(bucketed, model) << "seed " << seed;
     }
 }
 
@@ -145,7 +155,7 @@ TEST(EventQueue, SameCycleFifoAcrossBucketAndHeap)
     // Events landing on one cycle run in insertion order even when
     // some were scheduled via the near ring and some via the far
     // heap (scheduled before time advanced into the window).
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     std::vector<int> order;
     const Cycle target = 2 * EventQueue::nearWindow;
     eq.schedule(target, [&] { order.push_back(0); });            // far heap
@@ -160,7 +170,7 @@ TEST(EventQueue, SameCycleFifoAcrossBucketAndHeap)
 
 TEST(EventQueue, BucketWindowBoundaryCrossing)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     std::vector<Cycle> fired;
     auto hit = [&] { fired.push_back(eq.now()); };
     // Straddle the near-window edge: in-window, last in-window
@@ -179,7 +189,7 @@ TEST(EventQueue, BucketWindowBoundaryCrossing)
 
 TEST(EventQueue, RunUntilLeavesFarEventsPending)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     int near_hits = 0, far_hits = 0;
     eq.schedule(100, [&] { ++near_hits; });
     eq.schedule(5 * EventQueue::nearWindow, [&] { ++far_hits; });
@@ -194,7 +204,7 @@ TEST(EventQueue, RunUntilLeavesFarEventsPending)
 
 TEST(EventQueue, ResetReproducesTieBreaks)
 {
-    EventQueue eq(EventQueue::SchedulerKind::bucketed);
+    EventQueue eq;
     auto run = [&] {
         std::vector<int> order;
         for (int i = 0; i < 4; ++i)
@@ -209,16 +219,6 @@ TEST(EventQueue, ResetReproducesTieBreaks)
     EXPECT_EQ(eq.executed(), 0u);
     auto second = run();
     EXPECT_EQ(first, second);
-}
-
-TEST(EventQueue, KindSelectionFromEnv)
-{
-    setenv("CAIS_EVENTQ", "heap", 1);
-    EXPECT_EQ(EventQueue().kind(), EventQueue::SchedulerKind::heap);
-    setenv("CAIS_EVENTQ", "bucketed", 1);
-    EXPECT_EQ(EventQueue().kind(), EventQueue::SchedulerKind::bucketed);
-    unsetenv("CAIS_EVENTQ");
-    EXPECT_EQ(EventQueue().kind(), EventQueue::SchedulerKind::bucketed);
 }
 
 // ---------------------------------------------------------------------

@@ -33,6 +33,7 @@ struct SinkStub : public PacketSink
 struct SyncRig
 {
     PacketIdAllocator ids;
+    PacketIdAllocator chipIds; ///< the chip's own packet-id source
     EventQueue eq;
     SwitchParams sp;
     std::unique_ptr<SwitchChip> sw;
@@ -42,7 +43,7 @@ struct SyncRig
 
     SyncRig()
     {
-        sw = std::make_unique<SwitchChip>(eq, 0, 4, 4, sp);
+        sw = std::make_unique<SwitchChip>(eq, chipIds, 0, 4, 4, sp);
         complex = std::make_unique<SwitchComputeComplex>(
             *sw, InSwitchParams{});
         for (GpuId g = 0; g < 4; ++g) {

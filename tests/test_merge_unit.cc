@@ -48,6 +48,7 @@ struct HomeStub : public PacketSink
 struct MergeRig
 {
     PacketIdAllocator ids;
+    PacketIdAllocator chipIds; ///< the chip's own packet-id source
     EventQueue eq;
     SwitchParams sp;
     std::unique_ptr<SwitchChip> sw;
@@ -60,7 +61,8 @@ struct MergeRig
     explicit MergeRig(std::uint64_t table_bytes = 0,
                       std::uint32_t chunk = 4096)
     {
-        sw = std::make_unique<SwitchChip>(eq, 0, numGpus, numGpus, sp);
+        sw = std::make_unique<SwitchChip>(eq, chipIds, 0, numGpus,
+                                          numGpus, sp);
         InSwitchParams ip;
         ip.merge.chunkBytes = chunk;
         ip.merge.tableBytesPerPort = table_bytes;

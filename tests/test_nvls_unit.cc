@@ -44,6 +44,7 @@ struct NvlsGpuStub : public PacketSink
 struct NvlsRig
 {
     PacketIdAllocator ids;
+    PacketIdAllocator chipIds; ///< the chip's own packet-id source
     EventQueue eq;
     SwitchParams sp;
     std::unique_ptr<SwitchChip> sw;
@@ -53,7 +54,7 @@ struct NvlsRig
 
     NvlsRig()
     {
-        sw = std::make_unique<SwitchChip>(eq, 0, 4, 4, sp);
+        sw = std::make_unique<SwitchChip>(eq, chipIds, 0, 4, 4, sp);
         complex = std::make_unique<SwitchComputeComplex>(
             *sw, InSwitchParams{});
         for (GpuId g = 0; g < 4; ++g) {

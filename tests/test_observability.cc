@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -190,6 +191,69 @@ TEST(Observability, SamplePeriodDoesNotChangeResults)
 
     std::remove(coarse.tracePath.c_str());
     std::remove(fine.tracePath.c_str());
+}
+
+/*
+ * The same contract on a tiered preset, shrunk to 16 GPUs (two
+ * groups), under the suite name these checks carried when they also
+ * compared a sharded run: the periodic sampler must not perturb the
+ * run, and the trace and metrics artifacts must repeat to the byte.
+ */
+
+RunConfig
+tieredConfig(const char *preset)
+{
+    RunConfig cfg;
+    cfg.topology = preset;
+    cfg.numGpus = 16;
+    return cfg;
+}
+
+RunResult
+runTiered(const RunConfig &cfg)
+{
+    OpGraph g =
+        buildSubLayer(llama7B().scaled(0.25, 0.125), SubLayerId::L1);
+    return runGraph(strategyByName("CAIS"), g, cfg, "L1");
+}
+
+TEST(ShardedDeterminism, ObserverOnAndOffBitIdentical)
+{
+    RunConfig cfg = tieredConfig("nvl72");
+    cfg.traceSampleCycles = 500;
+
+    RunConfig first = cfg;
+    first.tracePath = "/tmp/cais_test_obs_tier_trace1.json";
+    RunConfig second = cfg;
+    second.tracePath = "/tmp/cais_test_obs_tier_trace2.json";
+    RunResult traced = runTiered(first);
+    RunResult tracedAgain = runTiered(second);
+    RunResult plain = runTiered(cfg);
+
+    expectBitIdentical(traced, tracedAgain);
+    expectBitIdentical(traced, plain);
+
+    std::string firstJson = slurp(first.tracePath);
+    ASSERT_FALSE(firstJson.empty());
+    EXPECT_EQ(firstJson, slurp(second.tracePath));
+    std::remove(first.tracePath.c_str());
+    std::remove(second.tracePath.c_str());
+}
+
+TEST(ShardedDeterminism, MetricsReportBytesIdentical)
+{
+    RunConfig first = tieredConfig("rail-optimized-4node");
+    first.metricsPath = "/tmp/cais_test_obs_tier_metrics1.json";
+    RunConfig second = first;
+    second.metricsPath = "/tmp/cais_test_obs_tier_metrics2.json";
+    runTiered(first);
+    runTiered(second);
+
+    std::string firstJson = slurp(first.metricsPath);
+    ASSERT_FALSE(firstJson.empty());
+    EXPECT_EQ(firstJson, slurp(second.metricsPath));
+    std::remove(first.metricsPath.c_str());
+    std::remove(second.metricsPath.c_str());
 }
 
 } // namespace

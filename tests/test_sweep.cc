@@ -181,39 +181,3 @@ TEST(Sweep, LivePacketIdsAreIsolatedPerSystem)
     EXPECT_EQ(b.next(), 1u); // unaffected by s1's allocations
     EXPECT_EQ(a.next(), 3u); // unaffected by s2's allocations
 }
-
-TEST(Sweep, CappedThreadsBoundsJobsTimesShards)
-{
-    // Sequential jobs (shards 1): want passes through untouched.
-    EXPECT_EQ(SweepRunner::cappedThreads(8, 1, 4), 8);
-    // Sharded jobs: jobs x shards is held within the machine.
-    EXPECT_EQ(SweepRunner::cappedThreads(8, 4, 16), 4);
-    EXPECT_EQ(SweepRunner::cappedThreads(8, 4, 32), 8);
-    EXPECT_EQ(SweepRunner::cappedThreads(2, 4, 32), 2);
-    // Shards alone exceeding the machine still leave one worker.
-    EXPECT_EQ(SweepRunner::cappedThreads(8, 16, 4), 1);
-    EXPECT_EQ(SweepRunner::cappedThreads(8, 4, 1), 1);
-    // Unknown hardware concurrency: trust the requested count.
-    EXPECT_EQ(SweepRunner::cappedThreads(8, 4, 0), 8);
-    // Degenerate inputs clamp instead of dividing by zero.
-    EXPECT_EQ(SweepRunner::cappedThreads(0, 0, 4), 1);
-}
-
-TEST(Sweep, ShardedJobsMatchSequentialJobsThroughTheRunner)
-{
-    // The cap must only change worker counts, never results: a sweep
-    // of sharded jobs returns the same bits as the same sweep run
-    // sequentially sharded=1, through pools of different sizes.
-    std::vector<SweepJob> seqJobs = smallGrid();
-    std::vector<SweepJob> shardedJobs = smallGrid();
-    for (SweepJob &j : shardedJobs)
-        j.cfg.shards = 3; // flat 4x2 has 3 domains
-
-    std::vector<RunResult> seq = SweepRunner(1).run(seqJobs);
-    std::vector<RunResult> sharded = SweepRunner(4).run(shardedJobs);
-    ASSERT_EQ(seq.size(), sharded.size());
-    for (std::size_t i = 0; i < seq.size(); ++i) {
-        SCOPED_TRACE(i);
-        expectIdentical(seq[i], sharded[i]);
-    }
-}

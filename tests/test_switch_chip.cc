@@ -48,6 +48,7 @@ struct SyncEater : public SwitchComputeHandler
 struct MiniFabric
 {
     PacketIdAllocator ids;
+    PacketIdAllocator chipIds; ///< the chip's own packet-id source
     EventQueue eq;
     SwitchParams sp;
     std::unique_ptr<SwitchChip> sw;
@@ -58,7 +59,7 @@ struct MiniFabric
     explicit MiniFabric(int out_depth = 256)
     {
         sp.outQueueDepth = out_depth;
-        sw = std::make_unique<SwitchChip>(eq, 0, 2, 2, sp);
+        sw = std::make_unique<SwitchChip>(eq, chipIds, 0, 2, 2, sp);
         for (GpuId g = 0; g < 2; ++g) {
             ups.push_back(std::make_unique<CreditLink>(
                 eq, "up", 100.0, 10, sp.numVcs, 16, 1000));

@@ -14,6 +14,7 @@ namespace
 struct DispatchRig
 {
     PacketIdAllocator ids;
+    PacketIdAllocator chipIds; ///< the chip's own packet-id source
     EventQueue eq;
     SwitchParams sp;
     std::unique_ptr<SwitchChip> sw;
@@ -21,7 +22,7 @@ struct DispatchRig
 
     DispatchRig()
     {
-        sw = std::make_unique<SwitchChip>(eq, 0, 4, 4, sp);
+        sw = std::make_unique<SwitchChip>(eq, chipIds, 0, 4, 4, sp);
         complex = std::make_unique<SwitchComputeComplex>(
             *sw, InSwitchParams{});
     }

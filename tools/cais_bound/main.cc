@@ -15,7 +15,7 @@
  * class). The in-run V8/V9 gate is suppressed so a violating run is
  * reported as a line in the sweep summary instead of aborting the
  * whole matrix. Machine knobs mirror the benches: topology= gpus=
- * switches= chunk= sms= dim= tok= seed= shards=. Exit code: 0 clean,
+ * switches= chunk= sms= dim= tok= seed=. Exit code: 0 clean,
  * 1 violations found, 2 usage.
  */
 
@@ -77,7 +77,7 @@ usage()
         "  topology=NAME   fabric preset (dgx-h100, nvl72, "
         "rail-optimized-2node/-4node),\n"
         "                  or 'all' to sweep flat + every preset\n"
-        "  gpus= switches= chunk= sms= dim= tok= seed= shards=   "
+        "  gpus= switches= chunk= sms= dim= tok= seed=   "
         "machine knobs (bench defaults)\n");
     return 2;
 }
@@ -141,8 +141,6 @@ main(int argc, char **argv)
             static_cast<int>(params.getInt("sms", cfg.gpu.numSms));
         cfg.seed = static_cast<std::uint64_t>(params.getInt(
             "seed", static_cast<std::int64_t>(cfg.seed)));
-        cfg.shards =
-            static_cast<int>(params.getInt("shards", cfg.shards));
         // The tool IS the V8 check: suppress the in-run gate so a
         // violating run shows up as a flagged line in the summary
         // instead of aborting the matrix mid-sweep.

@@ -338,264 +338,6 @@ skipTemplateArgs(const std::vector<Token> &ts, std::size_t i)
     return i;
 }
 
-// ------------------------------------------------------------------
-// Scope tracking (rules D9/D10/D11)
-// ------------------------------------------------------------------
-
-/** One brace scope of buildScopeMap's walk. */
-struct ScopeFrame
-{
-    enum Kind
-    {
-        ns,    ///< namespace body
-        cls,   ///< class / struct / union body
-        fn,    ///< function body ("" name = lambda / control block)
-        other, ///< enum body, brace init, ...
-    };
-
-    Kind kind = other;
-    std::string name;      ///< class name or function name
-    std::string qualifier; ///< Cls of an out-of-line `Ret Cls::fn(...)`
-    int headLine = 0;
-    int clsIndex = -1; ///< into ScopeMap::classes when kind == cls
-};
-
-/**
- * Per-file scope resolution for the shard-ownership rules: every
- * class/struct body found (with its CAIS_OWNED_BY_DOMAIN / data-member
- * facts for D10) and, per token, the innermost enclosing class and
- * named function (for D9/D11's "who is touching this" questions).
- * Out-of-line `Ret Cls::fn(...)` definitions resolve the class from
- * the qualifier; lambda and control-flow braces inherit the nearest
- * named enclosing function.
- */
-struct ScopeMap
-{
-    struct Cls
-    {
-        std::string name;
-        int headLine = 0;
-        bool owned = false;     ///< body declares CAIS_OWNED_BY_DOMAIN
-        bool hasMember = false; ///< body declares mutable data members
-    };
-
-    std::vector<Cls> classes;
-    std::vector<std::string> encClass; ///< per token; "" at file scope
-    std::vector<std::string> encFn;    ///< per token; "" outside functions
-};
-
-/** Keywords that look like a call head but never name a function. */
-bool
-isControlKeyword(const std::string &t)
-{
-    return t == "if" || t == "for" || t == "while" || t == "switch" ||
-           t == "catch" || t == "return" || t == "sizeof" ||
-           t == "alignof" || t == "decltype" || t == "noexcept" ||
-           t == "constexpr" || t == "static_assert" || t == "assert";
-}
-
-/** Classify the '{' at @p open from its window [@p from, @p open). */
-ScopeFrame
-classifyOpenBrace(const std::vector<Token> &ts, std::size_t from,
-                  std::size_t open)
-{
-    ScopeFrame fr;
-    bool sawEnum = false, sawClassKw = false, sawParen = false;
-    std::size_t firstParen = 0;
-
-    for (std::size_t k = from; k < open; ++k) {
-        const Token &t = ts[k];
-        if (t.kind == Tok::ident) {
-            // Template parameter lists may contain `class T`.
-            if (is(t, "template") && k + 1 < open && is(ts[k + 1], "<")) {
-                std::size_t e = skipTemplateArgs(ts, k + 1);
-                if (e > k + 1) {
-                    k = e - 1;
-                    continue;
-                }
-            }
-            if (is(t, "namespace")) {
-                fr.kind = ScopeFrame::ns;
-                return fr;
-            }
-            if (is(t, "enum"))
-                sawEnum = true;
-            if (!sawClassKw && !sawEnum && !sawParen &&
-                (is(t, "class") || is(t, "struct") || is(t, "union"))) {
-                sawClassKw = true;
-                if (k + 1 < open && ts[k + 1].kind == Tok::ident) {
-                    fr.name = ts[k + 1].text;
-                    fr.headLine = ts[k + 1].line;
-                }
-            }
-        } else if (is(t, "(") && !sawParen) {
-            sawParen = true;
-            firstParen = k;
-        }
-    }
-
-    if (sawClassKw && !sawEnum) {
-        fr.kind = ScopeFrame::cls;
-        if (fr.headLine == 0)
-            fr.headLine = ts[open].line;
-        return fr;
-    }
-    if (!sawParen && !(open > from && is(ts[open - 1], ")")))
-        return fr; // enum body, brace init, bare block: other
-
-    fr.kind = ScopeFrame::fn;
-
-    // Lambda introducer right before the body (or before its
-    // parameter list): the body inherits the enclosing function.
-    std::size_t b = open;
-    while (b > from && (is(ts[b - 1], "mutable") ||
-                        is(ts[b - 1], "noexcept") ||
-                        is(ts[b - 1], "constexpr")))
-        --b;
-    if (b > from && is(ts[b - 1], "]"))
-        return fr;
-    if (b > from && is(ts[b - 1], ")")) {
-        int depth = 0;
-        for (std::size_t k = b; k-- > from;) {
-            if (is(ts[k], ")"))
-                ++depth;
-            else if (is(ts[k], "(") && --depth == 0) {
-                if (k > from && is(ts[k - 1], "]"))
-                    return fr; // [...](args) { ... }
-                break;
-            }
-        }
-    }
-
-    // Function name: the ident before the first '(' of the window
-    // (the parameter list; ctor init lists come after it).
-    if (sawParen && firstParen > from &&
-        ts[firstParen - 1].kind == Tok::ident &&
-        !isControlKeyword(ts[firstParen - 1].text)) {
-        std::size_t nameIdx = firstParen - 1;
-        fr.name = ts[nameIdx].text;
-        std::size_t q = nameIdx;
-        if (q > from && is(ts[q - 1], "~"))
-            --q; // destructor: Cls::~Cls()
-        if (q >= from + 2 && is(ts[q - 1], "::") &&
-            ts[q - 2].kind == Tok::ident)
-            fr.qualifier = ts[q - 2].text;
-    }
-    return fr;
-}
-
-/**
- * Classify one class-body statement [@p from, @p end): does it declare
- * the ownership marker, or a mutable data member? Methods (any
- * top-level '('), aliases, nested types, statics, and const members
- * are not mutable member state.
- */
-void
-classifyClassStmt(const std::vector<Token> &ts, std::size_t from,
-                  std::size_t end, ScopeMap::Cls &c)
-{
-    // Strip access-specifier labels sharing the statement window.
-    while (from + 1 < end && ts[from].kind == Tok::ident &&
-           (is(ts[from], "public") || is(ts[from], "private") ||
-            is(ts[from], "protected")) &&
-           is(ts[from + 1], ":"))
-        from += 2;
-
-    static const std::set<std::string> nonMember = {
-        "using",    "typedef", "friend", "static",        "template",
-        "operator", "class",   "struct", "enum",          "union",
-        "extern",   "virtual", "const",  "constexpr",     "constinit",
-        "namespace"};
-
-    int idents = 0;
-    bool lastIsIdent = false;
-    for (std::size_t j = from; j < end; ++j) {
-        const Token &x = ts[j];
-        if (x.kind == Tok::ident) {
-            if (is(x, "CAIS_OWNED_BY_DOMAIN")) {
-                c.owned = true;
-                return;
-            }
-            if (nonMember.count(x.text))
-                return;
-            if (j + 1 < end && is(ts[j + 1], "<")) {
-                std::size_t e = skipTemplateArgs(ts, j + 1);
-                if (e > j + 1) {
-                    ++idents;
-                    lastIsIdent = false;
-                    j = e - 1;
-                    continue;
-                }
-            }
-            ++idents;
-            lastIsIdent = true;
-            continue;
-        }
-        if (is(x, "="))
-            break; // default member initializer
-        if (is(x, "("))
-            return; // method / ctor declaration
-        lastIsIdent = false;
-    }
-    if (idents >= 2 && lastIsIdent)
-        c.hasMember = true;
-}
-
-/** Walk one file's braces; see ScopeMap. */
-ScopeMap
-buildScopeMap(const LexedFile &f)
-{
-    const auto &ts = f.toks;
-    ScopeMap sm;
-    sm.encClass.resize(ts.size());
-    sm.encFn.resize(ts.size());
-
-    std::vector<ScopeFrame> stack;
-    std::size_t declStart = 0;
-
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-        // Resolve this token against the current stack.
-        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-            if (sm.encFn[i].empty() && it->kind == ScopeFrame::fn &&
-                !it->name.empty())
-                sm.encFn[i] = it->name;
-            if (sm.encClass[i].empty()) {
-                if (it->kind == ScopeFrame::fn && !it->qualifier.empty())
-                    sm.encClass[i] = it->qualifier;
-                else if (it->kind == ScopeFrame::cls && !it->name.empty())
-                    sm.encClass[i] = it->name;
-            }
-            if (!sm.encFn[i].empty() && !sm.encClass[i].empty())
-                break;
-        }
-
-        const Token &t = ts[i];
-        if (is(t, "{")) {
-            ScopeFrame fr = classifyOpenBrace(ts, declStart, i);
-            if (fr.kind == ScopeFrame::cls) {
-                fr.clsIndex = static_cast<int>(sm.classes.size());
-                sm.classes.push_back({fr.name, fr.headLine, false, false});
-            }
-            stack.push_back(std::move(fr));
-            declStart = i + 1;
-        } else if (is(t, "}")) {
-            if (!stack.empty())
-                stack.pop_back();
-            declStart = i + 1;
-        } else if (is(t, ";")) {
-            if (!stack.empty() &&
-                stack.back().kind == ScopeFrame::cls &&
-                stack.back().clsIndex >= 0)
-                classifyClassStmt(
-                    ts, declStart, i,
-                    sm.classes[static_cast<std::size_t>(
-                        stack.back().clsIndex)]);
-            declStart = i + 1;
-        }
-    }
-    return sm;
-}
-
 /** The set of associative containers rule D2 inspects. */
 bool
 isAssocContainer(const std::string &t)
@@ -621,9 +363,6 @@ struct Ctx
     const Options &opts;
     const std::set<std::string> &unorderedVars;
     const std::set<std::string> &unorderedFns;
-    const std::set<std::string> &ownedClasses;
-    const std::set<std::string> &channelFns;
-    const std::set<std::string> &sharedFields;
     std::vector<Finding> &findings;
 };
 
@@ -740,61 +479,6 @@ collectUnorderedFns(const LexedFile &f,
         }
         if (!name.empty() && k < ts.size() && is(ts[k], "("))
             fns.insert(name);
-    }
-}
-
-/**
- * Collect names of functions declared CAIS_CROSS_SHARD_CHANNEL: the
- * ident before the declarator's '('. A destructor channel
- * (`CAIS_CROSS_SHARD_CHANNEL ~Cls();`) registers under the class
- * name, which is exactly how the scope walk names `Cls::~Cls()`
- * bodies. Names are pooled globally so a channel declared in a
- * header legalizes its out-of-line definition.
- */
-void
-collectChannelFns(const LexedFile &f, std::set<std::string> &fns)
-{
-    const auto &ts = f.toks;
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-        if (ts[i].kind != Tok::ident ||
-            !is(ts[i], "CAIS_CROSS_SHARD_CHANNEL"))
-            continue;
-        for (std::size_t k = i + 1;
-             k < ts.size() && k < i + 40; ++k) {
-            if (is(ts[k], ";") || is(ts[k], "}"))
-                break;
-            if (is(ts[k], "(")) {
-                if (k > i + 1 && ts[k - 1].kind == Tok::ident)
-                    fns.insert(ts[k - 1].text);
-                break;
-            }
-        }
-    }
-}
-
-/**
- * Collect names of fields declared CAIS_SHARD_SHARED: the last ident
- * of the declarator before its initializer/terminator (template
- * arguments in the type contribute earlier idents, the member name is
- * always last).
- */
-void
-collectSharedFields(const LexedFile &f, std::set<std::string> &fields)
-{
-    const auto &ts = f.toks;
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-        if (ts[i].kind != Tok::ident || !is(ts[i], "CAIS_SHARD_SHARED"))
-            continue;
-        std::string name;
-        for (std::size_t k = i + 1;
-             k < ts.size() && k < i + 80; ++k) {
-            if (is(ts[k], ";") || is(ts[k], "=") || is(ts[k], "{"))
-                break;
-            if (ts[k].kind == Tok::ident)
-                name = ts[k].text;
-        }
-        if (!name.empty())
-            fields.insert(name);
     }
 }
 
@@ -1273,170 +957,6 @@ ruleD6(Ctx &cx, const LexedFile &f)
     }
 }
 
-/** D8: scheduling onto an event queue fetched from a *looked-up*
- *  component. Token shape `...).eq().schedule(` — the receiver of
- *  the queue getter is itself a call result, so the caller reached
- *  across the component graph to grab somebody else's queue. Under
- *  the sharded event core that queue can live on another shard
- *  domain; a direct schedule there skips the outbox/lookahead
- *  machinery and only panics at runtime when the violation actually
- *  fires. Plain-ident receivers (`sw.eventQueue().scheduleAfter(...)`
- *  inside a helper that owns `sw`) stay legal: the component is
- *  scheduling on its own queue. */
-void
-ruleD8(Ctx &cx, const LexedFile &f)
-{
-    if (!startsWith(f.path, "src/"))
-        return;
-    const auto &ts = f.toks;
-    for (std::size_t i = 6; i + 1 < ts.size(); ++i) {
-        if (ts[i].kind != Tok::ident)
-            continue;
-        const std::string &name = ts[i].text;
-        if (name != "schedule" && name != "scheduleAfter" &&
-            name != "scheduleAt")
-            continue;
-        if (!is(ts[i + 1], "("))
-            continue;
-        // Receiver chain: <call result> (.|->) (eq|eventQueue) ( ) . schedule
-        if (!(is(ts[i - 1], ".") || is(ts[i - 1], "->")))
-            continue;
-        if (!is(ts[i - 2], ")") || !is(ts[i - 3], "("))
-            continue;
-        if (ts[i - 4].kind != Tok::ident ||
-            (ts[i - 4].text != "eq" && ts[i - 4].text != "eventQueue"))
-            continue;
-        if (!(is(ts[i - 5], ".") || is(ts[i - 5], "->")))
-            continue;
-        if (!is(ts[i - 6], ")"))
-            continue; // plain-ident receiver: own-queue schedule
-        report(cx, f.path, ts[i].line, "D8",
-               "'" + name + "(' on an event queue fetched from a "
-               "looked-up component (cross-shard-domain hazard)");
-    }
-}
-
-/** D9: a method of a CAIS_OWNED_BY_DOMAIN class scheduling on a
- *  queue that is not its own (`sinkEq->schedule(...)`, `shq.shard(1)`
- *  fetched into a named handle, ...) outside CAIS_CROSS_SHARD_CHANNEL
- *  code. The component's own queue is by convention the member or
- *  context handle named `eq` / `eventQueue`; anything else reached
- *  from an owned class is somebody else's domain, and only declared
- *  channels may talk across domains (DESIGN.md §6f). Call-result
- *  receivers (`lookup(x).eq().schedule(`) are rule D8's shape. */
-void
-ruleD9(Ctx &cx, const LexedFile &f, const ScopeMap &sm)
-{
-    if (!startsWith(f.path, "src/"))
-        return;
-    const auto &ts = f.toks;
-    for (std::size_t i = 2; i + 1 < ts.size(); ++i) {
-        if (ts[i].kind != Tok::ident)
-            continue;
-        const std::string &name = ts[i].text;
-        if (name != "schedule" && name != "scheduleAfter" &&
-            name != "scheduleAt")
-            continue;
-        if (!is(ts[i + 1], "("))
-            continue;
-        if (!(is(ts[i - 1], ".") || is(ts[i - 1], "->")))
-            continue;
-        std::string recv;
-        if (ts[i - 2].kind == Tok::ident) {
-            recv = ts[i - 2].text;
-        } else if (is(ts[i - 2], "]")) {
-            // Indexed receiver: queues[s]->schedule(...).
-            int depth = 0;
-            for (std::size_t k = i - 1; k-- > 0;) {
-                if (is(ts[k], "]"))
-                    ++depth;
-                else if (is(ts[k], "[") && --depth == 0) {
-                    if (k > 0 && ts[k - 1].kind == Tok::ident)
-                        recv = ts[k - 1].text + "[]";
-                    break;
-                }
-                if (k == 0)
-                    break;
-            }
-        }
-        if (recv.empty())
-            continue; // call-result receivers are rule D8's shape
-        std::string base = recv.substr(0, recv.find('['));
-        if (base == "eq" || base == "eventQueue" || base == "this")
-            continue;
-        const std::string &cls = sm.encClass[i];
-        if (cls.empty() || !cx.ownedClasses.count(cls))
-            continue;
-        if (!sm.encFn[i].empty() && cx.channelFns.count(sm.encFn[i]))
-            continue;
-        report(cx, f.path, ts[i].line, "D9",
-               "'" + name + "(' on queue '" + recv +
-                   "' from domain-owned class '" + cls +
-                   "' outside a cross-shard channel");
-    }
-}
-
-/** D10: a fabric-resident class (src/noc/, src/switchcompute/,
- *  src/gpu/, or the sharded event core) holding mutable members with
- *  no CAIS_OWNED_BY_DOMAIN declaration — nothing says which shard
- *  domain may touch it, so the ownership audit has a blind spot. */
-void
-ruleD10(Ctx &cx, const LexedFile &f, const ScopeMap &sm)
-{
-    bool inScope = startsWith(f.path, "src/noc/") ||
-                   startsWith(f.path, "src/switchcompute/") ||
-                   startsWith(f.path, "src/gpu/") ||
-                   pathContains(f.path, "common/sharded_event_queue");
-    if (!inScope)
-        return;
-    for (const ScopeMap::Cls &c : sm.classes) {
-        if (c.name.empty() || !c.hasMember || c.owned)
-            continue;
-        report(cx, f.path, c.headLine, "D10",
-               "class '" + c.name +
-                   "' holds mutable members but declares no owning "
-                   "shard domain (CAIS_OWNED_BY_DOMAIN)");
-    }
-}
-
-/** D11: a CAIS_SHARD_SHARED field touched outside
- *  CAIS_CROSS_SHARD_CHANNEL code. Shared cells (credit batches, the
- *  worker-barrier counters) are only coherent inside the sanctioned
- *  channels — the outbox merge and the safeHorizon-trimmed credit
- *  path; any other access races the window loop. */
-void
-ruleD11(Ctx &cx, const LexedFile &f, const ScopeMap &sm)
-{
-    if (!startsWith(f.path, "src/"))
-        return;
-    const auto &ts = f.toks;
-    bool declWindow = false; // window carries the CAIS_SHARD_SHARED marker
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-        const Token &t = ts[i];
-        if (is(t, ";") || is(t, "{") || is(t, "}")) {
-            declWindow = false;
-            continue;
-        }
-        if (t.kind != Tok::ident)
-            continue;
-        if (is(t, "CAIS_SHARD_SHARED")) {
-            declWindow = true;
-            continue;
-        }
-        if (!cx.sharedFields.count(t.text))
-            continue;
-        if (declWindow)
-            continue; // the declaration itself
-        if (i + 1 < ts.size() && is(ts[i + 1], "("))
-            continue; // ctor init list / same-named call
-        if (!sm.encFn[i].empty() && cx.channelFns.count(sm.encFn[i]))
-            continue;
-        report(cx, f.path, t.line, "D11",
-               "shard-shared field '" + t.text +
-                   "' accessed outside a cross-shard channel");
-    }
-}
-
 /** True for a number token spelling a floating-point literal. */
 bool
 floatLiteral(const std::string &text)
@@ -1573,33 +1093,6 @@ ruleTable()
          "function in src/ (model code feeding simulation state)",
          "return a std::map / sorted vector, or sort the result "
          "before iterating"},
-        {"D8",
-         "EventQueue schedule on a queue fetched from a looked-up "
-         "component (cross-shard-domain hazard under the sharded "
-         "event core)",
-         "schedule on your own queue and let links/mailboxes carry "
-         "work across components; cross-shard schedules must clear "
-         "the conservative lookahead (DESIGN.md §6f)"},
-        {"D9",
-         "schedule call on another component's event queue from a "
-         "CAIS_OWNED_BY_DOMAIN class outside a declared cross-shard "
-         "channel",
-         "deliver through a CreditLink / the sharded outbox, or mark "
-         "the function CAIS_CROSS_SHARD_CHANNEL with a determinism "
-         "argument (DESIGN.md §6f)"},
-        {"D10",
-         "mutable member state in a fabric-resident class "
-         "(src/noc/, src/switchcompute/, src/gpu/, sharded event "
-         "core) with no CAIS_OWNED_BY_DOMAIN declaration",
-         "declare the owning shard domain with "
-         "CAIS_OWNED_BY_DOMAIN(...) from common/types.hh so the "
-         "ownership audit covers the class"},
-        {"D11",
-         "CAIS_SHARD_SHARED field accessed outside "
-         "CAIS_CROSS_SHARD_CHANNEL code",
-         "touch shared cells only from the sanctioned cross-shard "
-         "channels (outbox merge, safeHorizon-trimmed credit "
-         "returns)"},
         {"D12",
          "static_cast<Cycle>(...) over floating-point operands in "
          "src/noc/, src/gpu/ or src/switchcompute/ hot paths",
@@ -1640,25 +1133,11 @@ Linter::run(const Options &opts)
         collectUnorderedFns(f, aliases, unorderedFns);
     }
 
-    // Cross-file pools and per-file scope maps for D9/D10/D11.
-    std::set<std::string> ownedClasses, channelFns, sharedFields;
-    std::vector<ScopeMap> maps;
-    maps.reserve(lexed.size());
-    for (const LexedFile &f : lexed) {
-        collectChannelFns(f, channelFns);
-        collectSharedFields(f, sharedFields);
-        maps.push_back(buildScopeMap(f));
-        for (const ScopeMap::Cls &c : maps.back().classes)
-            if (c.owned && !c.name.empty())
-                ownedClasses.insert(c.name);
-    }
-
     std::vector<Finding> findings;
     for (std::size_t fi = 0; fi < lexed.size(); ++fi) {
         const LexedFile &f = lexed[fi];
         std::vector<Finding> local;
-        Ctx fcx{opts,       unorderedVars, unorderedFns, ownedClasses,
-                channelFns, sharedFields,  local};
+        Ctx fcx{opts, unorderedVars, unorderedFns, local};
         ruleD1(fcx, f);
         ruleD2(fcx, f);
         ruleD3(fcx, f);
@@ -1666,10 +1145,6 @@ Linter::run(const Options &opts)
         ruleD5(fcx, f);
         ruleD6(fcx, f);
         ruleD7(fcx, f);
-        ruleD8(fcx, f);
-        ruleD9(fcx, f, maps[fi]);
-        ruleD10(fcx, f, maps[fi]);
-        ruleD11(fcx, f, maps[fi]);
         ruleD12(fcx, f);
         applySuppressions(f, local);
         findings.insert(findings.end(),

@@ -21,23 +21,11 @@
  *        (InlineEvent) is required;
  *  - D7  iteration over an unordered container *returned by a
  *        function* in src/ (the shape D1's variable pass misses);
- *  - D8  EventQueue schedule calls on a queue fetched from a
- *        looked-up component (`lookup(x).eq().schedule(...)`) —
- *        under the sharded event core (DESIGN.md §6f) that queue may
- *        belong to another shard domain, and a cross-shard schedule
- *        inside the lookahead window is a determinism violation the
- *        runtime can only catch when it actually fires;
- *  - D9  a method of a CAIS_OWNED_BY_DOMAIN class scheduling on a
- *        named queue handle that is not its own (`sinkEq->schedule`)
- *        outside a CAIS_CROSS_SHARD_CHANNEL function — the
- *        shard-ownership companion of D8's call-chain shape;
- *  - D10 a fabric-resident class (src/noc/, src/switchcompute/,
- *        src/gpu/, or the sharded event core) holding mutable
- *        members without a CAIS_OWNED_BY_DOMAIN declaration;
- *  - D11 a CAIS_SHARD_SHARED field accessed outside
- *        CAIS_CROSS_SHARD_CHANNEL code (shared cells are only
- *        coherent inside the sanctioned channels: the outbox merge
- *        and the safeHorizon-trimmed credit path).
+ *  - D12 static_cast<Cycle>(...) over floating-point operands in
+ *        src/noc/, src/gpu/ or src/switchcompute/ hot paths.
+ *
+ * (D8-D11 guarded the sharded event core's shard ownership; they
+ * were retired with it and their ids are not reused.)
  *
  * Any finding is suppressible at its site with
  *
@@ -63,7 +51,7 @@ struct Finding
 {
     std::string file; ///< path relative to the repo root, '/'-separated
     int line = 0;
-    std::string rule;    ///< "D1".."D11" or "X1"
+    std::string rule;    ///< "D1".."D12" or "X1"
     std::string message; ///< what was found
     std::string hint;    ///< one-line fix hint
 };

@@ -13,11 +13,10 @@
  *   cais_verify --list-rules           print the rule table
  *
  * Machine knobs mirror the benches: topology= gpus= switches= chunk=
- * sms= dim= tok= seed= shards=. topology=all repeats the whole
- * strategy x workload sweep on the flat shape and every shipped
- * preset (the CI acceptance sweep for the shard-model rules V6/V7),
- * tagging each run's workload as "L1@nvl72" etc. Exit code: 0 clean,
- * 1 diagnostics found, 2 usage.
+ * sms= dim= tok= seed=. topology=all repeats the whole strategy x
+ * workload sweep on the flat shape and every shipped preset (the CI
+ * acceptance sweep), tagging each run's workload as "L1@nvl72" etc.
+ * Exit code: 0 clean, 1 diagnostics found, 2 usage.
  */
 
 #include <cctype>
@@ -79,7 +78,7 @@ usage()
         "  topology=NAME   fabric preset (dgx-h100, nvl72, "
         "rail-optimized-2node/-4node),\n"
         "                  or 'all' to sweep flat + every preset\n"
-        "  gpus= switches= chunk= sms= dim= tok= seed= shards=   "
+        "  gpus= switches= chunk= sms= dim= tok= seed=   "
         "machine knobs (bench defaults)\n");
     return 2;
 }
@@ -149,12 +148,6 @@ main(int argc, char **argv)
             static_cast<int>(params.getInt("sms", cfg.gpu.numSms));
         cfg.seed = static_cast<std::uint64_t>(params.getInt(
             "seed", static_cast<std::int64_t>(cfg.seed)));
-        // shards= runs the static pass against the sharded event
-        // core's configuration path (domain clamping + lookahead
-        // validation, DESIGN.md §6f) — the checks never execute
-        // events.
-        cfg.shards =
-            static_cast<int>(params.getInt("shards", cfg.shards));
         return cfg;
     };
     for (const std::string &topo : topologies) {
