@@ -59,7 +59,7 @@ JsonWriter::endArray()
 }
 
 JsonWriter &
-JsonWriter::key(const std::string &k)
+JsonWriter::key(std::string_view k)
 {
     separate();
     out += '"';
@@ -142,7 +142,7 @@ JsonWriter::null()
 }
 
 std::string
-JsonWriter::escape(const std::string &s)
+JsonWriter::escape(std::string_view s)
 {
     std::string r;
     r.reserve(s.size());

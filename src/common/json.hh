@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cais
@@ -33,7 +34,7 @@ class JsonWriter
     JsonWriter &endArray();
 
     /** Object member key; must be followed by a value or container. */
-    JsonWriter &key(const std::string &k);
+    JsonWriter &key(std::string_view k);
 
     JsonWriter &value(const std::string &v);
     JsonWriter &value(const char *v);
@@ -57,7 +58,7 @@ class JsonWriter
     const std::string &str() const { return out; }
 
     /** Escape @p s for embedding inside a JSON string literal. */
-    static std::string escape(const std::string &s);
+    static std::string escape(std::string_view s);
 
   private:
     /** Emit a comma if the current container already has a member. */

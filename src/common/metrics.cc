@@ -1,6 +1,8 @@
 #include "common/metrics.hh"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 
 #include "common/json.hh"
@@ -9,23 +11,103 @@
 namespace cais
 {
 
+namespace
+{
+
+/** Index of @p path in the path-sorted table @p p, or p.size(). */
+std::size_t
+sortedIndexOf(const MetricPathTable &p, std::string_view path)
+{
+    std::size_t lo = 0, hi = p.size();
+    while (lo < hi) {
+        const std::size_t mid = lo + (hi - lo) / 2;
+        if (p[mid] < path)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo < p.size() && p[lo] == path ? lo : p.size();
+}
+
+/** Byte @p d of path @p i, or -1 past its end. */
+int
+charAt(const MetricPathTable &p, std::uint32_t i, std::size_t d)
+{
+    const auto [off, len] = p.at[i];
+    return d < len ? static_cast<unsigned char>(p.chars[off + d]) : -1;
+}
+
+/**
+ * Sort slot numbers [a, a + n) by path, all equal in their first
+ * @p d bytes: Bentley-Sedgewick multikey quicksort. Paths share long
+ * dotted prefixes, so comparing one byte per partition step, instead
+ * of whole strings per comparison, is what keeps the sort cheap.
+ */
+void
+sortByPath(const MetricPathTable &p, std::uint32_t *a, std::size_t n,
+           std::size_t d)
+{
+    while (n > 1) {
+        if (n < 12) {
+            // Insertion sort on the remaining suffixes.
+            for (std::size_t i = 1; i < n; ++i)
+                for (std::size_t j = i;
+                     j > 0 && p[a[j]].substr(d) < p[a[j - 1]].substr(d);
+                     --j)
+                    std::swap(a[j], a[j - 1]);
+            return;
+        }
+        // Three-way partition on byte d around the middle element's.
+        const int pivot = charAt(p, a[n / 2], d);
+        std::size_t lt = 0, i = 0, gt = n;
+        while (i < gt) {
+            const int c = charAt(p, a[i], d);
+            if (c < pivot)
+                std::swap(a[lt++], a[i++]);
+            else if (c > pivot)
+                std::swap(a[i], a[--gt]);
+            else
+                ++i;
+        }
+        sortByPath(p, a, lt, d);
+        sortByPath(p, a + gt, n - gt, d);
+        if (pivot < 0)
+            return; // paths ending at d are equal; at most one exists
+        a += lt;
+        n = gt - lt;
+        ++d;
+    }
+}
+
+} // namespace
+
 // --- MetricSnapshot --------------------------------------------------
 
-const MetricValue *
-MetricSnapshot::find(const std::string &path) const
+MetricSnapshot::MetricSnapshot(
+    std::shared_ptr<const MetricPathTable> path_table,
+    std::vector<MetricValue> values)
+    : paths(std::move(path_table)), vals(std::move(values))
 {
-    auto it = vals.find(path);
-    return it == vals.end() ? nullptr : &it->second;
+    if (paths->size() != vals.size())
+        panic("metric snapshot has %zu paths but %zu values",
+              paths->size(), vals.size());
+}
+
+const MetricValue *
+MetricSnapshot::find(std::string_view path) const
+{
+    const std::size_t i = sortedIndexOf(*paths, path);
+    return i < vals.size() ? &vals[i] : nullptr;
 }
 
 bool
-MetricSnapshot::matches(const std::string &pattern,
-                        const std::string &path)
+MetricSnapshot::matches(std::string_view pattern,
+                        std::string_view path)
 {
     // Iterative glob over '*' (matches any run of characters). No
     // character classes; metric paths are plain ASCII.
     std::size_t p = 0, s = 0;
-    std::size_t star = std::string::npos, mark = 0;
+    std::size_t star = std::string_view::npos, mark = 0;
     while (s < path.size()) {
         if (p < pattern.size() &&
             (pattern[p] == path[s])) {
@@ -34,7 +116,7 @@ MetricSnapshot::matches(const std::string &pattern,
         } else if (p < pattern.size() && pattern[p] == '*') {
             star = p++;
             mark = s;
-        } else if (star != std::string::npos) {
+        } else if (star != std::string_view::npos) {
             p = star + 1;
             s = ++mark;
         } else {
@@ -62,52 +144,57 @@ integerReading(const MetricValue &v)
 }
 
 std::uint64_t
-MetricSnapshot::sumU64(const std::string &pattern) const
+MetricSnapshot::sumU64(std::string_view pattern) const
 {
     std::uint64_t total = 0;
-    for (const auto &[path, v] : vals)
-        if (matches(pattern, path))
-            total += integerReading(v);
+    for (std::size_t i = 0; i < vals.size(); ++i)
+        if (matches(pattern, (*paths)[i]))
+            total += integerReading(vals[i]);
     return total;
 }
 
 std::uint64_t
-MetricSnapshot::maxU64(const std::string &pattern) const
+MetricSnapshot::maxU64(std::string_view pattern) const
 {
     std::uint64_t best = 0;
-    for (const auto &[path, v] : vals)
-        if (matches(pattern, path))
-            best = std::max(best, integerReading(v));
+    for (std::size_t i = 0; i < vals.size(); ++i)
+        if (matches(pattern, (*paths)[i]))
+            best = std::max(best, integerReading(vals[i]));
     return best;
 }
 
 double
-MetricSnapshot::sum(const std::string &pattern) const
+MetricSnapshot::sum(std::string_view pattern) const
 {
     double total = 0.0;
-    for (const auto &[path, v] : vals)
-        if (matches(pattern, path))
-            total += v.value;
+    for (std::size_t i = 0; i < vals.size(); ++i)
+        if (matches(pattern, (*paths)[i]))
+            total += vals[i].value;
     return total;
 }
 
 void
 MetricSnapshot::forEach(
-    const std::string &pattern,
+    std::string_view pattern,
     const std::function<void(const std::string &, const MetricValue &)>
         &fn) const
 {
-    for (const auto &[path, v] : vals)
-        if (matches(pattern, path))
-            fn(path, v);
+    std::string path; // one buffer for every match
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        if (!matches(pattern, (*paths)[i]))
+            continue;
+        path.assign((*paths)[i]);
+        fn(path, vals[i]);
+    }
 }
 
 void
 MetricSnapshot::writeJson(JsonWriter &w) const
 {
     w.beginObject();
-    for (const auto &[path, v] : vals) {
-        w.key(path);
+    for (std::size_t i = 0; i < vals.size(); ++i) {
+        const MetricValue &v = vals[i];
+        w.key((*paths)[i]);
         w.beginObject();
         switch (v.kind) {
           case MetricKind::counter:
@@ -154,150 +241,168 @@ MetricSnapshot::writeJson(JsonWriter &w) const
 
 // --- MetricRegistry --------------------------------------------------
 
+std::uint32_t
+MetricRegistry::hashPath(std::string_view path)
+{
+    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(path));
+}
+
 void
-MetricRegistry::insert(const std::string &path, Slot slot)
+MetricRegistry::place(std::uint32_t hash, std::size_t slot) const
+{
+    const std::size_t mask = index.size() - 1;
+    std::size_t b = hash & mask;
+    while (index[b])
+        b = (b + 1) & mask;
+    index[b] = std::uint64_t{hash} << 32 | (slot + 1);
+}
+
+void
+MetricRegistry::reindex(std::size_t buckets) const
+{
+    std::vector<std::uint64_t> old = std::move(index);
+    index.assign(buckets, 0);
+    if (old.empty()) {
+        // Cleared by seal(): hash every path again.
+        for (std::size_t i = 0; i < paths->size(); ++i)
+            place(hashPath((*paths)[i]), i);
+        return;
+    }
+    for (std::uint64_t e : old)
+        if (e)
+            place(static_cast<std::uint32_t>(e >> 32),
+                  (e & 0xffffffffu) - 1);
+}
+
+void
+MetricRegistry::insert(std::string_view path, const Slot &slot)
 {
     if (path.empty())
         panic("metric registered with empty path");
-    if (!slots.emplace(path, std::move(slot)).second)
-        panic("duplicate metric path '%s'", path.c_str());
+    // A snapshot still reading the path table keeps its own copy.
+    if (paths.use_count() > 1)
+        paths = std::make_shared<MetricPathTable>(*paths);
+    // Load factor <= 1/2 keeps the linear probes short.
+    if (2 * (slots.size() + 1) > index.size())
+        reindex(std::max<std::size_t>(
+            64, std::bit_ceil(4 * (slots.size() + 1))));
+
+    const std::uint32_t h = hashPath(path);
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t b = h & mask; index[b]; b = (b + 1) & mask)
+        if (index[b] >> 32 == h &&
+            (*paths)[(index[b] & 0xffffffffu) - 1] == path)
+            panic("duplicate metric path '%.*s'",
+                  static_cast<int>(path.size()), path.data());
+    place(h, slots.size());
+
+    std::string &chars = paths->chars;
+    if (chars.size() + path.size() > UINT32_MAX)
+        panic("metric path table exceeds 4 GiB");
+    if (sorted && paths->size() &&
+        path < (*paths)[paths->size() - 1])
+        sorted = false;
+    paths->at.emplace_back(static_cast<std::uint32_t>(chars.size()),
+                           static_cast<std::uint32_t>(path.size()));
+    chars.append(path);
+    slots.push_back(slot);
 }
 
 void
-MetricRegistry::addCounter(const std::string &path, const Counter *c)
+MetricRegistry::seal() const
 {
-    Slot s;
-    s.kind = MetricKind::counter;
-    s.obj = c;
-    insert(path, std::move(s));
+    if (sorted)
+        return;
+    const MetricPathTable &p = *paths;
+    std::vector<std::uint32_t> order(p.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = static_cast<std::uint32_t>(i);
+    sortByPath(p, order.data(), order.size(), 0);
+    // Only the (offset, length) pairs move; the characters stay put.
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> at;
+    at.reserve(order.size());
+    std::vector<Slot> sorted_slots;
+    sorted_slots.reserve(order.size());
+    for (std::uint32_t i : order) {
+        at.push_back(p.at[i]);
+        sorted_slots.push_back(slots[i]);
+    }
+    paths->at = std::move(at);
+    slots = std::move(sorted_slots);
+    // Slot numbers moved; the next add rebuilds the index.
+    index.clear();
+    sorted = true;
 }
 
 void
-MetricRegistry::addAccumulator(const std::string &path,
-                               const Accumulator *a)
+MetricRegistry::addCounter(std::string_view path, const Counter *c)
 {
-    Slot s;
-    s.kind = MetricKind::stats;
-    s.obj = a;
-    insert(path, std::move(s));
+    insert(path, bind(MetricKind::counter, c,
+                      [](const Counter *ctr, MetricValue &v) {
+        v.u64 = ctr->value();
+        v.value = static_cast<double>(v.u64);
+    }));
 }
 
 void
-MetricRegistry::addHistogram(const std::string &path,
-                             const Histogram *h)
+MetricRegistry::addAccumulator(std::string_view path, const Accumulator *a)
 {
-    Slot s;
-    s.kind = MetricKind::histogram;
-    s.obj = h;
-    insert(path, std::move(s));
+    insert(path, bind(MetricKind::stats, a,
+                      [](const Accumulator *acc, MetricValue &v) {
+        v.count = acc->count();
+        v.mean = acc->mean();
+        v.min = acc->min();
+        v.max = acc->max();
+        v.value = static_cast<double>(v.count);
+    }));
 }
 
 void
-MetricRegistry::addTimeSeries(const std::string &path,
-                              const TimeSeries *t)
+MetricRegistry::addHistogram(std::string_view path, const Histogram *h)
 {
-    Slot s;
-    s.kind = MetricKind::timeSeries;
-    s.obj = t;
-    insert(path, std::move(s));
+    insert(path, bind(MetricKind::histogram, h,
+                      [](const Histogram *hist, MetricValue &v) {
+        v.count = hist->count();
+        v.mean = hist->mean();
+        v.min = hist->min();
+        v.max = hist->max();
+        v.p50 = hist->percentile(0.50);
+        v.p90 = hist->percentile(0.90);
+        v.p99 = hist->percentile(0.99);
+        v.p999 = hist->percentile(0.999);
+        v.value = static_cast<double>(v.count);
+    }));
 }
 
 void
-MetricRegistry::addTimeSeriesFn(
-    const std::string &path, Cycle bin_width,
-    std::function<std::vector<double>()> reader)
+MetricRegistry::addTimeSeries(std::string_view path, const TimeSeries *t)
 {
-    Slot s;
-    s.kind = MetricKind::timeSeries;
-    s.series = std::move(reader);
-    s.seriesBinWidth = bin_width;
-    insert(path, std::move(s));
-}
-
-void
-MetricRegistry::addGauge(const std::string &path,
-                         std::function<double()> reader)
-{
-    Slot s;
-    s.kind = MetricKind::gauge;
-    s.gauge = std::move(reader);
-    insert(path, std::move(s));
-}
-
-void
-MetricRegistry::addGaugeU64(const std::string &path,
-                            std::function<std::uint64_t()> reader)
-{
-    Slot s;
-    s.kind = MetricKind::gaugeU64;
-    s.gaugeU64 = std::move(reader);
-    insert(path, std::move(s));
+    insert(path, bind(MetricKind::timeSeries, t,
+                      [](const TimeSeries *ts, MetricValue &v) {
+        v.binWidth = ts->binWidth();
+        v.bins = ts->data();
+    }));
 }
 
 bool
-MetricRegistry::has(const std::string &path) const
+MetricRegistry::has(std::string_view path) const
 {
-    return slots.find(path) != slots.end();
+    seal();
+    return sortedIndexOf(*paths, path) < paths->size();
 }
 
 MetricSnapshot
 MetricRegistry::snapshot() const
 {
-    MetricSnapshot::Map out;
-    for (const auto &[path, slot] : slots) {
-        MetricValue v;
-        v.kind = slot.kind;
-        switch (slot.kind) {
-          case MetricKind::counter: {
-            const auto *c = static_cast<const Counter *>(slot.obj);
-            v.u64 = c->value();
-            v.value = static_cast<double>(v.u64);
-            break;
-          }
-          case MetricKind::gauge:
-            v.value = slot.gauge();
-            break;
-          case MetricKind::gaugeU64:
-            v.u64 = slot.gaugeU64();
-            v.value = static_cast<double>(v.u64);
-            break;
-          case MetricKind::stats: {
-            const auto *a = static_cast<const Accumulator *>(slot.obj);
-            v.count = a->count();
-            v.mean = a->mean();
-            v.min = a->min();
-            v.max = a->max();
-            v.value = static_cast<double>(v.count);
-            break;
-          }
-          case MetricKind::histogram: {
-            const auto *h = static_cast<const Histogram *>(slot.obj);
-            v.count = h->count();
-            v.mean = h->mean();
-            v.min = h->min();
-            v.max = h->max();
-            v.p50 = h->percentile(0.50);
-            v.p90 = h->percentile(0.90);
-            v.p99 = h->percentile(0.99);
-            v.p999 = h->percentile(0.999);
-            v.value = static_cast<double>(v.count);
-            break;
-          }
-          case MetricKind::timeSeries: {
-            if (slot.series) {
-                v.binWidth = slot.seriesBinWidth;
-                v.bins = slot.series();
-                break;
-            }
-            const auto *t = static_cast<const TimeSeries *>(slot.obj);
-            v.binWidth = t->binWidth();
-            v.bins = t->data();
-            break;
-          }
-        }
-        out.emplace(path, std::move(v));
+    seal();
+    std::vector<MetricValue> vals(slots.size());
+    for (std::size_t i = 0; i < slots.size(); ++i) {
+        const Slot &s = slots[i];
+        vals[i].kind = s.kind;
+        vals[i].binWidth = s.binWidth;
+        s.read(s, vals[i]);
     }
-    return MetricSnapshot(std::move(out));
+    return MetricSnapshot(paths, std::move(vals));
 }
 
 std::string
@@ -305,8 +410,8 @@ MetricRegistry::dump() const
 {
     std::ostringstream os;
     MetricSnapshot snap = snapshot();
-    for (const auto &[path, v] : snap.all())
-        os << path << " = " << v.value << "\n";
+    for (std::size_t i = 0; i < snap.size(); ++i)
+        os << snap.path(i) << " = " << snap.value(i).value << "\n";
     return os.str();
 }
 

@@ -30,8 +30,12 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
+#include <memory>
+#include <new>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/stats.hh"
@@ -89,41 +93,61 @@ struct MetricValue
 std::uint64_t integerReading(const MetricValue &v);
 
 /**
- * A read-only view of every registered metric, taken at one instant.
+ * Dotted paths stored back to back in one character buffer: a
+ * registry's path table, shared read-only with its snapshots.
+ */
+struct MetricPathTable
+{
+    std::string chars;
+    /** (offset, length) in chars of the path of slot i. */
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> at;
+
+    std::size_t size() const { return at.size(); }
+
+    std::string_view
+    operator[](std::size_t i) const
+    {
+        return {chars.data() + at[i].first, at[i].second};
+    }
+};
+
+/**
+ * A read-only view of every registered metric, taken at one instant:
+ * a path-sorted flat array of readings. The path table is shared with
+ * the registry that took the snapshot (never copied), so a snapshot
+ * costs one MetricValue per metric and may outlive the registry.
  * Pattern arguments use '*' to match any run of characters (including
  * dots), so "switch*.merge.loadReqs" and "*.hbm.bytes" both work.
  */
 class MetricSnapshot
 {
   public:
-    using Map = std::map<std::string, MetricValue>;
-
-    explicit MetricSnapshot(Map values) : vals(std::move(values)) {}
-
-    const Map &all() const { return vals; }
+    /** Number of metrics; indices below run in path order. */
+    std::size_t size() const { return vals.size(); }
+    std::string_view path(std::size_t i) const { return (*paths)[i]; }
+    const MetricValue &value(std::size_t i) const { return vals[i]; }
 
     /** Metric at exactly @p path, or nullptr. */
-    const MetricValue *find(const std::string &path) const;
+    const MetricValue *find(std::string_view path) const;
 
     /** Sum of exact-integer readings over matching counters /
      *  gaugeU64s (histograms and stats contribute their count). */
-    std::uint64_t sumU64(const std::string &pattern) const;
+    std::uint64_t sumU64(std::string_view pattern) const;
 
     /** Max of exact-integer readings over matching metrics. */
-    std::uint64_t maxU64(const std::string &pattern) const;
+    std::uint64_t maxU64(std::string_view pattern) const;
 
     /** Sum of scalar readings over matching metrics. */
-    double sum(const std::string &pattern) const;
+    double sum(std::string_view pattern) const;
 
     /** Visit every matching (path, value) pair in path order. */
-    void forEach(const std::string &pattern,
+    void forEach(std::string_view pattern,
                  const std::function<void(const std::string &,
                                           const MetricValue &)> &fn)
         const;
 
     /** '*'-wildcard match of @p pattern against @p path. */
-    static bool matches(const std::string &pattern,
-                        const std::string &path);
+    static bool matches(std::string_view pattern, std::string_view path);
 
     /**
      * Serialize as a JSON object mapping dotted paths to typed metric
@@ -133,40 +157,80 @@ class MetricSnapshot
     void writeJson(JsonWriter &w) const;
 
   private:
-    Map vals;
+    friend class MetricRegistry;
+
+    /** @p values[i] is the reading at (*paths)[i]; paths sorted. */
+    MetricSnapshot(std::shared_ptr<const MetricPathTable> paths,
+                   std::vector<MetricValue> values);
+
+    std::shared_ptr<const MetricPathTable> paths;
+    std::vector<MetricValue> vals;
 };
 
-/** Non-owning registry of metric readers under dotted paths. */
+/**
+ * Non-owning registry of metric readers under dotted paths.
+ *
+ * Flat layout: a MetricPathTable and a parallel vector of compact
+ * slots (kind tag, plain reader function, and inline state: the
+ * stats object's pointer or a small lambda). No std::function, no
+ * heap node per metric. Duplicate paths are caught at add time
+ * through an open-addressed index of path hashes and slot numbers.
+ * The slots are sorted by path once, at the first snapshot() or
+ * has(). That sort writes to the registry, so one registry is not
+ * read from two threads at once (each job owns its registry).
+ */
 class MetricRegistry
 {
   public:
-    void addCounter(const std::string &path, const Counter *c);
-    void addAccumulator(const std::string &path, const Accumulator *a);
-    void addHistogram(const std::string &path, const Histogram *h);
-    void addTimeSeries(const std::string &path, const TimeSeries *t);
+    void addCounter(std::string_view path, const Counter *c);
+    void addAccumulator(std::string_view path, const Accumulator *a);
+    void addHistogram(std::string_view path, const Histogram *h);
+    void addTimeSeries(std::string_view path, const TimeSeries *t);
 
     /**
      * Computed binned series, read at snapshot time (for series that
      * are derived from windowed state rather than held in a
      * TimeSeries object, e.g. the fabric utilization-over-time
-     * series of Fig. 16).
+     * series of Fig. 16). @p reader: () -> std::vector<double>.
      */
-    void addTimeSeriesFn(const std::string &path, Cycle bin_width,
-                         std::function<std::vector<double>()> reader);
+    template <class F>
+    void
+    addTimeSeriesFn(std::string_view path, Cycle bin_width, F reader)
+    {
+        Slot s = bind(MetricKind::timeSeries, reader,
+                      [](const F &f, MetricValue &v) { v.bins = f(); });
+        s.binWidth = bin_width;
+        insert(path, s);
+    }
 
     /** Computed scalar, read at snapshot time. */
-    void addGauge(const std::string &path,
-                  std::function<double()> reader);
+    template <class F>
+    void
+    addGauge(std::string_view path, F reader)
+    {
+        insert(path, bind(MetricKind::gauge, reader,
+                          [](const F &f, MetricValue &v) {
+            v.value = f();
+        }));
+    }
 
     /** Computed exact-integer scalar, read at snapshot time. */
-    void addGaugeU64(const std::string &path,
-                     std::function<std::uint64_t()> reader);
+    template <class F>
+    void
+    addGaugeU64(std::string_view path, F reader)
+    {
+        insert(path, bind(MetricKind::gaugeU64, reader,
+                          [](const F &f, MetricValue &v) {
+            v.u64 = f();
+            v.value = static_cast<double>(v.u64);
+        }));
+    }
 
     /** Number of registered paths. */
     std::size_t size() const { return slots.size(); }
 
     /** True when @p path is registered. */
-    bool has(const std::string &path) const;
+    bool has(std::string_view path) const;
 
     /** Read every metric now. */
     MetricSnapshot snapshot() const;
@@ -175,19 +239,67 @@ class MetricRegistry
     std::string dump() const;
 
   private:
+    struct Slot;
+    /** Fills @p v (kind and bin width already set) from @p s. */
+    using ReadFn = void (*)(const Slot &s, MetricValue &v);
+
     struct Slot
     {
-        MetricKind kind;
-        const void *obj = nullptr; ///< stats-object kinds
-        std::function<double()> gauge;
-        std::function<std::uint64_t()> gaugeU64;
-        std::function<std::vector<double>()> series;
-        Cycle seriesBinWidth = 0;
+        MetricKind kind = MetricKind::gauge;
+        ReadFn read = nullptr;
+        Cycle binWidth = 0; ///< computed series only
+        /** What read() reads through: the stats object's pointer, or
+         *  a computed kind's lambda (capturing one or two pointers). */
+        alignas(void *) unsigned char state[2 * sizeof(void *)] = {};
     };
 
-    void insert(const std::string &path, Slot slot);
+    /**
+     * Slot of @p kind holding @p state, read by @p Fill: a
+     * captureless lambda (State, MetricValue &), so the reader decays
+     * to the plain ReadFn.
+     */
+    template <class State, class Fill>
+    static Slot
+    bind(MetricKind kind, const State &state, Fill)
+    {
+        static_assert(sizeof(State) <= sizeof(Slot::state) &&
+                          alignof(State) <= alignof(void *) &&
+                          std::is_trivially_copyable_v<State>,
+                      "a metric reader captures at most two pointers "
+                      "(capture this, or the object it reads)");
+        Slot s;
+        s.kind = kind;
+        ::new (static_cast<void *>(s.state)) State(state);
+        s.read = [](const Slot &sl, MetricValue &v) {
+            const auto *st = reinterpret_cast<const State *>(sl.state);
+            Fill{}(*std::launder(st), v);
+        };
+        return s;
+    }
 
-    std::map<std::string, Slot> slots;
+    void insert(std::string_view path, const Slot &slot);
+
+    /** Sort the slots by path (once per batch of adds). */
+    void seal() const;
+
+    static std::uint32_t hashPath(std::string_view path);
+
+    /** Enter @p slot under @p hash into the duplicate-check index. */
+    void place(std::uint32_t hash, std::size_t slot) const;
+
+    /** Regrow the duplicate-check index to @p buckets (a power of
+     *  two), rehashing the paths only after seal() cleared it. */
+    void reindex(std::size_t buckets) const;
+
+    /** Path of slot i at at[i]; shared with snapshots, copied before
+     *  an add while one holds it. */
+    mutable std::shared_ptr<MetricPathTable> paths =
+        std::make_shared<MetricPathTable>();
+    mutable std::vector<Slot> slots;
+    /** Open-addressed duplicate check: path hash << 32 | slot + 1
+     *  (0 = empty); cleared by seal(), rebuilt on the next add. */
+    mutable std::vector<std::uint64_t> index;
+    mutable bool sorted = true;
 };
 
 /**

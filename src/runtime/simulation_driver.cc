@@ -142,9 +142,6 @@ RunConfig::toSystemConfig(const StrategySpec &spec) const
     return sc;
 }
 
-namespace
-{
-
 /**
  * Fill @p r's counter-shaped fields in one walk over @p snap. Each
  * test below is exactly the '*' pattern it replaces: a path matches
@@ -174,8 +171,9 @@ harvestCounters(const MetricSnapshot &snap, RunResult &r)
         };
     double stagger_weighted = 0.0;
     std::uint64_t stagger_n = 0;
-    for (const auto &[path, v] : snap.all()) {
-        std::string_view p = path;
+    for (std::size_t i = 0; i < snap.size(); ++i) {
+        std::string_view p = snap.path(i);
+        const MetricValue &v = snap.value(i);
         if (p == "eventq.executed") {
             r.eventsExecuted += integerReading(v);
             continue;
@@ -210,8 +208,6 @@ harvestCounters(const MetricSnapshot &snap, RunResult &r)
               static_cast<double>(cyclesPerUs)
         : 0.0;
 }
-
-} // namespace
 
 RunResult
 runGraph(const StrategySpec &spec, const OpGraph &graph,

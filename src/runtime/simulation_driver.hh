@@ -20,6 +20,8 @@
 namespace cais
 {
 
+class MetricSnapshot;
+
 /** Machine/scale knobs of one experiment run. */
 struct RunConfig
 {
@@ -207,6 +209,13 @@ struct RunResult
                static_cast<double>(cyclesPerUs);
     }
 };
+
+/**
+ * Add a run's counter-shaped results (events, wire bytes, merge and
+ * eviction counters, peak table bytes, stagger) from its metric
+ * snapshot to @p r: the harvest step of runGraph.
+ */
+void harvestCounters(const MetricSnapshot &snap, RunResult &r);
 
 /** Run @p graph under @p spec and collect metrics. */
 RunResult runGraph(const StrategySpec &spec, const OpGraph &graph,

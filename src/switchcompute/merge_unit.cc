@@ -481,6 +481,15 @@ MergeUnit::liveSessions() const
     return n;
 }
 
+std::size_t
+MergeUnit::storageEntries() const
+{
+    std::size_t n = 0;
+    for (const auto &t : tables)
+        n += t.storageEntries();
+    return n;
+}
+
 std::uint64_t
 MergeUnit::liveTableBytes(GpuId port) const
 {

@@ -123,6 +123,10 @@ class MergeUnit : public Probe
     /** Live sessions across ports (diagnostics). */
     std::size_t liveSessions() const;
 
+    /** Merging-table entries backed by storage across ports: 0
+     *  until a port opens its first session. */
+    std::size_t storageEntries() const;
+
     /** Addresses whose stagger window has not completed yet. */
     std::size_t pendingProbes() const { return probe.size(); }
 

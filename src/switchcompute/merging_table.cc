@@ -15,11 +15,6 @@ MergingTable::MergingTable(std::uint64_t capacity_bytes,
     if (capacity && maxEntries == 0)
         panic("merging table capacity %llu smaller than one chunk %u",
               static_cast<unsigned long long>(capacity), chunk);
-    // Bounded tables never reallocate, so MergeEntry pointers stay
-    // valid across allocate() calls. Unbounded tables may grow;
-    // callers must re-find entries across events in that mode.
-    if (maxEntries)
-        entries.reserve(maxEntries);
 }
 
 MergeEntry *
@@ -42,6 +37,14 @@ MergingTable::allocate(Addr addr, bool is_load)
 {
     if (full())
         return nullptr;
+
+    // Storage is backed on the first session, not at construction:
+    // most ports of a large fabric never open one. From then on a
+    // bounded table never reallocates, so MergeEntry pointers stay
+    // valid across allocate() calls. Unbounded tables may grow;
+    // callers must re-find entries across events in that mode.
+    if (maxEntries && entries.capacity() == 0)
+        entries.reserve(maxEntries);
 
     int slot;
     if (!freeList.empty()) {

@@ -111,6 +111,10 @@ class MergingTable
     std::uint32_t chunkBytes() const { return chunk; }
     std::size_t capacityEntries() const { return maxEntries; }
 
+    /** Entries the table's storage is backed for: 0 until the first
+     *  session, then the capacity of a bounded table. */
+    std::size_t storageEntries() const { return entries.capacity(); }
+
     /** All slots (valid and not) for eviction scans / timeout sweeps. */
     std::vector<MergeEntry> &slots() { return entries; }
 

@@ -1,5 +1,7 @@
 /** @file Tests for eviction policy, merging table, CAM and throttle. */
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "switchcompute/cam_table.hh"
@@ -62,10 +64,37 @@ TEST(MergingTable, UnboundedNeverFull)
     EXPECT_EQ(tbl.peakBytes(), 1000u * 4096u);
 }
 
+TEST(MergingTable, StorageIsBackedOnFirstSessionAndNeverMoves)
+{
+    MergingTable tbl(8 * 4096, 4096);
+    EXPECT_EQ(tbl.storageEntries(), 0u); // nothing until a session opens
+    std::vector<MergeEntry *> entries;
+    for (int i = 0; i < 8; ++i) {
+        const Addr addr = static_cast<Addr>(i + 1) << 12;
+        entries.push_back(tbl.allocate(addr, i % 2 == 0));
+        ASSERT_NE(entries.back(), nullptr);
+        EXPECT_EQ(tbl.storageEntries(), 8u);
+    }
+    EXPECT_TRUE(tbl.full());
+    // Filling to capacity moved no earlier entry.
+    for (int i = 0; i < 8; ++i) {
+        const Addr addr = static_cast<Addr>(i + 1) << 12;
+        EXPECT_EQ(tbl.find(addr, i % 2 == 0), entries[i]);
+        EXPECT_EQ(entries[i]->addr, addr);
+    }
+    // A recycled slot reuses the same storage.
+    tbl.release(entries[3]);
+    EXPECT_EQ(tbl.allocate(0x100000, false), entries[3]);
+    EXPECT_EQ(tbl.storageEntries(), 8u);
+
+    MergingTable unbounded(0, 4096);
+    EXPECT_EQ(unbounded.storageEntries(), 0u);
+}
+
 TEST(EvictionPolicy, PicksLruAmongEvictable)
 {
-    // Bounded table: slots are pre-reserved, so entry pointers stay
-    // valid across allocations.
+    // Bounded table: slots are reserved at the first allocation, so
+    // entry pointers stay valid across allocations.
     MergingTable tbl(16 * 4096, 4096);
     EvictionPolicy pol(1000);
 

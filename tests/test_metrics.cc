@@ -11,12 +11,17 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "analysis/report.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "common/rng.hh"
 #include "report.hh" // tools/cais_report core
 
 using namespace cais;
@@ -452,6 +457,193 @@ TEST(CaisReport, DiffRendersPercentilesAndAddedRemovedPaths)
     EXPECT_NE(d.find("- a.only"), std::string::npos);
     EXPECT_NE(d.find("only in B"), std::string::npos);
     EXPECT_NE(d.find("+ b.only"), std::string::npos);
+}
+
+// --- Flat registry: parity with the ordered-map semantics -------------
+
+/** Dotted paths shaped like a fabric's, with prefix-of-each-other
+ *  and digit-ordering cases ("port10" sorts before "port2"). */
+std::vector<std::string>
+fabricShapedPaths()
+{
+    std::vector<std::string> out = {"a", "a.b", "ab", "a.b.c", "b",
+                                    "eventq.executed"};
+    for (int sw = 0; sw < 3; ++sw) {
+        const std::string sp = "leaf" + std::to_string(sw) + ".sw0";
+        for (const char *m : {".merge.loadReqs", ".merge.redReqs",
+                              ".merge.stagger", ".chip.forwarded"})
+            out.push_back(sp + m);
+        for (int port = 0; port < 12; ++port) {
+            const std::string pp =
+                sp + ".merge.port" + std::to_string(port);
+            out.push_back(pp + ".peakBytes");
+            out.push_back(pp + ".peakEntries");
+        }
+    }
+    for (int g = 0; g < 11; ++g)
+        out.push_back("gpu" + std::to_string(g) + ".hbm.bytes");
+    for (int l = 0; l < 20; ++l)
+        out.push_back("link." + std::to_string(l) + ".wireBytes");
+    return out;
+}
+
+/** Deterministic Fisher-Yates shuffle. */
+std::vector<std::size_t>
+shuffledOrder(std::size_t n, std::uint64_t seed)
+{
+    std::vector<std::size_t> order(n);
+    for (std::size_t i = 0; i < n; ++i)
+        order[i] = i;
+    Rng rng(seed);
+    for (std::size_t i = n; i > 1; --i)
+        std::swap(order[i - 1],
+                  order[static_cast<std::size_t>(rng.uniformInt(
+                      0, static_cast<std::int64_t>(i) - 1))]);
+    return order;
+}
+
+TEST(MetricRegistry, FlatLayoutMatchesOrderedMapInAnyAddOrder)
+{
+    const std::vector<std::string> paths = fabricShapedPaths();
+    // Every third path is a counter, the rest exact-integer gauges;
+    // values are distinct so a misplaced reading shows.
+    std::vector<Counter> counters(paths.size());
+    std::map<std::string, std::uint64_t> model;
+    for (std::size_t i = 0; i < paths.size(); ++i) {
+        counters[i].inc(7 * i + 1);
+        model[paths[i]] = 7 * i + 1;
+    }
+    const std::vector<std::string> patterns = {
+        "*", "leaf*.merge.loadReqs", "*.peakBytes", "link.*.wireBytes",
+        "a*", "gpu1*.hbm.bytes", "nothing.*", "a.b", "*.merge.port1*"};
+
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        SCOPED_TRACE(seed);
+        MetricRegistry reg;
+        for (std::size_t i : shuffledOrder(paths.size(), seed)) {
+            if (i % 3 == 0) {
+                reg.addCounter(paths[i], &counters[i]);
+            } else {
+                const Counter *c = &counters[i];
+                reg.addGaugeU64(paths[i], [c] { return c->value(); });
+            }
+        }
+        ASSERT_EQ(reg.size(), model.size());
+
+        // has() before the first snapshot sorts; it agrees with the map.
+        for (const auto &[path, v] : model)
+            EXPECT_TRUE(reg.has(path)) << path;
+        for (const char *missing : {"", "a.", "leaf0", "zzz", "link.1"})
+            EXPECT_FALSE(reg.has(missing)) << missing;
+
+        const MetricSnapshot snap = reg.snapshot();
+        ASSERT_EQ(snap.size(), model.size());
+        std::size_t i = 0;
+        for (const auto &[path, v] : model) {
+            EXPECT_EQ(snap.path(i), path);
+            EXPECT_EQ(integerReading(snap.value(i)), v);
+            ASSERT_NE(snap.find(path), nullptr) << path;
+            EXPECT_EQ(snap.find(path), &snap.value(i));
+            ++i;
+        }
+        for (const char *missing : {"", "a.", "leaf0", "zzz", "link.1"})
+            EXPECT_EQ(snap.find(missing), nullptr) << missing;
+
+        for (const std::string &pat : patterns) {
+            SCOPED_TRACE(pat);
+            std::uint64_t sum = 0, best = 0;
+            std::vector<std::string> visited;
+            for (const auto &[path, v] : model)
+                if (MetricSnapshot::matches(pat, path)) {
+                    sum += v;
+                    best = std::max(best, v);
+                    visited.push_back(path);
+                }
+            EXPECT_EQ(snap.sumU64(pat), sum);
+            EXPECT_EQ(snap.maxU64(pat), best);
+            EXPECT_DOUBLE_EQ(snap.sum(pat), static_cast<double>(sum));
+            std::vector<std::string> seen;
+            snap.forEach(pat, [&](const std::string &path,
+                                  const MetricValue &v) {
+                EXPECT_EQ(integerReading(v), model.at(path));
+                seen.push_back(path);
+            });
+            EXPECT_EQ(seen, visited);
+        }
+    }
+}
+
+TEST(MetricSnapshot, WriteJsonIsIndependentOfAddOrder)
+{
+    Counter c;
+    c.inc(5);
+    Accumulator a;
+    a.sample(1.5);
+    Histogram h(0.0, 10.0, 10);
+    h.sample(3.0);
+    TimeSeries ts(100);
+    ts.record(150, 2.0);
+
+    // Each entry adds one metric of every kind under its own prefix.
+    auto fill = [&](MetricRegistry &reg, const std::string &prefix) {
+        reg.addCounter(prefix + ".count", &c);
+        reg.addAccumulator(prefix + ".acc", &a);
+        reg.addHistogram(prefix + ".hist", &h);
+        reg.addTimeSeries(prefix + ".series", &ts);
+        reg.addGauge(prefix + ".gauge", [] { return 0.25; });
+        reg.addGaugeU64(prefix + ".peak",
+                        [] { return std::uint64_t(9); });
+        reg.addTimeSeriesFn(prefix + ".fn", 50, [] {
+            return std::vector<double>{1.0, 0.5};
+        });
+    };
+    const std::vector<std::string> prefixes = {
+        "switch10", "switch2", "gpu0", "link.3", "switch1", "fabric"};
+
+    MetricRegistry forward, backward;
+    for (const std::string &p : prefixes)
+        fill(forward, p);
+    for (auto it = prefixes.rbegin(); it != prefixes.rend(); ++it)
+        fill(backward, *it);
+
+    JsonWriter wf, wb;
+    forward.snapshot().writeJson(wf);
+    backward.snapshot().writeJson(wb);
+    EXPECT_EQ(wf.str(), wb.str());
+    // Keys come out in path order.
+    EXPECT_LT(wf.str().find("\"fabric.acc\""),
+              wf.str().find("\"gpu0.acc\""));
+    EXPECT_LT(wf.str().find("\"switch1.acc\""),
+              wf.str().find("\"switch10.acc\""));
+    EXPECT_LT(wf.str().find("\"switch10.series\""),
+              wf.str().find("\"switch2.acc\""));
+}
+
+TEST(MetricRegistry, AddAfterSnapshotLeavesThatSnapshotIntact)
+{
+    Counter c1, c2, c3;
+    c1.inc(1);
+    c2.inc(2);
+    c3.inc(3);
+    auto reg = std::make_unique<MetricRegistry>();
+    reg->addCounter("m", &c2);
+    reg->addCounter("z", &c3);
+    const MetricSnapshot before = reg->snapshot();
+
+    // A path that sorts first forces a second sort of the registry.
+    reg->addCounter("a", &c1);
+    EXPECT_DEATH(reg->addCounter("z", &c1), "duplicate metric path");
+    const MetricSnapshot after = reg->snapshot();
+    reg.reset(); // snapshots share the path table, not the registry
+
+    ASSERT_EQ(before.size(), 2u);
+    EXPECT_EQ(before.path(0), "m");
+    EXPECT_EQ(before.path(1), "z");
+    EXPECT_EQ(before.find("a"), nullptr);
+    ASSERT_EQ(after.size(), 3u);
+    EXPECT_EQ(after.path(0), "a");
+    EXPECT_EQ(after.find("a")->u64, 1u);
+    EXPECT_EQ(after.find("z")->u64, 3u);
 }
 
 } // namespace

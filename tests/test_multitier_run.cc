@@ -14,6 +14,7 @@
 #include "analysis/verify.hh"
 #include "noc/topology.hh"
 #include "runtime/simulation_driver.hh"
+#include "runtime/system.hh"
 #include "workload/transformer.hh"
 
 using namespace cais;
@@ -118,6 +119,35 @@ TEST(MultiTierRun, Nvl72LadmMatchesGolden)
     RunResult r = runGraph(strategyByName("LADM"), g, cfg, "L1");
     EXPECT_EQ(r.makespan, 2432792ull);
     EXPECT_EQ(r.wireBytes, 46223032320ull);
+}
+
+TEST(MultiTierRun, Nvl72MergeTablesAreBackedOnlyWhereSessionsOpen)
+{
+    // Every switch keeps one bounded table per home GPU (42 x 72 on
+    // nvl72); none holds entry storage until it opens a session.
+    RunConfig cfg = presetConfig("nvl72");
+    const StrategySpec spec = strategyByName("CAIS");
+    System sys(cfg.toSystemConfig(spec));
+    std::size_t capacity = 0;
+    for (SwitchId s = 0; s < sys.numSwitches(); ++s) {
+        const MergeUnit &mu = sys.switchCompute(s).merge();
+        EXPECT_EQ(mu.storageEntries(), 0u) << "switch " << s;
+        const MergeParams &mp = mu.params();
+        capacity += static_cast<std::size_t>(sys.numGpus()) *
+                    (mp.tableBytesPerPort / mp.chunkBytes);
+    }
+    ASSERT_GT(capacity, 0u);
+
+    OpGraph g = buildSubLayer(llama7B().scaled(0.0625, 0.03125),
+                              SubLayerId::L1);
+    GraphLowering lowering(sys, g, spec.opts);
+    lowering.lower();
+    sys.run();
+    std::size_t backed = 0;
+    for (SwitchId s = 0; s < sys.numSwitches(); ++s)
+        backed += sys.switchCompute(s).merge().storageEntries();
+    EXPECT_GT(backed, 0u);
+    EXPECT_LT(backed, capacity);
 }
 
 TEST(MultiTierRun, RailOptimized2NodeStrategiesMatchGolden)
