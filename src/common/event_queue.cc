@@ -12,39 +12,31 @@ namespace
 
 constexpr Cycle noCycle = ~0ull;
 
+/** Pull both cache lines of an event entry towards L1. */
+void
+prefetchEntry(const InlineEvent *e)
+{
+    const char *p = reinterpret_cast<const char *>(e);
+    __builtin_prefetch(p);
+    __builtin_prefetch(p + 64);
+}
+
 } // namespace
 
-EventQueue::EventQueue() : buckets(nearWindow) {}
-
-std::uint32_t
-EventQueue::allocSlot()
+EventQueue::Chunk *
+EventQueue::takeChunk()
 {
-    if (freeHead != nilIdx) {
-        std::uint32_t idx = freeHead;
-        freeHead = slotAt(idx).next;
-        return idx;
+    if (!freeChunks) {
+        slabs.push_back(std::make_unique<Chunk[]>(slabChunks));
+        Chunk *slab = slabs.back().get();
+        // Lowest address on top, so a fresh slab is used in order.
+        for (std::size_t i = slabChunks; i-- > 0;)
+            releaseChunk(&slab[i]);
     }
-    auto base = static_cast<std::uint32_t>(chunks.size() << chunkShift);
-    chunks.push_back(std::make_unique<Slot[]>(chunkSlots));
-    // Thread all but the first new slot onto the freelist, lowest
-    // index on top so allocation order stays cache-friendly.
-    for (std::size_t i = chunkSlots - 1; i >= 1; --i) {
-        slotAt(base + static_cast<std::uint32_t>(i)).next = freeHead;
-        freeHead = base + static_cast<std::uint32_t>(i);
-    }
-    return base;
-}
-
-void
-EventQueue::markOccupied(std::size_t idx)
-{
-    occupied[idx >> 6] |= 1ull << (idx & 63);
-}
-
-void
-EventQueue::clearOccupied(std::size_t idx)
-{
-    occupied[idx >> 6] &= ~(1ull << (idx & 63));
+    Chunk *c = freeChunks;
+    freeChunks = c->next;
+    c->next = nullptr;
+    return c;
 }
 
 std::size_t
@@ -65,40 +57,44 @@ EventQueue::nextOccupied(Cycle from) const
     panic("event ring bitmap empty with nearCount=%zu", nearCount);
 }
 
-void
-EventQueue::schedule(Cycle when, Callback cb)
+EventQueue::Callback &
+EventQueue::entryFor(Cycle when)
 {
     if (when < curTick)
         panic("scheduling event in the past: %llu < %llu",
               static_cast<unsigned long long>(when),
               static_cast<unsigned long long>(curTick));
-    std::uint32_t idx = allocSlot();
-    Slot &s = slotAt(idx);
-    s.when = when;
-    s.seq = nextSeq++;
-    s.next = nilIdx;
-    s.cb = std::move(cb);
-
+    Callback *entry;
     if (when - curTick < nearWindow) {
         std::size_t b = static_cast<std::size_t>(when & bucketMask);
-        Fifo &f = buckets[b];
-        if (f.head == nilIdx) {
-            f.head = f.tail = idx;
-            markOccupied(b);
-        } else {
-            slotAt(f.tail).next = idx;
-            f.tail = idx;
+        Bucket &f = buckets[b];
+        if (f.tailPos == chunkEntries) {
+            Chunk *c = takeChunk();
+            if (f.tail)
+                f.tail->next = c;
+            else
+                f.head = c;
+            f.tail = c;
+            f.tailPos = 0;
         }
+        entry = &f.tail->ev[f.tailPos++];
+        markOccupied(b);
         ++nearCount;
     } else {
-        heap.push(HeapKey{when, s.seq, idx});
+        std::uint32_t idx;
+        if (farFree.empty()) {
+            idx = static_cast<std::uint32_t>(farSlots.size());
+            farSlots.emplace_back();
+        } else {
+            idx = farFree.back();
+            farFree.pop_back();
+        }
+        heap.push(HeapKey{when, nextSeq++, idx});
+        entry = &farSlots[idx];
     }
-}
-
-void
-EventQueue::scheduleAfter(Cycle delta, Callback cb)
-{
-    schedule(curTick + delta, std::move(cb));
+    if (size() > peak)
+        peak = size();
+    return *entry;
 }
 
 Cycle
@@ -107,69 +103,99 @@ EventQueue::nextWhen() const
     Cycle th = heap.empty() ? noCycle : heap.top().when;
     if (nearCount == 0)
         return th;
-    const Fifo &f = buckets[nextOccupied(curTick)];
-    Cycle tb = slotAt(f.head).when;
+    Cycle tb = bucketCycle(nextOccupied(curTick));
     return tb < th ? tb : th;
-}
-
-std::uint32_t
-EventQueue::popNext()
-{
-    Cycle th = heap.empty() ? noCycle : heap.top().when;
-    Fifo *f = nullptr;
-    std::size_t bi = 0;
-    Cycle tb = noCycle;
-    std::uint64_t sb = 0;
-    if (nearCount != 0) {
-        bi = nextOccupied(curTick);
-        f = &buckets[bi];
-        const Slot &front = slotAt(f->head);
-        tb = front.when;
-        sb = front.seq;
-    }
-
-    // Earliest (when, seq) wins; bucket entries are FIFO in seq and
-    // the heap breaks ties by seq, so comparing the two fronts gives
-    // the global minimum even when a cycle's events are split across
-    // ring and heap (scheduled near vs. scheduled far, then reached).
-    bool from_heap = th != noCycle &&
-                     (tb == noCycle || th < tb ||
-                      (th == tb && heap.top().seq < sb));
-
-    if (from_heap) {
-        std::uint32_t idx = heap.top().idx;
-        heap.pop();
-        return idx;
-    }
-
-    std::uint32_t idx = f->head;
-    f->head = slotAt(idx).next;
-    if (f->head == nilIdx) {
-        f->tail = nilIdx;
-        clearOccupied(bi);
-    }
-    --nearCount;
-    return idx;
 }
 
 bool
 EventQueue::runOne()
 {
-    if (empty())
+    // A cycle's events may be split between the ring and the heap,
+    // and the heap's go first: an event reached the heap only while
+    // its cycle was at least nearWindow ahead, so it was scheduled
+    // (and got its seq) before any event of that cycle in the ring.
+    // Comparing the two fronts by cycle alone therefore pops in
+    // exact (when, seq) order without storing seq in the ring.
+    if (nearCount != 0) {
+        std::size_t b = nextOccupied(curTick);
+        Cycle when = bucketCycle(b);
+        if (heap.empty() || when < heap.top().when) {
+            runNear(b, when);
+            return true;
+        }
+    } else if (heap.empty()) {
         return false;
-    std::uint32_t idx = popNext();
-    // The slot is detached from both the bucket/heap and the
-    // freelist, and chunk addresses are stable, so the callback runs
-    // in place even if it schedules further events.
-    Slot &s = slotAt(idx);
-    if (s.when >= nextObsAt)
-        runObserver(s.when);
-    curTick = s.when;
-    ++numExecuted;
-    s.cb();
-    s.cb.reset();
-    releaseSlot(idx);
+    }
+    runFar();
     return true;
+}
+
+void
+EventQueue::runNear(std::size_t idx, Cycle when)
+{
+    Bucket &f = buckets[idx];
+    Chunk *c = f.head;
+    Callback &cb = c->ev[f.headPos++];
+    --nearCount;
+    if (c == f.tail && f.headPos == f.tailPos) {
+        clearOccupied(idx);
+    } else {
+        // Pending entries are cold (they were written up to a window
+        // ago), so fetch the one three pops ahead while this callback
+        // runs; crossing into the next chunk, fetch its header too, so
+        // its `next` link is in cache when the walk reaches it.
+        std::size_t ahead = f.headPos + prefetchAhead - 1;
+        Chunk *pc = c;
+        if (ahead >= chunkEntries) {
+            pc = c->next;
+            ahead -= chunkEntries;
+        }
+        if (pc) {
+            prefetchEntry(&pc->ev[ahead]);
+            if (ahead == 0)
+                __builtin_prefetch(pc);
+        }
+    }
+
+    if (when >= nextObsAt)
+        runObserver(when);
+    curTick = when;
+    ++numExecuted;
+    // The entry stays in its chunk while it runs: the callback may
+    // append to this very bucket (same-cycle events land behind it),
+    // and the chunk goes back to the pool only after it returns.
+    cb();
+    cb.reset();
+
+    if (f.headPos == chunkEntries) {
+        f.head = c->next;
+        f.headPos = 0;
+        if (!f.head) {
+            f.tail = nullptr;
+            f.tailPos = chunkEntries;
+        }
+        releaseChunk(c);
+    } else if (c == f.tail && f.headPos == f.tailPos) {
+        f = Bucket{};
+        releaseChunk(c);
+    }
+}
+
+void
+EventQueue::runFar()
+{
+    HeapKey k = heap.top();
+    heap.pop();
+    // farSlots may grow while the callback runs, so it runs from the
+    // stack; the heap is small (hundreds of events) and far events
+    // are rare next to near ones.
+    Callback cb = std::move(farSlots[k.idx]);
+    farFree.push_back(k.idx);
+    if (k.when >= nextObsAt)
+        runObserver(k.when);
+    curTick = k.when;
+    ++numExecuted;
+    cb();
 }
 
 std::uint64_t
@@ -230,18 +256,22 @@ EventQueue::runObserver(Cycle when)
 void
 EventQueue::reset()
 {
-    // Dropping the chunks runs every pending InlineEvent's destructor.
-    chunks.clear();
-    freeHead = nilIdx;
-    for (Fifo &f : buckets)
-        f = Fifo{};
+    // Only pending entries hold a callable, so dropping the slabs and
+    // the far slots runs every pending capture's destructor once.
+    slabs.clear();
+    freeChunks = nullptr;
+    for (Bucket &f : buckets)
+        f = Bucket{};
     for (std::uint64_t &w : occupied)
         w = 0;
     nearCount = 0;
     heap = decltype(heap)();
+    farSlots.clear();
+    farFree.clear();
     curTick = 0;
     nextSeq = 0;
     numExecuted = 0;
+    peak = 0;
     if (obsPeriod != 0)
         nextObsAt = obsPeriod; // re-align the sample grid to t=0
 }

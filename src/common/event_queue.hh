@@ -9,12 +9,14 @@
  * The scheduler is a calendar-queue-style near-future ring of
  * `nearWindow` per-cycle FIFO buckets backed by a far-future binary
  * heap. Scheduling within the window and popping are O(1) amortized;
- * only events more than `nearWindow` cycles out touch the heap.
+ * only events more than `nearWindow` cycles out touch the heap. A
+ * bucket's FIFO is a list of small contiguous chunks, so the pop path
+ * streams through memory instead of chasing one pointer per event.
  *
  * Callbacks are `InlineEvent`s: move-only callables stored entirely
  * inside the event entry (no heap allocation, ever — a capture that
  * does not fit is a compile error), sized so that a packet-delivery
- * closure (a Packet plus a couple of pointers) fits inline.
+ * closure (a Packet plus one pointer) fits inline.
  */
 
 #ifndef CAIS_COMMON_EVENT_QUEUE_HH
@@ -47,8 +49,12 @@ namespace cais
 class InlineEvent
 {
   public:
-    /** Inline storage: sizeof(Packet) plus capture headroom. */
-    static constexpr std::size_t inlineCapacity = 128;
+    /**
+     * Inline storage: sizeof(Packet) plus one pointer, so a packet
+     * delivery closure fits and a whole InlineEvent is exactly two
+     * cache lines.
+     */
+    static constexpr std::size_t inlineCapacity = 112;
 
     InlineEvent() = default;
 
@@ -57,24 +63,7 @@ class InlineEvent
                   !std::is_same_v<std::decay_t<F>, InlineEvent>>>
     InlineEvent(F &&f) // NOLINT: implicit by design, mirrors std::function
     {
-        using Fn = std::decay_t<F>;
-        static_assert(sizeof(Fn) <= inlineCapacity,
-                      "event capture exceeds InlineEvent::inlineCapacity; "
-                      "shrink the capture (InlineEvent has no heap fallback)");
-        static_assert(alignof(Fn) <= alignof(std::max_align_t),
-                      "over-aligned event captures are not supported");
-        static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                      "event captures must be nothrow-move-constructible");
-        ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
-        call = [](void *p) { (*static_cast<Fn *>(p))(); };
-        // Null @p dst means "destroy only": one manager pointer covers
-        // both relocation and destruction.
-        relocate = [](void *dst, void *src) noexcept {
-            Fn *s = static_cast<Fn *>(src);
-            if (dst)
-                ::new (dst) Fn(std::move(*s));
-            s->~Fn();
-        };
+        emplace(std::forward<F>(f));
     }
 
     InlineEvent(InlineEvent &&other) noexcept { moveFrom(other); }
@@ -102,6 +91,35 @@ class InlineEvent
 
     /** Destroy the stored callable, leaving the event empty. */
     void reset() noexcept { destroy(); }
+
+    /**
+     * Construct @p f in place. The event must be empty: this is the
+     * schedule path's store into a fresh queue entry, which must not
+     * wait on a load of that (possibly cold) entry.
+     */
+    template <typename F>
+    void
+    emplace(F &&f)
+    {
+        using Fn = std::decay_t<F>;
+        static_assert(sizeof(Fn) <= inlineCapacity,
+                      "event capture exceeds InlineEvent::inlineCapacity; "
+                      "shrink the capture (InlineEvent has no heap fallback)");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "over-aligned event captures are not supported");
+        static_assert(std::is_nothrow_move_constructible_v<Fn>,
+                      "event captures must be nothrow-move-constructible");
+        ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
+        call = [](void *p) { (*static_cast<Fn *>(p))(); };
+        // Null @p dst means "destroy only": one manager pointer covers
+        // both relocation and destruction.
+        relocate = [](void *dst, void *src) noexcept {
+            Fn *s = static_cast<Fn *>(src);
+            if (dst)
+                ::new (dst) Fn(std::move(*s));
+            s->~Fn();
+        };
+    }
 
   private:
     void
@@ -131,6 +149,9 @@ class InlineEvent
     void (*relocate)(void *dst, void *src) noexcept = nullptr;
 };
 
+static_assert(sizeof(InlineEvent) == 128,
+              "an event entry is meant to span exactly two cache lines");
+
 /** A deterministic discrete-event queue with nanosecond resolution. */
 class EventQueue
 {
@@ -145,13 +166,44 @@ class EventQueue
      */
     static constexpr Cycle nearWindow = 4096;
 
-    EventQueue();
+    /**
+     * Events per chunk of a near bucket's FIFO. Every occupied bucket
+     * holds at most one partly filled tail chunk and one partly
+     * consumed head chunk, so this bounds the slack at
+     * 2 * (chunkEntries - 1) entries per occupied bucket.
+     */
+    static constexpr std::size_t chunkEntries = 4;
+
+    EventQueue() : buckets(nearWindow) {}
 
     /** Schedule @p cb at absolute cycle @p when (>= now). */
-    void schedule(Cycle when, Callback cb);
+    void schedule(Cycle when, Callback cb) { entryFor(when) = std::move(cb); }
 
-    /** Schedule @p cb @p delta cycles after the current time. */
-    void scheduleAfter(Cycle delta, Callback cb);
+    /**
+     * Schedule callable @p f at absolute cycle @p when (>= now),
+     * constructing it straight into its queue entry. A capture whose
+     * construction may throw is built first, so a throw leaves the
+     * queue untouched.
+     */
+    template <typename F,
+              typename = std::enable_if_t<
+                  !std::is_same_v<std::decay_t<F>, Callback>>>
+    void
+    schedule(Cycle when, F &&f)
+    {
+        if constexpr (std::is_nothrow_constructible_v<std::decay_t<F>, F>)
+            entryFor(when).emplace(std::forward<F>(f));
+        else
+            schedule(when, Callback(std::forward<F>(f)));
+    }
+
+    /** Schedule @p f @p delta cycles after the current time. */
+    template <typename F>
+    void
+    scheduleAfter(Cycle delta, F &&f)
+    {
+        schedule(curTick + delta, std::forward<F>(f));
+    }
 
     /** Pop and run the earliest event. @return false if queue empty. */
     bool runOne();
@@ -184,6 +236,18 @@ class EventQueue
     /** Total number of events executed since construction. */
     std::uint64_t executed() const { return numExecuted; }
 
+    /** Largest size() seen since construction (or reset()). */
+    std::size_t peakPending() const { return peak; }
+
+    /**
+     * Chunks this queue owns, in use or pooled. The pool only grows
+     * when more chunks are pending at once than ever before.
+     */
+    std::size_t chunkPoolSize() const
+    {
+        return slabs.size() * slabChunks;
+    }
+
     /**
      * Install a non-perturbing periodic observer: as simulated time
      * advances past each multiple of @p period, @p fn is invoked with
@@ -201,31 +265,42 @@ class EventQueue
 
     /**
      * Reset time to zero and discard all pending events. The
-     * insertion-order tie-break counter and the executed-event count
-     * are also reset, so a reused queue reproduces identical
-     * tie-breaks (and therefore identical simulations). Must not be
-     * called from inside a running event (the event's own slot would
-     * be destroyed under it).
+     * insertion-order tie-break counter, the executed-event count and
+     * the pending peak are also reset, so a reused queue reproduces
+     * identical tie-breaks (and therefore identical simulations).
+     * Must not be called from inside a running event (the event's
+     * own chunk would be destroyed under it).
      */
     void reset();
 
   private:
     /**
-     * One pending event. Slots live in chunked arrays with stable
-     * addresses, so a callback runs *in place* — no move out of the
-     * queue on the pop path — and freed slots recycle LIFO through a
-     * freelist, keeping the hot set small. `next` threads the slot
-     * into its bucket's FIFO (or the freelist when unused).
+     * A run of consecutive entries of one bucket's FIFO. Entries are
+     * cache-line aligned (an InlineEvent is two lines) and a callback
+     * runs in place; an entry is non-empty exactly while its event is
+     * pending, so destroying a chunk destroys only pending captures.
      */
-    struct Slot
+    struct Chunk
     {
-        Cycle when;
-        std::uint64_t seq;
-        std::uint32_t next;
-        Callback cb;
+        Chunk *next = nullptr; ///< next chunk of the FIFO, or pool
+        alignas(64) Callback ev[chunkEntries];
     };
 
-    /** Heap element: ordering key plus the owning slot's index. */
+    /**
+     * FIFO of one in-window cycle's events: chunks head..tail, the
+     * next entry to run at head->ev[headPos], the next free one at
+     * tail->ev[tailPos]. An empty bucket holds no chunk and has
+     * tailPos == chunkEntries, so the first schedule takes a chunk.
+     */
+    struct Bucket
+    {
+        Chunk *head = nullptr;
+        Chunk *tail = nullptr;
+        std::uint32_t headPos = 0;
+        std::uint32_t tailPos = chunkEntries;
+    };
+
+    /** Far-heap element: ordering key plus the payload's far slot. */
     struct HeapKey
     {
         Cycle when;
@@ -244,45 +319,42 @@ class EventQueue
         }
     };
 
-    /** Intrusive per-bucket FIFO of slot indices. */
-    struct Fifo
-    {
-        std::uint32_t head = nilIdx;
-        std::uint32_t tail = nilIdx;
-    };
-
-    static constexpr std::uint32_t nilIdx = ~0u;
-    static constexpr std::size_t chunkShift = 8; ///< 256 slots per chunk
-    static constexpr std::size_t chunkSlots = std::size_t{1} << chunkShift;
-
+    static constexpr std::size_t slabChunks = 64;
+    /** How many pops ahead runNear prefetches. */
+    static constexpr std::size_t prefetchAhead = 3;
+    static_assert(prefetchAhead >= 1 && prefetchAhead <= chunkEntries,
+                  "runNear's look-ahead crosses at most one chunk");
     static constexpr Cycle bucketMask = nearWindow - 1;
     static constexpr std::size_t bitmapWords = nearWindow / 64;
 
-    Slot &
-    slotAt(std::uint32_t idx)
-    {
-        return chunks[idx >> chunkShift][idx & (chunkSlots - 1)];
-    }
+    /**
+     * Enqueue an empty entry for an event at @p when and return it;
+     * the caller fills it before any other queue call.
+     */
+    Callback &entryFor(Cycle when);
 
-    const Slot &
-    slotAt(std::uint32_t idx) const
-    {
-        return chunks[idx >> chunkShift][idx & (chunkSlots - 1)];
-    }
+    /** Take a chunk from the pool (LIFO), growing it by a slab if dry. */
+    Chunk *takeChunk();
 
-    /** Take a slot off the freelist, growing a chunk if dry. */
-    std::uint32_t allocSlot();
-
-    /** Return an emptied slot to the freelist (LIFO for locality). */
+    /** Return a drained chunk to the pool (LIFO for locality). */
     void
-    releaseSlot(std::uint32_t idx)
+    releaseChunk(Chunk *c)
     {
-        slotAt(idx).next = freeHead;
-        freeHead = idx;
+        c->next = freeChunks;
+        freeChunks = c;
     }
 
-    void markOccupied(std::size_t idx);
-    void clearOccupied(std::size_t idx);
+    void
+    markOccupied(std::size_t idx)
+    {
+        occupied[idx >> 6] |= 1ull << (idx & 63);
+    }
+
+    void
+    clearOccupied(std::size_t idx)
+    {
+        occupied[idx >> 6] &= ~(1ull << (idx & 63));
+    }
 
     /**
      * Index of the first occupied bucket at or after the bucket of
@@ -290,29 +362,45 @@ class EventQueue
      */
     std::size_t nextOccupied(Cycle from) const;
 
+    /** The in-window cycle bucket @p idx holds. */
+    Cycle
+    bucketCycle(std::size_t idx) const
+    {
+        return curTick + ((idx - curTick) & bucketMask);
+    }
+
     /** Earliest pending cycle, or ~0ull when empty. */
     Cycle nextWhen() const;
 
-    /** Detach and return the earliest (when, seq) slot's index. */
-    std::uint32_t popNext();
+    /** Run the front event of bucket @p idx, which is at @p when. */
+    void runNear(std::size_t idx, Cycle when);
 
-    // Slot arena: chunked so addresses stay stable while callbacks
-    // execute (an in-flight callback may grow the arena).
-    std::vector<std::unique_ptr<Slot[]>> chunks;
-    std::uint32_t freeHead = nilIdx;
+    /** Run the far heap's top event. */
+    void runFar();
+
+    // Chunk pool: slabs keep chunk addresses stable while callbacks
+    // execute (an in-flight callback may grow the pool).
+    std::vector<std::unique_ptr<Chunk[]>> slabs;
+    Chunk *freeChunks = nullptr;
 
     // Near-future ring: bucket b holds the single in-window cycle
     // congruent to b (mod nearWindow); entries append in seq order.
-    std::vector<Fifo> buckets;
+    std::vector<Bucket> buckets;
     std::uint64_t occupied[bitmapWords] = {};
     std::size_t nearCount = 0;
 
-    // Far-future events (payloads stay in the arena).
+    // Far-future events: the heap orders keys, the payloads sit in
+    // farSlots (recycled through farFree).
     std::priority_queue<HeapKey, std::vector<HeapKey>, Later> heap;
+    std::vector<Callback> farSlots;
+    std::vector<std::uint32_t> farFree;
 
     Cycle curTick = 0;
+    // Insertion order among far events; ring entries need none (see
+    // runOne).
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;
+    std::size_t peak = 0;
 
     // Periodic observer (trace sampling). nextObsAt stays at ~0ull
     // when disabled so the hot path pays a single always-false

@@ -146,11 +146,12 @@ CreditLink::tryIssue()
         // Zero-latency link: the drain wake would land on the same
         // cycle directly after the delivery; fold it into one event.
         wakeScheduled = true;
-        eq.schedule(deliver_at, [this, p = std::move(pkt), vc]() mutable {
+        eq.schedule(deliver_at, [this, p = std::move(pkt)]() mutable {
             {
                 CausalProfiler::ScopedCause sc(prof, profNode_,
                                                eq.now());
-                sink->acceptPacket(std::move(p), this, vc);
+                int pvc = static_cast<int>(p.vc);
+                sink->acceptPacket(std::move(p), this, pvc);
             }
             wakeScheduled = false;
             tryIssue();
@@ -158,11 +159,15 @@ CreditLink::tryIssue()
         return;
     }
 
-    eq.schedule(deliver_at, [this, p = std::move(pkt), vc]() mutable {
+    // The packet's VC is the queue it issued from, so the closure
+    // reads it from the packet: `this` plus a Packet fill the
+    // InlineEvent exactly.
+    eq.schedule(deliver_at, [this, p = std::move(pkt)]() mutable {
         // The delivery is the enabling cause of whatever the sink
         // records downstream (hub completions, TB wakeups).
         CausalProfiler::ScopedCause sc(prof, profNode_, eq.now());
-        sink->acceptPacket(std::move(p), this, vc);
+        int pvc = static_cast<int>(p.vc);
+        sink->acceptPacket(std::move(p), this, pvc);
     });
 
     // Keep draining back-to-back. The wake is armed even when the

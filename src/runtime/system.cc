@@ -656,6 +656,9 @@ System::registerMetrics(MetricRegistry &reg) const
 {
     reg.addGaugeU64("eventq.executed",
                     [this] { return queue.executed(); });
+    reg.addGaugeU64("eventq.peakPending", [this] {
+        return static_cast<std::uint64_t>(queue.peakPending());
+    });
     const FabricParams &fp = cfg.fabric;
     for (std::size_t s = 0; s < complexes.size(); ++s) {
         // Tier-prefixed switch paths on multi-tier fabrics; flat

@@ -179,7 +179,7 @@ class System : public DataArrivalHandler
 
     /**
      * Register the whole machine in @p reg (DESIGN.md §6d):
-     * eventq.executed, switch<S>.{nvls,merge,sync,chip}.*,
+     * eventq.{executed,peakPending}, switch<S>.{nvls,merge,sync,chip}.*,
      * gpu<G>.{hub,hbm,sched,sync}.* and link.{up,dn}.*. Registration
      * is read-only; call once per System per registry.
      */

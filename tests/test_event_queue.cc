@@ -11,6 +11,29 @@
 
 using namespace cais;
 
+namespace
+{
+
+/** Counts destructor runs to verify InlineEvent lifetime handling. */
+struct DtorCounter
+{
+    int *count;
+    explicit DtorCounter(int *c) : count(c) {}
+    DtorCounter(DtorCounter &&o) noexcept : count(o.count)
+    {
+        o.count = nullptr;
+    }
+    DtorCounter &operator=(DtorCounter &&) = delete;
+    ~DtorCounter()
+    {
+        if (count)
+            ++*count;
+    }
+    void operator()() const {}
+};
+
+} // namespace
+
 TEST(EventQueue, StartsEmptyAtTimeZero)
 {
     EventQueue eq;
@@ -222,31 +245,202 @@ TEST(EventQueue, ResetReproducesTieBreaks)
 }
 
 // ---------------------------------------------------------------------
-// InlineEvent: allocation-free move-only callback storage.
+// Chunked bucket FIFOs: in-place execution, lifetime, occupancy.
 // ---------------------------------------------------------------------
+
+TEST(EventQueue, SameCycleBurstSpanningChunksRunsInSeqOrder)
+{
+    // A callback appends more than two chunks' worth of events to its
+    // own bucket while it runs from that bucket's head chunk: as the
+    // bucket's only event, as the last entry of a full chunk, and
+    // with a same-cycle event queued behind it. Its chunk must stay
+    // out of the pool until it returns.
+    const int burst = static_cast<int>(2 * EventQueue::chunkEntries + 3);
+    const int fullChunk = static_cast<int>(EventQueue::chunkEntries);
+    struct Case
+    {
+        int before;
+        bool behind;
+    };
+    for (Case c : {Case{0, false}, Case{fullChunk - 1, false},
+                   Case{1, true}}) {
+        EventQueue eq;
+        std::vector<int> order;
+        bool captureIntact = false;
+        struct Blob
+        {
+            unsigned char bytes[64];
+        } blob;
+        for (int i = 0; i < 64; ++i)
+            blob.bytes[i] = static_cast<unsigned char>(i * 7 + 1);
+        for (int i = 0; i < c.before; ++i)
+            eq.schedule(5, [&order, i] { order.push_back(100 + i); });
+        eq.schedule(5, [&, blob] {
+            order.push_back(-1);
+            for (int i = 0; i < burst; ++i)
+                eq.schedule(5, [&order, i] { order.push_back(i); });
+            captureIntact = true;
+            for (int i = 0; i < 64; ++i)
+                captureIntact = captureIntact &&
+                                blob.bytes[i] ==
+                                    static_cast<unsigned char>(i * 7 + 1);
+        });
+        if (c.behind)
+            eq.schedule(5, [&] { order.push_back(-2); });
+        eq.runAll();
+        std::vector<int> expect;
+        for (int i = 0; i < c.before; ++i)
+            expect.push_back(100 + i);
+        expect.push_back(-1);
+        if (c.behind)
+            expect.push_back(-2);
+        for (int i = 0; i < burst; ++i)
+            expect.push_back(i);
+        EXPECT_EQ(order, expect) << "before=" << c.before;
+        EXPECT_TRUE(captureIntact) << "before=" << c.before;
+        EXPECT_EQ(eq.now(), 5u);
+        EXPECT_TRUE(eq.empty());
+    }
+}
+
+TEST(EventQueue, ResetDestroysEveryPendingCaptureOnce)
+{
+    EventQueue eq;
+    int dtors = 0;
+    int scheduled = 0;
+    // Three multi-chunk buckets plus far-heap events.
+    for (Cycle when : {Cycle{3}, Cycle{10}, Cycle{11}})
+        for (std::size_t i = 0; i < 3 * EventQueue::chunkEntries + 1;
+             ++i, ++scheduled)
+            eq.schedule(when, DtorCounter(&dtors));
+    for (int i = 0; i < 5; ++i, ++scheduled)
+        eq.schedule(3 * EventQueue::nearWindow + i, DtorCounter(&dtors));
+    // Leave bucket 3's head chunk partly consumed.
+    ASSERT_TRUE(eq.runOne());
+    ASSERT_TRUE(eq.runOne());
+    EXPECT_EQ(dtors, 2); // each ran capture is destroyed after it runs
+    eq.reset();
+    EXPECT_EQ(dtors, scheduled);
+    EXPECT_TRUE(eq.empty());
+    EXPECT_EQ(eq.size(), 0u);
+    EXPECT_EQ(eq.chunkPoolSize(), 0u);
+
+    // The queue is usable again, and its destructor frees the rest.
+    {
+        EventQueue again;
+        for (int i = 0; i < 9; ++i)
+            again.schedule(static_cast<Cycle>(i % 2), DtorCounter(&dtors));
+        again.schedule(2 * EventQueue::nearWindow, DtorCounter(&dtors));
+        again.runOne();
+    }
+    EXPECT_EQ(dtors, scheduled + 10);
+    int hits = 0;
+    eq.schedule(1, [&] { ++hits; });
+    eq.runAll();
+    EXPECT_EQ(hits, 1);
+}
 
 namespace
 {
 
-/** Counts destructor runs to verify InlineEvent lifetime handling. */
-struct DtorCounter
+/**
+ * Execution order of a schedule that keeps more than 100k events
+ * pending: a static batch with many same-cycle ties (a few hundred
+ * distinct cycles), in-window and far deltas, and events that
+ * reschedule follow-ups while the set is full.
+ */
+template <class Queue>
+std::vector<std::uint32_t>
+runHighOccupancySchedule(unsigned seed)
 {
-    int *count;
-    explicit DtorCounter(int *c) : count(c) {}
-    DtorCounter(DtorCounter &&o) noexcept : count(o.count)
-    {
-        o.count = nullptr;
-    }
-    DtorCounter &operator=(DtorCounter &&) = delete;
-    ~DtorCounter()
-    {
-        if (count)
-            ++*count;
-    }
-    void operator()() const {}
-};
+    Queue eq;
+    std::vector<std::uint32_t> order;
+    std::mt19937 rng(seed);
+    std::uniform_int_distribution<int> kind(0, 9);
+    std::uniform_int_distribution<Cycle> tie(0, 300);
+    std::uniform_int_distribution<Cycle> window(0, EventQueue::nearWindow - 1);
+    std::uniform_int_distribution<Cycle> far(EventQueue::nearWindow,
+                                             4 * EventQueue::nearWindow);
+    auto delta = [&] {
+        int k = kind(rng);
+        return k < 6 ? tie(rng) : k < 9 ? window(rng) : far(rng);
+    };
+    std::uint32_t next = 0;
+    std::function<void(std::uint32_t)> add = [&](std::uint32_t depth) {
+        eq.scheduleAfter(delta(), [&, tag = next++, depth] {
+            order.push_back(tag);
+            if (depth > 0)
+                add(depth - 1);
+        });
+    };
+    for (int i = 0; i < 110000; ++i)
+        add(i % 4 == 0 ? 2 : 0);
+    eq.runAll();
+    return order;
+}
 
 } // namespace
+
+TEST(EventQueue, MatchesSortedModelAtHighOccupancy)
+{
+    for (unsigned seed : {3u, 17u}) {
+        auto bucketed = runHighOccupancySchedule<EventQueue>(seed);
+        auto model = runHighOccupancySchedule<test::SortedEventModel>(seed);
+        ASSERT_EQ(bucketed.size(), model.size());
+        EXPECT_GT(bucketed.size(), 160000u);
+        EXPECT_TRUE(bucketed == model) << "seed " << seed;
+    }
+}
+
+TEST(EventQueue, RedrainingSameScheduleDoesNotGrowChunkPool)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.chunkPoolSize(), 0u); // nothing before the first schedule
+    auto fill = [&] {
+        // ~60k pending events over 500 cycles, rescheduling once each.
+        for (int i = 0; i < 60000; ++i)
+            eq.scheduleAfter(static_cast<Cycle>(i % 500), [&eq, i] {
+                eq.scheduleAfter(static_cast<Cycle>(250 + i % 7), [] {});
+            });
+        eq.runAll();
+    };
+    fill();
+    std::size_t pool = eq.chunkPoolSize();
+    EXPECT_GE(pool * EventQueue::chunkEntries, 60000u);
+    fill();
+    EXPECT_EQ(eq.chunkPoolSize(), pool);
+    EXPECT_EQ(eq.executed(), 240000u);
+}
+
+TEST(EventQueue, PeakPendingCountsNearAndFarEvents)
+{
+    EventQueue eq;
+    EXPECT_EQ(eq.peakPending(), 0u);
+    eq.schedule(1, [] {});
+    eq.schedule(1, [] {});
+    eq.schedule(2, [&eq] {
+        // Four pending after this burst: 3 near + the far one.
+        for (int i = 0; i < 3; ++i)
+            eq.scheduleAfter(1, [] {});
+    });
+    eq.schedule(5 * EventQueue::nearWindow, [] {});
+    EXPECT_EQ(eq.peakPending(), 4u);
+    eq.runUntil(1);
+    EXPECT_EQ(eq.size(), 2u);
+    eq.runAll();
+    EXPECT_EQ(eq.peakPending(), 4u);
+    eq.schedule(eq.now() + 1, [] {});
+    EXPECT_EQ(eq.peakPending(), 4u);
+    for (int i = 0; i < 4; ++i)
+        eq.schedule(eq.now() + 10 * EventQueue::nearWindow, [] {});
+    EXPECT_EQ(eq.peakPending(), 5u);
+    eq.reset();
+    EXPECT_EQ(eq.peakPending(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// InlineEvent: allocation-free move-only callback storage.
+// ---------------------------------------------------------------------
 
 TEST(InlineEvent, InvokesStoredCallable)
 {

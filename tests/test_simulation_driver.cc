@@ -180,3 +180,34 @@ TEST(Driver, HarvestMatchesPatternQueriesNvl72)
     cfg.numGpus = FabricParams::preset("nvl72").numGpus;
     expectHarvestMatchesPatterns(cfg, llama7B().scaled(0.0625, 0.03125));
 }
+
+namespace
+{
+
+/** Run @p cfg's CAIS L1 job step by step; its eventq.peakPending. */
+std::uint64_t
+peakPendingOf(const RunConfig &cfg, const LlmConfig &m)
+{
+    System sys(cfg.toSystemConfig(strategyByName("CAIS")));
+    MetricRegistry reg;
+    sys.registerMetrics(reg);
+    OpGraph g = buildSubLayer(m, SubLayerId::L1);
+    GraphLowering lowering(sys, g, strategyByName("CAIS").opts);
+    lowering.lower();
+    sys.run();
+    MetricSnapshot snap = reg.snapshot();
+    const MetricValue *v = snap.find("eventq.peakPending");
+    EXPECT_NE(v, nullptr);
+    return v ? v->u64 : 0;
+}
+
+} // namespace
+
+TEST(Driver, PeakPendingGaugeIsDeterministic)
+{
+    RunConfig cfg;
+    LlmConfig m = megaGpt4B().scaled(0.25, 0.125);
+    std::uint64_t first = peakPendingOf(cfg, m);
+    EXPECT_GT(first, 0u);
+    EXPECT_EQ(first, peakPendingOf(cfg, m));
+}
