@@ -86,10 +86,10 @@ TileTracker::contribute(GpuId gpu, int tile, std::uint64_t bytes)
     std::uint64_t k = static_cast<std::uint64_t>(i);
     auto it = waiters.find(k);
     if (it != waiters.end()) {
-        auto cbs = std::move(it->second);
+        std::vector<TbRecId> recs = std::move(it->second);
         waiters.erase(it);
-        for (auto &cb : cbs)
-            cb();
+        for (TbRecId rec : recs)
+            listener->onTileReady(rec);
     }
     checkComplete();
 }
@@ -107,24 +107,23 @@ TileTracker::complete() const
 }
 
 void
-TileTracker::waitFor(GpuId gpu, int tile, std::function<void()> cb)
+TileTracker::waitFor(GpuId gpu, int tile, TbRecId rec)
 {
     if (ready(gpu, tile)) {
-        cb();
+        listener->onTileReady(rec);
         return;
     }
-    waiters[static_cast<std::uint64_t>(index(gpu, tile))].push_back(
-        std::move(cb));
+    waiters[static_cast<std::uint64_t>(index(gpu, tile))].push_back(rec);
 }
 
 void
-TileTracker::waitComplete(std::function<void()> cb)
+TileTracker::waitComplete(KernelId k)
 {
     if (complete()) {
-        cb();
+        listener->onTrackerComplete(k);
         return;
     }
-    completeWaiters.push_back(std::move(cb));
+    completeWaiters.push_back(k);
 }
 
 void
@@ -132,10 +131,10 @@ TileTracker::checkComplete()
 {
     if (!complete() || completeWaiters.empty())
         return;
-    auto cbs = std::move(completeWaiters);
+    std::vector<KernelId> ks = std::move(completeWaiters);
     completeWaiters.clear();
-    for (auto &cb : cbs)
-        cb();
+    for (KernelId k : ks)
+        listener->onTrackerComplete(k);
 }
 
 double

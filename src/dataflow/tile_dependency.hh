@@ -7,10 +7,10 @@
  * the accumulated bytes reach tileBytes x needFactor (needFactor > 1
  * expresses reduction semantics: G partial contributions must land).
  * Producers contribute either locally (a TB finished computing) or
- * via the fabric (an AddressMap dispatches landing writes). Consumers
- * register waiters per (gpu, tile), enabling a consumer TB to launch
- * as soon as its inputs are available — before the producer kernel
- * finishes.
+ * via the fabric (an AddressMap dispatches landing writes). Consumer
+ * TBs wait per (gpu, tile), by record id, enabling a consumer TB to
+ * launch as soon as its inputs are available — before the producer
+ * kernel finishes.
  */
 
 #ifndef CAIS_DATAFLOW_TILE_DEPENDENCY_HH
@@ -24,6 +24,7 @@
 
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "gpu/tb_listener.hh"
 
 namespace cais
 {
@@ -49,6 +50,9 @@ class TileTracker
      */
     void setRelevance(std::function<bool(GpuId, int)> relevant);
 
+    /** Receiver of waiter notifications. */
+    void setListener(TbListener *l) { listener = l; }
+
     /**
      * Attach the causal profiler (DESIGN.md §6g). @p tracker_idx is
      * this tracker's dense index in System creation order (the
@@ -68,13 +72,14 @@ class TileTracker
     bool complete() const;
 
     /**
-     * Invoke @p cb once (gpu, tile) is ready (immediately if it
-     * already is).
+     * Notify onTileReady(@p rec) once (gpu, tile) is ready
+     * (immediately if it already is), in registration order and
+     * before any completion waiter.
      */
-    void waitFor(GpuId gpu, int tile, std::function<void()> cb);
+    void waitFor(GpuId gpu, int tile, TbRecId rec);
 
-    /** Invoke @p cb once the whole tensor is complete. */
-    void waitComplete(std::function<void()> cb);
+    /** Notify onTrackerComplete(@p k) once the tensor is complete. */
+    void waitComplete(KernelId k);
 
     const std::string &name() const { return trackerName; }
     int numTiles() const { return tiles; }
@@ -104,9 +109,9 @@ class TileTracker
     int relevantCount;
     int readyCount = 0;
 
-    std::unordered_map<std::uint64_t,
-                       std::vector<std::function<void()>>> waiters;
-    std::vector<std::function<void()>> completeWaiters;
+    TbListener *listener = nullptr;
+    std::unordered_map<std::uint64_t, std::vector<TbRecId>> waiters;
+    std::vector<KernelId> completeWaiters;
 
     CausalProfiler *prof = nullptr;
     EventQueue *profEq = nullptr;
@@ -136,7 +141,6 @@ class AddressMap
     bool dispatch(GpuId gpu, Addr addr, std::uint32_t bytes,
                   int contribs);
 
-    std::size_t numRanges() const { return ranges.size(); }
     std::uint64_t unmatchedArrivals() const { return unmatched.value(); }
 
   private:

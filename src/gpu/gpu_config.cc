@@ -7,24 +7,39 @@
 namespace cais
 {
 
+std::string
+GpuParams::validationError() const
+{
+    if (numSms < 1)
+        return strfmt("gpu.numSms must be >= 1 (got %d)", numSms);
+    if (ctasPerSm < 1)
+        return strfmt("gpu.ctasPerSm must be >= 1 (got %d)", ctasPerSm);
+    if (flopsPerCyclePerSm <= 0 || gemmEfficiency <= 0 ||
+        gemmEfficiency > 1.0)
+        return "bad GPU throughput parameters";
+    if (hbmBytesPerCycle <= 0)
+        return strfmt("gpu.hbmBytesPerCycle must be > 0 (got %g)",
+                      hbmBytesPerCycle);
+    if (chunkBytes < 128)
+        return "chunk granularity below one coalesced packet (128 B)";
+    if (maxInflightChunks < 1)
+        return strfmt("gpu.maxInflightChunks must be >= 1 (got %d)",
+                      maxInflightChunks);
+    if (maxCaisLoadOutstanding < 1)
+        return strfmt("gpu.maxCaisLoadOutstanding must be >= 1 (got %d)",
+                      maxCaisLoadOutstanding);
+    if (jitterSigma < 0 || jitterSigma > 0.5)
+        return strfmt("gpu.jitterSigma must be in [0, 0.5] (got %g)",
+                      jitterSigma);
+    return "";
+}
+
 void
 GpuParams::validate() const
 {
-    if (numSms < 1)
-        fatal("GPU needs at least one SM");
-    if (ctasPerSm < 1)
-        fatal("need at least one CTA slot per SM");
-    if (flopsPerCyclePerSm <= 0 || gemmEfficiency <= 0 ||
-        gemmEfficiency > 1.0)
-        fatal("bad GPU throughput parameters");
-    if (hbmBytesPerCycle <= 0)
-        fatal("bad HBM bandwidth");
-    if (chunkBytes < 128)
-        fatal("chunk granularity below one coalesced packet (128 B)");
-    if (maxInflightChunks < 1)
-        fatal("injection window must be at least one chunk");
-    if (jitterSigma < 0 || jitterSigma > 0.5)
-        fatal("jitter sigma out of range [0, 0.5]");
+    std::string err = validationError();
+    if (!err.empty())
+        fatal("%s", err.c_str());
 }
 
 std::string

@@ -82,7 +82,12 @@ struct GpuParams
         return flopsPerCyclePerSm * gemmEfficiency;
     }
 
+    /** Empty when the parameters are usable, else why not. */
+    std::string validationError() const;
+
+    /** fatal() with validationError() unless it is empty. */
     void validate() const;
+
     std::string str() const;
 };
 

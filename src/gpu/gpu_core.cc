@@ -4,15 +4,18 @@ namespace cais
 {
 
 GpuCore::GpuCore(EventQueue &eq_, Fabric &fabric, GpuId id,
-                 const GpuParams &params)
-    : gpuId(id), p(params), eq(eq_),
+                 const GpuParams &params, TbListener *listener_)
+    : p(params), eq(eq_),
       hubImpl(eq_, fabric, id, params),
       syncImpl(id), smPool(eq_, params.numSms, params.ctasPerSm),
-      sched(smPool), rngImpl(params.seed + static_cast<std::uint64_t>(id))
+      sched(smPool, listener_),
+      rngImpl(params.seed + static_cast<std::uint64_t>(id)),
+      listener(listener_)
 {
     p.validate();
     hubImpl.setSynchronizer(&syncImpl);
     syncImpl.setHub(&hubImpl);
+    syncImpl.setListener(listener);
     fabric.attachGpu(id, &hubImpl);
 }
 
@@ -24,6 +27,7 @@ GpuCore::tbContext(int num_gpus)
     ctx.hub = &hubImpl;
     ctx.sync = &syncImpl;
     ctx.rng = &rngImpl;
+    ctx.listener = listener;
     ctx.jitterSigma = p.jitterSigma;
     ctx.numGpus = num_gpus;
     ctx.prof = prof;

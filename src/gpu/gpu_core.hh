@@ -25,20 +25,17 @@ namespace cais
 class GpuCore
 {
   public:
+    /** @p listener receives this GPU's TB lifecycle notifications. */
     GpuCore(EventQueue &eq, Fabric &fabric, GpuId id,
-            const GpuParams &params);
+            const GpuParams &params, TbListener *listener);
 
     GpuCore(const GpuCore &) = delete;
     GpuCore &operator=(const GpuCore &) = delete;
-
-    GpuId id() const { return gpuId; }
-    const GpuParams &params() const { return p; }
 
     GpuHub &hub() { return hubImpl; }
     Synchronizer &synchronizer() { return syncImpl; }
     SmPool &sms() { return smPool; }
     TbScheduler &scheduler() { return sched; }
-    Rng &rng() { return rngImpl; }
 
     /** Context handed to thread blocks executing on this GPU. */
     TbRunContext tbContext(int num_gpus);
@@ -62,7 +59,6 @@ class GpuCore
     }
 
   private:
-    GpuId gpuId;
     GpuParams p;
     EventQueue &eq;
 
@@ -71,6 +67,7 @@ class GpuCore
     SmPool smPool;
     TbScheduler sched;
     Rng rngImpl;
+    TbListener *listener;
     CausalProfiler *prof = nullptr;
 };
 

@@ -45,7 +45,6 @@ class HbmModel : public Probe
     void access(std::uint64_t bytes, EventQueue::Callback done);
 
     std::uint64_t totalBytes() const { return bytes.value(); }
-    std::uint64_t totalAccesses() const { return accesses.value(); }
     Cycle busyCycles() const { return busy; }
 
     void

@@ -6,6 +6,7 @@
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
 #include "gpu/synchronizer.hh"
+#include "gpu/thread_block.hh"
 
 namespace cais
 {
@@ -80,7 +81,6 @@ GpuHub::submit(std::unique_ptr<HubJob> job)
     }
 
     if (js.job->chunks.empty()) {
-        finishInject(js);
         maybeFinish(id);
         return;
     }
@@ -172,7 +172,7 @@ GpuHub::pump()
                 std::min<std::size_t>(issueWindow - 1, issueQueue.size()),
                 id);
         injectChunk(id, js, chunk);
-        checkInjectDone(id);
+        maybeFinish(id);
     }
 
     if (earliest_resume > now && !pumpScheduled) {
@@ -180,20 +180,6 @@ GpuHub::pump()
         eq.schedule(earliest_resume, [this] { pump(); });
     }
     pumping = false;
-}
-
-void
-GpuHub::checkInjectDone(std::uint64_t job_id)
-{
-    JobState *jp = findJob(job_id);
-    if (!jp)
-        return;
-    JobState &js = *jp;
-    if (!js.injectedAll && js.awaitingInject <= 0 &&
-        js.nextChunk == js.job->chunks.size()) {
-        finishInject(js);
-        maybeFinish(job_id);
-    }
 }
 
 void
@@ -296,17 +282,9 @@ GpuHub::onLinkDequeue(int, int)
     --inflightChunks;
     if (JobState *js = findJob(job_id)) {
         --js->awaitingInject;
-        checkInjectDone(job_id);
+        maybeFinish(job_id);
     }
     pump();
-}
-
-void
-GpuHub::finishInject(JobState &js)
-{
-    js.injectedAll = true;
-    if (js.job->onInjected)
-        js.job->onInjected();
 }
 
 void
@@ -316,10 +294,12 @@ GpuHub::maybeFinish(std::uint64_t job_id)
     if (!jp)
         return;
     JobState &js = *jp;
-    if (!js.injectedAll || js.awaitingReply > 0)
+    // Done once every chunk is on the wire and every response is back.
+    if (js.nextChunk < js.job->chunks.size() || js.awaitingInject > 0 ||
+        js.awaitingReply > 0)
         return;
-    if (js.job->onComplete)
-        js.job->onComplete();
+    if (js.job->waiter)
+        js.job->waiter->onLoadsDone();
     js.job.reset();
     js.id = 0;
     freeSlots.push_back(

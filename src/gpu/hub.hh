@@ -17,7 +17,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -36,6 +35,7 @@ namespace cais
 
 class CausalProfiler;
 class Synchronizer;
+class TbRun;
 
 /** Sink for remote data landing in this GPU's memory. */
 class DataArrivalHandler
@@ -71,11 +71,10 @@ struct HubJob
     };
     std::vector<Chunk> chunks;
 
-    /** All chunks handed to the fabric (wire-injection order). */
-    std::function<void()> onInjected;
-
-    /** All responses/acks received (pull kinds and nvlsSt). */
-    std::function<void()> onComplete;
+    /** TB whose onLoadsDone() the hub calls once every chunk is on
+     *  the wire and every response/ack (pull kinds and nvlsSt) is
+     *  back; null for posted pushes. */
+    TbRun *waiter = nullptr;
 };
 
 /** The per-GPU fabric endpoint. */
@@ -117,7 +116,6 @@ class GpuHub : public PacketSink,
     int inflight() const { return inflightChunks; }
     std::size_t queuedJobs() const { return issueQueue.size(); }
     std::uint64_t chunksInjected() const { return injected.value(); }
-    std::uint64_t responsesReceived() const { return responses.value(); }
     std::uint64_t throttlePauses() const { return pauses.value(); }
     std::uint64_t bytesServed() const { return served.value(); }
 
@@ -141,7 +139,6 @@ class GpuHub : public PacketSink,
         std::size_t nextChunk = 0;
         int awaitingInject = 0;  ///< chunks not yet on the wire
         int awaitingReply = 0;   ///< responses/acks outstanding
-        bool injectedAll = false;
         Cycle submitAt = 0;      ///< profiler: injection-wait origin
         std::uint64_t id = 0;    ///< job id while live, 0 when free
     };
@@ -150,10 +147,8 @@ class GpuHub : public PacketSink,
     JobState *findJob(std::uint64_t job_id);
 
     void pump();
-    void checkInjectDone(std::uint64_t job_id);
     void injectChunk(std::uint64_t job_id, JobState &js,
                      const HubJob::Chunk &c);
-    void finishInject(JobState &js);
     void maybeFinish(std::uint64_t job_id);
 
     void serveRead(Packet &&pkt);

@@ -24,7 +24,6 @@ class SmPool
     SmPool(EventQueue &eq, int num_sms, int ctas_per_sm);
 
     int numSms() const { return sms; }
-    int numSlots() const { return static_cast<int>(busyAt.size()); }
 
     /**
      * Claim a free slot whose SM lies in [from, to) (fractions of the

@@ -12,7 +12,7 @@ Synchronizer::Synchronizer(GpuId gpu_) : gpu(gpu_)
 
 void
 Synchronizer::requestSync(GroupId group, SyncPhase phase, int expected,
-                          std::function<void()> released)
+                          TbRecId rec)
 {
     if (!hub)
         panic("synchronizer %d: no hub attached", gpu);
@@ -20,7 +20,7 @@ Synchronizer::requestSync(GroupId group, SyncPhase phase, int expected,
     if (pending.count(k))
         panic("synchronizer %d: duplicate sync for group %d phase %d",
               gpu, group, static_cast<int>(phase));
-    pending[k] = std::move(released);
+    pending[k] = rec;
     reqs.inc();
     hub->sendSyncReq(group, phase, expected);
 }
@@ -32,10 +32,10 @@ Synchronizer::onRelease(GroupId group, SyncPhase phase)
     if (it == pending.end())
         panic("synchronizer %d: release for unknown group %d phase %d",
               gpu, group, static_cast<int>(phase));
-    auto cb = std::move(it->second);
+    TbRecId rec = it->second;
     pending.erase(it);
     rels.inc();
-    cb();
+    listener->onSyncReleased(rec);
 }
 
 } // namespace cais

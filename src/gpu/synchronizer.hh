@@ -10,12 +10,12 @@
 #define CAIS_GPU_SYNCHRONIZER_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 
 #include "common/metrics.hh"
 #include "common/stats.hh"
 #include "common/types.hh"
+#include "gpu/tb_listener.hh"
 #include "switchcompute/group_sync_table.hh" // SyncPhase
 
 namespace cais
@@ -32,17 +32,18 @@ class Synchronizer : public Probe
     /** The hub transports our sync packets; set during wiring. */
     void setHub(GpuHub *h) { hub = h; }
 
+    void setListener(TbListener *l) { listener = l; }
+
     /**
-     * Register with TB group @p group for phase @p phase; @p released
-     * fires when the switch broadcasts the release.
+     * Register TB record @p rec with TB group @p group for phase
+     * @p phase; onSyncReleased(@p rec) fires on the release.
      */
     void requestSync(GroupId group, SyncPhase phase, int expected,
-                     std::function<void()> released);
+                     TbRecId rec);
 
     /** Release signal delivered by the hub. */
     void onRelease(GroupId group, SyncPhase phase);
 
-    std::uint64_t requests() const { return reqs.value(); }
     std::uint64_t releases() const { return rels.value(); }
     std::size_t pendingCount() const { return pending.size(); }
 
@@ -64,7 +65,8 @@ class Synchronizer : public Probe
 
     GpuId gpu;
     GpuHub *hub = nullptr;
-    std::unordered_map<std::uint64_t, std::function<void()>> pending;
+    TbListener *listener = nullptr;
+    std::unordered_map<std::uint64_t, TbRecId> pending;
     Counter reqs;
     Counter rels;
 };

@@ -3,15 +3,15 @@
 namespace cais
 {
 
-TbScheduler::TbScheduler(SmPool &pool_) : pool(pool_)
+TbScheduler::TbScheduler(SmPool &pool_, TbListener *listener_)
+    : pool(pool_), listener(listener_)
 {
 }
 
 void
-TbScheduler::enqueue(double from, double to, int priority,
-                     std::function<void(int)> dispatch)
+TbScheduler::enqueue(double from, double to, int priority, TbRecId rec)
 {
-    buckets[{priority, from, to}].fifo.push_back(std::move(dispatch));
+    buckets[{priority, from, to}].push_back(rec);
     pump();
 }
 
@@ -19,7 +19,7 @@ void
 TbScheduler::pump()
 {
     if (pumping)
-        return; // dispatch callbacks may re-enter via enqueue
+        return; // slot grants may re-enter via enqueue
     pumping = true;
     bool progress = true;
     while (progress && pool.freeCount() > 0) {
@@ -28,31 +28,31 @@ TbScheduler::pump()
         // co-scheduled by asymmetric overlapping keep their reserved
         // SMs while both have work.
         for (auto &[key, bucket] : buckets) {
-            while (!bucket.fifo.empty()) {
+            while (!bucket.empty()) {
                 int slot = pool.acquire(std::get<1>(key),
                                         std::get<2>(key));
                 if (slot < 0)
                     break;
-                auto dispatch = std::move(bucket.fifo.front());
-                bucket.fifo.pop_front();
+                TbRecId rec = bucket.front();
+                bucket.pop_front();
                 dispatched.inc();
                 progress = true;
-                dispatch(slot);
+                listener->onSlotGranted(rec, slot);
             }
         }
         // Second pass: work-conserving spill — leftover ready TBs may
         // use any free slot instead of idling the partner partition.
         for (auto &[key, bucket] : buckets) {
             (void)key;
-            while (!bucket.fifo.empty()) {
+            while (!bucket.empty()) {
                 int slot = pool.acquire(0.0, 1.0);
                 if (slot < 0)
                     break;
-                auto dispatch = std::move(bucket.fifo.front());
-                bucket.fifo.pop_front();
+                TbRecId rec = bucket.front();
+                bucket.pop_front();
                 dispatched.inc();
                 progress = true;
-                dispatch(slot);
+                listener->onSlotGranted(rec, slot);
             }
         }
     }
@@ -64,7 +64,7 @@ TbScheduler::pendingCount() const
 {
     std::size_t n = 0;
     for (const auto &[key, bucket] : buckets)
-        n += bucket.fifo.size();
+        n += bucket.size();
     return n;
 }
 

@@ -10,13 +10,13 @@
 #define CAIS_GPU_TB_SCHEDULER_HH
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <map>
 
 #include "common/metrics.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "gpu/sm.hh"
+#include "gpu/tb_listener.hh"
 
 namespace cais
 {
@@ -25,22 +25,21 @@ namespace cais
 class TbScheduler : public Probe
 {
   public:
-    explicit TbScheduler(SmPool &pool);
+    /** @p listener receives every slot grant. */
+    TbScheduler(SmPool &pool, TbListener *listener);
 
     /**
-     * Queue a dispatchable TB restricted to SMs in [from, to);
-     * @p dispatch receives the acquired slot id. Lower @p priority
-     * dispatches first (communication/staging TBs preempt queued
-     * compute waves so the pipeline stays fed).
+     * Queue dispatchable TB record @p rec restricted to SMs in
+     * [from, to); onSlotGranted(@p rec, slot) receives the acquired
+     * slot. Lower @p priority dispatches first (communication/staging
+     * TBs preempt queued compute waves so the pipeline stays fed).
      */
-    void enqueue(double from, double to, int priority,
-                 std::function<void(int slot)> dispatch);
+    void enqueue(double from, double to, int priority, TbRecId rec);
 
     /** Try to dispatch queued TBs into free slots. */
     void pump();
 
     std::size_t pendingCount() const;
-    std::uint64_t dispatchedCount() const { return dispatched.value(); }
 
     void
     registerMetrics(MetricRegistry &reg,
@@ -50,13 +49,10 @@ class TbScheduler : public Probe
     }
 
   private:
-    struct Bucket
-    {
-        std::deque<std::function<void(int)>> fifo;
-    };
-
     SmPool &pool;
-    std::map<std::tuple<int, double, double>, Bucket> buckets;
+    TbListener *listener;
+    /** Ready records per (priority, SM range), FIFO within each. */
+    std::map<std::tuple<int, double, double>, Ring<TbRecId>> buckets;
     Counter dispatched;
     bool pumping = false;
 };

@@ -9,23 +9,11 @@ namespace cais
 {
 
 TbRun::TbRun(const TbRunContext &ctx_, GpuId gpu, const KernelDesc &k,
-             const TbDesc &tb_, TbId index,
-             std::function<void(TbRun &)> on_produced,
-             std::function<void(TbRun &)> on_finished)
-    : ctx(ctx_), gpuId(gpu), kernel(k), tb(tb_), idx(index),
-      onProduced(std::move(on_produced)),
-      onFinished(std::move(on_finished))
+             const TbDesc &tb_, TbId index, TbRecId rec_)
+    : ctx(ctx_), gpuId(gpu), kernel(k), tb(tb_), idx(index), rec(rec_)
 {
-    if (!ctx.eq || !ctx.hub || !ctx.rng)
+    if (!ctx.eq || !ctx.hub || !ctx.rng || !ctx.listener)
         panic("TbRun: incomplete context");
-}
-
-void
-TbRun::start()
-{
-    // Pre-launch synchronization happens before the CTA is dispatched
-    // (System::enqueueTb); at this point the slot is owned.
-    afterLaunchSync();
 }
 
 std::uint64_t
@@ -35,7 +23,7 @@ TbRun::profNode() const
 }
 
 void
-TbRun::afterLaunchSync()
+TbRun::start()
 {
     startAt = ctx.eq->now();
     // Compute and pull-mode communication run concurrently inside the
@@ -72,16 +60,9 @@ TbRun::afterLaunchSync()
         // TBs reach the same point; independent instructions (the
         // compute event above) keep issuing meanwhile. Participants
         // are the G-1 requesters (the home GPU reads locally).
-        Cycle req_at = ctx.eq->now();
+        syncReqAt = ctx.eq->now();
         ctx.sync->requestSync(tb.group, SyncPhase::preAccess,
-                              ctx.numGpus - 1, [this, req_at] {
-            // Barrier-wait edge; the release delivery (the active
-            // cause) hops the walk into the switch sync table.
-            if (ctx.prof)
-                ctx.prof->record(profNode(), WaitClass::syncBarrier,
-                                 req_at, ctx.eq->now());
-            issueLoads();
-        });
+                              ctx.numGpus - 1, rec);
     } else {
         issueLoads();
     }
@@ -103,8 +84,26 @@ TbRun::issueLoads()
         job->chunks.insert(job->chunks.end(), chunks.begin(),
                            chunks.end());
     }
-    job->onComplete = [this] { onLoadsDone(); };
+    job->waiter = this;
     ctx.hub->submit(std::move(job));
+}
+
+void
+TbRun::onSyncReleased()
+{
+    // Barrier-wait edge; the release delivery (the active cause) hops
+    // the walk into the switch sync table.
+    if (ctx.prof)
+        ctx.prof->record(profNode(), WaitClass::syncBarrier, syncReqAt,
+                         ctx.eq->now());
+    if (!pushSynced) {
+        issueLoads();
+        return;
+    }
+    // The push barrier's release resumes this TB: it owns what
+    // follows (push jobs, retirement).
+    CausalProfiler::ScopedCause sc(ctx.prof, profNode(), ctx.eq->now());
+    issuePushes();
 }
 
 void
@@ -145,8 +144,7 @@ TbRun::maybeAdvance()
                                    ctx.eq->now());
 
     // The output tile is now locally available.
-    if (onProduced)
-        onProduced(*this);
+    ctx.listener->onTbProduced(rec);
 
     issuePushes();
 }
@@ -169,18 +167,9 @@ TbRun::issuePushes()
         // Align the first red.cais across the G-1 contributing GPUs
         // (the home GPU reduces its partial locally).
         pushSynced = true;
-        Cycle req_at = ctx.eq->now();
+        syncReqAt = ctx.eq->now();
         ctx.sync->requestSync(tb.group, SyncPhase::preAccess,
-                              ctx.numGpus - 1, [this, req_at] {
-            if (ctx.prof)
-                ctx.prof->record(profNode(), WaitClass::syncBarrier,
-                                 req_at, ctx.eq->now());
-            // The release resumes this TB: it owns what follows
-            // (push jobs, retirement).
-            CausalProfiler::ScopedCause sc(ctx.prof, profNode(),
-                                           ctx.eq->now());
-            issuePushes();
-        });
+                              ctx.numGpus - 1, rec);
         return;
     }
 
@@ -213,8 +202,8 @@ TbRun::stateStr() const
 void
 TbRun::finish()
 {
-    // May destroy *this; must be the last action.
-    onFinished(*this);
+    // Must be the last action: the listener may retire this TbRun.
+    ctx.listener->onTbFinished(rec);
 }
 
 } // namespace cais

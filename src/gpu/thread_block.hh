@@ -17,13 +17,12 @@
 #ifndef CAIS_GPU_THREAD_BLOCK_HH
 #define CAIS_GPU_THREAD_BLOCK_HH
 
-#include <functional>
-
 #include "common/event_queue.hh"
 #include "common/rng.hh"
 #include "gpu/hub.hh"
 #include "gpu/kernel.hh"
 #include "gpu/synchronizer.hh"
+#include "gpu/tb_listener.hh"
 
 namespace cais
 {
@@ -35,6 +34,7 @@ struct TbRunContext
     GpuHub *hub = nullptr;
     Synchronizer *sync = nullptr;
     Rng *rng = nullptr;
+    TbListener *listener = nullptr;
     double jitterSigma = 0.0;
     int numGpus = 0;
 
@@ -46,33 +46,26 @@ struct TbRunContext
 class TbRun
 {
   public:
-    /**
-     * @param on_produced fired when the TB's output tile becomes
-     *        locally available (compute finished).
-     * @param on_finished fired when the CTA retires (slot reusable);
-     *        the callee may destroy this TbRun from inside.
-     */
+    /** @param rec record id reported to ctx.listener: onTbProduced
+     *        (output tile local), onTbFinished (CTA retired), and
+     *        onSyncReleased for pre-access barriers. */
     TbRun(const TbRunContext &ctx, GpuId gpu, const KernelDesc &kernel,
-          const TbDesc &tb, TbId index,
-          std::function<void(TbRun &)> on_produced,
-          std::function<void(TbRun &)> on_finished);
+          const TbDesc &tb, TbId index, TbRecId rec);
 
     /** Begin execution (the CTA already owns its slot). */
     void start();
 
-    GpuId gpu() const { return gpuId; }
-    TbId index() const { return idx; }
+    /** Resume points: the hub got every pull response; the
+     *  pre-access barrier (before pulls or pushes) released. */
+    void onLoadsDone();
+    void onSyncReleased();
 
     /** Diagnostic state string for stall reports. */
     std::string stateStr() const;
-    const TbDesc &desc() const { return tb; }
-    const KernelDesc &kernelDesc() const { return kernel; }
 
   private:
-    void afterLaunchSync();
     void issueLoads();
     void onComputeDone();
-    void onLoadsDone();
     void maybeAdvance();
     void issuePushes();
     void finish();
@@ -85,9 +78,7 @@ class TbRun
     const KernelDesc &kernel;
     const TbDesc &tb;
     TbId idx;
-
-    std::function<void(TbRun &)> onProduced;
-    std::function<void(TbRun &)> onFinished;
+    TbRecId rec;
 
     bool computeDone = false;
     bool loadsDone = false;
@@ -96,6 +87,7 @@ class TbRun
 
     Cycle startAt = 0;      ///< profiler: compute-edge origin
     Cycle loadsIssueAt = 0; ///< profiler: load-wait origin
+    Cycle syncReqAt = 0;    ///< profiler: barrier-wait origin
 };
 
 } // namespace cais

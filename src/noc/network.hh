@@ -87,6 +87,13 @@ class Fabric : public PortRouter
     /** Node id of the spine coordinating @p group (multi-tier only). */
     int spineNodeForGroup(GroupId group) const;
 
+    /** Node id of group @p grp's leaf on the rail owning @p addr
+     *  (multi-tier only). */
+    int leafNodeForAddr(int grp, Addr addr) const
+    {
+        return switchNodeId(p.leafIndex(grp, routeAddr(addr)));
+    }
+
     SwitchChip &switchChip(SwitchId s) { return *switches[s]; }
     const SwitchChip &switchChip(SwitchId s) const { return *switches[s]; }
 

@@ -75,26 +75,20 @@ RunConfig::validationError() const
         return strfmt("mergeTableEntriesPerPort must be >= 0 "
                       "(got %d)",
                       mergeTableEntriesPerPort);
-    if (gpu.numSms < 1)
-        return strfmt("gpu.numSms must be >= 1 (got %d)",
-                      gpu.numSms);
-    if (gpu.maxCaisLoadOutstanding < 1)
-        return strfmt("gpu.maxCaisLoadOutstanding must be >= 1 "
-                      "(got %d)",
-                      gpu.maxCaisLoadOutstanding);
     if (shards != 1)
         return strfmt("shards must be 1: the event core is sequential "
                       "and intra-run sharding was removed (got %d)",
                       shards);
-    // Fabric-level bounds (VC count, credits, buffer depths) on the
-    // derived SystemConfig, so zero-VC / zero-credit setups are
-    // rejected here with the same message the Fabric would fatal
-    // with instead of constructing a nonsense System.
+    // Fabric- and GPU-level bounds (VC count, credits, buffer depths,
+    // SM/CTA slots, injection window, HBM, jitter) on the derived
+    // SystemConfig, so such setups are rejected here with the same
+    // message the System would fatal with instead of constructing a
+    // nonsense one.
     SystemConfig sc = toSystemConfig(StrategySpec{});
     std::string fab_err = sc.fabric.validationError();
     if (!fab_err.empty())
         return fab_err;
-    return "";
+    return sc.gpu.validationError();
 }
 
 void

@@ -80,12 +80,26 @@ struct System::KernelState
     bool finished = false;
     Cycle startAt = 0;
     Cycle finishAt = 0;
-    Cycle lastDispatchAt = 0;
-    Cycle lastReadyAt = 0;
     std::vector<Cycle> gpuFirstDispatch;
     std::vector<Cycle> gpuLastFinish;
     std::vector<KernelId> dependents;
-    std::unordered_map<std::uint64_t, std::unique_ptr<TbRun>> live;
+    std::vector<TbRecId> firstTb; ///< record of each GPU's TB 0
+};
+
+/**
+ * One thread block of one kernel on one GPU: its dependency countdown,
+ * readiness time, CTA slot and — from dispatch until the deferred
+ * destroy after retirement — its live TbRun.
+ */
+struct System::TbRecord
+{
+    std::unique_ptr<TbRun> run;
+    Cycle readyAt = 0;
+    KernelState *ks = nullptr;
+    GpuId gpu = invalidId;
+    TbId idx = invalidId;
+    int depsLeft = 0;
+    int slot = -1;
 };
 
 System::System(const SystemConfig &cfg_)
@@ -99,24 +113,11 @@ System::System(const SystemConfig &cfg_)
     for (SwitchId s = 0; s < fp.numSwitches; ++s) {
         InSwitchParams isp = cfg.inswitch;
         if (fp.multiTier()) {
-            Fabric *f = fab.get();
-            int rails = fp.railsPerGroup;
             TierInfo &t = isp.tier;
             t.fabricGpus = fp.numGpus;
             t.numGroups = fp.numGroups;
             t.gpusPerGroup = fp.gpusPerGroup();
-            t.spineNodeForAddr = [f](Addr a) {
-                return f->spineNodeForAddr(a);
-            };
-            t.spineNodeForGroup = [f](GroupId g) {
-                return f->spineNodeForGroup(g);
-            };
-            t.leafNodeForAddr = [f, rails](int grp, Addr a) {
-                return f->switchNodeId(grp * rails + f->routeAddr(a));
-            };
-            t.leafNodeForGroup = [f, rails](int grp, GroupId g) {
-                return f->switchNodeId(grp * rails + f->routeGroup(g));
-            };
+            t.fabric = fab.get();
             if (fp.isSpineSwitch(s)) {
                 t.role = TierRole::spine;
                 // Cross-leaf partials are not TB traffic; the leaves
@@ -124,7 +125,7 @@ System::System(const SystemConfig &cfg_)
                 isp.merge.throttleEnabled = false;
             } else {
                 t.role = TierRole::leaf;
-                t.groupIndex = s / rails;
+                t.groupIndex = s / fp.railsPerGroup;
                 t.firstLocalGpu = t.groupIndex * t.gpusPerGroup;
             }
         }
@@ -133,7 +134,7 @@ System::System(const SystemConfig &cfg_)
     }
     for (GpuId g = 0; g < cfg.fabric.numGpus; ++g) {
         gpus.push_back(
-            std::make_unique<GpuCore>(queue, *fab, g, cfg.gpu));
+            std::make_unique<GpuCore>(queue, *fab, g, cfg.gpu, this));
         gpus.back()->hub().setArrivalHandler(this);
     }
     localBump.assign(static_cast<std::size_t>(cfg.fabric.numGpus),
@@ -164,6 +165,7 @@ System::defineTensor(std::string name, TensorLayout layout,
     auto tr = std::make_unique<TileTracker>(
         t->name, G, t->numTiles,
         t->bytesPerTile * static_cast<std::uint64_t>(need_factor));
+    tr->setListener(this);
     t->tracker = static_cast<int>(trackers.size());
 
     switch (layout) {
@@ -302,12 +304,22 @@ System::run()
     if (unfinishedKernels == 0)
         return;
 
-    // Resolve dependency edges.
+    // Resolve dependency edges and lay out the TB records.
     for (auto &ks : kernels) {
         ks->remainingDeps = static_cast<int>(ks->desc.kernelDeps.size());
         for (KernelId d : ks->desc.kernelDeps)
             kernels.at(static_cast<std::size_t>(d))
                 ->dependents.push_back(ks->desc.id);
+        for (GpuId g = 0; g < numGpus(); ++g) {
+            ks->firstTb.push_back(static_cast<TbRecId>(tbs.size()));
+            const auto &grid = ks->desc.grids[static_cast<std::size_t>(g)];
+            for (TbId i = 0; i < static_cast<TbId>(grid.size()); ++i) {
+                TbRecord &r = tbs.emplace_back();
+                r.ks = ks.get();
+                r.gpu = g;
+                r.idx = i;
+            }
+        }
     }
 
     for (auto &ks : kernels)
@@ -330,10 +342,7 @@ System::tryLaunch(KernelState &ks)
 
     // Register tracker completion before any TB can contribute.
     if (ks.desc.producesTracker != invalidId) {
-        tracker(ks.desc.producesTracker).waitComplete([this, &ks] {
-            ks.trackerDone = true;
-            maybeFinishKernel(ks);
-        });
+        tracker(ks.desc.producesTracker).waitComplete(ks.desc.id);
     } else {
         ks.trackerDone = true;
     }
@@ -382,133 +391,134 @@ System::tryLaunch(KernelState &ks)
 void
 System::launchOnGpu(KernelState &ks, GpuId g)
 {
+    // An empty grid has no work; its share is accounted as done.
+    TbRecId first = ks.firstTb[static_cast<std::size_t>(g)];
     const auto &grid = ks.desc.grids[static_cast<std::size_t>(g)];
-    if (grid.empty()) {
-        // This GPU has no work; account its share as done.
-        return;
-    }
-    for (int i = 0; i < static_cast<int>(grid.size()); ++i)
-        enqueueTb(ks, g, i);
+    for (std::size_t i = 0; i < grid.size(); ++i)
+        enqueueTb(first + static_cast<TbRecId>(i));
+}
+
+const TbDesc &
+System::tbDesc(const TbRecord &r) const
+{
+    return r.ks->desc.grids[static_cast<std::size_t>(r.gpu)]
+                           [static_cast<std::size_t>(r.idx)];
 }
 
 void
-System::enqueueTb(KernelState &ks, GpuId g, int tb_idx)
+System::enqueueTb(TbRecId rec)
 {
-    const TbDesc &tb =
-        ks.desc.grids[static_cast<std::size_t>(g)]
-                     [static_cast<std::size_t>(tb_idx)];
+    // Each dependency counts down once when its tile is ready (inside
+    // waitFor if it already is); the extra count is registration's
+    // own, so the TB turns ready once, after its last waitFor.
+    TbRecord &r = tbs[rec];
+    const TbDesc &tb = tbDesc(r);
+    r.depsLeft = static_cast<int>(tb.deps.size()) + 1;
+    for (const TileRef &ref : tb.deps)
+        tracker(ref.tracker).waitFor(ref.atGpu, ref.tile, rec);
+    onTileReady(rec);
+}
 
-    auto dispatch = [this, &ks, g, tb_idx] {
-        Cycle ready_at = queue.now();
-        gpu(g).scheduler().enqueue(
-            ks.desc.smFrom, ks.desc.smTo, ks.desc.schedPriority,
-            [this, &ks, g, tb_idx, ready_at](int slot) {
-            dispatchTb(ks, g, tb_idx, slot, ready_at);
-        });
-    };
-
-    // (Readiness time is tracked for pipeline diagnostics.)
+void
+System::onTileReady(TbRecId rec)
+{
+    TbRecord &r = tbs[rec];
+    if (--r.depsLeft > 0)
+        return;
+    const TbDesc &tb = tbDesc(r);
     // Pre-launch synchronization (Sec. III-B.2): the TB registers its
     // group and stays pending — without occupying a CTA slot — until
     // the switch has seen all participating GPUs register.
-    std::function<void()> ready = [this, &ks, dispatch] {
-        ks.lastReadyAt = queue.now();
-        dispatch();
-    };
-    if (ks.desc.preLaunchSync && tb.group != invalidId) {
-        ready = [this, &ks, g, group = tb.group, dispatch] {
-            gpu(g).synchronizer().requestSync(
-                group, SyncPhase::preLaunch, numGpus(),
-                [this, &ks, dispatch] {
-                ks.lastReadyAt = queue.now();
-                dispatch();
-            });
-        };
-    }
-
-    if (tb.deps.empty()) {
-        ready();
+    if (r.ks->desc.preLaunchSync && tb.group != invalidId) {
+        gpu(r.gpu).synchronizer().requestSync(
+            tb.group, SyncPhase::preLaunch, numGpus(), rec);
         return;
     }
-
-    auto remaining = std::make_shared<int>(
-        static_cast<int>(tb.deps.size()));
-    for (const TileRef &ref : tb.deps) {
-        tracker(ref.tracker)
-            .waitFor(ref.atGpu, ref.tile, [remaining, ready] {
-            if (--*remaining == 0)
-                ready();
-        });
-    }
+    queueTb(rec);
 }
 
 void
-System::dispatchTb(KernelState &ks, GpuId g, int tb_idx, int slot,
-                   Cycle ready_at)
+System::onSyncReleased(TbRecId rec)
 {
-    const TbDesc &tb =
-        ks.desc.grids[static_cast<std::size_t>(g)]
-                     [static_cast<std::size_t>(tb_idx)];
+    // A dispatched TB only waits on its pre-access barriers; before
+    // dispatch the release is the pre-launch one.
+    TbRecord &r = tbs[rec];
+    if (r.run)
+        r.run->onSyncReleased();
+    else
+        queueTb(rec);
+}
 
-    // Occupancy-stall edge: the TB was runnable from ready_at but only
+void
+System::queueTb(TbRecId rec)
+{
+    TbRecord &r = tbs[rec];
+    const KernelDesc &k = r.ks->desc;
+    r.readyAt = queue.now();
+    gpu(r.gpu).scheduler().enqueue(k.smFrom, k.smTo, k.schedPriority,
+                                   rec);
+}
+
+void
+System::onSlotGranted(TbRecId rec, int slot)
+{
+    TbRecord &r = tbs[rec];
+    KernelState &ks = *r.ks;
+
+    // Occupancy-stall edge: the TB was runnable from readyAt but only
     // now won a CTA slot; the enabling cause is whatever is active —
     // the readiness event itself (immediate grant) or the retiring TB
     // whose slot this one inherits (scheduler pump).
     if (prof)
-        prof->record(profnode::tb(ks.desc.id, g, tb_idx),
-                     WaitClass::schedulerIdle, ready_at, queue.now());
+        prof->record(profnode::tb(ks.desc.id, r.gpu, r.idx),
+                     WaitClass::schedulerIdle, r.readyAt, queue.now());
 
-    auto run = std::make_unique<TbRun>(
-        gpu(g).tbContext(numGpus()), g, ks.desc, tb, tb_idx,
-        [this, &ks](TbRun &r) { onTbProduced(ks, r); },
-        [this, &ks, g, tb_idx, slot](TbRun &r) {
-            onTbFinished(ks, g, tb_idx, slot, &r);
-        });
-
-    std::uint64_t key = (static_cast<std::uint64_t>(g) << 32) |
-                        static_cast<std::uint32_t>(tb_idx);
-    ks.lastDispatchAt = queue.now();
-    if (ks.gpuFirstDispatch[static_cast<std::size_t>(g)] == 0)
-        ks.gpuFirstDispatch[static_cast<std::size_t>(g)] =
-            queue.now() ? queue.now() : 1;
-    TbRun *raw = run.get();
-    ks.live[key] = std::move(run);
-    raw->start();
+    r.slot = slot;
+    r.run = std::make_unique<TbRun>(gpu(r.gpu).tbContext(numGpus()),
+                                    r.gpu, ks.desc, tbDesc(r), r.idx,
+                                    rec);
+    Cycle &first = ks.gpuFirstDispatch[static_cast<std::size_t>(r.gpu)];
+    if (first == 0)
+        first = queue.now() ? queue.now() : 1;
+    r.run->start();
 }
 
 void
-System::onTbProduced(KernelState &ks, TbRun &tb)
+System::onTbProduced(TbRecId rec)
 {
-    const TbDesc &d = tb.desc();
-    if (ks.desc.producesTracker == invalidId || d.producesTile < 0 ||
+    const TbRecord &r = tbs[rec];
+    const KernelDesc &k = r.ks->desc;
+    const TbDesc &d = tbDesc(r);
+    if (k.producesTracker == invalidId || d.producesTile < 0 ||
         d.produceBytes == 0)
         return;
-    tracker(ks.desc.producesTracker)
-        .contribute(tb.gpu(), d.producesTile, d.produceBytes);
+    tracker(k.producesTracker)
+        .contribute(r.gpu, d.producesTile, d.produceBytes);
 }
 
 void
-System::onTbFinished(KernelState &ks, GpuId g, int tb_idx, int slot,
-                     TbRun *run)
+System::onTbFinished(TbRecId rec)
 {
-    (void)run;
-    ks.gpuLastFinish[static_cast<std::size_t>(g)] = queue.now();
-    gpu(g).sms().release(slot);
-    gpu(g).scheduler().pump();
+    const TbRecord &r = tbs[rec];
+    KernelState &ks = *r.ks;
+    ks.gpuLastFinish[static_cast<std::size_t>(r.gpu)] = queue.now();
+    gpu(r.gpu).sms().release(r.slot);
+    gpu(r.gpu).scheduler().pump();
 
-    std::uint64_t key = (static_cast<std::uint64_t>(g) << 32) |
-                        static_cast<std::uint32_t>(tb_idx);
     // Defer destruction: we are inside the TbRun's own call frame.
-    queue.scheduleAfter(0, [&ks, key] { ks.live.erase(key); });
+    queue.scheduleAfter(0, [this, rec] { tbs[rec].run.reset(); });
 
-    if (--ks.remainingTbs == 0)
-        onKernelTbsDone(ks);
+    if (--ks.remainingTbs == 0) {
+        ks.tbsDone = true;
+        maybeFinishKernel(ks);
+    }
 }
 
 void
-System::onKernelTbsDone(KernelState &ks)
+System::onTrackerComplete(KernelId k)
 {
-    ks.tbsDone = true;
+    KernelState &ks = *kernels[static_cast<std::size_t>(k)];
+    ks.trackerDone = true;
     maybeFinishKernel(ks);
 }
 
@@ -567,20 +577,14 @@ System::reportDeadlock() const
                                      "%d\n",
                                      g, tile);
         }
-        // Print live TBs in key order, not hash order, so deadlock
-        // reports are reproducible run to run.
-        std::vector<std::uint64_t> liveKeys;
-        liveKeys.reserve(ks->live.size());
-        // cais-lint: allow(D1) -- keys are sorted before any output
-        for (const auto &[key, run] : ks->live)
-            liveKeys.push_back(key);
-        std::sort(liveKeys.begin(), liveKeys.end());
-        for (std::uint64_t key : liveKeys) {
-            const auto &run = ks->live.at(key);
-            std::fprintf(stderr, "    live TB: gpu %d idx %d [%s]\n",
-                         static_cast<int>(key >> 32),
-                         static_cast<int>(key & 0xffffffffu),
-                         run ? run->stateStr().c_str() : "null");
+        // Live TBs in (gpu, idx) order: the record layout.
+        TbRecId end = ks->firstTb.front() +
+                      static_cast<TbRecId>(ks->desc.totalTbs());
+        for (TbRecId rec = ks->firstTb.front(); rec < end; ++rec) {
+            const TbRecord &r = tbs[rec];
+            if (r.run)
+                std::fprintf(stderr, "    live TB: gpu %d idx %d [%s]\n",
+                             r.gpu, r.idx, r.run->stateStr().c_str());
         }
     }
     for (SwitchId s = 0; s < numSwitches(); ++s) {
@@ -626,18 +630,6 @@ Cycle
 System::kernelFinishTime(KernelId k) const
 {
     return kernels.at(static_cast<std::size_t>(k))->finishAt;
-}
-
-Cycle
-System::kernelLastDispatch(KernelId k) const
-{
-    return kernels.at(static_cast<std::size_t>(k))->lastDispatchAt;
-}
-
-Cycle
-System::kernelLastReady(KernelId k) const
-{
-    return kernels.at(static_cast<std::size_t>(k))->lastReadyAt;
 }
 
 std::pair<Cycle, Cycle>
@@ -693,28 +685,6 @@ System::setTraceHooks(SwitchTraceHooks *h)
 {
     for (auto &c : complexes)
         c->setTraceHooks(h);
-}
-
-double
-System::mergeStaggerMean() const
-{
-    double weighted = 0.0;
-    std::uint64_t n = 0;
-    for (const auto &c : complexes) {
-        const Histogram &h = c->merge().staggerHist();
-        weighted += h.mean() * static_cast<double>(h.count());
-        n += h.count();
-    }
-    return n ? weighted / static_cast<double>(n) : 0.0;
-}
-
-std::uint64_t
-System::peakMergeTableBytes() const
-{
-    std::uint64_t peak = 0;
-    for (const auto &c : complexes)
-        peak = std::max(peak, c->merge().peakTableBytes());
-    return peak;
 }
 
 void

@@ -11,6 +11,9 @@
  *    (finished = all TBs retired AND its output tracker complete);
  *  - a TB becomes dispatchable once its tile dependencies are ready,
  *    enabling the fine-grained cross-kernel overlap of Sec. III-C;
+ *    every TB's lifecycle state lives in one dense record, and every
+ *    party that parks a TB hands its record id back through the
+ *    TbListener interface System implements;
  *  - uncoordinated kernels receive a per-GPU start skew, modelling
  *    the execution drift that CAIS's TB coordination removes.
  */
@@ -86,7 +89,7 @@ struct SystemConfig
 };
 
 /** The full machine plus execution engine. */
-class System : public DataArrivalHandler
+class System : public DataArrivalHandler, public TbListener
 {
   public:
     explicit System(const SystemConfig &cfg);
@@ -132,7 +135,6 @@ class System : public DataArrivalHandler
     {
         return *trackers[static_cast<std::size_t>(idx)];
     }
-    std::size_t numTrackers() const { return trackers.size(); }
 
     /**
      * Bump-allocate @p bytes in GPU @p g's window / the shared
@@ -167,10 +169,6 @@ class System : public DataArrivalHandler
     Cycle kernelStartTime(KernelId k) const;
     Cycle kernelFinishTime(KernelId k) const;
 
-    /** Last TB dispatch / readiness time (pipeline diagnostics). */
-    Cycle kernelLastDispatch(KernelId k) const;
-    Cycle kernelLastReady(KernelId k) const;
-
     /** Per-GPU execution span of a kernel (first TB dispatch to last
      *  TB retirement); {0, 0} if the GPU ran none of its TBs. */
     std::pair<Cycle, Cycle> kernelGpuSpan(KernelId k, GpuId g) const;
@@ -198,12 +196,6 @@ class System : public DataArrivalHandler
 
     CausalProfiler *profiler() { return prof; }
 
-    /** Aggregate merge-unit stagger mean over all switches, cycles. */
-    double mergeStaggerMean() const;
-
-    /** Peak per-port merge table bytes over all switches. */
-    std::uint64_t peakMergeTableBytes() const;
-
     /** Mean SM-slot occupancy across GPUs over the run. */
     double gpuUtilization() const;
 
@@ -211,21 +203,24 @@ class System : public DataArrivalHandler
     void onDataArrival(GpuId gpu, Addr addr, std::uint32_t bytes,
                        int contribs) override;
 
-    AddressMap &addressMap() { return addrMap; }
-
   private:
     struct KernelState;
-    struct TbWait;
+    struct TbRecord;
 
+    // TbListener: tile trackers, synchronizers, schedulers and TbRuns
+    // hand back the record ids they parked.
+    void onTileReady(TbRecId rec) override;
+    void onTrackerComplete(KernelId k) override;
+    void onSyncReleased(TbRecId rec) override;
+    void onSlotGranted(TbRecId rec, int slot) override;
+    void onTbProduced(TbRecId rec) override;
+    void onTbFinished(TbRecId rec) override;
+
+    const TbDesc &tbDesc(const TbRecord &r) const;
     void tryLaunch(KernelState &ks);
     void launchOnGpu(KernelState &ks, GpuId g);
-    void enqueueTb(KernelState &ks, GpuId g, int tb_idx);
-    void dispatchTb(KernelState &ks, GpuId g, int tb_idx, int slot,
-                    Cycle ready_at);
-    void onTbProduced(KernelState &ks, TbRun &tb);
-    void onTbFinished(KernelState &ks, GpuId g, int tb_idx, int slot,
-                      TbRun *run);
-    void onKernelTbsDone(KernelState &ks);
+    void enqueueTb(TbRecId rec);
+    void queueTb(TbRecId rec);
     void maybeFinishKernel(KernelState &ks);
     void reportDeadlock() const;
 
@@ -247,6 +242,9 @@ class System : public DataArrivalHandler
     GroupId nextGroup = 0;
 
     std::vector<std::unique_ptr<KernelState>> kernels;
+    /** One record per (kernel, GPU, TB), kernel-major then GPU-major,
+     *  laid out by run(). */
+    std::vector<TbRecord> tbs;
     int unfinishedKernels = 0;
     Cycle finishedAt = 0;
     Rng skewRng;

@@ -2,6 +2,7 @@
 
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
+#include "noc/network.hh"
 
 namespace cais
 {
@@ -51,8 +52,9 @@ GroupSyncTable::handleSyncReq(Packet &&pkt)
             return; // each GPU registers once per (group, phase)
         e.mask.set(pkt.issuerGpu);
         ++e.count;
-        Packet up = sw.makePacket(PacketType::groupSyncReq,
-                                  tier.spineNodeForGroup(pkt.group));
+        Packet up = sw.makePacket(
+            PacketType::groupSyncReq,
+            tier.fabric->spineNodeForGroup(pkt.group));
         up.group = pkt.group;
         up.cookie = pkt.cookie;
         up.issuerGpu = sw.nodeId();

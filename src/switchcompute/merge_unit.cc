@@ -4,6 +4,7 @@
 
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
+#include "noc/network.hh"
 
 namespace cais
 {
@@ -20,20 +21,20 @@ MergeUnit::MergeUnit(SwitchChip &sw_, const MergeParams &params,
     tables.reserve(static_cast<std::size_t>(homes));
     for (int g = 0; g < homes; ++g)
         tables.emplace_back(p.tableBytesPerPort, p.chunkBytes);
+}
 
-    if (p.throttleEnabled) {
-        throttle.setHintCallback(
-            [this](GpuId g, GroupId group, Cycle pause) {
-            if (hooks)
-                hooks->onThrottleHint(sw.id(), g, group,
-                                      sw.eventQueue().now());
-            Packet hint = sw.makePacket(PacketType::throttleHint, g);
-            hint.group = group;
-            hint.cookie = pause;
-            hint.issuerGpu = g;
-            sw.sendToGpu(std::move(hint));
-        });
-    }
+void
+MergeUnit::noteContribution(GroupId group, GpuId g, Cycle now)
+{
+    if (!p.throttleEnabled || !throttle.onContribution(group, g, now))
+        return;
+    if (hooks)
+        hooks->onThrottleHint(sw.id(), g, group, now);
+    Packet hint = sw.makePacket(PacketType::throttleHint, g);
+    hint.group = group;
+    hint.cookie = throttle.pause();
+    hint.issuerGpu = g;
+    sw.sendToGpu(std::move(hint));
 }
 
 void
@@ -114,7 +115,7 @@ MergeUnit::issueFetch(GpuId home, Addr addr, std::uint32_t bytes,
         // GPU still transmits the data only once fabric-wide: every
         // group's leaf registers one caisLoadReq with the spine.
         Packet rd = sw.makePacket(PacketType::caisLoadReq,
-                                  tier.spineNodeForAddr(addr));
+                                  tier.fabric->spineNodeForAddr(addr));
         rd.addr = addr;
         rd.reqBytes = bytes;
         rd.cookie = cookieTagMerge | id;
@@ -159,7 +160,7 @@ MergeUnit::handleLoadReq(Packet &&pkt)
         ++e->count;
         e->contribMask.set(pkt.issuerGpu);
         e->lastAccess = now;
-        throttle.onContribution(pkt.group, pkt.issuerGpu, now);
+        noteContribution(pkt.group, pkt.issuerGpu, now);
         if (e->state == SessionState::loadWait) {
             // Data still pending: defer in the Content Array.
             e->pendingRequesters.push_back(std::move(pkt));
@@ -199,7 +200,7 @@ MergeUnit::handleLoadReq(Packet &&pkt)
     e->firstRequestAt = now;
     e->lastAccess = now;
     e->bytes = pkt.reqBytes ? pkt.reqBytes : p.chunkBytes;
-    throttle.onContribution(pkt.group, pkt.issuerGpu, now);
+    noteContribution(pkt.group, pkt.issuerGpu, now);
 
     std::uint32_t bytes = e->bytes;
     Addr addr = pkt.addr;
@@ -284,7 +285,7 @@ MergeUnit::handleRedReq(Packet &&pkt)
                 if (tier.isLeaf() && tier.numGroups > 1) {
                     // Upstream: the spine still needs every count.
                     Packet w = sw.makePacket(PacketType::caisRedReq,
-                                             tier.spineNodeForAddr(
+                                             tier.fabric->spineNodeForAddr(
                                                  pkt.addr));
                     w.addr = pkt.addr;
                     w.payloadBytes = pkt.payloadBytes;
@@ -331,7 +332,7 @@ MergeUnit::handleRedReq(Packet &&pkt)
     e->lastAccess = now;
     if (e->group == invalidId)
         e->group = pkt.group;
-    throttle.onContribution(pkt.group, pkt.issuerGpu, now);
+    noteContribution(pkt.group, pkt.issuerGpu, now);
 
     if (e->count >= e->expected)
         closeSession(home, e, true);
@@ -370,7 +371,7 @@ MergeUnit::emitPartialUpstream(const MergeEntry &e)
     // fabric-global expectation, so partial (evicted) sessions are
     // forwarded with their current count exactly once.
     Packet w = sw.makePacket(PacketType::caisRedReq,
-                             tier.spineNodeForAddr(e.addr));
+                             tier.fabric->spineNodeForAddr(e.addr));
     w.addr = e.addr;
     w.payloadBytes = e.bytes;
     w.group = e.group;

@@ -106,10 +106,6 @@ class MergeUnit : public Probe
      */
     const Histogram &staggerHist() const { return stagger; }
 
-    /** Stagger restricted to load / reduction sessions. */
-    const Histogram &loadStaggerHist() const { return loadStagger; }
-    const Histogram &redStaggerHist() const { return redStagger; }
-
     /** Peak concurrent load / reduction sessions over all ports. */
     std::size_t peakLoadSessions() const { return peakLoads; }
     std::size_t peakRedSessions() const { return peakReds; }
@@ -130,7 +126,6 @@ class MergeUnit : public Probe
     /** Addresses whose stagger window has not completed yet. */
     std::size_t pendingProbes() const { return probe.size(); }
 
-    std::uint64_t throttleHints() const { return throttle.hintsSent(); }
 
     /** Live table bytes at one home port (trace sampling). */
     std::uint64_t liveTableBytes(GpuId port) const;
@@ -153,6 +148,11 @@ class MergeUnit : public Probe
 
     /** Track per-address stagger irrespective of merge success. */
     void probeArrival(Addr addr, bool is_load, int expected);
+
+    /** Count @p g's contribution toward throttling and send it the
+     *  pause hint the controller asks for (MergeParams::
+     *  throttleEnabled gates both). */
+    void noteContribution(GroupId group, GpuId g, Cycle now);
 
     /** Free a session, notifying throttling and stagger bookkeeping. */
     void closeSession(GpuId port, MergeEntry *e, bool complete);

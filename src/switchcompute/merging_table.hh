@@ -107,7 +107,6 @@ class MergingTable
         return static_cast<std::uint64_t>(peakLive) * chunk;
     }
 
-    std::uint64_t capacityBytes() const { return capacity; }
     std::uint32_t chunkBytes() const { return chunk; }
     std::size_t capacityEntries() const { return maxEntries; }
 

@@ -2,6 +2,7 @@
 
 #include "analysis/causal_profile.hh"
 #include "common/log.hh"
+#include "noc/network.hh"
 
 namespace cais
 {
@@ -41,8 +42,9 @@ NvlsUnit::handleMultimemSt(Packet &&pkt)
         for (int grp = 0; grp < tier.numGroups; ++grp) {
             if (grp == issuer_group)
                 continue;
-            Packet w = sw.makePacket(PacketType::multimemSt,
-                                     tier.leafNodeForAddr(grp, pkt.addr));
+            Packet w = sw.makePacket(
+                PacketType::multimemSt,
+                tier.fabric->leafNodeForAddr(grp, pkt.addr));
             w.addr = pkt.addr;
             w.payloadBytes = pkt.payloadBytes;
             w.padBytes = pkt.padBytes;
@@ -67,7 +69,7 @@ NvlsUnit::handleMultimemSt(Packet &&pkt)
 
     if (tier.isLeaf() && tier.numGroups > 1) {
         Packet up = sw.makePacket(PacketType::multimemSt,
-                                  tier.spineNodeForAddr(pkt.addr));
+                                  tier.fabric->spineNodeForAddr(pkt.addr));
         up.addr = pkt.addr;
         up.payloadBytes = pkt.payloadBytes;
         up.padBytes = pkt.padBytes;
@@ -108,8 +110,9 @@ NvlsUnit::handleLdReduceReq(Packet &&pkt)
         for (int grp = 0; grp < tier.numGroups; ++grp) {
             if (grp == origin_group)
                 continue;
-            Packet rd = sw.makePacket(PacketType::multimemLdReduceReq,
-                                      tier.leafNodeForAddr(grp, pkt.addr));
+            Packet rd = sw.makePacket(
+                PacketType::multimemLdReduceReq,
+                tier.fabric->leafNodeForAddr(grp, pkt.addr));
             rd.addr = pkt.addr;
             rd.reqBytes = pkt.reqBytes;
             rd.padResponse = pkt.padResponse;
@@ -158,7 +161,7 @@ NvlsUnit::handleLdReduceReq(Packet &&pkt)
     }
     if (origin && tier.numGroups > 1) {
         Packet up = sw.makePacket(PacketType::multimemLdReduceReq,
-                                  tier.spineNodeForAddr(pkt.addr));
+                                  tier.fabric->spineNodeForAddr(pkt.addr));
         up.addr = pkt.addr;
         up.reqBytes = pkt.reqBytes;
         up.padResponse = pkt.padResponse;
@@ -281,7 +284,7 @@ NvlsUnit::handleRed(Packet &&pkt)
     if (tier.isLeaf() && tier.numGroups > 1) {
         // Local accumulation done: push one partial to the spine.
         Packet up = sw.makePacket(PacketType::multimemRed,
-                                  tier.spineNodeForAddr(addr));
+                                  tier.fabric->spineNodeForAddr(addr));
         up.addr = addr;
         up.payloadBytes = bytes;
         up.kernel = kernel;
@@ -309,8 +312,9 @@ NvlsUnit::handleRed(Packet &&pkt)
                                            profnode::nvls(sw.id()),
                                            sw.eventQueue().now());
             for (int grp = 0; grp < tier.numGroups; ++grp) {
-                Packet w = sw.makePacket(PacketType::multimemRed,
-                                         tier.leafNodeForAddr(grp, addr));
+                Packet w = sw.makePacket(
+                    PacketType::multimemRed,
+                    tier.fabric->leafNodeForAddr(grp, addr));
                 w.addr = addr;
                 w.payloadBytes = bytes;
                 w.kernel = kernel;

@@ -14,31 +14,24 @@ ThrottleController::ThrottleController(int num_gpus, int threshold_,
 {
 }
 
-void
-ThrottleController::setHintCallback(
-    std::function<void(GpuId, GroupId, Cycle)> cb)
-{
-    hintCb = std::move(cb);
-}
-
-void
+bool
 ThrottleController::onContribution(GroupId group, GpuId g, Cycle now)
 {
     if (group == invalidId || g < 0 || g >= numGpus)
-        return;
+        return false;
     auto &counts = open[group];
     if (counts.empty())
         counts.assign(static_cast<std::size_t>(numGpus), 0);
     int &c = counts[static_cast<std::size_t>(g)];
     ++c;
-    if (c > threshold && hintCb) {
-        Cycle &last = lastHint[static_cast<std::size_t>(g)];
-        if (now == 0 || now - last >= hintInterval || last == 0) {
-            last = now;
-            hints.inc();
-            hintCb(g, group, pauseCycles);
-        }
-    }
+    if (c <= threshold)
+        return false;
+    Cycle &last = lastHint[static_cast<std::size_t>(g)];
+    if (now != 0 && now - last < hintInterval && last != 0)
+        return false;
+    last = now;
+    hints.inc();
+    return true;
 }
 
 void

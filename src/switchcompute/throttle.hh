@@ -12,7 +12,6 @@
 #define CAIS_SWITCHCOMPUTE_THROTTLE_HH
 
 #include <cstdint>
-#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -38,16 +37,20 @@ class ThrottleController : public Probe
     ThrottleController(int num_gpus, int threshold, Cycle pause_cycles,
                        Cycle hint_interval);
 
-    /** Called when GPU @p g contributes to an incomplete session. */
-    void onContribution(GroupId group, GpuId g, Cycle now);
+    /**
+     * Called when GPU @p g contributes to an incomplete session.
+     * @return true when @p g should now be sent a hint to pause for
+     *         pause() cycles (the caller builds the packet; the hint
+     *         is counted here).
+     */
+    bool onContribution(GroupId group, GpuId g, Cycle now);
+
+    Cycle pause() const { return pauseCycles; }
 
     /** Called when a session closes with contributor mask @p mask
      *  (bits outside [0, num_gpus) — remote-tier proxies — are
      *  ignored). */
     void onSessionClose(GroupId group, const NodeMask &mask);
-
-    /** Hint sink: (gpu, group, pause cycles). */
-    void setHintCallback(std::function<void(GpuId, GroupId, Cycle)> cb);
 
     /** Open-session contributions by @p g in @p group. */
     int unmatched(GroupId group, GpuId g) const;
@@ -69,7 +72,6 @@ class ThrottleController : public Probe
 
     std::unordered_map<GroupId, std::vector<int>> open;
     std::vector<Cycle> lastHint;
-    std::function<void(GpuId, GroupId, Cycle)> hintCb;
     Counter hints;
 };
 

@@ -14,13 +14,13 @@
 #ifndef CAIS_SWITCHCOMPUTE_TIER_HH
 #define CAIS_SWITCHCOMPUTE_TIER_HH
 
-#include <functional>
-
 #include "common/types.hh"
 #include "noc/switch_chip.hh"
 
 namespace cais
 {
+
+class Fabric;
 
 /** Which tier a switch's compute complex sits on. */
 enum class TierRole : std::uint8_t { flat, leaf, spine };
@@ -41,15 +41,10 @@ struct TierInfo
     int groupIndex = 0;
     int firstLocalGpu = 0;
 
-    /** Node id of the spine owning an address / coordinating a group
-     *  (set on leaves of multi-tier fabrics). */
-    std::function<int(Addr)> spineNodeForAddr;
-    std::function<int(GroupId)> spineNodeForGroup;
-
-    /** Node id of group @p grp's leaf on the rail owning an address /
-     *  a group (set on spines of multi-tier fabrics). */
-    std::function<int(int grp, Addr)> leafNodeForAddr;
-    std::function<int(int grp, GroupId)> leafNodeForGroup;
+    /** The fabric the engines route tier hops through: leaves ask it
+     *  for the spine owning an address or group, spines for a group's
+     *  leaf (set on multi-tier fabrics). */
+    const Fabric *fabric = nullptr;
 
     bool isLeaf() const { return role == TierRole::leaf; }
     bool isSpine() const { return role == TierRole::spine; }

@@ -136,14 +136,13 @@ TEST(Throttle, HintsWhenGpuRunsAhead)
 {
     ThrottleController tc(4, 3, 2000, 100);
     std::vector<GpuId> hinted;
-    tc.setHintCallback([&](GpuId g, GroupId, Cycle pause) {
-        hinted.push_back(g);
-        EXPECT_EQ(pause, 2000u);
-    });
 
     // GPU 0 opens 4 unmatched contributions in group 1.
     for (int i = 0; i < 4; ++i)
-        tc.onContribution(1, 0, static_cast<Cycle>(i) * 200);
+        if (tc.onContribution(1, 0, static_cast<Cycle>(i) * 200))
+            hinted.push_back(0);
+    EXPECT_EQ(tc.pause(), 2000u);
+    EXPECT_EQ(tc.hintsSent(), 1u);
     ASSERT_EQ(hinted.size(), 1u);
     EXPECT_EQ(hinted[0], 0);
     EXPECT_EQ(tc.unmatched(1, 0), 4);
@@ -167,11 +166,10 @@ TEST(Throttle, HintIntervalRateLimits)
 {
     ThrottleController tc(2, 1, 500, 1000);
     int hints = 0;
-    tc.setHintCallback([&](GpuId, GroupId, Cycle) { ++hints; });
     for (int i = 0; i < 10; ++i)
-        tc.onContribution(0, 0, 100 + static_cast<Cycle>(i));
+        hints += tc.onContribution(0, 0, 100 + static_cast<Cycle>(i));
     EXPECT_EQ(hints, 1); // within one interval
-    tc.onContribution(0, 0, 5000);
+    hints += tc.onContribution(0, 0, 5000);
     EXPECT_EQ(hints, 2);
 }
 
@@ -179,8 +177,8 @@ TEST(Throttle, IgnoresUngroupedTraffic)
 {
     ThrottleController tc(2, 1, 500, 10);
     int hints = 0;
-    tc.setHintCallback([&](GpuId, GroupId, Cycle) { ++hints; });
     for (int i = 0; i < 10; ++i)
-        tc.onContribution(invalidId, 0, static_cast<Cycle>(i) * 100);
+        hints += tc.onContribution(invalidId, 0,
+                                   static_cast<Cycle>(i) * 100);
     EXPECT_EQ(hints, 0);
 }

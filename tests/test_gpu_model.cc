@@ -3,10 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include "fake_tb_listener.hh"
 #include "gpu/gpu_core.hh"
 #include "workload/gemm_model.hh"
 
 using namespace cais;
+using cais::test::FakeTbListener;
 
 TEST(SmPool, AcquireReleaseAndPartition)
 {
@@ -43,31 +45,65 @@ TEST(TbScheduler, DispatchesFifoWithinBucket)
 {
     EventQueue eq;
     SmPool pool(eq, 1, 1); // single slot
-    TbScheduler sched(pool);
+    FakeTbListener l;
+    TbScheduler sched(pool, &l);
     std::vector<int> order;
-    for (int i = 0; i < 3; ++i)
-        sched.enqueue(0.0, 1.0, 1, [&, i](int slot) {
-            order.push_back(i);
-            // Hold the slot; released below.
-            eq.scheduleAfter(10, [&, slot] {
-                pool.release(slot);
-                sched.pump();
-            });
+    l.slotGranted = [&](TbRecId rec, int slot) {
+        order.push_back(static_cast<int>(rec));
+        // Hold the slot; released below.
+        eq.scheduleAfter(10, [&, slot] {
+            pool.release(slot);
+            sched.pump();
         });
+    };
+    for (TbRecId i = 0; i < 3; ++i)
+        sched.enqueue(0.0, 1.0, 1, i);
     eq.runAll();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+TEST(TbScheduler, ReentrantEnqueueKeepsBucketFifo)
+{
+    // A grant that readies another TB enqueues from inside pump(): the
+    // new TB joins the bucket's tail and is granted by the running
+    // pump after the grant returns, never by a nested one.
+    EventQueue eq;
+    SmPool pool(eq, 3, 1);
+    FakeTbListener l;
+    TbScheduler sched(pool, &l);
+    std::vector<int> held;
+    for (int i = 0; i < 3; ++i)
+        held.push_back(pool.acquire(0.0, 1.0));
+    std::vector<int> order;
+    l.slotGranted = [&](TbRecId rec, int) {
+        order.push_back(static_cast<int>(rec));
+        if (rec == 0) {
+            sched.enqueue(0.0, 1.0, 1, 2);
+            order.push_back(-1); // the nested enqueue returned
+        }
+    };
+    sched.enqueue(0.0, 1.0, 1, 0);
+    sched.enqueue(0.0, 1.0, 1, 1);
+    for (int s : held)
+        pool.release(s);
+    sched.pump();
+    EXPECT_EQ(order, (std::vector<int>{0, -1, 1, 2}));
 }
 
 TEST(TbScheduler, PriorityDispatchesCommFirst)
 {
     EventQueue eq;
     SmPool pool(eq, 1, 1);
-    TbScheduler sched(pool);
+    FakeTbListener l;
+    TbScheduler sched(pool, &l);
     // Occupy the slot so both queue up.
     int held = pool.acquire(0.0, 1.0);
     std::vector<std::string> order;
-    sched.enqueue(0.0, 1.0, 1, [&](int) { order.push_back("compute"); });
-    sched.enqueue(0.0, 1.0, 0, [&](int) { order.push_back("comm"); });
+    l.slotGranted = [&](TbRecId rec, int) {
+        order.push_back(rec == 0 ? "compute" : "comm");
+    };
+    sched.enqueue(0.0, 1.0, 1, 0);
+    sched.enqueue(0.0, 1.0, 0, 1);
     pool.release(held);
     sched.pump();
     ASSERT_EQ(order.size(), 1u);
@@ -78,12 +114,14 @@ TEST(TbScheduler, SpillsIntoIdlePartnerPartition)
 {
     EventQueue eq;
     SmPool pool(eq, 4, 1);
-    TbScheduler sched(pool);
+    FakeTbListener l;
+    TbScheduler sched(pool, &l);
     int dispatched = 0;
+    l.slotGranted = [&](TbRecId, int) { ++dispatched; };
     // 4 TBs confined to the upper half (2 slots) spill into the idle
     // lower half under the work-conserving second pass.
-    for (int i = 0; i < 4; ++i)
-        sched.enqueue(0.5, 1.0, 1, [&](int) { ++dispatched; });
+    for (TbRecId i = 0; i < 4; ++i)
+        sched.enqueue(0.5, 1.0, 1, i);
     EXPECT_EQ(dispatched, 4);
 }
 

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "fake_tb_listener.hh"
 #include "gpu/gpu_core.hh"
 #include "runtime/system.hh"
 
 using namespace cais;
+using cais::test::FakeTbListener;
 
 namespace
 {
@@ -34,6 +36,36 @@ struct HubRig
     EventQueue &eq() { return sys->eq(); }
 };
 
+/** A TB waiting on a pull job. It is never started, so the hub's
+ *  onLoadsDone() only marks its loads done. */
+struct LoadWaiter
+{
+    FakeTbListener listener;
+    KernelDesc kernel;
+    TbDesc tb;
+    std::unique_ptr<TbRun> run;
+
+    explicit LoadWaiter(HubRig &rig)
+    {
+        TbRunContext ctx = rig.sys->gpu(0).tbContext(rig.sc.fabric.numGpus);
+        ctx.listener = &listener;
+        run = std::make_unique<TbRun>(ctx, 0, kernel, tb, 0, 0);
+    }
+
+    bool
+    done() const
+    {
+        return run->stateStr().find("loads=1") != std::string::npos;
+    }
+};
+
+/** Every chunk submitted to @p hub is on the wire. */
+bool
+allInjected(const GpuHub &hub)
+{
+    return hub.queuedJobs() == 0 && hub.inflight() == 0;
+}
+
 } // namespace
 
 TEST(Hub, ChunkifySplitsAtGranularity)
@@ -56,20 +88,19 @@ TEST(Hub, ChunkifySplitsAtGranularity)
 TEST(Hub, EmptyJobCompletesImmediately)
 {
     HubRig rig;
-    bool injected = false, complete = false;
+    LoadWaiter waiter(rig);
     auto job = std::make_unique<HubJob>();
-    job->onInjected = [&] { injected = true; };
-    job->onComplete = [&] { complete = true; };
+    job->waiter = waiter.run.get();
     rig.hub(0).submit(std::move(job));
-    EXPECT_TRUE(injected);
-    EXPECT_TRUE(complete);
+    EXPECT_TRUE(allInjected(rig.hub(0)));
+    EXPECT_TRUE(waiter.done());
     EXPECT_TRUE(rig.hub(0).idle());
 }
 
 TEST(Hub, PlainLoadRoundTrip)
 {
     HubRig rig;
-    bool complete = false;
+    LoadWaiter waiter(rig);
     auto job = std::make_unique<HubJob>();
     RemoteOp op;
     op.kind = RemoteOpKind::plainLoad;
@@ -77,10 +108,11 @@ TEST(Hub, PlainLoadRoundTrip)
     op.bytes = 8192;
     for (auto &c : rig.hub(0).chunkify(op))
         job->chunks.push_back(c);
-    job->onComplete = [&] { complete = true; };
+    job->waiter = waiter.run.get();
     rig.hub(0).submit(std::move(job));
+    EXPECT_FALSE(waiter.done());
     rig.eq().runAll();
-    EXPECT_TRUE(complete);
+    EXPECT_TRUE(waiter.done());
     EXPECT_TRUE(rig.hub(0).idle());
     // The peer served the data from its HBM.
     EXPECT_EQ(rig.hub(1).bytesServed(), 8192u);
@@ -118,13 +150,12 @@ TEST(Hub, InjectionWindowBacklogsJobs)
                4096;
     for (auto &c : rig.hub(0).chunkify(op))
         job->chunks.push_back(c);
-    bool injected = false;
-    job->onInjected = [&] { injected = true; };
     rig.hub(0).submit(std::move(job));
-    EXPECT_FALSE(injected); // window holds part of the burst back
+    // The window holds part of the burst back.
+    EXPECT_FALSE(allInjected(rig.hub(0)));
     EXPECT_LE(rig.hub(0).inflight(), rig.sc.gpu.maxInflightChunks);
     rig.eq().runAll();
-    EXPECT_TRUE(injected);
+    EXPECT_TRUE(allInjected(rig.hub(0)));
     EXPECT_TRUE(rig.hub(0).idle());
 }
 
@@ -141,15 +172,15 @@ TEST(Hub, CaisLoadCapLimitsOutstanding)
     op.expected = 1;
     for (auto &c : rig.hub(0).chunkify(op))
         job->chunks.push_back(c);
-    bool complete = false;
-    job->onComplete = [&] { complete = true; };
+    LoadWaiter waiter(rig);
+    job->waiter = waiter.run.get();
     rig.hub(0).submit(std::move(job));
     // Before any response can arrive, at most `cap` loads are out.
     rig.eq().runUntil(100);
     EXPECT_LE(rig.hub(0).chunksInjected(),
               static_cast<std::uint64_t>(cap));
     rig.eq().runAll();
-    EXPECT_TRUE(complete);
+    EXPECT_TRUE(waiter.done());
 }
 
 TEST(Hub, ThrottleHintPausesGroupTraffic)
@@ -191,11 +222,13 @@ TEST(Hub, SyncPacketsBypassTheWindow)
     HubRig rig;
     Synchronizer &sync = rig.sys->gpu(0).synchronizer();
     Synchronizer &sync1 = rig.sys->gpu(1).synchronizer();
+    FakeTbListener l;
+    sync.setListener(&l);
+    sync1.setListener(&l);
     int released = 0;
-    sync.requestSync(42, SyncPhase::preLaunch, 2,
-                     [&] { ++released; });
-    sync1.requestSync(42, SyncPhase::preLaunch, 2,
-                      [&] { ++released; });
+    l.syncReleased = [&](TbRecId) { ++released; };
+    sync.requestSync(42, SyncPhase::preLaunch, 2, 0);
+    sync1.requestSync(42, SyncPhase::preLaunch, 2, 1);
     rig.eq().runAll();
     EXPECT_EQ(released, 2);
     EXPECT_EQ(sync.pendingCount(), 0u);

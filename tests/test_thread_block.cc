@@ -6,17 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include "fake_tb_listener.hh"
 #include "runtime/system.hh"
 
 using namespace cais;
+using cais::test::FakeTbListener;
 
 namespace
 {
 
+/** A 2-GPU machine whose GPU-0 TB context reports to a fake. */
 struct TbRig
 {
     SystemConfig sc;
     std::unique_ptr<System> sys;
+    FakeTbListener listener;
     TbRunContext ctx;
 
     TbRig()
@@ -28,6 +32,7 @@ struct TbRig
         sc.gpu.maxStartSkew = 0;
         sys = std::make_unique<System>(sc);
         ctx = sys->gpu(0).tbContext(2);
+        ctx.listener = &listener;
     }
 };
 
@@ -43,12 +48,12 @@ TEST(ThreadBlock, ComputeOnlyFinishesAfterDuration)
 
     bool produced = false, finished = false;
     Cycle at = 0;
-    TbRun run(rig.ctx, 0, k, tb, 0,
-              [&](TbRun &) { produced = true; },
-              [&](TbRun &) {
-                  finished = true;
-                  at = rig.sys->eq().now();
-              });
+    rig.listener.produced = [&](TbRecId) { produced = true; };
+    rig.listener.finished = [&](TbRecId) {
+        finished = true;
+        at = rig.sys->eq().now();
+    };
+    TbRun run(rig.ctx, 0, k, tb, 0, 0);
     run.start();
     rig.sys->eq().runAll();
     EXPECT_TRUE(produced);
@@ -72,8 +77,8 @@ TEST(ThreadBlock, PullsOverlapCompute)
     tb.pullOps.push_back(op);
 
     Cycle at = 0;
-    TbRun run(rig.ctx, 0, k, tb, 0, nullptr,
-              [&](TbRun &) { at = rig.sys->eq().now(); });
+    rig.listener.finished = [&](TbRecId) { at = rig.sys->eq().now(); };
+    TbRun run(rig.ctx, 0, k, tb, 0, 0);
     run.start();
     rig.sys->eq().runAll();
     // Far less than compute+transfer serialized, and at least the
@@ -86,8 +91,10 @@ TEST(ThreadBlock, PullsOverlapCompute)
     TbDesc tb2 = tb;
     tb2.computeCycles = 0;
     Cycle at2 = 0;
-    TbRun run2(rig2.ctx, 0, k, tb2, 0, nullptr,
-               [&](TbRun &) { at2 = rig2.sys->eq().now(); });
+    rig2.listener.finished = [&](TbRecId) {
+        at2 = rig2.sys->eq().now();
+    };
+    TbRun run2(rig2.ctx, 0, k, tb2, 0, 0);
     run2.start();
     rig2.sys->eq().runAll();
     EXPECT_NEAR(static_cast<double>(at),
@@ -112,8 +119,10 @@ TEST(ThreadBlock, PushesArePostedWrites)
     tb.pushOps.push_back(op);
 
     Cycle finished_at = 0;
-    TbRun run(rig.ctx, 0, k, tb, 0, nullptr,
-              [&](TbRun &) { finished_at = rig.sys->eq().now(); });
+    rig.listener.finished = [&](TbRecId) {
+        finished_at = rig.sys->eq().now();
+    };
+    TbRun run(rig.ctx, 0, k, tb, 0, 0);
     run.start();
     rig.sys->eq().runAll();
     EXPECT_LT(finished_at, 200u); // retired right after compute
@@ -141,7 +150,12 @@ TEST(ThreadBlock, PreAccessSyncGatesCaisLoads)
 
     int done = 0;
     TbRunContext c1 = rig.sys->gpu(1).tbContext(2);
-    TbRun r1(c1, 1, k, tb, 0, nullptr, [&](TbRun &) { ++done; });
+    c1.listener = &rig.listener;
+    rig.listener.finished = [&](TbRecId) { ++done; };
+    TbRun r1(c1, 1, k, tb, 0, 0);
+    // The release reaches the TB through the synchronizer's listener.
+    rig.sys->gpu(1).synchronizer().setListener(&rig.listener);
+    rig.listener.syncReleased = [&](TbRecId) { r1.onSyncReleased(); };
     r1.start();
     // Alone, GPU 1's TB waits: pre-access expects G-1 = 1 requester —
     // it IS the single requester, so it releases and completes.
@@ -163,12 +177,14 @@ TEST(ThreadBlock, JitterStaysWithinClampBounds)
     TbDesc tb;
     tb.computeCycles = 1000;
 
+    FakeTbListener listener;
     for (int i = 0; i < 50; ++i) {
         Cycle start = sys.eq().now();
         Cycle end = 0;
         TbRunContext ctx = sys.gpu(0).tbContext(2);
-        TbRun run(ctx, 0, k, tb, i, nullptr,
-                  [&](TbRun &) { end = sys.eq().now(); });
+        ctx.listener = &listener;
+        listener.finished = [&](TbRecId) { end = sys.eq().now(); };
+        TbRun run(ctx, 0, k, tb, i, static_cast<TbRecId>(i));
         run.start();
         sys.eq().runAll();
         Cycle dur = end - start;

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "dataflow/tile_dependency.hh"
+#include "fake_tb_listener.hh"
 
 using namespace cais;
+using cais::test::FakeTbListener;
 
 TEST(TileTracker, ReadyAtNeedThreshold)
 {
@@ -20,8 +25,11 @@ TEST(TileTracker, ReadyAtNeedThreshold)
 TEST(TileTracker, WaitersFireOnceOnReadiness)
 {
     TileTracker t("x", 1, 2, 100);
+    FakeTbListener l;
+    t.setListener(&l);
     int fired = 0;
-    t.waitFor(0, 1, [&] { ++fired; });
+    l.tileReady = [&](TbRecId) { ++fired; };
+    t.waitFor(0, 1, 0);
     t.contribute(0, 1, 50);
     EXPECT_EQ(fired, 0);
     t.contribute(0, 1, 50);
@@ -33,10 +41,68 @@ TEST(TileTracker, WaitersFireOnceOnReadiness)
 TEST(TileTracker, ImmediateCallbackWhenAlreadyReady)
 {
     TileTracker t("x", 1, 1, 10);
+    FakeTbListener l;
+    t.setListener(&l);
     t.contribute(0, 0, 10);
     int fired = 0;
-    t.waitFor(0, 0, [&] { ++fired; });
+    l.tileReady = [&](TbRecId) { ++fired; };
+    t.waitFor(0, 0, 0);
     EXPECT_EQ(fired, 1);
+}
+
+// The event stream depends on the order waiters fire in: each one
+// readies a TB, which queues for a slot in that order.
+
+TEST(TileTracker, WaitersOnOneTileFireInRegistrationOrder)
+{
+    TileTracker t("x", 1, 2, 100);
+    FakeTbListener l;
+    t.setListener(&l);
+    std::vector<TbRecId> order;
+    l.tileReady = [&](TbRecId rec) { order.push_back(rec); };
+    for (TbRecId rec : {5u, 3u, 9u})
+        t.waitFor(0, 1, rec);
+    t.contribute(0, 1, 100);
+    EXPECT_EQ(order, (std::vector<TbRecId>{5, 3, 9}));
+}
+
+TEST(TileTracker, TileWaitersFireBeforeCompleteWaiter)
+{
+    TileTracker t("x", 1, 1, 100);
+    FakeTbListener l;
+    t.setListener(&l);
+    std::vector<std::string> order;
+    l.tileReady = [&](TbRecId rec) {
+        order.push_back("tile " + std::to_string(rec));
+    };
+    l.trackerComplete = [&](KernelId k) {
+        order.push_back("complete " + std::to_string(k));
+    };
+    t.waitComplete(7); // registered first, still fires last
+    t.waitFor(0, 0, 1);
+    t.contribute(0, 0, 100);
+    EXPECT_EQ(order,
+              (std::vector<std::string>{"tile 1", "complete 7"}));
+}
+
+TEST(TileTracker, WaitOnReadyTileFromFiringWaiterRunsImmediately)
+{
+    TileTracker t("x", 1, 2, 100);
+    FakeTbListener l;
+    t.setListener(&l);
+    t.contribute(0, 0, 100);
+    std::vector<int> order;
+    l.tileReady = [&](TbRecId rec) {
+        order.push_back(static_cast<int>(rec));
+        if (rec == 1) {
+            t.waitFor(0, 0, 2); // tile 0 is ready: fires right here
+            order.push_back(-1);
+        }
+    };
+    t.waitFor(0, 1, 1);
+    t.waitFor(0, 1, 4);
+    t.contribute(0, 1, 100);
+    EXPECT_EQ(order, (std::vector<int>{1, 2, -1, 4}));
 }
 
 TEST(TileTracker, CompletenessOverRelevantPairs)
@@ -44,8 +110,11 @@ TEST(TileTracker, CompletenessOverRelevantPairs)
     TileTracker t("rs", 4, 4, 100);
     // Shard-style relevance: tile t matters only at GPU t.
     t.setRelevance([](GpuId g, int tile) { return g == tile; });
+    FakeTbListener l;
+    t.setListener(&l);
     int complete = 0;
-    t.waitComplete([&] { ++complete; });
+    l.trackerComplete = [&](KernelId) { ++complete; };
+    t.waitComplete(0);
     for (int i = 0; i < 4; ++i) {
         EXPECT_EQ(complete, 0);
         t.contribute(i, i, 100);

@@ -453,6 +453,37 @@ TEST(Verify, RunConfigValidationRejectsBadBounds)
     EXPECT_NE(c.validationError().find("numSms"), std::string::npos);
 }
 
+TEST(Verify, RunConfigValidationRejectsBadGpuParams)
+{
+    // Each of these passed the front door and then fatal()ed in the
+    // System constructor (GpuParams::validate).
+    RunConfig c;
+    c.gpu.ctasPerSm = 0;
+    EXPECT_NE(c.validationError().find("gpu.ctasPerSm"),
+              std::string::npos);
+    c = RunConfig{};
+    c.gpu.jitterSigma = 0.7;
+    EXPECT_NE(c.validationError().find("gpu.jitterSigma"),
+              std::string::npos);
+    c = RunConfig{};
+    c.gpu.maxInflightChunks = 0;
+    EXPECT_NE(c.validationError().find("gpu.maxInflightChunks"),
+              std::string::npos);
+    c = RunConfig{};
+    c.gpu.hbmBytesPerCycle = 0;
+    EXPECT_NE(c.validationError().find("gpu.hbmBytesPerCycle"),
+              std::string::npos);
+    c = RunConfig{};
+    c.gpu.maxCaisLoadOutstanding = 0;
+    EXPECT_NE(c.validationError().find("gpu.maxCaisLoadOutstanding"),
+              std::string::npos);
+    // GpuParams::validate() fatal()s with the same message.
+    GpuParams p;
+    EXPECT_EQ(p.validationError(), "");
+    p.ctasPerSm = 0;
+    EXPECT_DEATH(p.validate(), "gpu.ctasPerSm");
+}
+
 TEST(Verify, RunConfigValidationRejectsShards)
 {
     // The event core is sequential: RunConfig::shards survives only
