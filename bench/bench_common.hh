@@ -59,6 +59,12 @@ struct BenchArgs
                 a.params.set("verify", "0");
         a.dimFactor = a.params.getDouble("dim", dim_def);
         a.tokFactor = a.params.getDouble("tok", tok_def);
+        std::string err = LlmConfig::scaleError(a.dimFactor, a.tokFactor);
+        if (!err.empty()) {
+            std::fprintf(stderr, "bench: invalid config: %s\n",
+                         err.c_str());
+            std::exit(2);
+        }
         a.topology = a.params.getString("topology", "");
         // With a preset, default the GPU count to the preset's own
         // (nvl72 -> 72) instead of the flat default of 8.

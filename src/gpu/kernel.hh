@@ -122,8 +122,10 @@ struct KernelDesc
      *  accounting (Fig. 2). */
     bool commKernel = false;
 
-    /** Dispatch priority (lower first); comm/staging TBs use 0 so
-     *  queued compute waves cannot starve the data pipeline. */
+    /** Dispatch priority (lower first). The lowering's collective
+     *  kernels (NVLS and software RS/AG/AR) use 0 so queued compute
+     *  waves cannot starve the data pipeline; compute, staging and
+     *  LADM kernels keep 1. */
     int schedPriority = 1;
 
     /** Total thread blocks across GPUs. */

@@ -8,6 +8,28 @@
 namespace cais
 {
 
+namespace
+{
+
+/** Pipelined collectives run on the top fifth of the SM array: the
+ *  SM stealing of CoCoNet / FuseLib's comm kernels. */
+constexpr double pipelinedCommSmFrom = 0.8;
+
+/** Tile dep at the GPU where the producer instance lives. */
+TileRef
+depAt(const TensorInfo &src, int tile, GpuId consumer_gpu)
+{
+    TileRef r;
+    r.tracker = src.tracker;
+    r.tile = tile;
+    r.atGpu = src.layout == TensorLayout::rowShardedHome
+                  ? src.tileOwner(tile)
+                  : consumer_gpu;
+    return r;
+}
+
+} // namespace
+
 GraphLowering::GraphLowering(System &sys_, const OpGraph &graph_,
                              const LoweringOptions &opts_)
     : sys(sys_), graph(graph_), opts(opts_), G(sys_.numGpus()),
@@ -59,12 +81,10 @@ GraphLowering::lower()
 // --------------------------------------------------------------------
 
 OpId
-GraphLowering::realInput(OpId id, int idx) const
+GraphLowering::realInput(OpId id) const
 {
     const auto &ins = node(id).inputs;
-    if (idx >= static_cast<int>(ins.size()))
-        return invalidId;
-    return ins[static_cast<std::size_t>(idx)];
+    return ins.empty() ? invalidId : ins.front();
 }
 
 std::vector<KernelId>
@@ -102,11 +122,28 @@ GraphLowering::newKernel(const std::string &name)
     return k;
 }
 
-void
+KernelDesc
+GraphLowering::newCommKernel(OpId id, const char *suffix,
+                             const TensorInfo &out,
+                             std::vector<KernelId> deps)
+{
+    KernelDesc k = newKernel(node(id).name + suffix);
+    k.commKernel = true;
+    k.schedPriority = 0;
+    k.launchOverhead += opts.commKernelExtraLaunch;
+    if (pipelined())
+        k.smFrom = pipelinedCommSmFrom;
+    else
+        k.kernelDeps = std::move(deps);
+    k.producesTracker = out.tracker;
+    return k;
+}
+
+KernelId
 GraphLowering::finishKernel(OpId id, KernelDesc &&k)
 {
-    lastKernel[static_cast<std::size_t>(id)] = sys.addKernel(
-        std::move(k));
+    return lastKernel[static_cast<std::size_t>(id)] =
+               sys.addKernel(std::move(k));
 }
 
 bool
@@ -120,59 +157,19 @@ GraphLowering::consumerIsReduction(OpId id) const
     return false;
 }
 
-void
-GraphLowering::smRange(OpId id, double &from, double &to) const
+bool
+GraphLowering::pipelined() const
 {
-    from = fusion.of(id).smFrom;
-    to = fusion.of(id).smTo;
+    return opts.collectives == CollectiveImpl::nvlsPipelined ||
+           opts.collectives == CollectiveImpl::softwarePipelined;
 }
 
 bool
-GraphLowering::tileDeps(OpId id) const
+GraphLowering::tileDeps() const
 {
-    (void)id;
     return opts.collectives == CollectiveImpl::cais &&
            opts.graphOptimizer;
 }
-
-namespace
-{
-
-/**
- * Home-interleaved tile order: consecutive thread blocks target
- * different home GPUs (CTA swizzling), spreading merge-table and
- * link load across switch ports instead of sweeping one shard at a
- * time.
- */
-std::vector<int>
-interleavedTiles(const TensorInfo &t, int num_gpus)
-{
-    (void)num_gpus;
-    // Plain ascending order: with balanced shards the home GPU
-    // rotates every few tiles, and the hub's windowed round-robin
-    // interleaves chunks across the in-flight tiles, so ports are
-    // spread while tiles still complete progressively.
-    std::vector<int> order;
-    order.reserve(static_cast<std::size_t>(t.numTiles));
-    for (int i = 0; i < t.numTiles; ++i)
-        order.push_back(i);
-    return order;
-}
-
-/** Tile dep at the GPU where the producer instance lives. */
-TileRef
-depAt(const TensorInfo &src, int tile, GpuId consumer_gpu)
-{
-    TileRef r;
-    r.tracker = src.tracker;
-    r.tile = tile;
-    r.atGpu = src.layout == TensorLayout::rowShardedHome
-                  ? src.tileOwner(tile)
-                  : consumer_gpu;
-    return r;
-}
-
-} // namespace
 
 // --------------------------------------------------------------------
 // Compute operators
@@ -199,7 +196,7 @@ GraphLowering::lowerElementwise(OpId id)
         in != invalidId ? outT[static_cast<std::size_t>(in)] : nullptr;
 
     KernelDesc k = newKernel(n.name);
-    if (!tileDeps(id) && in != invalidId)
+    if (!tileDeps() && in != invalidId)
         k.kernelDeps = barrierDeps(id);
     k.producesTracker = out.tracker;
 
@@ -238,7 +235,7 @@ GraphLowering::lowerAttention(OpId id)
         in != invalidId ? outT[static_cast<std::size_t>(in)] : nullptr;
 
     KernelDesc k = newKernel(n.name);
-    if (!tileDeps(id))
+    if (!tileDeps())
         k.kernelDeps = barrierDeps(id);
     k.producesTracker = out.tracker;
 
@@ -286,14 +283,12 @@ GraphLowering::lowerGemmCol(OpId id)
         in != invalidId && isCommOp(node(in).kind);
 
     KernelDesc k = newKernel(n.name);
-    double from = 0.0, to = 1.0;
-    smRange(id, from, to);
-    k.smFrom = from;
-    k.smTo = to;
+    k.smFrom = fusion.of(id).smFrom;
+    k.smTo = fusion.of(id).smTo;
 
     // Edge policy: staged inputs and T3's AG-GEMM overlap use tile
     // deps; everything else barriers unless the graph optimizer is on.
-    bool barrier = !tileDeps(id) && !input_is_stage &&
+    bool barrier = !tileDeps() && !input_is_stage &&
                    !(opts.collectives == CollectiveImpl::t3 &&
                      input_is_collective);
     if (barrier)
@@ -345,11 +340,9 @@ GraphLowering::lowerGemmRow(OpId id)
         consumerIsReduction(id);
 
     KernelDesc k = newKernel(n.name);
-    double from = 0.0, to = 1.0;
-    smRange(id, from, to);
-    k.smFrom = from;
-    k.smTo = to;
-    if (!tileDeps(id))
+    k.smFrom = fusion.of(id).smFrom;
+    k.smTo = fusion.of(id).smTo;
+    if (!tileDeps())
         k.kernelDeps = barrierDeps(id);
 
     int nt_cols = static_cast<int>(ceilDiv(n.cols, tiling.tileN));
@@ -374,7 +367,7 @@ GraphLowering::lowerGemmRow(OpId id)
 
         RemoteOpKind push_kind = RemoteOpKind::plainWrite;
         if (opts.collectives == CollectiveImpl::cais ||
-            opts.t3NvlsReduction)
+            opts.t3Nvls)
             push_kind = RemoteOpKind::caisRed;
 
         // Compiler pass: static index analysis + TB grouping + CAIS
@@ -404,9 +397,8 @@ GraphLowering::lowerGemmRow(OpId id)
             k.preAccessSync = true;
         }
 
-        std::vector<int> order = interleavedTiles(rsOut, G);
         for (GpuId g = 0; g < G; ++g) {
-            for (int i : order) {
+            for (int i = 0; i < rsOut.numTiles; ++i) {
                 for (int j = 0; j < nt_cols; ++j) {
                     TbDesc tb;
                     tb.computeCycles = cost;
@@ -485,25 +477,30 @@ GraphLowering::lowerReduceScatter(OpId id)
         return;
     }
 
-    OpId in = realInput(id);
-    TensorInfo &partial = *outT[static_cast<std::size_t>(in)];
+    const TensorInfo &partial = *outT[static_cast<std::size_t>(
+        realInput(id))];
 
     if (opts.collectives == CollectiveImpl::nvls ||
-        opts.collectives == CollectiveImpl::nvlsPipelined)
+        opts.collectives == CollectiveImpl::nvlsPipelined) {
         emitNvlsReduceScatter(id, partial);
-    else
-        emitSoftwareReduceScatter(id, partial);
+    } else {
+        const TensorInfo &out = defineOutput(
+            id, TensorLayout::rowShardedHome, node(id).cols, G);
+        emitSoftwareReduceScatter(id, partial, out, ".sw-rs",
+                                  barrierDeps(id));
+    }
 }
 
 void
 GraphLowering::lowerAllGather(OpId id)
 {
     OpId in = realInput(id);
-    TensorInfo &src = *outT[static_cast<std::size_t>(in)];
+    const TensorInfo &src = *outT[static_cast<std::size_t>(in)];
 
     if (opts.reassociateToAllReduce) {
         // The tensor is already replicated after the AllReduce.
-        outT[static_cast<std::size_t>(id)] = &src;
+        outT[static_cast<std::size_t>(id)] =
+            outT[static_cast<std::size_t>(in)];
         lastKernel[static_cast<std::size_t>(id)] =
             lastKernel[static_cast<std::size_t>(in)];
         return;
@@ -511,12 +508,14 @@ GraphLowering::lowerAllGather(OpId id)
 
     switch (opts.collectives) {
       case CollectiveImpl::cais: {
-        // AG folds into a pull stage feeding the consumer GEMM.
-        double from = 0.0, to = 1.0;
+        // AG folds into a pull stage feeding the consumer GEMM, on
+        // the consumer's SM range.
         auto consumers = graph.consumers(id);
+        OpSchedule sm;
         if (!consumers.empty())
-            smRange(consumers.front(), from, to);
-        emitPullStage(id, src, RemoteOpKind::caisLoad, from, to);
+            sm = fusion.of(consumers.front());
+        emitPullStage(id, src, RemoteOpKind::caisLoad, sm.smFrom,
+                      sm.smTo);
         return;
       }
       case CollectiveImpl::ladm:
@@ -527,13 +526,13 @@ GraphLowering::lowerAllGather(OpId id)
         emitNvlsAllGather(id, src);
         return;
       case CollectiveImpl::t3:
-        if (opts.t3NvlsAllGather)
+        if (opts.t3Nvls)
             emitNvlsAllGather(id, src);
         else
-            emitSoftwareAllGather(id, src);
+            emitSoftwareAllGather(id, src, ".sw-ag", barrierDeps(id));
         return;
       default:
-        emitSoftwareAllGather(id, src);
+        emitSoftwareAllGather(id, src, ".sw-ag", barrierDeps(id));
         return;
     }
 }
@@ -541,8 +540,8 @@ GraphLowering::lowerAllGather(OpId id)
 void
 GraphLowering::lowerAllReduceAt(OpId rs_id)
 {
-    OpId in = realInput(rs_id);
-    TensorInfo &partial = *outT[static_cast<std::size_t>(in)];
+    const TensorInfo &partial = *outT[static_cast<std::size_t>(
+        realInput(rs_id))];
 
     switch (opts.collectives) {
       case CollectiveImpl::nvls:
@@ -556,85 +555,12 @@ GraphLowering::lowerAllReduceAt(OpId rs_id)
         // Two-phase direct software AllReduce: RS into a scratch
         // shard, then AG back to every GPU (ring-equivalent volume).
         const OpNode &n = node(rs_id);
-        TensorInfo &scratch = sys.defineTensor(
+        const TensorInfo &scratch = sys.defineTensor(
             n.name + ".scratch", TensorLayout::rowShardedHome, n.rows,
             n.cols, n.elemBytes, tileRows, G);
-
-        bool pipelined = opts.pipelinedCollectives;
-        const GpuParams &gp = sys.config().gpu;
-
-        // Phase 1: every GPU ships its partial of tile i to owner(i).
-        KernelDesc k1 = newKernel(n.name + ".rs");
-        k1.commKernel = true;
-        k1.schedPriority = 0;
-        k1.launchOverhead += opts.commKernelExtraLaunch;
-        k1.smFrom = opts.commSmFrom;
-        k1.smTo = opts.commSmTo;
-        if (!pipelined)
-            k1.kernelDeps = barrierDeps(rs_id);
-        k1.producesTracker = scratch.tracker;
-        for (GpuId g = 0; g < G; ++g) {
-            for (int i = 0; i < scratch.numTiles; ++i) {
-                TbDesc tb;
-                tb.computeCycles =
-                    memBoundTbCycles(gp, scratch.bytesPerTile, 1.0) +
-                    opts.perCommTbOverhead;
-                tb.deps.push_back(depAt(partial, i, g));
-                if (scratch.tileOwner(i) == g) {
-                    tb.producesTile = i;
-                    tb.produceBytes = scratch.bytesPerTile;
-                } else {
-                    RemoteOp op;
-                    op.kind = RemoteOpKind::plainWrite;
-                    op.protocolPad = true;
-                    op.base = scratch.tileAddr(i);
-                    op.bytes = scratch.bytesPerTile;
-                    tb.pushOps.push_back(op);
-                }
-                k1.grids[static_cast<std::size_t>(g)].push_back(
-                    std::move(tb));
-            }
-        }
-        KernelId rs_k = sys.addKernel(std::move(k1));
-
-        // Phase 2: owners broadcast reduced tiles to all peers.
-        TensorInfo &out = defineOutput(
-            rs_id, TensorLayout::perGpuPrivate, n.cols, 1);
-        KernelDesc k2 = newKernel(n.name + ".ag");
-        k2.commKernel = true;
-        k2.schedPriority = 0;
-        k2.launchOverhead += opts.commKernelExtraLaunch;
-        k2.smFrom = opts.commSmFrom;
-        k2.smTo = opts.commSmTo;
-        if (!pipelined)
-            k2.kernelDeps = {rs_k};
-        k2.producesTracker = out.tracker;
-        for (GpuId g = 0; g < G; ++g) {
-            for (int i = 0; i < out.numTiles; ++i) {
-                if (scratch.tileOwner(i) != g)
-                    continue;
-                TbDesc tb;
-                tb.computeCycles =
-                    memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
-                    opts.perCommTbOverhead;
-                tb.deps.push_back(depAt(scratch, i, g));
-                tb.producesTile = i;
-                tb.produceBytes = out.bytesPerTile;
-                for (GpuId p = 0; p < G; ++p) {
-                    if (p == g)
-                        continue;
-                    RemoteOp op;
-                    op.kind = RemoteOpKind::plainWrite;
-                    op.protocolPad = true;
-                    op.base = out.tileAddrAt(p, i);
-                    op.bytes = out.bytesPerTile;
-                    tb.pushOps.push_back(op);
-                }
-                k2.grids[static_cast<std::size_t>(g)].push_back(
-                    std::move(tb));
-            }
-        }
-        finishKernel(rs_id, std::move(k2));
+        KernelId rs_k = emitSoftwareReduceScatter(
+            rs_id, partial, scratch, ".rs", barrierDeps(rs_id));
+        emitSoftwareAllGather(rs_id, scratch, ".ag", {rs_k});
         return;
       }
     }
@@ -645,21 +571,11 @@ GraphLowering::lowerAllReduceAt(OpId rs_id)
 // --------------------------------------------------------------------
 
 void
-GraphLowering::emitNvlsReduceScatter(OpId rs, TensorInfo &partial)
+GraphLowering::emitNvlsReduceScatter(OpId rs, const TensorInfo &partial)
 {
-    const OpNode &n = node(rs);
-    TensorInfo &out =
-        defineOutput(rs, TensorLayout::rowShardedHome, n.cols, G);
-
-    KernelDesc k = newKernel(n.name + ".nvls-rs");
-    k.commKernel = true;
-    k.schedPriority = 0;
-    k.launchOverhead += opts.commKernelExtraLaunch;
-    k.smFrom = opts.commSmFrom;
-    k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives)
-        k.kernelDeps = barrierDeps(rs);
-    k.producesTracker = out.tracker;
+    const TensorInfo &out = defineOutput(
+        rs, TensorLayout::rowShardedHome, node(rs).cols, G);
+    KernelDesc k = newCommKernel(rs, ".nvls-rs", out, barrierDeps(rs));
 
     for (GpuId g = 0; g < G; ++g) {
         for (int i = 0; i < out.numTiles; ++i) {
@@ -687,24 +603,11 @@ GraphLowering::emitNvlsReduceScatter(OpId rs, TensorInfo &partial)
 }
 
 void
-GraphLowering::emitNvlsAllGather(OpId ag, TensorInfo &in)
+GraphLowering::emitNvlsAllGather(OpId ag, const TensorInfo &in)
 {
-    const OpNode &n = node(ag);
-    TensorInfo &out =
-        defineOutput(ag, TensorLayout::replicated, n.cols, 1);
-
-    KernelDesc k = newKernel(n.name + ".nvls-ag");
-    k.commKernel = true;
-    k.schedPriority = 0;
-    k.launchOverhead += opts.commKernelExtraLaunch;
-    k.smFrom = opts.commSmFrom;
-    k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives &&
-        opts.collectives != CollectiveImpl::t3)
-        k.kernelDeps = barrierDeps(ag);
-    else if (opts.collectives == CollectiveImpl::t3)
-        k.kernelDeps = barrierDeps(ag); // coarse RS/LN/AG stages
-    k.producesTracker = out.tracker;
+    const TensorInfo &out =
+        defineOutput(ag, TensorLayout::replicated, node(ag).cols, 1);
+    KernelDesc k = newCommKernel(ag, ".nvls-ag", out, barrierDeps(ag));
 
     for (GpuId g = 0; g < G; ++g) {
         for (int i = 0; i < out.numTiles; ++i) {
@@ -729,21 +632,11 @@ GraphLowering::emitNvlsAllGather(OpId ag, TensorInfo &in)
 }
 
 void
-GraphLowering::emitNvlsAllReduce(OpId rs, TensorInfo &partial)
+GraphLowering::emitNvlsAllReduce(OpId rs, const TensorInfo &partial)
 {
-    const OpNode &n = node(rs);
-    TensorInfo &out =
-        defineOutput(rs, TensorLayout::replicated, n.cols, 1);
-
-    KernelDesc k = newKernel(n.name + ".nvls-ar");
-    k.commKernel = true;
-    k.schedPriority = 0;
-    k.launchOverhead += opts.commKernelExtraLaunch;
-    k.smFrom = opts.commSmFrom;
-    k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives)
-        k.kernelDeps = barrierDeps(rs);
-    k.producesTracker = out.tracker;
+    const TensorInfo &out =
+        defineOutput(rs, TensorLayout::replicated, node(rs).cols, 1);
+    KernelDesc k = newCommKernel(rs, ".nvls-ar", out, barrierDeps(rs));
 
     int per_gpu = (out.numTiles + G - 1) / G;
     for (GpuId g = 0; g < G; ++g) {
@@ -776,27 +669,19 @@ GraphLowering::emitNvlsAllReduce(OpId rs, TensorInfo &partial)
     finishKernel(rs, std::move(k));
 }
 
-void
-GraphLowering::emitSoftwareReduceScatter(OpId rs, TensorInfo &partial)
+KernelId
+GraphLowering::emitSoftwareReduceScatter(OpId rs,
+                                         const TensorInfo &partial,
+                                         const TensorInfo &out,
+                                         const char *suffix,
+                                         std::vector<KernelId> deps)
 {
-    const OpNode &n = node(rs);
     const GpuParams &gp = sys.config().gpu;
-    TensorInfo &out =
-        defineOutput(rs, TensorLayout::rowShardedHome, n.cols, G);
+    KernelDesc k = newCommKernel(rs, suffix, out, std::move(deps));
 
-    KernelDesc k = newKernel(n.name + ".sw-rs");
-    k.commKernel = true;
-    k.schedPriority = 0;
-    k.launchOverhead += opts.commKernelExtraLaunch;
-    k.smFrom = opts.commSmFrom;
-    k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives)
-        k.kernelDeps = barrierDeps(rs);
-    k.producesTracker = out.tracker;
-
-    std::vector<int> sw_order = interleavedTiles(out, G);
+    // Every GPU ships its partial of tile i to owner(i).
     for (GpuId g = 0; g < G; ++g) {
-        for (int i : sw_order) {
+        for (int i = 0; i < out.numTiles; ++i) {
             TbDesc tb;
             tb.computeCycles =
                 memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
@@ -817,30 +702,20 @@ GraphLowering::emitSoftwareReduceScatter(OpId rs, TensorInfo &partial)
                 std::move(tb));
         }
     }
-    finishKernel(rs, std::move(k));
+    return finishKernel(rs, std::move(k));
 }
 
 void
-GraphLowering::emitSoftwareAllGather(OpId ag, TensorInfo &in)
+GraphLowering::emitSoftwareAllGather(OpId ag, const TensorInfo &in,
+                                     const char *suffix,
+                                     std::vector<KernelId> deps)
 {
-    const OpNode &n = node(ag);
     const GpuParams &gp = sys.config().gpu;
-    TensorInfo &out =
-        defineOutput(ag, TensorLayout::perGpuPrivate, n.cols, 1);
+    const TensorInfo &out = defineOutput(
+        ag, TensorLayout::perGpuPrivate, node(ag).cols, 1);
+    KernelDesc k = newCommKernel(ag, suffix, out, std::move(deps));
 
-    KernelDesc k = newKernel(n.name + ".sw-ag");
-    k.commKernel = true;
-    k.schedPriority = 0;
-    k.launchOverhead += opts.commKernelExtraLaunch;
-    k.smFrom = opts.commSmFrom;
-    k.smTo = opts.commSmTo;
-    if (!opts.pipelinedCollectives &&
-        opts.collectives != CollectiveImpl::t3)
-        k.kernelDeps = barrierDeps(ag);
-    else if (opts.collectives == CollectiveImpl::t3)
-        k.kernelDeps = barrierDeps(ag);
-    k.producesTracker = out.tracker;
-
+    // Owners broadcast their tiles to all peers.
     for (GpuId g = 0; g < G; ++g) {
         for (int i = 0; i < out.numTiles; ++i) {
             if (in.tileOwner(i) != g)
@@ -870,7 +745,7 @@ GraphLowering::emitSoftwareAllGather(OpId ag, TensorInfo &in)
 }
 
 void
-GraphLowering::emitLadmAllReduce(OpId rs, TensorInfo &partial)
+GraphLowering::emitLadmAllReduce(OpId rs, const TensorInfo &partial)
 {
     const OpNode &n = node(rs);
     const GpuParams &gp = sys.config().gpu;
@@ -910,8 +785,8 @@ GraphLowering::emitLadmAllReduce(OpId rs, TensorInfo &partial)
     finishKernel(rs, std::move(k));
 }
 
-TensorInfo &
-GraphLowering::emitPullStage(OpId ag, TensorInfo &src,
+void
+GraphLowering::emitPullStage(OpId ag, const TensorInfo &src,
                              RemoteOpKind kind, double sm_from,
                              double sm_to)
 {
@@ -923,7 +798,7 @@ GraphLowering::emitPullStage(OpId ag, TensorInfo &src,
     k.commKernel = true;
     k.smFrom = sm_from;
     k.smTo = sm_to;
-    if (!tileDeps(ag))
+    if (!tileDeps())
         k.kernelDeps = barrierDeps(ag);
     k.producesTracker = out.tracker;
 
@@ -949,9 +824,8 @@ GraphLowering::emitPullStage(OpId ag, TensorInfo &src,
         k.preAccessSync = true;
     }
 
-    std::vector<int> order = interleavedTiles(src, G);
     for (GpuId g = 0; g < G; ++g) {
-        for (int i : order) {
+        for (int i = 0; i < src.numTiles; ++i) {
             TbDesc tb;
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
@@ -972,7 +846,6 @@ GraphLowering::emitPullStage(OpId ag, TensorInfo &src,
         }
     }
     finishKernel(ag, std::move(k));
-    return out;
 }
 
 } // namespace cais

@@ -6,24 +6,29 @@
  * units define the named option presets (Sec. IV-C's nine baselines
  * plus the CAIS variants).
  *
- * Collective realizations:
- *  - nvls            : NVLS collective kernels (multimem), global
- *                      barriers between compute and comm phases.
- *  - nvlsPipelined   : NVLS collective kernels chunk-pipelined with
- *                      producer/consumer GEMMs on an SM partition
- *                      (CoCoNet-NVLS / FuseLib-NVLS).
- *  - software        : direct P2P collective kernels (two-phase
- *                      RS+AG, ring-equivalent volume), barriers.
- *  - softwarePipelined: ditto, chunk-pipelined on an SM partition
- *                      (CoCoNet / FuseLib).
- *  - t3              : reduction fused into the producer GEMM as
- *                      per-tile DMA writes (track & trigger); coarse
- *                      barriers between RS / LN / AG stages; AG
- *                      overlapped with the consumer GEMM.
- *  - cais            : communication dissolved into compute kernels
- *                      via compiler-lowered ld.cais / red.cais.
- *  - ladm            : consumer-side plain remote reads (no NVLS,
- *                      no merging), locality-aware placement.
+ * Collective realizations (CollectiveImpl) and the emitter each
+ * preset reaches:
+ *
+ *   emitter                  realization          presets
+ *   emitNvlsAllReduce        nvls, nvlsPipelined  TP-NVLS, CoCoNet-NVLS,
+ *                                                 FuseLib-NVLS
+ *   emitNvlsReduceScatter    nvls                 SP-NVLS
+ *   emitNvlsAllGather        nvls, t3 + t3Nvls    SP-NVLS, T3-NVLS
+ *   emitSoftwareAllGather    t3                   T3
+ *   emitSoftwareReduceScatter
+ *     + emitSoftwareAllGather
+ *     (AllReduce via a       softwarePipelined    CoCoNet, FuseLib
+ *      ".scratch" shard)
+ *   emitLadmAllReduce        ladm                 LADM
+ *   emitPullStage            cais, ladm           CAIS, CAIS-Base
+ *
+ * nvls/t3/ladm collectives barrier on their producers; the pipelined
+ * realizations chunk-pipeline with the adjacent GEMMs on the top
+ * fifth of the SM array instead. t3 fuses the ReduceScatter into the
+ * producer GEMM as per-tile DMA writes (track & trigger), and the
+ * consumer GEMM overlaps its AllGather through tile deps; cais
+ * dissolves every collective into compute kernels via compiler-
+ * lowered ld.cais / red.cais.
  */
 
 #ifndef CAIS_RUNTIME_EXECUTION_STRATEGY_HH
@@ -44,7 +49,6 @@ enum class CollectiveImpl : std::uint8_t
 {
     nvls,
     nvlsPipelined,
-    software,
     softwarePipelined,
     t3,
     cais,
@@ -69,14 +73,6 @@ struct LoweringOptions
      *  (disable for the deep-fusion-only ablation). */
     bool asymmetricOverlap = true;
 
-    /** Comm kernels chunk-pipeline with adjacent GEMMs (overlap
-     *  baselines). */
-    bool pipelinedCollectives = false;
-
-    /** SM partition comm kernels run on (SM stealing). */
-    double commSmFrom = 0.0;
-    double commSmTo = 1.0;
-
     /** Per-comm-TB launch cost (CoCoNet's per-chunk kernels). */
     Cycle perCommTbOverhead = 0;
 
@@ -84,14 +80,9 @@ struct LoweringOptions
      *  collective pipeline (CoCoNet); fused kernels pay none. */
     Cycle commKernelExtraLaunch = 0;
 
-    /** T3-NVLS: route DMA reductions through the switch reducer. */
-    bool t3NvlsReduction = false;
-
-    /** T3-NVLS: realize AllGather with NVLS multicast. */
-    bool t3NvlsAllGather = false;
-
-    /** Row-blocks handled by one collective TB. */
-    int commTbRowBlocks = 2;
+    /** T3-NVLS: DMA reductions go through the switch reducer and the
+     *  AllGather uses NVLS multicast. */
+    bool t3Nvls = false;
 };
 
 /** A named strategy preset. */
@@ -155,33 +146,47 @@ class GraphLowering
     void lowerAllGather(OpId id);
     void lowerAllReduceAt(OpId rs_id);
 
-    // Collective kernel emitters.
-    void emitNvlsReduceScatter(OpId rs, TensorInfo &partial);
-    void emitNvlsAllGather(OpId ag, TensorInfo &in);
-    void emitNvlsAllReduce(OpId rs, TensorInfo &partial);
-    void emitSoftwareReduceScatter(OpId rs, TensorInfo &partial);
-    void emitSoftwareAllGather(OpId ag, TensorInfo &in);
-    void emitLadmAllReduce(OpId rs, TensorInfo &partial);
+    // Collective kernel emitters. The software ones take their
+    // kernel-name suffix and barrier deps from the caller, so the
+    // software AllReduce is the RS emitter followed by the AG one.
+    void emitNvlsReduceScatter(OpId rs, const TensorInfo &partial);
+    void emitNvlsAllGather(OpId ag, const TensorInfo &in);
+    void emitNvlsAllReduce(OpId rs, const TensorInfo &partial);
+    KernelId emitSoftwareReduceScatter(OpId rs,
+                                       const TensorInfo &partial,
+                                       const TensorInfo &out,
+                                       const char *suffix,
+                                       std::vector<KernelId> deps);
+    void emitSoftwareAllGather(OpId ag, const TensorInfo &in,
+                               const char *suffix,
+                               std::vector<KernelId> deps);
+    void emitLadmAllReduce(OpId rs, const TensorInfo &partial);
 
     // Consumer-side staging (CAIS / LADM pull of gathered rows).
-    TensorInfo &emitPullStage(OpId ag, TensorInfo &src,
-                              RemoteOpKind kind, double sm_from,
-                              double sm_to);
+    void emitPullStage(OpId ag, const TensorInfo &src,
+                       RemoteOpKind kind, double sm_from, double sm_to);
 
     // Helpers.
     const OpNode &node(OpId id) const { return graph.node(id); }
-    OpId realInput(OpId id, int idx = 0) const;
+    OpId realInput(OpId id) const;
     std::vector<KernelId> barrierDeps(OpId id) const;
     TensorInfo &defineOutput(OpId id, TensorLayout layout,
                              std::int64_t cols, int need_factor);
     KernelDesc newKernel(const std::string &name);
-    void finishKernel(OpId id, KernelDesc &&k);
-    bool consumerIsReduction(OpId id) const;
-    int tilesOf(const TensorInfo &t) const { return t.numTiles; }
 
-    /** Fraction-of-SM range for op under the fusion plan. */
-    void smRange(OpId id, double &from, double &to) const;
-    bool tileDeps(OpId id) const;
+    /** Header of a collective kernel: comm accounting, priority 0,
+     *  @p deps as barriers, or the comm SM partition when pipelined. */
+    KernelDesc newCommKernel(OpId id, const char *suffix,
+                             const TensorInfo &out,
+                             std::vector<KernelId> deps);
+    KernelId finishKernel(OpId id, KernelDesc &&k);
+    bool consumerIsReduction(OpId id) const;
+
+    /** Collectives chunk-pipeline with the adjacent GEMMs. */
+    bool pipelined() const;
+
+    /** Tile-level edges replace kernel barriers (CAIS graph opt). */
+    bool tileDeps() const;
 
     System &sys;
     const OpGraph &graph;

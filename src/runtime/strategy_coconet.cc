@@ -22,10 +22,6 @@ makeCoconet(bool with_nvls)
     s.opts.collectives = with_nvls ? CollectiveImpl::nvlsPipelined
                                    : CollectiveImpl::softwarePipelined;
     s.opts.reassociateToAllReduce = true;
-    s.opts.pipelinedCollectives = true;
-    // Communication kernels steal the top fifth of the SM array.
-    s.opts.commSmFrom = 0.8;
-    s.opts.commSmTo = 1.0;
     // Per-chunk kernel-launch overhead of the decomposed pipeline
     // (~4 sequential chunk launches per collective).
     s.opts.perCommTbOverhead = 3 * cyclesPerUs;

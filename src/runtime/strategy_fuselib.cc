@@ -20,9 +20,6 @@ makeFuselib(bool with_nvls)
     s.opts.collectives = with_nvls ? CollectiveImpl::nvlsPipelined
                                    : CollectiveImpl::softwarePipelined;
     s.opts.reassociateToAllReduce = true;
-    s.opts.pipelinedCollectives = true;
-    s.opts.commSmFrom = 0.8;
-    s.opts.commSmTo = 1.0;
     s.opts.perCommTbOverhead = 0;
     return s;
 }

@@ -21,8 +21,7 @@ makeT3(bool with_nvls)
     StrategySpec s;
     s.name = with_nvls ? "T3-NVLS" : "T3";
     s.opts.collectives = CollectiveImpl::t3;
-    s.opts.t3NvlsReduction = with_nvls;
-    s.opts.t3NvlsAllGather = with_nvls;
+    s.opts.t3Nvls = with_nvls;
     return s;
 }
 

@@ -136,6 +136,10 @@ class System : public DataArrivalHandler, public TbListener
         return *trackers[static_cast<std::size_t>(idx)];
     }
 
+    /** Registered tensors, in definition order. */
+    std::size_t numTensors() const { return tensors.size(); }
+    const TensorInfo &tensor(std::size_t i) const { return *tensors[i]; }
+
     /**
      * Bump-allocate @p bytes in GPU @p g's window / the shared
      * window. Bases and guard gaps are multiples of allocAlign(), so

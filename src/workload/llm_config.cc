@@ -1,6 +1,7 @@
 #include "workload/llm_config.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <sstream>
 
 #include "common/log.hh"
@@ -21,6 +22,18 @@ LlmConfig::scaled(double dim_factor, double token_factor) const
     c.seqLen = round128(static_cast<double>(seqLen) * token_factor);
     c.heads = std::max(1, static_cast<int>(heads * dim_factor));
     return c;
+}
+
+std::string
+LlmConfig::scaleError(double dim_factor, double token_factor)
+{
+    if (!std::isfinite(dim_factor) || dim_factor <= 0.0)
+        return strfmt("dim=%g is not a finite scale factor > 0",
+                      dim_factor);
+    if (!std::isfinite(token_factor) || token_factor <= 0.0)
+        return strfmt("tok=%g is not a finite scale factor > 0",
+                      token_factor);
+    return "";
 }
 
 void

@@ -45,9 +45,16 @@ struct LlmConfig
      * and tokens by @p token_factor. Used by benches to keep runtimes
      * in seconds; compute:communication ratios are preserved when the
      * SM count is scaled alongside (the paper's own methodology,
-     * Sec. IV-B / Table II).
+     * Sec. IV-B / Table II). Every dimension clamps to at least 128,
+     * so tiny positive factors still give a valid model.
      */
     LlmConfig scaled(double dim_factor, double token_factor) const;
+
+    /** "" when @p dim_factor and @p token_factor are finite and > 0,
+     *  else a message naming the bad one (the front-door check on
+     *  dim=/tok= before scaled() clamps them). */
+    static std::string scaleError(double dim_factor,
+                                  double token_factor);
 
     void validate() const;
     std::string str() const;

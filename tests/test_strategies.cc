@@ -2,13 +2,158 @@
 
 #include <gtest/gtest.h>
 
-#include "runtime/execution_strategy.hh"
+#include <cinttypes>
+#include <cstdio>
+#include <cstring>
+
+#include "runtime/simulation_driver.hh"
 #include "workload/transformer.hh"
 
 using namespace cais;
 
 namespace
 {
+
+/** FNV-1a over everything a lowering hands to the System. */
+struct Fingerprint
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+
+    void byte(unsigned char b)
+    {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    void u(std::uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            byte(static_cast<unsigned char>(v >> (8 * i)));
+    }
+    void i(std::int64_t v) { u(static_cast<std::uint64_t>(v)); }
+    void f(double v)
+    {
+        std::uint64_t b;
+        std::memcpy(&b, &v, sizeof(b));
+        u(b);
+    }
+    void s(const std::string &v)
+    {
+        u(v.size());
+        for (char c : v)
+            byte(static_cast<unsigned char>(c));
+    }
+
+    void ops(const std::vector<RemoteOp> &v)
+    {
+        u(v.size());
+        for (const RemoteOp &op : v) {
+            u(static_cast<std::uint64_t>(op.kind));
+            u(op.base);
+            u(op.bytes);
+            i(op.expected);
+            u(op.protocolPad);
+        }
+    }
+
+    void tb(const TbDesc &t)
+    {
+        u(t.computeCycles);
+        ops(t.pullOps);
+        ops(t.pushOps);
+        i(t.group);
+        i(t.producesTile);
+        u(t.produceBytes);
+        u(t.deps.size());
+        for (const TileRef &d : t.deps) {
+            i(d.tracker);
+            i(d.tile);
+            i(d.atGpu);
+        }
+    }
+
+    void kernel(const KernelDesc &k)
+    {
+        s(k.name);
+        u(k.preLaunchSync);
+        u(k.preAccessSync);
+        u(k.commKernel);
+        f(k.smFrom);
+        f(k.smTo);
+        u(k.launchOverhead);
+        i(k.schedPriority);
+        u(k.kernelDeps.size());
+        for (KernelId d : k.kernelDeps)
+            i(d);
+        i(k.producesTracker);
+        u(k.grids.size());
+        for (const auto &grid : k.grids) {
+            u(grid.size());
+            for (const TbDesc &t : grid)
+                tb(t);
+        }
+    }
+
+    void system(const System &sys)
+    {
+        u(sys.numKernels());
+        for (std::size_t k = 0; k < sys.numKernels(); ++k)
+            kernel(sys.kernel(static_cast<KernelId>(k)));
+        u(sys.numTensors());
+        for (std::size_t t = 0; t < sys.numTensors(); ++t) {
+            const TensorInfo &ti = sys.tensor(t);
+            s(ti.name);
+            u(static_cast<std::uint64_t>(ti.layout));
+            i(ti.numTiles);
+        }
+    }
+};
+
+/** Per strategy: one digest over the six workloads' lowerings. */
+struct LoweringGolden
+{
+    const char *strategy;
+    std::uint64_t digest;
+};
+
+/**
+ * Lower every strategy (the 11 presets plus CAIS-Partial and
+ * CAIS-w/o-Coord) over L1-L4, layer_fwd and layer_bwd at dim=0.25
+ * tok=0.125 on @p cfg and compare each strategy's fingerprint with
+ * @p golden. A refactor of the lowering engine must leave every
+ * kernel, thread block and tensor exactly as it was.
+ */
+void
+expectLoweringDigests(const RunConfig &cfg,
+                      const std::vector<LoweringGolden> &golden)
+{
+    const LlmConfig model = megaGpt4B().scaled(0.25, 0.125);
+    const std::vector<OpGraph> graphs = {
+        buildSubLayer(model, SubLayerId::L1),
+        buildSubLayer(model, SubLayerId::L2),
+        buildSubLayer(model, SubLayerId::L3),
+        buildSubLayer(model, SubLayerId::L4),
+        buildTransformerLayer(model, Pass::forward),
+        buildTransformerLayer(model, Pass::backward),
+    };
+    std::vector<StrategySpec> specs = allStrategies();
+    specs.push_back(makeCaisPartial());
+    specs.push_back(makeCaisNoCoord());
+    ASSERT_EQ(specs.size(), golden.size());
+
+    for (std::size_t s = 0; s < specs.size(); ++s) {
+        Fingerprint fp;
+        for (const OpGraph &g : graphs) {
+            System sys(cfg.toSystemConfig(specs[s]));
+            GraphLowering(sys, g, specs[s].opts).lower();
+            fp.system(sys);
+        }
+        EXPECT_EQ(specs[s].name, golden[s].strategy);
+        char hex[32];
+        std::snprintf(hex, sizeof(hex), "0x%016" PRIx64 "ull", fp.h);
+        EXPECT_EQ(fp.h, golden[s].digest)
+            << specs[s].name << " lowers to digest " << hex;
+    }
+}
 
 SystemConfig
 tinyConfig()
@@ -56,8 +201,8 @@ TEST(Strategies, PresetFlagsMatchDescriptions)
     EXPECT_TRUE(makeTpNvls().opts.reassociateToAllReduce);
     EXPECT_FALSE(makeSpNvls().opts.reassociateToAllReduce);
     EXPECT_EQ(makeT3(true).opts.collectives, CollectiveImpl::t3);
-    EXPECT_TRUE(makeT3(true).opts.t3NvlsReduction);
-    EXPECT_FALSE(makeT3(false).opts.t3NvlsAllGather);
+    EXPECT_TRUE(makeT3(true).opts.t3Nvls);
+    EXPECT_FALSE(makeT3(false).opts.t3Nvls);
     EXPECT_GT(makeCoconet(false).opts.perCommTbOverhead, 0u);
     EXPECT_EQ(makeFuselib(false).opts.perCommTbOverhead, 0u);
     EXPECT_TRUE(makeCais().opts.caisCoordination);
@@ -197,4 +342,47 @@ TEST(Lowering, AsymmetricOverlapAssignsSmHalves)
     EXPECT_DOUBLE_EQ(rs.smTo, 0.5);
     EXPECT_DOUBLE_EQ(ag.smFrom, 0.5);
     EXPECT_DOUBLE_EQ(ag.smTo, 1.0);
+}
+
+TEST(LoweringFingerprint, Flat8GpuMatchesGolden)
+{
+    expectLoweringDigests(RunConfig{},
+                          {
+                              {"TP-NVLS", 0xd3a20d141a86d93dull},
+                              {"SP-NVLS", 0x1a6ab26fc3163ec9ull},
+                              {"CoCoNet", 0x77f69c72aff1c65dull},
+                              {"FuseLib", 0x5a09d93f77aa8985ull},
+                              {"T3", 0x4d920f85f7074085ull},
+                              {"CoCoNet-NVLS", 0x8d90df7288af3b3dull},
+                              {"FuseLib-NVLS", 0x799ab44395db472dull},
+                              {"T3-NVLS", 0xb8de713f2e47ef81ull},
+                              {"LADM", 0x6b45d754fc8ec9adull},
+                              {"CAIS-Base", 0xadaabb8ba1da9d35ull},
+                              {"CAIS", 0x87fe6fdab21f43c5ull},
+                              {"CAIS-Partial", 0x87fe6fdab21f43c5ull},
+                              {"CAIS-w/o-Coord", 0xcda3e40e7ca328e5ull},
+                          });
+}
+
+TEST(LoweringFingerprint, Nvl72MatchesGolden)
+{
+    RunConfig cfg;
+    cfg.topology = "nvl72";
+    cfg.numGpus = 72;
+    expectLoweringDigests(cfg,
+                          {
+                              {"TP-NVLS", 0xc4ef970a0270351dull},
+                              {"SP-NVLS", 0x29dcd2f1f96d7359ull},
+                              {"CoCoNet", 0x2a29c9564bbe15b5ull},
+                              {"FuseLib", 0xd2e292a2cea28245ull},
+                              {"T3", 0xd844b7a6cc378145ull},
+                              {"CoCoNet-NVLS", 0x9d8ba1b4a109e1bdull},
+                              {"FuseLib-NVLS", 0x394d28455ff898edull},
+                              {"T3-NVLS", 0xf7b3add60a4305e1ull},
+                              {"LADM", 0xc7dd96f6a0f046cdull},
+                              {"CAIS-Base", 0x54349e53e056efe5ull},
+                              {"CAIS", 0xff50713c2623b835ull},
+                              {"CAIS-Partial", 0xff50713c2623b835ull},
+                              {"CAIS-w/o-Coord", 0xee58ed183d7d2d95ull},
+                          });
 }
