@@ -10,6 +10,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "analysis/bandwidth_probe.hh"
 #include "common/config.hh"
@@ -28,8 +29,16 @@ main(int argc, char **argv)
     for (const auto &m : tableOneModels())
         if (m.name == name)
             model = m;
-    model = model.scaled(args.getDouble("dim", 0.5),
-                         args.getDouble("tok", 0.25));
+    double dim = args.getDouble("dim", 0.5);
+    double tok = args.getDouble("tok", 0.25);
+    std::string err = LlmConfig::scaleError(dim, tok);
+    if (!err.empty()) {
+        std::fprintf(stderr,
+                     "llm_layer_comparison: invalid config: %s\n",
+                     err.c_str());
+        return 2;
+    }
+    model = model.scaled(dim, tok);
 
     Pass pass = args.getString("pass", "fwd") == "bwd"
                     ? Pass::backward

@@ -9,6 +9,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "analysis/bandwidth_probe.hh"
 #include "common/config.hh"
@@ -30,8 +31,15 @@ main(int argc, char **argv)
 
     // Shape-preserving reduction so the demo runs in seconds; pass
     // dim=1 tok=1 for the paper's Table-I dimensions.
-    model = model.scaled(args.getDouble("dim", 0.5),
-                         args.getDouble("tok", 0.25));
+    double dim = args.getDouble("dim", 0.5);
+    double tok = args.getDouble("tok", 0.25);
+    std::string err = LlmConfig::scaleError(dim, tok);
+    if (!err.empty()) {
+        std::fprintf(stderr, "quickstart: invalid config: %s\n",
+                     err.c_str());
+        return 2;
+    }
+    model = model.scaled(dim, tok);
 
     RunConfig cfg;
     cfg.numGpus = static_cast<int>(args.getInt("gpus", 8));

@@ -50,9 +50,9 @@ class InlineEvent
 {
   public:
     /**
-     * Inline storage: sizeof(Packet) plus one pointer, so a packet
-     * delivery closure fits and a whole InlineEvent is exactly two
-     * cache lines.
+     * Inline storage: a packet-delivery closure (a 64-byte Packet
+     * plus one pointer) fits with room to spare, and a whole
+     * InlineEvent is exactly two cache lines.
      */
     static constexpr std::size_t inlineCapacity = 112;
 

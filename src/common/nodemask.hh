@@ -88,6 +88,13 @@ struct NodeMask
     }
 };
 
+/**
+ * Largest GPU count the front door (RunConfig::validationError)
+ * accepts. It leaves room in the participant masks for the switch
+ * node ids, and bounds every per-packet contribution count.
+ */
+constexpr int maxFabricGpus = 120;
+
 } // namespace cais
 
 #endif // CAIS_COMMON_NODEMASK_HH

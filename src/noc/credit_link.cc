@@ -11,11 +11,11 @@ CreditLink::CreditLink(EventQueue &eq_, std::string name,
                        int vc_credits, Cycle util_bin_width)
     : eq(eq_), linkName(std::move(name)), bw(bytes_per_cycle),
       serDiv(bytes_per_cycle), lat(latency),
-      queues(static_cast<std::size_t>(num_vcs)),
-      creditCount(static_cast<std::size_t>(num_vcs), vc_credits),
-      pendingCredits(static_cast<std::size_t>(num_vcs)),
-      arb(num_vcs), util(util_bin_width)
+      vcs(static_cast<std::size_t>(num_vcs)), arb(num_vcs),
+      util(util_bin_width)
 {
+    for (VcState &v : vcs)
+        v.credits = vc_credits;
     if (bw <= 0.0)
         panic("link %s: non-positive bandwidth", linkName.c_str());
     if (vc_credits > 0)
@@ -25,20 +25,29 @@ CreditLink::CreditLink(EventQueue &eq_, std::string name,
 }
 
 void
+CreditLink::setProfiler(CausalProfiler *pr, std::uint64_t node)
+{
+    if (queuedTotal != 0)
+        panic("link %s: profiler attached with packets queued",
+              linkName.c_str());
+    prof = pr;
+    profNode_ = node;
+    profStamps = std::vector<Ring<ProfStamp>>(pr ? vcs.size() : 0);
+}
+
+void
 CreditLink::send(Packet &&pkt)
 {
     int vc = static_cast<int>(pkt.vc);
     if (vc < 0 || vc >= numVcs())
         panic("link %s: bad VC %d", linkName.c_str(), vc);
-    if (prof) {
+    if (prof)
         // Provenance stamp: who caused this send, and when it was
         // enqueued (the sender's ScopedCause runs in this event, so
         // cause time == now).
-        pkt.profSrc = prof->causeNode();
-        pkt.profT = eq.now();
-        pkt.profCreditStalled = false;
-    }
-    queues[static_cast<std::size_t>(vc)].push_back(std::move(pkt));
+        profStamps[static_cast<std::size_t>(vc)].push_back(
+            {prof->causeNode(), eq.now(), false});
+    vcs[static_cast<std::size_t>(vc)].queue.push_back(std::move(pkt));
     queuedMask |= std::uint64_t(1) << vc;
     ++queuedTotal;
     tryIssue();
@@ -50,7 +59,7 @@ CreditLink::returnCredit(int vc)
     // The credit travels the reverse channel; charge the link latency
     // but no serialization (credits ride dedicated wires). Credits for
     // the same VC freed in the same cycle share one arrival event.
-    auto &pend = pendingCredits[static_cast<std::size_t>(vc)];
+    auto &pend = vcs[static_cast<std::size_t>(vc)].pendingCredits;
     Cycle at = eq.now() + lat;
     if (!pend.empty() && pend.back().first == at) {
         ++pend.back().second;
@@ -58,7 +67,7 @@ CreditLink::returnCredit(int vc)
     }
     pend.push_back({at, 1});
     eq.scheduleAfter(lat, [this, vc] {
-        auto &pd = pendingCredits[static_cast<std::size_t>(vc)];
+        auto &pd = vcs[static_cast<std::size_t>(vc)].pendingCredits;
         addCredits(static_cast<std::size_t>(vc), pd.front().second);
         pd.pop_front();
         tryIssue();
@@ -91,20 +100,26 @@ CreditLink::tryIssue()
         // is idle here); mark the heads so their queue-wait edge is
         // classed as a credit stall rather than wire occupancy.
         if (prof)
-            for (auto &q : queues)
-                if (!q.empty())
-                    q.front().profCreditStalled = true;
+            for (auto &stamps : profStamps)
+                if (!stamps.empty())
+                    stamps.front().creditStalled = true;
         return;
     }
 
     auto idx = static_cast<std::size_t>(vc);
-    Packet pkt = std::move(queues[idx].front());
-    queues[idx].pop_front();
+    VcState &st = vcs[idx];
+    Packet pkt = std::move(st.queue.front());
+    st.queue.pop_front();
     --queuedTotal;
-    if (queues[idx].empty())
+    if (st.queue.empty())
         queuedMask &= ~(std::uint64_t(1) << vc);
-    if (--creditCount[idx] == 0)
+    if (--st.credits == 0)
         creditMask &= ~(std::uint64_t(1) << vc);
+    ProfStamp stamp;
+    if (prof) {
+        stamp = profStamps[idx].front();
+        profStamps[idx].pop_front();
+    }
 
     Cycle ser = serDiv.cycles(pkt.wireBytes());
     if (ser == 0)
@@ -134,10 +149,9 @@ CreditLink::tryIssue()
         // cycle it was sent): hops the walk back to the sender-side
         // cause. Then the wire-occupancy edge covering ser + lat.
         prof->record(profNode_,
-                     pkt.profCreditStalled
-                         ? WaitClass::creditStall
-                         : WaitClass::linkSerialization,
-                     pkt.profT, start, pkt.profSrc, pkt.profT);
+                     stamp.creditStalled ? WaitClass::creditStall
+                                         : WaitClass::linkSerialization,
+                     stamp.t, start, stamp.src, stamp.t);
         prof->record(profNode_, WaitClass::linkSerialization, start,
                      deliver_at, profNode_, start);
     }
@@ -146,7 +160,7 @@ CreditLink::tryIssue()
         // Zero-latency link: the drain wake would land on the same
         // cycle directly after the delivery; fold it into one event.
         wakeScheduled = true;
-        eq.schedule(deliver_at, [this, p = std::move(pkt)]() mutable {
+        eq.schedule(deliver_at, [p = std::move(pkt), this]() mutable {
             {
                 CausalProfiler::ScopedCause sc(prof, profNode_,
                                                eq.now());
@@ -160,9 +174,9 @@ CreditLink::tryIssue()
     }
 
     // The packet's VC is the queue it issued from, so the closure
-    // reads it from the packet: `this` plus a Packet fill the
-    // InlineEvent exactly.
-    eq.schedule(deliver_at, [this, p = std::move(pkt)]() mutable {
+    // reads it from the packet. The packet is captured first, so it
+    // fills the event entry's first cache line.
+    eq.schedule(deliver_at, [p = std::move(pkt), this]() mutable {
         // The delivery is the enabling cause of whatever the sink
         // records downstream (hub completions, TB wakeups).
         CausalProfiler::ScopedCause sc(prof, profNode_, eq.now());

@@ -94,13 +94,11 @@ class CreditLink : public Probe
      * link's profile-graph node. Hooks stamp packet provenance at
      * send(), record queue-wait and wire-occupancy edges at issue,
      * and tag the delivery event as the downstream enabling cause.
-     * Never schedules events: profiled runs are bit-identical.
+     * Never schedules events: profiled runs are bit-identical. Must
+     * be called before the first send(): it allocates the provenance
+     * rings that run parallel to the VC queues.
      */
-    void setProfiler(CausalProfiler *pr, std::uint64_t node)
-    {
-        prof = pr;
-        profNode_ = node;
-    }
+    void setProfiler(CausalProfiler *pr, std::uint64_t node);
 
     /** This link's profile-graph node (0 when unprofiled). */
     std::uint64_t profNode() const { return profNode_; }
@@ -117,11 +115,19 @@ class CreditLink : public Probe
 
     double bytesPerCycle() const { return bw; }
     Cycle latencyCycles() const { return lat; }
-    int numVcs() const { return static_cast<int>(queues.size()); }
+    int numVcs() const { return static_cast<int>(vcs.size()); }
 
-    std::size_t queueLen(int vc) const { return queues[vc].size(); }
+    std::size_t
+    queueLen(int vc) const
+    {
+        return vcs[static_cast<std::size_t>(vc)].queue.size();
+    }
     std::size_t totalQueued() const;
-    int credits(int vc) const { return creditCount[vc]; }
+    int
+    credits(int vc) const
+    {
+        return vcs[static_cast<std::size_t>(vc)].credits;
+    }
 
     const std::string &name() const { return linkName; }
 
@@ -146,24 +152,44 @@ class CreditLink : public Probe
     SerDivider serDiv;
     Cycle lat;
 
+    /**
+     * Everything one VC keeps, in one record: an issue touches the
+     * queue and the credit count, a credit arrival the count and the
+     * in-flight batches.
+     */
+    struct VcState
+    {
+        Ring<Packet> queue;
+        int credits = 0;
+        /** In-flight credit batches: (arrival cycle, count), one
+         *  scheduled event per batch, ordered by arrival cycle. */
+        Ring<std::pair<Cycle, int>> pendingCredits;
+    };
+
+    /** Causal-profiler provenance of one queued packet. */
+    struct ProfStamp
+    {
+        std::uint64_t src = 0; ///< wait-for node that caused the send
+        Cycle t = 0;           ///< cause time (the send cycle)
+        bool creditStalled = false; ///< waited on credits, not the wire
+    };
+
     /** Credits for @p vc have arrived back at the sender. */
     void addCredits(std::size_t vc, int n)
     {
-        creditCount[vc] += n;
+        vcs[vc].credits += n;
         creditMask |= std::uint64_t(1) << vc;
     }
 
-    std::vector<Ring<Packet>> queues;
-    std::vector<int> creditCount;
+    std::vector<VcState> vcs;
 
-    /** Bit v set while queues[v] is non-empty / creditCount[v] > 0;
+    /** Per VC, parallel to vcs[v].queue; empty when unprofiled. */
+    std::vector<Ring<ProfStamp>> profStamps;
+
+    /** Bit v set while vcs[v].queue is non-empty / vcs[v].credits > 0;
      *  their AND is the arbiter's ready set. */
     std::uint64_t queuedMask = 0;
     std::uint64_t creditMask = 0;
-
-    /** In-flight credit batches per VC: (arrival cycle, count), one
-     *  scheduled event per batch, ordered by arrival cycle. */
-    std::vector<Ring<std::pair<Cycle, int>>> pendingCredits;
 
     RoundRobinArbiter arb;
     CausalProfiler *prof = nullptr;

@@ -14,8 +14,10 @@
 #define CAIS_NOC_PACKET_HH
 
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "common/nodemask.hh"
 #include "common/types.hh"
 
 namespace cais
@@ -71,36 +73,66 @@ constexpr std::uint32_t packetHeaderBytes = 16;
  */
 constexpr std::uint32_t protocolPadDivisor = 2;
 
-/** A packet in flight. */
+/**
+ * Node id as a packet carries it. Node ids stay below
+ * NodeMask::capacity: GPUs and switches share the 128-bit participant
+ * masks, and FabricParams enforces the bound on every shape.
+ */
+using PacketNode = std::int16_t;
+
+static_assert(NodeMask::capacity - 1 <=
+                  std::numeric_limits<PacketNode>::max(),
+              "every node id must fit a packet's 16-bit node fields");
+
+// A contribution count never exceeds the GPU count, which RunConfig
+// bounds by maxFabricGpus.
+static_assert(maxFabricGpus <= std::numeric_limits<std::int16_t>::max(),
+              "every contribution count must fit a packet's 16-bit "
+              "expected/contribs fields");
+
+/**
+ * A packet in flight: one 64-byte cache line. Fields are ordered by
+ * size so none leaves interior padding (one spare byte at the end).
+ * Causal-profiler provenance is not carried here: CreditLink and
+ * SwitchChip keep it in rings parallel to their queues, allocated only
+ * when a profiler is attached.
+ */
 struct Packet
 {
     std::uint64_t id = 0;
-    PacketType type = PacketType::readReq;
-    VcClass vc = VcClass::request;
-
-    int src = invalidId;  ///< node id (GPU or switch)
-    int dst = invalidId;  ///< node id (GPU or switch)
-
     Addr addr = 0;        ///< session key for merging / target memory
-    std::uint32_t payloadBytes = 0; ///< data bytes carried
-    std::uint32_t reqBytes = 0;     ///< bytes requested (read requests)
-
-    GpuId issuerGpu = invalidId;    ///< original requester GPU
-    KernelId kernel = invalidId;
-    TbId tb = invalidId;
-    GroupId group = invalidId;
 
     /** Opaque correlation token set by the issuing hub. */
     std::uint64_t cookie = 0;
 
+    std::uint32_t payloadBytes = 0; ///< data bytes carried
+    std::uint32_t reqBytes = 0;     ///< bytes requested (read requests)
+
+    /**
+     * Protocol overhead bytes occupying the wire but carrying no
+     * tensor data (collective protocol flags, sub-128B flit padding;
+     * NCCL-class collectives sustain ~75% of raw link bandwidth).
+     * Hardware-semantic CAIS/P2P accesses carry none. 32-bit: it
+     * scales with chunkBytes, which has no upper bound.
+     */
+    std::uint32_t padBytes = 0;
+
+    KernelId kernel = invalidId;
+    TbId tb = invalidId;
+    GroupId group = invalidId;
+
+    PacketNode src = invalidId;       ///< node id (GPU or switch)
+    PacketNode dst = invalidId;       ///< node id (GPU or switch)
+    PacketNode issuerGpu = invalidId; ///< original requester GPU
+
     /** Contributions the switch should expect (reductions/loads). */
-    int expected = 0;
+    std::int16_t expected = 0;
 
     /** Reduction contributions this packet represents (merged writes). */
-    int contribs = 0;
+    std::int16_t contribs = 0;
 
-    /** Receiver should send a writeAck back to the source GPU. */
-    bool needAck = false;
+    PacketType type = PacketType::readReq;
+    VcClass vc = VcClass::request;
 
     /**
      * Hierarchical in-switch hop count: 0 for GPU-issued packets, 1
@@ -110,34 +142,13 @@ struct Packet
      */
     std::uint8_t tierHop = 0;
 
-    /**
-     * Protocol overhead bytes occupying the wire but carrying no
-     * tensor data (collective protocol flags, sub-128B flit padding;
-     * NCCL-class collectives sustain ~75% of raw link bandwidth).
-     * Hardware-semantic CAIS/P2P accesses carry none.
-     */
-    std::uint32_t padBytes = 0;
+    /** Receiver should send a writeAck back to the source GPU. */
+    bool needAck = false;
 
     /** For read requests under a padded protocol: the data response
      *  (not this request) must carry reqBytes/protocolPadDivisor of
      *  padding. */
     bool padResponse = false;
-
-    /** Causal-profiler stall marker (DESIGN.md §6g): set by
-     *  CreditLink::tryIssue when this packet waited on credits rather
-     *  than wire serialization. Dead state when no profiler is
-     *  attached; never read by the simulation proper. */
-    bool profCreditStalled = false;
-
-    /** Profiler provenance: the wait-for node that caused this packet
-     *  to be sent (stamped at CreditLink::send from the sender's
-     *  ScopedCause). 0 when no profiler is attached. */
-    std::uint64_t profSrc = 0;
-
-    /** Dual-use profiler timestamp: the cause time at send(), then
-     *  rewritten by SwitchChip::acceptPacket to the ingress-arrival
-     *  time for the VC-arbitration edge. */
-    Cycle profT = 0;
 
     /** Bytes the packet occupies on a link. */
     std::uint32_t wireBytes() const
@@ -145,6 +156,8 @@ struct Packet
         return payloadBytes + padBytes + packetHeaderBytes;
     }
 };
+
+static_assert(sizeof(Packet) == 64, "a Packet is one cache line");
 
 /** Default VC class used for each packet type. */
 VcClass defaultVcClass(PacketType t);

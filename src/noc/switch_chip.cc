@@ -12,9 +12,8 @@ SwitchChip::SwitchChip(EventQueue &eq_, PacketIdAllocator &ids,
     : eq(eq_), switchId(id), node(node_id), p(params),
       inPorts(static_cast<std::size_t>(num_gpus)),
       outLinks(static_cast<std::size_t>(num_gpus), nullptr),
-      waiting(static_cast<std::size_t>(num_gpus),
-              std::vector<std::vector<std::pair<int, int>>>(
-                  static_cast<std::size_t>(params.numVcs))),
+      waiting(static_cast<std::size_t>(num_gpus) *
+              static_cast<std::size_t>(params.numVcs)),
       pktIds(ids)
 {
     for (auto &port : inPorts) {
@@ -42,6 +41,21 @@ SwitchChip::attachDownlink(GpuId g, CreditLink *to_gpu)
 }
 
 void
+SwitchChip::setProfiler(CausalProfiler *pr)
+{
+    prof = pr;
+    for (auto &port : inPorts) {
+        for (const auto &vc : port.vcs)
+            if (!vc.empty())
+                panic("switch %d: profiler attached with packets "
+                      "buffered",
+                      switchId);
+        port.arrivals =
+            std::vector<Ring<Cycle>>(pr ? port.vcs.size() : 0);
+    }
+}
+
+void
 SwitchChip::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
 {
     int port = from->sinkTag();
@@ -50,10 +64,9 @@ SwitchChip::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
         panic("switch %d: packet from unknown link", switchId);
     auto &in = inPorts[static_cast<std::size_t>(port)];
     if (prof)
-        // Re-stamp as the ingress-arrival time (the send-side cause
-        // in profT was consumed by the link's queue-wait edge); the
-        // VC-arbitration edge at processHead covers [arrival, serve].
-        pkt.profT = eq.now();
+        // Ingress-arrival time: the VC-arbitration edge at
+        // processHead covers [arrival, serve].
+        in.arrivals[static_cast<std::size_t>(vc)].push_back(eq.now());
     in.vcs[static_cast<std::size_t>(vc)].push(std::move(pkt));
     if (!in.busy[static_cast<std::size_t>(vc)]) {
         in.busy[static_cast<std::size_t>(vc)] = true;
@@ -81,16 +94,22 @@ SwitchChip::processHead(int port, int vc)
 
     // VC-arbitration edge (recorded only when the head actually
     // leaves the buffer, so head-of-line parking folds into one
-    // edge): the head sat in the ingress VC from arrival (profT)
-    // until this service event. The in-link node stands for the
-    // ingress port on the critical path; the scoped cause hands it
-    // to everything this service triggers downstream.
+    // edge): the head sat in the ingress VC from its arrival until
+    // this service event. The in-link node stands for the ingress
+    // port on the critical path; the scoped cause hands it to
+    // everything this service triggers downstream.
     std::uint64_t in_node = prof ? in.link->profNode() : 0;
+    auto recordArbitration = [&] {
+        auto &arrivals = in.arrivals[static_cast<std::size_t>(vc)];
+        Cycle arrived = arrivals.front();
+        arrivals.pop_front();
+        prof->record(in_node, WaitClass::vcArbitration, arrived,
+                     eq.now(), in_node, arrived);
+    };
 
     if (handler && handler->wants(head)) {
         if (prof)
-            prof->record(in_node, WaitClass::vcArbitration,
-                         head.profT, eq.now(), in_node, head.profT);
+            recordArbitration();
         Packet pkt = buf.pop();
         in.link->returnCredit(vc);
         consumed.inc();
@@ -116,15 +135,12 @@ SwitchChip::processHead(int port, int vc)
         // Head-of-line block: park until the output VC drains. The VC
         // stays busy (no service event) and resumes via
         // onLinkDequeue.
-        waiting[static_cast<std::size_t>(dst)]
-               [static_cast<std::size_t>(head.vc)]
-                   .emplace_back(port, vc);
+        parked(dst, static_cast<int>(head.vc)).emplace_back(port, vc);
         return;
     }
 
     if (prof)
-        prof->record(in_node, WaitClass::vcArbitration, head.profT,
-                     eq.now(), in_node, head.profT);
+        recordArbitration();
     Packet pkt = buf.pop();
     in.link->returnCredit(vc);
     forwarded.inc();
@@ -138,15 +154,14 @@ SwitchChip::processHead(int port, int vc)
 void
 SwitchChip::onLinkDequeue(int out_port, int vc)
 {
-    auto &list = waiting[static_cast<std::size_t>(out_port)]
-                        [static_cast<std::size_t>(vc)];
+    auto &list = parked(out_port, vc);
     if (list.empty())
         return;
     // Wake all parked heads; they re-check space in arrival order.
-    auto parked = std::move(list);
-    list.clear();
-    for (auto [port, in_vc] : parked)
+    waking.swap(list);
+    for (auto [port, in_vc] : waking)
         scheduleProcess(port, in_vc, 0);
+    waking.clear();
 }
 
 void

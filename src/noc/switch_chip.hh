@@ -20,6 +20,7 @@
 
 #include "common/event_queue.hh"
 #include "common/metrics.hh"
+#include "common/ring.hh"
 #include "common/stats.hh"
 #include "noc/credit_link.hh"
 #include "noc/virtual_channel.hh"
@@ -104,8 +105,10 @@ class SwitchChip : public PacketSink,
     void setComputeHandler(SwitchComputeHandler *h) { handler = h; }
 
     /** Attach the causal profiler (DESIGN.md §6g); hooks stamp
-     *  ingress-arrival times and record VC-arbitration edges. */
-    void setProfiler(CausalProfiler *pr) { prof = pr; }
+     *  ingress-arrival times and record VC-arbitration edges. Must be
+     *  called before the first packet arrives: it allocates the
+     *  arrival-time rings that run parallel to the input VCs. */
+    void setProfiler(CausalProfiler *pr);
 
     /** The attached profiler, read by the in-switch compute units. */
     CausalProfiler *profiler() const { return prof; }
@@ -170,10 +173,20 @@ class SwitchChip : public PacketSink,
         std::vector<VirtualChannel> vcs;
         /** True while a service event or a blocked head owns the VC. */
         std::vector<bool> busy;
+        /** Profiler only: ingress-arrival cycle of each buffered
+         *  packet, parallel to vcs; empty when unprofiled. */
+        std::vector<Ring<Cycle>> arrivals;
     };
 
     void scheduleProcess(int port, int vc, Cycle delay);
     void processHead(int port, int vc);
+
+    /** Heads parked on output port @p out_port's class @p vc. */
+    std::vector<std::pair<int, int>> &
+    parked(int out_port, int vc)
+    {
+        return waiting[static_cast<std::size_t>(out_port * p.numVcs + vc)];
+    }
 
     /** Output port for @p pkt: the router's choice, or pkt.dst on
      *  flat shapes. */
@@ -191,8 +204,13 @@ class SwitchChip : public PacketSink,
     /** Downlink behind each output port. */
     std::vector<CreditLink *> outLinks;
 
-    /** Heads blocked per (dst GPU, VC class): list of (port, in-vc). */
-    std::vector<std::vector<std::vector<std::pair<int, int>>>> waiting;
+    /** Heads blocked per (output port, VC class), indexed
+     *  port * numVcs + vc (see parked()): list of (in-port, in-vc). */
+    std::vector<std::vector<std::pair<int, int>>> waiting;
+
+    /** onLinkDequeue swaps a list in here to wake it, so both keep
+     *  their capacity instead of reallocating on the next park. */
+    std::vector<std::pair<int, int>> waking;
 
     SwitchComputeHandler *handler = nullptr;
     CausalProfiler *prof = nullptr;

@@ -141,6 +141,13 @@ FabricParams::validationError() const
     if (numGroups < 1)
         return strfmt("fabric needs at least 1 GPU group (got %d)",
                       numGroups);
+    // Node ids (GPUs, then switches) key the session masks and ride
+    // in 16-bit packet fields.
+    if (numGpus + numSwitches > NodeMask::capacity)
+        return strfmt("fabric has %d nodes (%d GPUs + %d switches) "
+                      "but session masks track at most %d",
+                      numGpus + numSwitches, numGpus, numSwitches,
+                      NodeMask::capacity);
     if (!multiTier()) {
         if (numGroups > 1 || railsPerGroup > 0)
             return strfmt("tier shape (%d groups, %d rails) needs "
@@ -169,11 +176,6 @@ FabricParams::validationError() const
                       numLeaves() + numSpines);
     if (tierLinkBytesPerCycle < 0.0)
         return "inter-tier bandwidth must be non-negative";
-    if (numGpus + numSwitches > NodeMask::capacity)
-        return strfmt("fabric has %d nodes (%d GPUs + %d switches) "
-                      "but session masks track at most %d",
-                      numGpus + numSwitches, numGpus, numSwitches,
-                      NodeMask::capacity);
     return "";
 }
 

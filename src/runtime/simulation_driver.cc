@@ -14,6 +14,7 @@
 #include "analysis/verify.hh"
 #include "common/log.hh"
 #include "common/metrics.hh"
+#include "common/nodemask.hh"
 
 namespace cais
 {
@@ -34,11 +35,11 @@ RunConfig::validationError() const
 {
     if (numGpus < 2)
         return strfmt("numGpus must be >= 2 (got %d)", numGpus);
-    if (numGpus > 120)
-        return strfmt("numGpus must be <= 120: GPUs and switches "
+    if (numGpus > maxFabricGpus)
+        return strfmt("numGpus must be <= %d: GPUs and switches "
                       "share the fabric's 128-bit participant masks "
                       "(got %d)",
-                      numGpus);
+                      maxFabricGpus, numGpus);
     if (numSwitches < 1)
         return strfmt("numSwitches must be >= 1 (got %d)",
                       numSwitches);

@@ -305,6 +305,47 @@ TEST(CausalProfile, AttributionIsByteIdenticalAcrossRuns)
     std::remove(second.profilePath.c_str());
 }
 
+/** FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(CausalProfile, TieredProfilesMatchGoldenDigest)
+{
+    // Locks the whole cais-profile-v1 artifact of two tiered CAIS
+    // runs, whose critical paths cross leaf<->spine links (the flat
+    // fig12 profiles never touch one). Where the profiler keeps its
+    // per-packet provenance may change; no profile byte may.
+    struct Case
+    {
+        const char *preset;
+        int gpus;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"rail-optimized-2node", 16, 0x6a30aa7891340353ull},
+        {"nvl72", 16, 0x96dff4d1df58c721ull},
+    };
+    for (const Case &c : cases) {
+        RunConfig cfg;
+        cfg.topology = c.preset;
+        cfg.numGpus = c.gpus;
+        cfg.profilePath = "/tmp/cais_test_prof_digest.json";
+        runProfiled(cfg);
+        std::uint64_t digest = fnv1a(slurp(cfg.profilePath));
+        EXPECT_EQ(digest, c.digest) << c.preset << " profile digest is 0x"
+                                    << std::hex << digest;
+        std::remove(cfg.profilePath.c_str());
+    }
+}
+
 TEST(CausalProfile, RealRunCoversAtLeast95PercentOfMakespan)
 {
     RunConfig cfg = flatConfig();

@@ -13,6 +13,7 @@
 
 #include "analysis/verify.hh"
 #include "noc/topology.hh"
+#include "nvl72_ladm_golden.hh"
 #include "runtime/simulation_driver.hh"
 #include "runtime/system.hh"
 #include "workload/transformer.hh"
@@ -117,7 +118,7 @@ TEST(MultiTierRun, Nvl72LadmMatchesGolden)
     RunConfig cfg = presetConfig("nvl72");
     OpGraph g = buildSubLayer(fastModel(), SubLayerId::L1);
     RunResult r = runGraph(strategyByName("LADM"), g, cfg, "L1");
-    EXPECT_EQ(r.makespan, 2432792ull);
+    EXPECT_EQ(r.makespan, nvl72LadmMakespan);
     EXPECT_EQ(r.wireBytes, 46223032320ull);
 }
 
