@@ -68,8 +68,9 @@ main(int argc, char **argv)
     k.preLaunchSync = true;
     k.preAccessSync = true;
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int t = 0; t < out.numTiles; ++t) {
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles = 5000;
             tb.group =
                 lowered.plan.groupOfTb[static_cast<std::size_t>(t)];
@@ -82,9 +83,8 @@ main(int argc, char **argv)
                 op.base = out.tileAddr(t);
                 op.bytes = out.bytesPerTile;
                 op.expected = G - 1;
-                tb.pushOps.push_back(op);
+                grid.addPush(op);
             }
-            k.grids[static_cast<std::size_t>(g)].push_back(tb);
         }
     }
     sys.addKernel(std::move(k));

@@ -214,20 +214,23 @@ computeBound(const System &sys, const BoundOptions &opts)
         std::uint64_t exec_floor = 0;
         bool has_pull = false;
         for (std::size_t g = 0; g < k.grids.size() && g < gpus; ++g) {
+            const TbGrid &grid = k.grids[g];
             std::uint64_t grid_work = 0;
             std::uint64_t max_tb = 0;
-            for (const TbDesc &tb : k.grids[g]) {
+            for (const TbDesc &tb : grid.tbs) {
                 std::uint64_t d =
                     tbFloorCycles(tb.computeCycles, jittered);
                 grid_work += d;
                 max_tb = std::max(max_tb, d);
-                if (!tb.pullOps.empty())
-                    has_pull = true;
-                for (const RemoteOp &op : tb.pullOps)
-                    accountOp(op, g, chunk, traffic);
-                for (const RemoteOp &op : tb.pushOps)
-                    accountOp(op, g, chunk, traffic);
             }
+            // Loads and reductions feed separate range lists, so one
+            // sweep per op array keeps each list in TB order.
+            if (!grid.allPulls().empty())
+                has_pull = true;
+            for (const RemoteOp &op : grid.allPulls())
+                accountOp(op, g, chunk, traffic);
+            for (const RemoteOp &op : grid.allPushes())
+                accountOp(op, g, chunk, traffic);
             traffic[g].work += grid_work;
             exec_floor = std::max(
                 exec_floor,

@@ -1,6 +1,7 @@
 #include "analysis/verify.hh"
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <tuple>
 
@@ -524,118 +525,52 @@ kindName(RemoteOpKind k)
     }
 }
 
-void
-checkV3(Ctx &cx)
+bool
+isSessionCounted(RemoteOpKind k)
 {
-    const SystemConfig &sc = cx.sys.config();
-    const std::uint64_t interleave = sc.fabric.interleaveBytes;
-    const std::uint64_t chunk = sc.gpu.chunkBytes;
-    const Fabric &fab = cx.sys.fabric();
-    const bool tiered = sc.fabric.multiTier();
+    return k == RemoteOpKind::caisRed || k == RemoteOpKind::nvlsRed ||
+           k == RemoteOpKind::caisLoad;
+}
 
-    // Switches an address's merge traffic lands on: its rail (its
-    // switch on flat shapes) and, on multi-tier ones, its spine.
-    auto sameSwitches = [&](Addr a, Addr b) {
-        return fab.routeAddr(a) == fab.routeAddr(b) &&
-               (!tiered ||
-                fab.spineNodeForAddr(a) == fab.spineNodeForAddr(b));
-    };
-    auto where = [&](Addr a) {
-        return tiered ? strfmt("rail%d/spine.sw%d", fab.routeAddr(a),
-                               fab.spineNodeForAddr(a) -
-                                   fab.switchNodeId(
-                                       sc.fabric.numLeaves()))
-                      : strfmt("sw%d", fab.routeAddr(a));
-    };
+bool
+isReductionSession(RemoteOpKind k)
+{
+    return k == RemoteOpKind::caisRed || k == RemoteOpKind::nvlsRed;
+}
 
-    // Per (kernel, kind, base, bytes): contribution count per GPU and
-    // the expected participant counts the issuers carry. std::map so
-    // diagnostics come out in a deterministic order.
+/**
+ * The per-session checks of one kernel, in (kind, base, bytes) order:
+ * every issuer must agree on the expected participant count, the
+ * count must be one hierarchical merging can localize, and a
+ * reduction session needs exactly one contribution from each of
+ * `expected` GPUs. Only kernels the SessionTable flags come here.
+ */
+void
+reportSessions(Ctx &cx, const KernelDesc &k)
+{
+    const int G = cx.sys.numGpus();
     struct OpGroup
     {
         std::map<GpuId, int> perGpu;
         std::set<int> expected;
     };
-    std::map<std::tuple<KernelId, int, Addr, std::uint64_t>, OpGroup>
-        groups;
-
-    for (std::size_t ki = 0; ki < cx.sys.numKernels(); ++ki) {
-        const KernelDesc &k =
-            cx.sys.kernel(static_cast<KernelId>(ki));
-        for (GpuId g = 0;
-             g < static_cast<GpuId>(k.grids.size()); ++g) {
-            for (const TbDesc &tb :
-                 k.grids[static_cast<std::size_t>(g)]) {
-                auto scanOps = [&](const std::vector<RemoteOp> &ops) {
-                    for (const RemoteOp &op : ops) {
-                        if (!isSessionKind(op.kind))
-                            continue;
-                        // A session chunk spanning two interleave
-                        // blocks splits one address class across two
-                        // switches (routing keys on the chunk base),
-                        // unless both blocks hash to the same one.
-                        bool aligned = interleave % chunk == 0 &&
-                                       op.base % chunk == 0;
-                        if (!aligned) {
-                            std::uint64_t off = 0;
-                            int scanned = 0;
-                            while (off < op.bytes &&
-                                   scanned++ < 4096) {
-                                std::uint64_t n = std::min<
-                                    std::uint64_t>(chunk,
-                                                   op.bytes - off);
-                                Addr a = op.base + off;
-                                Addr z = a + n - 1;
-                                if (a / interleave != z / interleave &&
-                                    !sameSwitches(a, z)) {
-                                    cx.report(
-                                        "V3",
-                                        strfmt(
-                                            "kernel %s: %s chunk at "
-                                            "0x%llx (+%llu B) "
-                                            "straddles interleave "
-                                            "blocks, splitting one "
-                                            "address class across "
-                                            "%s and %s",
-                                            k.name.c_str(),
-                                            kindName(op.kind),
-                                            static_cast<unsigned long
-                                                            long>(a),
-                                            static_cast<unsigned long
-                                                            long>(n),
-                                            where(a).c_str(),
-                                            where(z).c_str()),
-                                        {k.name,
-                                         strfmt("addr=0x%llx",
-                                                static_cast<
-                                                    unsigned long
-                                                        long>(a)),
-                                         where(a), where(z)});
-                                    break;
-                                }
-                                off += n;
-                            }
-                        }
-                        if (op.kind == RemoteOpKind::caisRed ||
-                            op.kind == RemoteOpKind::nvlsRed ||
-                            op.kind == RemoteOpKind::caisLoad) {
-                            OpGroup &grp = groups[{
-                                k.id, static_cast<int>(op.kind),
-                                op.base, op.bytes}];
-                            ++grp.perGpu[g];
-                            grp.expected.insert(op.expected);
-                        }
-                    }
-                };
-                scanOps(tb.pullOps);
-                scanOps(tb.pushOps);
+    std::map<std::tuple<int, Addr, std::uint64_t>, OpGroup> groups;
+    for (GpuId g = 0; g < static_cast<GpuId>(k.grids.size()); ++g) {
+        const TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        for (auto ops : {grid.allPulls(), grid.allPushes()}) {
+            for (const RemoteOp &op : ops) {
+                if (!isSessionCounted(op.kind))
+                    continue;
+                OpGroup &grp = groups[{static_cast<int>(op.kind),
+                                       op.base, op.bytes}];
+                ++grp.perGpu[g];
+                grp.expected.insert(op.expected);
             }
         }
     }
 
     for (const auto &[key, grp] : groups) {
-        const auto &[kid, kind, base, bytes] = key;
-        const KernelDesc &k = cx.sys.kernel(kid);
+        const auto &[kind, base, bytes] = key;
         RemoteOpKind rk = static_cast<RemoteOpKind>(kind);
         if (grp.expected.size() > 1) {
             std::vector<std::string> path = {k.name,
@@ -657,9 +592,8 @@ checkV3(Ctx &cx)
         // only for the two shapes the protocol produces: all G GPUs,
         // or all but the session's home. Any other count cannot be
         // attributed to leaves without knowing which GPUs abstain.
-        if (sc.fabric.multiTier()) {
+        if (cx.sys.config().fabric.multiTier()) {
             int e = *grp.expected.begin();
-            int G = cx.sys.numGpus();
             if (e > 0 && e != G && e != G - 1) {
                 cx.report(
                     "V3",
@@ -680,11 +614,10 @@ checkV3(Ctx &cx)
         // Reduction sessions complete only when exactly `expected`
         // contributions arrive; a participant-count mismatch stalls
         // the session (or trips the duplicate-contribution check).
-        if (rk == RemoteOpKind::caisRed ||
-            rk == RemoteOpKind::nvlsRed) {
+        if (isReductionSession(rk)) {
             int expected = *grp.expected.begin();
             if (expected <= 0)
-                expected = cx.sys.numGpus();
+                expected = G;
             int issuers = static_cast<int>(grp.perGpu.size());
             if (issuers != expected) {
                 cx.report(
@@ -721,6 +654,209 @@ checkV3(Ctx &cx)
     }
 }
 
+/**
+ * One kernel's merge/reduction sessions, keyed by (kind, base,
+ * bytes) in an open-addressed table that is reused across kernels:
+ * generation stamps empty it in O(1), and it only grows (at half
+ * load), so the clean path allocates nothing once the table fits the
+ * kernel with the most sessions.
+ */
+class SessionTable
+{
+  public:
+    /** Start the next kernel. */
+    void
+    reset()
+    {
+        used.clear();
+        ++gen;
+    }
+
+    /** Record GPU @p g issuing @p op. */
+    void
+    add(const RemoteOp &op, GpuId g)
+    {
+        if (2 * (used.size() + 1) > slots.size())
+            grow();
+        Slot &s = slots[probe(op.kind, op.base, op.bytes)];
+        if (s.gen != gen) {
+            s = Slot{op.base, op.bytes, NodeMask::bit(g), op.expected,
+                     gen, op.kind, false, false};
+            used.push_back(static_cast<std::uint32_t>(&s - slots.data()));
+            return;
+        }
+        s.mixed |= s.expected != op.expected;
+        s.duplicate |= s.issuers.test(g);
+        s.issuers.set(g);
+    }
+
+    /** Some session of this kernel fails a reportSessions check. */
+    bool
+    suspicious(int gpus, bool tiered) const
+    {
+        for (std::uint32_t i : used) {
+            const Slot &s = slots[i];
+            if (s.mixed)
+                return true;
+            int e = s.expected;
+            if (tiered && e > 0 && e != gpus && e != gpus - 1)
+                return true;
+            if (isReductionSession(s.kind) &&
+                (s.duplicate || s.issuers.count() != (e > 0 ? e : gpus)))
+                return true;
+        }
+        return false;
+    }
+
+  private:
+    struct Slot
+    {
+        Addr base = 0;
+        std::uint64_t bytes = 0;
+        NodeMask issuers;
+        int expected = 0;
+        std::uint32_t gen = 0;
+        RemoteOpKind kind = RemoteOpKind::plainLoad;
+        bool mixed = false;
+        bool duplicate = false;
+    };
+
+    /** The key's slot, or the empty one where it belongs. */
+    std::size_t
+    probe(RemoteOpKind kind, Addr base, std::uint64_t bytes) const
+    {
+        // Fibonacci hashing: the product's top bits index the table.
+        std::uint64_t h = (base ^ (bytes << 40) ^
+                           static_cast<std::uint64_t>(kind)) *
+                          0x9e3779b97f4a7c15ull;
+        const std::size_t mask = slots.size() - 1;
+        for (std::size_t i = static_cast<std::size_t>(h >> shift);;
+             i = (i + 1) & mask) {
+            const Slot &s = slots[i];
+            if (s.gen != gen ||
+                (s.base == base && s.bytes == bytes && s.kind == kind))
+                return i;
+        }
+    }
+
+    void
+    grow()
+    {
+        std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots.size()));
+        old.swap(slots);
+        shift = 64 - std::countr_zero(slots.size());
+        for (std::uint32_t &i : used) {
+            const Slot &s = old[i];
+            i = static_cast<std::uint32_t>(probe(s.kind, s.base, s.bytes));
+            slots[i] = s;
+        }
+    }
+
+    std::vector<Slot> slots;
+    std::vector<std::uint32_t> used;
+    int shift = 64;
+    std::uint32_t gen = 1;
+};
+
+void
+checkV3(Ctx &cx)
+{
+    const SystemConfig &sc = cx.sys.config();
+    const std::uint64_t interleave = sc.fabric.interleaveBytes;
+    const std::uint64_t chunk = sc.gpu.chunkBytes;
+    const Fabric &fab = cx.sys.fabric();
+    const bool tiered = sc.fabric.multiTier();
+    const int G = cx.sys.numGpus();
+
+    // Switches an address's merge traffic lands on: its rail (its
+    // switch on flat shapes) and, on multi-tier ones, its spine.
+    auto sameSwitches = [&](Addr a, Addr b) {
+        return fab.routeAddr(a) == fab.routeAddr(b) &&
+               (!tiered ||
+                fab.spineNodeForAddr(a) == fab.spineNodeForAddr(b));
+    };
+    auto where = [&](Addr a) {
+        return tiered ? strfmt("rail%d/spine.sw%d", fab.routeAddr(a),
+                               fab.spineNodeForAddr(a) -
+                                   fab.switchNodeId(
+                                       sc.fabric.numLeaves()))
+                      : strfmt("sw%d", fab.routeAddr(a));
+    };
+
+    // A chunk never straddles an interleave block when chunks tile
+    // the blocks and the op starts on a chunk boundary (chunk is a
+    // power of two behind the front door).
+    const bool chunksTileBlocks = interleave % chunk == 0;
+    const bool chunkPow2 = (chunk & (chunk - 1)) == 0;
+    auto chunkAligned = [&](Addr a) {
+        return chunkPow2 ? (a & (chunk - 1)) == 0 : a % chunk == 0;
+    };
+
+    // A session chunk spanning two interleave blocks splits one
+    // address class across two switches (routing keys on the chunk
+    // base), unless both blocks hash to the same one.
+    auto scanStraddle = [&](const KernelDesc &k, const RemoteOp &op) {
+        if (chunksTileBlocks && chunkAligned(op.base))
+            return;
+        std::uint64_t off = 0;
+        int scanned = 0;
+        while (off < op.bytes && scanned++ < 4096) {
+            std::uint64_t n = std::min<std::uint64_t>(chunk,
+                                                      op.bytes - off);
+            Addr a = op.base + off;
+            Addr z = a + n - 1;
+            if (a / interleave != z / interleave &&
+                !sameSwitches(a, z)) {
+                cx.report(
+                    "V3",
+                    strfmt("kernel %s: %s chunk at 0x%llx (+%llu B) "
+                           "straddles interleave blocks, splitting "
+                           "one address class across %s and %s",
+                           k.name.c_str(), kindName(op.kind),
+                           static_cast<unsigned long long>(a),
+                           static_cast<unsigned long long>(n),
+                           where(a).c_str(), where(z).c_str()),
+                    {k.name,
+                     strfmt("addr=0x%llx",
+                            static_cast<unsigned long long>(a)),
+                     where(a), where(z)});
+                return;
+            }
+            off += n;
+        }
+    };
+
+    // Straddles report in issue order as the scan meets them; the
+    // per-session checks follow for every kernel the table flags, in
+    // kernel order. The issuer mask holds one bit per GPU.
+    const bool maskFits = G <= NodeMask::capacity;
+    SessionTable table;
+    std::vector<KernelId> flagged;
+    for (std::size_t ki = 0; ki < cx.sys.numKernels(); ++ki) {
+        const KernelDesc &k =
+            cx.sys.kernel(static_cast<KernelId>(ki));
+        table.reset();
+        for (GpuId g = 0; g < static_cast<GpuId>(k.grids.size()); ++g) {
+            const TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+            for (const TbDesc &tb : grid.tbs) {
+                for (auto ops : {grid.pullOps(tb), grid.pushOps(tb)}) {
+                    for (const RemoteOp &op : ops) {
+                        if (!isSessionKind(op.kind))
+                            continue;
+                        scanStraddle(k, op);
+                        if (maskFits && isSessionCounted(op.kind))
+                            table.add(op, g);
+                    }
+                }
+            }
+        }
+        if (!maskFits || table.suspicious(G, tiered))
+            flagged.push_back(k.id);
+    }
+    for (KernelId kid : flagged)
+        reportSessions(cx, cx.sys.kernel(kid));
+}
+
 // ------------------------------------------------------------------
 // V4: TB-group / Group-Sync-Table consistency
 // ------------------------------------------------------------------
@@ -745,22 +881,66 @@ checkV4(Ctx &cx)
              strfmt("numSwitches=%d", sc.fabric.numSwitches)});
     }
 
+    std::vector<int> counts;
+    std::vector<GroupId> ids;
     for (std::size_t ki = 0; ki < cx.sys.numKernels(); ++ki) {
         const KernelDesc &k =
             cx.sys.kernel(static_cast<KernelId>(ki));
         if (!k.preLaunchSync && !k.preAccessSync)
             continue;
-        std::map<GroupId, std::map<GpuId, int>> members;
-        for (GpuId g = 0;
-             g < static_cast<GpuId>(k.grids.size()); ++g)
+        // TBs per (group, GPU), dense over the kernel's group ids:
+        // groups come from allocGroups, so [lo, hi] is contiguous;
+        // sparse ids (hand-built kernels) index by rank instead.
+        GroupId lo = 0, hi = -1;
+        std::size_t grouped = 0;
+        for (const TbGrid &grid : k.grids)
+            for (const TbDesc &tb : grid.tbs)
+                if (tb.group != invalidId) {
+                    lo = grouped ? std::min(lo, tb.group) : tb.group;
+                    hi = grouped ? std::max(hi, tb.group) : tb.group;
+                    ++grouped;
+                }
+        if (grouped == 0)
+            continue;
+        const bool sparse =
+            static_cast<std::uint64_t>(static_cast<std::int64_t>(hi) -
+                                       lo) >= grouped;
+        ids.clear();
+        if (sparse) {
+            for (const TbGrid &grid : k.grids)
+                for (const TbDesc &tb : grid.tbs)
+                    if (tb.group != invalidId)
+                        ids.push_back(tb.group);
+            std::sort(ids.begin(), ids.end());
+            ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+        }
+        auto rowOf = [&](GroupId group) {
+            return sparse ? static_cast<std::size_t>(
+                                std::lower_bound(ids.begin(), ids.end(),
+                                                 group) -
+                                ids.begin())
+                          : static_cast<std::size_t>(group - lo);
+        };
+        const std::size_t rows =
+            sparse ? ids.size() : static_cast<std::size_t>(hi - lo) + 1;
+        counts.assign(rows * static_cast<std::size_t>(G), 0);
+        for (GpuId g = 0; g < G; ++g)
             for (const TbDesc &tb :
-                 k.grids[static_cast<std::size_t>(g)])
+                 k.grids[static_cast<std::size_t>(g)].tbs)
                 if (tb.group != invalidId)
-                    ++members[tb.group][g];
+                    ++counts[rowOf(tb.group) *
+                                 static_cast<std::size_t>(G) +
+                             static_cast<std::size_t>(g)];
 
-        for (const auto &[group, perGpu] : members) {
+        for (std::size_t row = 0; row < rows; ++row) {
+            const int *perGpu = &counts[row * static_cast<std::size_t>(G)];
+            const GroupId group =
+                sparse ? ids[row] : lo + static_cast<GroupId>(row);
+            int spanned = 0;
             bool oversized = false;
-            for (const auto &[g, n] : perGpu) {
+            for (GpuId g = 0; g < G; ++g) {
+                const int n = perGpu[g];
+                spanned += n > 0;
                 if (n > 1) {
                     cx.report(
                         "V4",
@@ -778,24 +958,24 @@ checkV4(Ctx &cx)
                     break;
                 }
             }
-            if (oversized)
+            if (oversized || spanned == 0)
                 continue;
-            if (static_cast<int>(perGpu.size()) != G) {
+            if (spanned != G) {
                 std::vector<std::string> path = {
                     k.name,
                     strfmt("group=%lld",
                            static_cast<long long>(group))};
                 for (GpuId g = 0; g < G; ++g)
-                    if (!perGpu.count(g))
+                    if (perGpu[g] == 0)
                         path.push_back(strfmt("missing gpu%d", g));
                 cx.report(
                     "V4",
-                    strfmt("kernel %s: TB group %lld spans %zu "
+                    strfmt("kernel %s: TB group %lld spans %d "
                            "GPU(s) but the release broadcast waits "
                            "for all %d",
                            k.name.c_str(),
-                           static_cast<long long>(group),
-                           perGpu.size(), G),
+                           static_cast<long long>(group), spanned,
+                           G),
                     std::move(path));
             }
         }
@@ -867,6 +1047,8 @@ checkV5(Ctx &cx)
     // Dependency edges: explicit kernelDeps plus tile-level
     // producer/consumer edges through the trackers.
     std::vector<std::vector<std::size_t>> adj(N);
+    std::vector<std::uint8_t> seen;
+    std::vector<int> depTrackers;
     for (std::size_t ki = 0; ki < N; ++ki) {
         const KernelDesc &k =
             cx.sys.kernel(static_cast<KernelId>(ki));
@@ -881,13 +1063,26 @@ checkV5(Ctx &cx)
             }
             adj[static_cast<std::size_t>(d)].push_back(ki);
         }
-        std::set<int> depTrackers;
-        for (const auto &grid : k.grids)
-            for (const TbDesc &tb : grid)
-                for (const TileRef &ref : tb.deps)
-                    if (ref.tracker != invalidId)
-                        depTrackers.insert(ref.tracker);
+        // Each tracker this kernel waits on, once (adj is sorted and
+        // deduplicated below, so only the lookups need the dedup).
+        depTrackers.clear();
+        for (const TbGrid &grid : k.grids)
+            for (const TileRef &ref : grid.allDeps()) {
+                const int t = ref.tracker;
+                if (t == invalidId)
+                    continue;
+                if (t >= 0) {
+                    if (static_cast<std::size_t>(t) >= seen.size())
+                        seen.resize(static_cast<std::size_t>(t) + 1);
+                    if (seen[static_cast<std::size_t>(t)])
+                        continue;
+                    seen[static_cast<std::size_t>(t)] = 1;
+                }
+                depTrackers.push_back(t);
+            }
         for (int t : depTrackers) {
+            if (t >= 0)
+                seen[static_cast<std::size_t>(t)] = 0;
             auto it = producers.find(t);
             if (it == producers.end())
                 continue;
@@ -984,13 +1179,12 @@ checkV5(Ctx &cx)
         const KernelDesc &k =
             cx.sys.kernel(static_cast<KernelId>(ki));
         std::uint64_t pull = 0, push = 0;
-        for (const auto &grid : k.grids)
-            for (const TbDesc &tb : grid) {
-                for (const RemoteOp &op : tb.pullOps)
-                    pull += op.bytes;
-                for (const RemoteOp &op : tb.pushOps)
-                    push += op.bytes;
-            }
+        for (const TbGrid &grid : k.grids) {
+            for (const RemoteOp &op : grid.allPulls())
+                pull += op.bytes;
+            for (const RemoteOp &op : grid.allPushes())
+                push += op.bytes;
+        }
         if (pull > 0 && push == 0)
             dir[ki] = 1;
         else if (push > 0 && pull == 0)

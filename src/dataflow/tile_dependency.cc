@@ -24,13 +24,17 @@ TileTracker::TileTracker(std::string name, int num_gpus, int num_tiles,
 }
 
 void
-TileTracker::setRelevance(std::function<bool(GpuId, int)> rel)
+TileTracker::setRelevance(std::span<const int> shard_start)
 {
+    if (shard_start.size() != static_cast<std::size_t>(gpus) + 1)
+        panic("tracker %s: %zu shard boundaries for %d GPUs",
+              trackerName.c_str(), shard_start.size(), gpus);
     relevantCount = 0;
     readyCount = 0;
     for (GpuId g = 0; g < gpus; ++g) {
         for (int t = 0; t < tiles; ++t) {
-            bool r = rel(g, t);
+            bool r = t >= shard_start[static_cast<std::size_t>(g)] &&
+                     t < shard_start[static_cast<std::size_t>(g) + 1];
             relevant[index(g, t)] = r;
             if (r) {
                 ++relevantCount;

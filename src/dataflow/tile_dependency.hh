@@ -17,7 +17,7 @@
 #define CAIS_DATAFLOW_TILE_DEPENDENCY_HH
 
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,11 +44,12 @@ class TileTracker
                 std::uint64_t need_bytes_per_tile);
 
     /**
-     * Restrict completeness to tiles relevant per GPU. By default
-     * every (gpu, tile) pair is relevant; sharded tensors mark only
-     * the home GPU of each tile.
+     * Restrict completeness to each tile's home GPU. By default every
+     * (gpu, tile) pair is relevant; a sharded tensor passes its shard
+     * boundaries (G+1 non-decreasing entries): GPU g homes tiles
+     * [shard_start[g], shard_start[g+1]).
      */
-    void setRelevance(std::function<bool(GpuId, int)> relevant);
+    void setRelevance(std::span<const int> shard_start);
 
     /** Receiver of waiter notifications. */
     void setListener(TbListener *l) { listener = l; }

@@ -32,7 +32,7 @@ Cycle
 KernelDesc::computeWork(GpuId gpu) const
 {
     Cycle c = 0;
-    for (const auto &tb : grids[static_cast<std::size_t>(gpu)])
+    for (const TbDesc &tb : grids[static_cast<std::size_t>(gpu)].tbs)
         c += tb.computeCycles;
     return c;
 }
@@ -46,17 +46,13 @@ KernelDesc::validate(int num_gpus) const
     if (smFrom < 0.0 || smTo > 1.0 || smFrom >= smTo)
         panic("kernel %s: bad SM partition [%f, %f)", name.c_str(),
               smFrom, smTo);
-    for (const auto &grid : grids) {
-        for (const auto &tb : grid) {
-            for (const auto &op : tb.pullOps)
-                if (!isPullKind(op.kind))
-                    panic("kernel %s: push op in pull list",
-                          name.c_str());
-            for (const auto &op : tb.pushOps)
-                if (isPullKind(op.kind))
-                    panic("kernel %s: pull op in push list",
-                          name.c_str());
-        }
+    for (const TbGrid &grid : grids) {
+        for (const RemoteOp &op : grid.allPulls())
+            if (!isPullKind(op.kind))
+                panic("kernel %s: push op in pull list", name.c_str());
+        for (const RemoteOp &op : grid.allPushes())
+            if (isPullKind(op.kind))
+                panic("kernel %s: pull op in push list", name.c_str());
     }
 }
 

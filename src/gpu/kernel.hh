@@ -9,15 +9,21 @@
  * membership, fine-grained tile dependencies, and the tile it
  * produces. These are *descriptors*: the runtime engine interprets
  * them against the GPU and fabric models.
+ *
+ * A TbGrid keeps one GPU's TBs dense: every TB's ops and deps live in
+ * three flat arrays of the grid, and a TbDesc holds only a begin and a
+ * count into each (DESIGN.md §6j).
  */
 
 #ifndef CAIS_GPU_KERNEL_HH
 #define CAIS_GPU_KERNEL_HH
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "common/log.hh"
 #include "common/types.hh"
 
 namespace cais
@@ -64,17 +70,15 @@ struct TileRef
     GpuId atGpu = invalidId;
 };
 
-/** One thread block of a kernel. */
+/** One thread block of a kernel. Its pull ops, push ops and deps are
+ *  [begin, begin + count) slices of its TbGrid's flat arrays. */
 struct TbDesc
 {
     /** Compute cost in cycles (before jitter). */
     Cycle computeCycles = 0;
 
-    /** Remote reads issued with compute (overlappable). */
-    std::vector<RemoteOp> pullOps;
-
-    /** Remote writes/reductions issued after compute. */
-    std::vector<RemoteOp> pushOps;
+    /** Bytes credited to producesTile when this TB completes. */
+    std::uint64_t produceBytes = 0;
 
     /** CAIS TB group (same blockIdx across GPUs); invalidId if none. */
     GroupId group = invalidId;
@@ -83,11 +87,96 @@ struct TbDesc
      *  executing GPU; -1 when the kernel output is pushed remotely. */
     int producesTile = -1;
 
-    /** Bytes credited to producesTile when this TB completes. */
-    std::uint64_t produceBytes = 0;
+    /** Remote reads issued with compute (overlappable). */
+    std::uint32_t pullBegin = 0;
+    std::uint32_t pullCount = 0;
+
+    /** Remote writes/reductions issued after compute. */
+    std::uint32_t pushBegin = 0;
+    std::uint32_t pushCount = 0;
 
     /** Tiles that must be ready before this TB may launch. */
-    std::vector<TileRef> deps;
+    std::uint32_t depBegin = 0;
+    std::uint32_t depCount = 0;
+};
+
+static_assert(sizeof(TbDesc) <= 48, "TbDesc must stay dense");
+
+/** One GPU's thread blocks, with their ops and deps in flat arrays. */
+class TbGrid
+{
+  public:
+    std::vector<TbDesc> tbs;
+
+    /** Append a TB; addPull/addPush/addDep extend the newest one. */
+    TbDesc &
+    add()
+    {
+        TbDesc &tb = tbs.emplace_back();
+        tb.pullBegin = static_cast<std::uint32_t>(pulls.size());
+        tb.pushBegin = static_cast<std::uint32_t>(pushes.size());
+        tb.depBegin = static_cast<std::uint32_t>(depRefs.size());
+        return tb;
+    }
+
+    void
+    addPull(const RemoteOp &op)
+    {
+        last().pullCount++;
+        pulls.push_back(op);
+    }
+
+    void
+    addPush(const RemoteOp &op)
+    {
+        last().pushCount++;
+        pushes.push_back(op);
+    }
+
+    void
+    addDep(const TileRef &ref)
+    {
+        last().depCount++;
+        depRefs.push_back(ref);
+    }
+
+    std::span<const RemoteOp>
+    pullOps(const TbDesc &tb) const
+    {
+        return {pulls.data() + tb.pullBegin, tb.pullCount};
+    }
+
+    std::span<const RemoteOp>
+    pushOps(const TbDesc &tb) const
+    {
+        return {pushes.data() + tb.pushBegin, tb.pushCount};
+    }
+
+    std::span<const TileRef>
+    deps(const TbDesc &tb) const
+    {
+        return {depRefs.data() + tb.depBegin, tb.depCount};
+    }
+
+    /** Every TB's ops or deps, in TB order. */
+    std::span<const RemoteOp> allPulls() const { return pulls; }
+    std::span<const RemoteOp> allPushes() const { return pushes; }
+    std::span<const TileRef> allDeps() const { return depRefs; }
+
+    std::size_t size() const { return tbs.size(); }
+
+  private:
+    TbDesc &
+    last()
+    {
+        if (tbs.empty())
+            panic("TbGrid: op or dep added before any TB");
+        return tbs.back();
+    }
+
+    std::vector<RemoteOp> pulls;
+    std::vector<RemoteOp> pushes;
+    std::vector<TileRef> depRefs;
 };
 
 /** One logical operator kernel across all GPUs. */
@@ -97,7 +186,7 @@ struct KernelDesc
     std::string name;
 
     /** Per-GPU grids, indexed by GPU id. */
-    std::vector<std::vector<TbDesc>> grids;
+    std::vector<TbGrid> grids;
 
     /** Tracker index fed by this kernel's output; invalidId if none. */
     int producesTracker = invalidId;

@@ -44,11 +44,11 @@ TbRun::start()
     }
 
     bool has_cais_pull = false;
-    for (const auto &op : tb.pullOps)
+    for (const RemoteOp &op : grid().pullOps(tb))
         if (isCaisKind(op.kind))
             has_cais_pull = true;
 
-    if (tb.pullOps.empty()) {
+    if (tb.pullCount == 0) {
         loadsDone = true;
         maybeAdvance();
         return;
@@ -79,7 +79,7 @@ TbRun::issueLoads()
     job->kernel = kernel.id;
     job->tb = idx;
     job->group = tb.group;
-    for (const auto &op : tb.pullOps) {
+    for (const RemoteOp &op : grid().pullOps(tb)) {
         auto chunks = ctx.hub->chunkify(op);
         job->chunks.insert(job->chunks.end(), chunks.begin(),
                            chunks.end());
@@ -152,13 +152,13 @@ TbRun::maybeAdvance()
 void
 TbRun::issuePushes()
 {
-    if (tb.pushOps.empty()) {
+    if (tb.pushCount == 0) {
         finish();
         return;
     }
 
     bool has_cais_push = false;
-    for (const auto &op : tb.pushOps)
+    for (const RemoteOp &op : grid().pushOps(tb))
         if (isCaisKind(op.kind))
             has_cais_push = true;
 
@@ -177,7 +177,7 @@ TbRun::issuePushes()
     job->kernel = kernel.id;
     job->tb = idx;
     job->group = tb.group;
-    for (const auto &op : tb.pushOps) {
+    for (const RemoteOp &op : grid().pushOps(tb)) {
         auto chunks = ctx.hub->chunkify(op);
         job->chunks.insert(job->chunks.end(), chunks.begin(),
                            chunks.end());
@@ -193,10 +193,10 @@ std::string
 TbRun::stateStr() const
 {
     return strfmt("compute=%d loads=%d advanced=%d pushSynced=%d "
-                  "pulls=%zu pushes=%zu group=%d",
+                  "pulls=%u pushes=%u group=%d",
                   computeDone ? 1 : 0, loadsDone ? 1 : 0,
                   advanced ? 1 : 0, pushSynced ? 1 : 0,
-                  tb.pullOps.size(), tb.pushOps.size(), tb.group);
+                  tb.pullCount, tb.pushCount, tb.group);
 }
 
 void

@@ -73,6 +73,13 @@ class TbRun
     /** This TB's profile-graph node. */
     std::uint64_t profNode() const;
 
+    /** The executing GPU's grid, which holds this TB's ops. */
+    const TbGrid &
+    grid() const
+    {
+        return kernel.grids[static_cast<std::size_t>(gpuId)];
+    }
+
     TbRunContext ctx;
     GpuId gpuId;
     const KernelDesc &kernel;

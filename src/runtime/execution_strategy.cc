@@ -204,17 +204,16 @@ GraphLowering::lowerElementwise(OpId id)
         gp, out.bytesPerTile, n.kind == OpKind::layerNorm ? 3.0 : 2.0);
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int t = 0; t < out.numTiles; ++t) {
             if (row_sharded && out.tileOwner(t) != g)
                 continue;
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles = cost;
             tb.producesTile = t;
             tb.produceBytes = out.bytesPerTile;
             if (inT)
-                tb.deps.push_back(depAt(*inT, t, g));
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
+                grid.addDep(depAt(*inT, t, g));
         }
     }
     finishKernel(id, std::move(k));
@@ -245,15 +244,14 @@ GraphLowering::lowerAttention(OpId id)
         n.flopScale);
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int t = 0; t < out.numTiles; ++t) {
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles = cost;
             tb.producesTile = t;
             tb.produceBytes = out.bytesPerTile;
             if (inT)
-                tb.deps.push_back(depAt(*inT, t, g));
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
+                grid.addDep(depAt(*inT, t, g));
         }
     }
     finishKernel(id, std::move(k));
@@ -304,16 +302,15 @@ GraphLowering::lowerGemmCol(OpId id)
                             static_cast<std::uint64_t>(n.elemBytes);
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             for (int j = 0; j < nt; ++j) {
-                TbDesc tb;
+                TbDesc &tb = grid.add();
                 tb.computeCycles = cost;
                 tb.producesTile = i;
                 tb.produceBytes = portion;
                 if (inT)
-                    tb.deps.push_back(depAt(*inT, i, g));
-                k.grids[static_cast<std::size_t>(g)].push_back(
-                    std::move(tb));
+                    grid.addDep(depAt(*inT, i, g));
             }
         }
     }
@@ -398,12 +395,13 @@ GraphLowering::lowerGemmRow(OpId id)
         }
 
         for (GpuId g = 0; g < G; ++g) {
+            TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
             for (int i = 0; i < rsOut.numTiles; ++i) {
                 for (int j = 0; j < nt_cols; ++j) {
-                    TbDesc tb;
+                    TbDesc &tb = grid.add();
                     tb.computeCycles = cost;
                     if (inT)
-                        tb.deps.push_back(depAt(*inT, i, g));
+                        grid.addDep(depAt(*inT, i, g));
                     if (plan.grouped)
                         tb.group = plan.groupOfTb[static_cast<
                             std::size_t>(i * nt_cols + j)];
@@ -419,10 +417,8 @@ GraphLowering::lowerGemmRow(OpId id)
                                       portion;
                         op.bytes = portion;
                         op.expected = G - 1;
-                        tb.pushOps.push_back(op);
+                        grid.addPush(op);
                     }
-                    k.grids[static_cast<std::size_t>(g)].push_back(
-                        std::move(tb));
                 }
             }
         }
@@ -445,16 +441,15 @@ GraphLowering::lowerGemmRow(OpId id)
     k.producesTracker = out.tracker;
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             for (int j = 0; j < nt_cols; ++j) {
-                TbDesc tb;
+                TbDesc &tb = grid.add();
                 tb.computeCycles = cost;
                 tb.producesTile = i;
                 tb.produceBytes = portion;
                 if (inT)
-                    tb.deps.push_back(depAt(*inT, i, g));
-                k.grids[static_cast<std::size_t>(g)].push_back(
-                    std::move(tb));
+                    grid.addDep(depAt(*inT, i, g));
             }
         }
     }
@@ -578,10 +573,11 @@ GraphLowering::emitNvlsReduceScatter(OpId rs, const TensorInfo &partial)
     KernelDesc k = newCommKernel(rs, ".nvls-rs", out, barrierDeps(rs));
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             if (out.tileOwner(i) != g)
                 continue;
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles = opts.perCommTbOverhead;
             RemoteOp op;
             op.kind = RemoteOpKind::nvlsLdReduce;
@@ -589,14 +585,12 @@ GraphLowering::emitNvlsReduceScatter(OpId rs, const TensorInfo &partial)
             op.base = partial.tileAddr(i);
             op.bytes = partial.bytesPerTile;
             op.expected = G;
-            tb.pullOps.push_back(op);
+            grid.addPull(op);
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile *
                               static_cast<std::uint64_t>(G);
             for (GpuId p = 0; p < G; ++p)
-                tb.deps.push_back(TileRef{partial.tracker, i, p});
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
+                grid.addDep(TileRef{partial.tracker, i, p});
         }
     }
     finishKernel(rs, std::move(k));
@@ -610,22 +604,21 @@ GraphLowering::emitNvlsAllGather(OpId ag, const TensorInfo &in)
     KernelDesc k = newCommKernel(ag, ".nvls-ag", out, barrierDeps(ag));
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             if (in.tileOwner(i) != g)
                 continue;
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles = opts.perCommTbOverhead;
             RemoteOp op;
             op.kind = RemoteOpKind::nvlsSt;
             op.protocolPad = true;
             op.base = out.tileAddr(i);
             op.bytes = out.bytesPerTile;
-            tb.pushOps.push_back(op);
+            grid.addPush(op);
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
-            tb.deps.push_back(depAt(in, i, g));
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
+            grid.addDep(depAt(in, i, g));
         }
     }
     finishKernel(ag, std::move(k));
@@ -640,10 +633,11 @@ GraphLowering::emitNvlsAllReduce(OpId rs, const TensorInfo &partial)
 
     int per_gpu = (out.numTiles + G - 1) / G;
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             if (i / per_gpu != g)
                 continue;
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles = opts.perCommTbOverhead;
             RemoteOp pull;
             pull.kind = RemoteOpKind::nvlsLdReduce;
@@ -651,19 +645,17 @@ GraphLowering::emitNvlsAllReduce(OpId rs, const TensorInfo &partial)
             pull.base = partial.tileAddr(i);
             pull.bytes = partial.bytesPerTile;
             pull.expected = G;
-            tb.pullOps.push_back(pull);
+            grid.addPull(pull);
             RemoteOp push;
             push.kind = RemoteOpKind::nvlsSt;
             push.protocolPad = true;
             push.base = out.tileAddr(i);
             push.bytes = out.bytesPerTile;
-            tb.pushOps.push_back(push);
+            grid.addPush(push);
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
             for (GpuId p = 0; p < G; ++p)
-                tb.deps.push_back(TileRef{partial.tracker, i, p});
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
+                grid.addDep(TileRef{partial.tracker, i, p});
         }
     }
     finishKernel(rs, std::move(k));
@@ -681,12 +673,13 @@ GraphLowering::emitSoftwareReduceScatter(OpId rs,
 
     // Every GPU ships its partial of tile i to owner(i).
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles =
                 memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
                 opts.perCommTbOverhead;
-            tb.deps.push_back(depAt(partial, i, g));
+            grid.addDep(depAt(partial, i, g));
             if (out.tileOwner(i) == g) {
                 tb.producesTile = i;
                 tb.produceBytes = out.bytesPerTile;
@@ -696,10 +689,8 @@ GraphLowering::emitSoftwareReduceScatter(OpId rs,
                 op.protocolPad = true;
                 op.base = out.tileAddr(i);
                 op.bytes = out.bytesPerTile;
-                tb.pushOps.push_back(op);
+                grid.addPush(op);
             }
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
     return finishKernel(rs, std::move(k));
@@ -717,14 +708,15 @@ GraphLowering::emitSoftwareAllGather(OpId ag, const TensorInfo &in,
 
     // Owners broadcast their tiles to all peers.
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             if (in.tileOwner(i) != g)
                 continue;
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.computeCycles =
                 memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
                 opts.perCommTbOverhead;
-            tb.deps.push_back(depAt(in, i, g));
+            grid.addDep(depAt(in, i, g));
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
             for (GpuId p = 0; p < G; ++p) {
@@ -735,10 +727,8 @@ GraphLowering::emitSoftwareAllGather(OpId ag, const TensorInfo &in,
                 op.protocolPad = true;
                 op.base = out.tileAddrAt(p, i);
                 op.bytes = out.bytesPerTile;
-                tb.pushOps.push_back(op);
+                grid.addPush(op);
             }
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
     finishKernel(ag, std::move(k));
@@ -758,19 +748,20 @@ GraphLowering::emitLadmAllReduce(OpId rs, const TensorInfo &partial)
     k.producesTracker = out.tracker;
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             // Locality-aware placement dedups reads within a GPU but
             // every GPU still pulls every peer's partial remotely.
             for (GpuId p = 0; p < G; ++p) {
-                tb.deps.push_back(TileRef{partial.tracker, i, p});
+                grid.addDep(TileRef{partial.tracker, i, p});
                 if (p == g)
                     continue;
                 RemoteOp op;
                 op.kind = RemoteOpKind::plainLoad;
                 op.base = partial.tileAddrAt(p, i);
                 op.bytes = partial.bytesPerTile;
-                tb.pullOps.push_back(op);
+                grid.addPull(op);
             }
             tb.computeCycles = memBoundTbCycles(
                 gp,
@@ -778,8 +769,6 @@ GraphLowering::emitLadmAllReduce(OpId rs, const TensorInfo &partial)
                 1.0);
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
     finishKernel(rs, std::move(k));
@@ -825,11 +814,12 @@ GraphLowering::emitPullStage(OpId ag, const TensorInfo &src,
     }
 
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < src.numTiles; ++i) {
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
-            tb.deps.push_back(depAt(src, i, g));
+            grid.addDep(depAt(src, i, g));
             if (plan.grouped)
                 tb.group =
                     plan.groupOfTb[static_cast<std::size_t>(i)];
@@ -839,10 +829,8 @@ GraphLowering::emitPullStage(OpId ag, const TensorInfo &src,
                 op.base = src.tileAddr(i);
                 op.bytes = src.bytesPerTile;
                 op.expected = G - 1;
-                tb.pullOps.push_back(op);
+                grid.addPull(op);
             }
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
     finishKernel(ag, std::move(k));

@@ -29,15 +29,12 @@ TensorInfo::tileOwner(int t) const
     if (layout != TensorLayout::rowShardedHome)
         panic("tensor %s: tileOwner on non-sharded layout",
               name.c_str());
-    // shardStart is monotone; shards are balanced so this scan is
-    // O(G) with tiny G.
-    for (GpuId g = 0; g + 1 < static_cast<GpuId>(shardStart.size());
-         ++g) {
-        if (t >= shardStart[static_cast<std::size_t>(g)] &&
-            t < shardStart[static_cast<std::size_t>(g) + 1])
-            return g;
-    }
-    panic("tensor %s: tile %d out of range", name.c_str(), t);
+    // shardStart is non-decreasing: the owner is the last GPU whose
+    // shard starts at or before t, which skips empty shards.
+    auto it = std::upper_bound(shardStart.begin(), shardStart.end(), t);
+    if (it == shardStart.begin() || it == shardStart.end())
+        panic("tensor %s: tile %d out of range", name.c_str(), t);
+    return static_cast<GpuId>(it - shardStart.begin()) - 1;
 }
 
 Addr
@@ -195,11 +192,7 @@ System::defineTensor(std::string name, TensorLayout layout,
                     t->bytesPerTile);
             }
         }
-        TileTracker *raw = tr.get();
-        TensorInfo *traw = t.get();
-        raw->setRelevance([traw](GpuId g, int tile) {
-            return traw->tileOwner(tile) == g;
-        });
+        tr->setRelevance(t->shardStart);
         break;
       }
       case TensorLayout::replicated:
@@ -402,7 +395,7 @@ const TbDesc &
 System::tbDesc(const TbRecord &r) const
 {
     return r.ks->desc.grids[static_cast<std::size_t>(r.gpu)]
-                           [static_cast<std::size_t>(r.idx)];
+        .tbs[static_cast<std::size_t>(r.idx)];
 }
 
 void
@@ -412,9 +405,10 @@ System::enqueueTb(TbRecId rec)
     // waitFor if it already is); the extra count is registration's
     // own, so the TB turns ready once, after its last waitFor.
     TbRecord &r = tbs[rec];
-    const TbDesc &tb = tbDesc(r);
-    r.depsLeft = static_cast<int>(tb.deps.size()) + 1;
-    for (const TileRef &ref : tb.deps)
+    const TbGrid &grid = r.ks->desc.grids[static_cast<std::size_t>(r.gpu)];
+    const TbDesc &tb = grid.tbs[static_cast<std::size_t>(r.idx)];
+    r.depsLeft = static_cast<int>(tb.depCount) + 1;
+    for (const TileRef &ref : grid.deps(tb))
         tracker(ref.tracker).waitFor(ref.atGpu, ref.tile, rec);
     onTileReady(rec);
 }

@@ -42,27 +42,26 @@ buildNvlsAllReduce(System &sys, std::uint64_t bytes, int tb_bytes_log2)
 
     int per_gpu = (out.numTiles + G - 1) / G;
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             if (i / per_gpu != g)
                 continue;
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             RemoteOp pull;
             pull.kind = RemoteOpKind::nvlsLdReduce;
             pull.protocolPad = true;
             pull.base = partial.tileAddr(i);
             pull.bytes = partial.bytesPerTile;
             pull.expected = G;
-            tb.pullOps.push_back(pull);
+            grid.addPull(pull);
             RemoteOp push;
             push.kind = RemoteOpKind::nvlsSt;
             push.protocolPad = true;
             push.base = out.tileAddr(i);
             push.bytes = out.bytesPerTile;
-            tb.pushOps.push_back(push);
+            grid.addPush(push);
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
-            k.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
 
@@ -102,8 +101,9 @@ buildSoftwareAllReduce(System &sys, std::uint64_t bytes,
     k1.grids.resize(static_cast<std::size_t>(G));
     k1.producesTracker = scratch.tracker;
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k1.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < scratch.numTiles; ++i) {
-            TbDesc tb;
+            TbDesc &tb = grid.add();
             if (scratch.tileOwner(i) == g) {
                 tb.producesTile = i;
                 tb.produceBytes = scratch.bytesPerTile;
@@ -113,10 +113,8 @@ buildSoftwareAllReduce(System &sys, std::uint64_t bytes,
                 op.protocolPad = true;
                 op.base = scratch.tileAddr(i);
                 op.bytes = scratch.bytesPerTile;
-                tb.pushOps.push_back(op);
+                grid.addPush(op);
             }
-            k1.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
     KernelId rs_k = sys.addKernel(std::move(k1));
@@ -128,11 +126,12 @@ buildSoftwareAllReduce(System &sys, std::uint64_t bytes,
     k2.grids.resize(static_cast<std::size_t>(G));
     k2.producesTracker = out.tracker;
     for (GpuId g = 0; g < G; ++g) {
+        TbGrid &grid = k2.grids[static_cast<std::size_t>(g)];
         for (int i = 0; i < out.numTiles; ++i) {
             if (scratch.tileOwner(i) != g)
                 continue;
-            TbDesc tb;
-            tb.deps.push_back(TileRef{scratch.tracker, i, g});
+            TbDesc &tb = grid.add();
+            grid.addDep(TileRef{scratch.tracker, i, g});
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
             for (GpuId p = 0; p < G; ++p) {
@@ -143,10 +142,8 @@ buildSoftwareAllReduce(System &sys, std::uint64_t bytes,
                 op.protocolPad = true;
                 op.base = out.tileAddrAt(p, i);
                 op.bytes = out.bytesPerTile;
-                tb.pushOps.push_back(op);
+                grid.addPush(op);
             }
-            k2.grids[static_cast<std::size_t>(g)].push_back(
-                std::move(tb));
         }
     }
 

@@ -176,11 +176,9 @@ TEST(Kernel, HelpersAndValidation)
     KernelDesc k;
     k.name = "t";
     k.grids.resize(2);
-    TbDesc tb;
-    tb.computeCycles = 10;
-    k.grids[0].push_back(tb);
-    k.grids[0].push_back(tb);
-    k.grids[1].push_back(tb);
+    k.grids[0].add().computeCycles = 10;
+    k.grids[0].add().computeCycles = 10;
+    k.grids[1].add().computeCycles = 10;
     EXPECT_EQ(k.totalTbs(), 3u);
     EXPECT_EQ(k.computeWork(0), 20u);
     k.validate(2);
@@ -190,4 +188,63 @@ TEST(Kernel, HelpersAndValidation)
     EXPECT_FALSE(isPullKind(RemoteOpKind::caisRed));
     EXPECT_TRUE(isCaisKind(RemoteOpKind::caisRed));
     EXPECT_FALSE(isCaisKind(RemoteOpKind::plainWrite));
+}
+
+TEST(Kernel, TbGridSlicesItsFlatArrays)
+{
+    TbGrid grid;
+    RemoteOp op;
+    op.kind = RemoteOpKind::plainLoad;
+    for (int i = 0; i < 3; ++i) {
+        TbDesc &tb = grid.add();
+        tb.producesTile = i;
+        for (int j = 0; j < i; ++j) {
+            op.base = static_cast<Addr>(16 * i + j);
+            grid.addPull(op);
+            grid.addDep(TileRef{0, i, j});
+        }
+    }
+    op.kind = RemoteOpKind::plainWrite;
+    grid.addPush(op); // extends the newest TB only
+
+    ASSERT_EQ(grid.size(), 3u);
+    EXPECT_EQ(grid.allPulls().size(), 3u);
+    EXPECT_EQ(grid.allDeps().size(), 3u);
+    for (int i = 0; i < 3; ++i) {
+        const TbDesc &tb = grid.tbs[static_cast<std::size_t>(i)];
+        auto pulls = grid.pullOps(tb);
+        auto deps = grid.deps(tb);
+        ASSERT_EQ(pulls.size(), static_cast<std::size_t>(i));
+        ASSERT_EQ(deps.size(), static_cast<std::size_t>(i));
+        for (int j = 0; j < i; ++j) {
+            EXPECT_EQ(pulls[static_cast<std::size_t>(j)].base,
+                      static_cast<Addr>(16 * i + j));
+            EXPECT_EQ(deps[static_cast<std::size_t>(j)].atGpu, j);
+        }
+        EXPECT_EQ(grid.pushOps(tb).size(), i == 2 ? 1u : 0u);
+    }
+}
+
+TEST(KernelDeathTest, ValidateRejectsPullKindInPushList)
+{
+    KernelDesc k;
+    k.name = "t";
+    k.grids.resize(2);
+    RemoteOp op;
+    op.kind = RemoteOpKind::caisLoad;
+    k.grids[1].add();
+    k.grids[1].addPush(op);
+    EXPECT_DEATH(k.validate(2), "pull op in push list");
+}
+
+TEST(KernelDeathTest, ValidateRejectsPushKindInPullList)
+{
+    KernelDesc k;
+    k.name = "t";
+    k.grids.resize(2);
+    RemoteOp op;
+    op.kind = RemoteOpKind::plainWrite;
+    k.grids[0].add();
+    k.grids[0].addPull(op);
+    EXPECT_DEATH(k.validate(2), "push op in pull list");
 }

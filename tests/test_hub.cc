@@ -42,7 +42,7 @@ struct LoadWaiter
 {
     FakeTbListener listener;
     KernelDesc kernel;
-    TbDesc tb;
+    TbDesc tb; // no ops: its grid is never read
     std::unique_ptr<TbRun> run;
 
     explicit LoadWaiter(HubRig &rig)

@@ -5,6 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <span>
 
 #include "runtime/simulation_driver.hh"
 #include "workload/transformer.hh"
@@ -43,7 +44,7 @@ struct Fingerprint
             byte(static_cast<unsigned char>(c));
     }
 
-    void ops(const std::vector<RemoteOp> &v)
+    void ops(std::span<const RemoteOp> v)
     {
         u(v.size());
         for (const RemoteOp &op : v) {
@@ -55,16 +56,16 @@ struct Fingerprint
         }
     }
 
-    void tb(const TbDesc &t)
+    void tb(const TbGrid &grid, const TbDesc &t)
     {
         u(t.computeCycles);
-        ops(t.pullOps);
-        ops(t.pushOps);
+        ops(grid.pullOps(t));
+        ops(grid.pushOps(t));
         i(t.group);
         i(t.producesTile);
         u(t.produceBytes);
-        u(t.deps.size());
-        for (const TileRef &d : t.deps) {
+        u(grid.deps(t).size());
+        for (const TileRef &d : grid.deps(t)) {
             i(d.tracker);
             i(d.tile);
             i(d.atGpu);
@@ -86,10 +87,10 @@ struct Fingerprint
             i(d);
         i(k.producesTracker);
         u(k.grids.size());
-        for (const auto &grid : k.grids) {
+        for (const TbGrid &grid : k.grids) {
             u(grid.size());
-            for (const TbDesc &t : grid)
-                tb(t);
+            for (const TbDesc &t : grid.tbs)
+                tb(grid, t);
         }
     }
 
@@ -241,7 +242,7 @@ TEST(Lowering, CaisCoordinationAddsGroupsAndSync)
     EXPECT_TRUE(gemm_rs.preLaunchSync);
     EXPECT_TRUE(gemm_rs.preAccessSync);
     bool any_group = false;
-    for (const auto &tb : gemm_rs.grids[0])
+    for (const TbDesc &tb : gemm_rs.grids[0].tbs)
         any_group |= tb.group != invalidId;
     EXPECT_TRUE(any_group);
 
@@ -251,7 +252,7 @@ TEST(Lowering, CaisCoordinationAddsGroupsAndSync)
     low2.lower();
     const KernelDesc &base_rs = sys2.kernel(low2.opKernel(0));
     EXPECT_FALSE(base_rs.preLaunchSync);
-    for (const auto &tb : base_rs.grids[0])
+    for (const TbDesc &tb : base_rs.grids[0].tbs)
         EXPECT_EQ(tb.group, invalidId);
     const KernelDesc &base_ln = sys2.kernel(low2.opKernel(2));
     EXPECT_FALSE(base_ln.kernelDeps.empty());
@@ -294,18 +295,17 @@ TEST(Lowering, T3FusesReductionIntoGemm)
 
     const KernelDesc &gemm = sys.kernel(low.opKernel(0));
     bool has_dma_push = false;
-    for (const auto &tb : gemm.grids[1])
-        for (const auto &op : tb.pushOps)
-            has_dma_push |= op.kind == RemoteOpKind::plainWrite;
+    for (const RemoteOp &op : gemm.grids[1].allPushes())
+        has_dma_push |= op.kind == RemoteOpKind::plainWrite;
     EXPECT_TRUE(has_dma_push);
     // T3-NVLS routes the DMA through the switch reducer instead.
     System sys2(tinyConfig());
     GraphLowering low2(sys2, g, makeT3(true).opts);
     low2.lower();
     bool has_red = false;
-    for (const auto &tb : sys2.kernel(low2.opKernel(0)).grids[1])
-        for (const auto &op : tb.pushOps)
-            has_red |= op.kind == RemoteOpKind::caisRed;
+    for (const RemoteOp &op :
+         sys2.kernel(low2.opKernel(0)).grids[1].allPushes())
+        has_red |= op.kind == RemoteOpKind::caisRed;
     EXPECT_TRUE(has_red);
 }
 
@@ -323,8 +323,8 @@ TEST(Lowering, LadmPullsEveryPeerPartial)
         if (kd.name.find("ladm") == std::string::npos)
             continue;
         found = true;
-        for (const auto &tb : kd.grids[0])
-            EXPECT_EQ(tb.pullOps.size(), 3u);
+        for (const TbDesc &tb : kd.grids[0].tbs)
+            EXPECT_EQ(kd.grids[0].pullOps(tb).size(), 3u);
     }
     EXPECT_TRUE(found);
 }

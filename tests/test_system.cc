@@ -51,6 +51,55 @@ TEST(System, TensorLayouts)
     EXPECT_EQ(addrHomeGpu(priv.tileAddrAt(3, 0)), 3);
 }
 
+namespace
+{
+
+/** The linear scan tileOwner used before its binary search. */
+GpuId
+linearScanOwner(const TensorInfo &t, int tile)
+{
+    for (GpuId g = 0; g + 1 < static_cast<GpuId>(t.shardStart.size());
+         ++g)
+        if (tile >= t.shardStart[static_cast<std::size_t>(g)] &&
+            tile < t.shardStart[static_cast<std::size_t>(g) + 1])
+            return g;
+    return invalidId;
+}
+
+} // namespace
+
+TEST(TensorInfo, TileOwnerMatchesLinearScan)
+{
+    for (int gpus : {8, 72}) {
+        System sys(smallConfig(gpus, 2));
+        // Fewer tiles than GPUs (empty shards), one per GPU, uneven.
+        for (int tiles : {gpus / 2 - 1, gpus, 3 * gpus + 5}) {
+            TensorInfo &t = sys.defineTensor(
+                strfmt("s%d", tiles), TensorLayout::rowShardedHome,
+                tiles * 128, 64, 2, 128, 1);
+            ASSERT_EQ(t.numTiles, tiles);
+            for (int i = 0; i < tiles; ++i)
+                EXPECT_EQ(t.tileOwner(i), linearScanOwner(t, i))
+                    << gpus << " GPUs, " << tiles << " tiles, tile "
+                    << i;
+            // Relevance marks exactly each tile's owner.
+            TileTracker &tr = sys.tracker(t.tracker);
+            for (int i = 0; i < tiles; ++i)
+                tr.contribute(t.tileOwner(i), i, t.bytesPerTile);
+            EXPECT_TRUE(tr.complete());
+        }
+    }
+}
+
+TEST(TensorInfoDeathTest, TileOwnerRejectsOutOfRangeTiles)
+{
+    System sys(smallConfig(4));
+    TensorInfo &t = sys.defineTensor(
+        "s", TensorLayout::rowShardedHome, 2 * 128, 64, 2, 128, 1);
+    EXPECT_DEATH(t.tileOwner(2), "out of range");
+    EXPECT_DEATH(t.tileOwner(-1), "out of range");
+}
+
 TEST(System, LocalAllocationsAreDisjoint)
 {
     System sys(smallConfig());
@@ -78,11 +127,8 @@ TEST(System, RunsComputeOnlyKernel)
     k.name = "compute";
     k.grids.resize(2);
     for (GpuId g = 0; g < 2; ++g)
-        for (int i = 0; i < 16; ++i) {
-            TbDesc tb;
-            tb.computeCycles = 1000;
-            k.grids[g].push_back(tb);
-        }
+        for (int i = 0; i < 16; ++i)
+            k.grids[g].add().computeCycles = 1000;
     sys.addKernel(std::move(k));
     sys.run();
     // 16 TBs over 8 slots = 2 waves of 1000 cycles.
@@ -96,10 +142,8 @@ TEST(System, KernelBarrierOrdersExecution)
         KernelDesc k;
         k.name = name;
         k.grids.resize(2);
-        TbDesc tb;
-        tb.computeCycles = 500;
-        k.grids[0].push_back(tb);
-        k.grids[1].push_back(tb);
+        k.grids[0].add().computeCycles = 500;
+        k.grids[1].add().computeCycles = 500;
         return k;
     };
     KernelDesc a = make("a");
@@ -125,11 +169,10 @@ TEST(System, TileDepsLaunchConsumersEarly)
     prod.producesTracker = t.tracker;
     for (GpuId g = 0; g < 2; ++g)
         for (int i = 0; i < 2; ++i) {
-            TbDesc tb;
+            TbDesc &tb = prod.grids[g].add();
             tb.computeCycles = i == 0 ? 100 : 1000;
             tb.producesTile = i;
             tb.produceBytes = t.bytesPerTile;
-            prod.grids[g].push_back(tb);
         }
     sys.addKernel(std::move(prod));
 
@@ -140,10 +183,8 @@ TEST(System, TileDepsLaunchConsumersEarly)
     cons.grids.resize(2);
     for (GpuId g = 0; g < 2; ++g)
         for (int i = 0; i < 2; ++i) {
-            TbDesc tb;
-            tb.computeCycles = 10;
-            tb.deps.push_back(TileRef{t.tracker, i, g});
-            cons.grids[g].push_back(tb);
+            cons.grids[g].add().computeCycles = 10;
+            cons.grids[g].addDep(TileRef{t.tracker, i, g});
         }
     sys.addKernel(std::move(cons));
     sys.run();
@@ -164,7 +205,7 @@ TEST(System, PushedDataCompletesTrackerRemotely)
     k.producesTracker = out.tracker;
     for (GpuId g = 0; g < 2; ++g) {
         for (int i = 0; i < 2; ++i) {
-            TbDesc tb;
+            TbDesc &tb = k.grids[g].add();
             tb.computeCycles = 50;
             if (out.tileOwner(i) == g) {
                 tb.producesTile = i;
@@ -174,9 +215,8 @@ TEST(System, PushedDataCompletesTrackerRemotely)
                 op.kind = RemoteOpKind::plainWrite;
                 op.base = out.tileAddr(i);
                 op.bytes = out.bytesPerTile;
-                tb.pushOps.push_back(op);
+                k.grids[g].addPush(op);
             }
-            k.grids[g].push_back(tb);
         }
     }
     sys.addKernel(std::move(k));
@@ -193,10 +233,8 @@ TEST(System, StartSkewStaggersUncoordinatedSources)
     KernelDesc k;
     k.name = "src";
     k.grids.resize(2);
-    TbDesc tb;
-    tb.computeCycles = 10;
-    k.grids[0].push_back(tb);
-    k.grids[1].push_back(tb);
+    k.grids[0].add().computeCycles = 10;
+    k.grids[1].add().computeCycles = 10;
     sys.addKernel(std::move(k));
     sys.run();
     // The straggling GPU delays completion well beyond the compute.
@@ -211,10 +249,8 @@ TEST(SystemDeathTest, UnsatisfiableDependencyReportsDeadlock)
     KernelDesc k;
     k.name = "waiter";
     k.grids.resize(2);
-    TbDesc tb;
-    tb.computeCycles = 10;
-    tb.deps.push_back(TileRef{t.tracker, 0, 0});
-    k.grids[0].push_back(tb);
+    k.grids[0].add().computeCycles = 10;
+    k.grids[0].addDep(TileRef{t.tracker, 0, 0});
     sys.addKernel(std::move(k));
     EXPECT_DEATH(sys.run(), "deadlock");
 }

@@ -43,7 +43,8 @@ TEST(ThreadBlock, ComputeOnlyFinishesAfterDuration)
     TbRig rig;
     KernelDesc k;
     k.name = "t";
-    TbDesc tb;
+    k.grids.resize(2);
+    TbDesc &tb = k.grids[0].add();
     tb.computeCycles = 500;
 
     bool produced = false, finished = false;
@@ -68,13 +69,16 @@ TEST(ThreadBlock, PullsOverlapCompute)
     TbRig rig;
     KernelDesc k;
     k.name = "t";
-    TbDesc tb;
-    tb.computeCycles = 500;
+    k.grids.resize(2);
     RemoteOp op;
     op.kind = RemoteOpKind::plainLoad;
     op.base = makeAddr(1, 0x1000);
     op.bytes = 64 * 1024; // ~1.3 us round trip
-    tb.pullOps.push_back(op);
+    for (Cycle compute : {500, 0}) { // TB 0 computes, TB 1 only pulls
+        k.grids[0].add().computeCycles = compute;
+        k.grids[0].addPull(op);
+    }
+    const TbDesc &tb = k.grids[0].tbs[0];
 
     Cycle at = 0;
     rig.listener.finished = [&](TbRecId) { at = rig.sys->eq().now(); };
@@ -88,8 +92,7 @@ TEST(ThreadBlock, PullsOverlapCompute)
 
     // Reference: the same pull alone takes nearly the same time.
     TbRig rig2;
-    TbDesc tb2 = tb;
-    tb2.computeCycles = 0;
+    const TbDesc &tb2 = k.grids[0].tbs[1];
     Cycle at2 = 0;
     rig2.listener.finished = [&](TbRecId) {
         at2 = rig2.sys->eq().now();
@@ -110,13 +113,14 @@ TEST(ThreadBlock, PushesArePostedWrites)
         "o", TensorLayout::rowShardedHome, 2 * 128, 16, 2, 128, 1);
     KernelDesc k;
     k.name = "t";
-    TbDesc tb;
+    k.grids.resize(2);
+    TbDesc &tb = k.grids[0].add();
     tb.computeCycles = 10;
     RemoteOp op;
     op.kind = RemoteOpKind::plainWrite;
     op.base = t.tileAddr(1); // homed on GPU 1
     op.bytes = t.bytesPerTile;
-    tb.pushOps.push_back(op);
+    k.grids[0].addPush(op);
 
     Cycle finished_at = 0;
     rig.listener.finished = [&](TbRecId) {
@@ -138,7 +142,8 @@ TEST(ThreadBlock, PreAccessSyncGatesCaisLoads)
     KernelDesc k;
     k.name = "t";
     k.preAccessSync = true;
-    TbDesc tb;
+    k.grids.resize(2);
+    TbDesc &tb = k.grids[1].add();
     tb.computeCycles = 0;
     tb.group = 3;
     RemoteOp op;
@@ -146,7 +151,7 @@ TEST(ThreadBlock, PreAccessSyncGatesCaisLoads)
     op.base = makeAddr(0, 0x9000);
     op.bytes = 4096;
     op.expected = 1;
-    tb.pullOps.push_back(op);
+    k.grids[1].addPull(op);
 
     int done = 0;
     TbRunContext c1 = rig.sys->gpu(1).tbContext(2);
@@ -174,7 +179,8 @@ TEST(ThreadBlock, JitterStaysWithinClampBounds)
     System sys(sc);
     KernelDesc k;
     k.name = "t";
-    TbDesc tb;
+    k.grids.resize(2);
+    TbDesc &tb = k.grids[0].add();
     tb.computeCycles = 1000;
 
     FakeTbListener listener;

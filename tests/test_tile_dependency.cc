@@ -109,7 +109,8 @@ TEST(TileTracker, CompletenessOverRelevantPairs)
 {
     TileTracker t("rs", 4, 4, 100);
     // Shard-style relevance: tile t matters only at GPU t.
-    t.setRelevance([](GpuId g, int tile) { return g == tile; });
+    const std::vector<int> one_tile_shards = {0, 1, 2, 3, 4};
+    t.setRelevance(one_tile_shards);
     FakeTbListener l;
     t.setListener(&l);
     int complete = 0;
@@ -127,7 +128,8 @@ TEST(TileTracker, CompletenessOverRelevantPairs)
 TEST(TileTracker, IrrelevantContributionsDontComplete)
 {
     TileTracker t("rs", 2, 2, 100);
-    t.setRelevance([](GpuId g, int tile) { return g == tile; });
+    const std::vector<int> one_tile_shards = {0, 1, 2}; // tile t at GPU t
+    t.setRelevance(one_tile_shards);
     t.contribute(0, 1, 100); // irrelevant pair
     t.contribute(1, 0, 100); // irrelevant pair
     EXPECT_FALSE(t.complete());

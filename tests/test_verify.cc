@@ -35,11 +35,8 @@ emptyKernel(const std::string &name, int gpus)
     KernelDesc k;
     k.name = name;
     k.grids.resize(static_cast<std::size_t>(gpus));
-    for (auto &grid : k.grids) {
-        TbDesc tb;
-        tb.computeCycles = 10;
-        grid.push_back(tb);
-    }
+    for (TbGrid &grid : k.grids)
+        grid.add().computeCycles = 10;
     return k;
 }
 
@@ -159,13 +156,13 @@ TEST(Verify, V3CatchesChunkStraddlingInterleaveBlocks)
     c.fabric.numSwitches = 4;
     System sys(c);
     KernelDesc k = emptyKernel("red", sys.numGpus());
-    for (auto &grid : k.grids) {
+    for (TbGrid &grid : k.grids) {
         RemoteOp op;
         op.kind = RemoteOpKind::caisRed;
         op.base = c.fabric.interleaveBytes / 2; // mid-block start
         op.bytes = c.gpu.chunkBytes;            // ...so it straddles
         op.expected = sys.numGpus();
-        grid[0].pushOps.push_back(op);
+        grid.addPush(op);
     }
     sys.addKernel(std::move(k));
     verify::VerifyResult r = verify::verifySystem(sys);
@@ -182,13 +179,13 @@ TEST(Verify, V3IgnoresStraddleThatStaysOnOneSwitch)
     ASSERT_EQ(sys.fabric().routeAddr(0),
               sys.fabric().routeAddr(c.fabric.interleaveBytes));
     KernelDesc k = emptyKernel("red", sys.numGpus());
-    for (auto &grid : k.grids) {
+    for (TbGrid &grid : k.grids) {
         RemoteOp op;
         op.kind = RemoteOpKind::caisRed;
         op.base = c.fabric.interleaveBytes / 2;
         op.bytes = c.gpu.chunkBytes;
         op.expected = sys.numGpus();
-        grid[0].pushOps.push_back(op);
+        grid.addPush(op);
     }
     sys.addKernel(std::move(k));
     verify::VerifyResult r = verify::verifySystem(sys);
@@ -206,7 +203,7 @@ TEST(Verify, V3CatchesParticipantMismatch)
         op.base = 0;
         op.bytes = c.gpu.chunkBytes;
         op.expected = sys.numGpus();
-        k.grids[static_cast<std::size_t>(g)][0].pushOps.push_back(op);
+        k.grids[static_cast<std::size_t>(g)].addPush(op);
     }
     sys.addKernel(std::move(k));
     verify::VerifyResult r = verify::verifySystem(sys);
@@ -225,10 +222,11 @@ TEST(Verify, V4CatchesOversizedTbGroup)
     System sys(tinyConfig());
     KernelDesc k = emptyKernel("sync", sys.numGpus());
     k.preLaunchSync = true;
-    for (auto &grid : k.grids)
-        grid[0].group = 0;
-    TbDesc extra = k.grids[0][0]; // second group-0 TB on GPU 0
-    k.grids[0].push_back(extra);
+    for (TbGrid &grid : k.grids)
+        grid.tbs[0].group = 0;
+    TbDesc &extra = k.grids[0].add(); // second group-0 TB on GPU 0
+    extra.computeCycles = 10;
+    extra.group = 0;
     sys.addKernel(std::move(k));
     verify::VerifyResult r = verify::verifySystem(sys);
     ASSERT_FALSE(r.ok());
@@ -243,12 +241,34 @@ TEST(Verify, V4CatchesGroupMissingAGpu)
     KernelDesc k = emptyKernel("sync", sys.numGpus());
     k.preLaunchSync = true;
     for (GpuId g = 0; g < sys.numGpus() - 1; ++g)
-        k.grids[static_cast<std::size_t>(g)][0].group = 0;
+        k.grids[static_cast<std::size_t>(g)].tbs[0].group = 0;
     sys.addKernel(std::move(k));
     verify::VerifyResult r = verify::verifySystem(sys);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.diagnostics[0].id, "V4");
     EXPECT_TRUE(pathContains(r.diagnostics[0], "missing gpu3"));
+}
+
+TEST(Verify, V4HandlesSparseGroupIds)
+{
+    // Group ids far apart (hand-built, not from allocGroups): each
+    // group is still checked on its own, in id order.
+    System sys(tinyConfig());
+    KernelDesc k = emptyKernel("sync", sys.numGpus());
+    k.preAccessSync = true;
+    const GroupId far = 1 << 30;
+    for (GpuId g = 0; g < sys.numGpus(); ++g) {
+        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.tbs[0].group = far;
+        if (g != 1)
+            grid.add().group = 5;
+    }
+    sys.addKernel(std::move(k));
+    verify::VerifyResult r = verify::verifySystem(sys);
+    ASSERT_EQ(r.diagnostics.size(), 1u) << r.text();
+    EXPECT_EQ(r.diagnostics[0].id, "V4");
+    EXPECT_TRUE(pathContains(r.diagnostics[0], "group=5"));
+    EXPECT_TRUE(pathContains(r.diagnostics[0], "missing gpu1"));
 }
 
 TEST(Verify, V4CatchesUnreachableThrottleThreshold)
@@ -301,13 +321,13 @@ TEST(Verify, V5CatchesSameDirectionOverlapPair)
                                    sys.numGpus());
         k.smFrom = i ? 0.5 : 0.0;
         k.smTo = i ? 1.0 : 0.5;
-        for (auto &grid : k.grids) {
+        for (TbGrid &grid : k.grids) {
             RemoteOp op;
             op.kind = RemoteOpKind::caisLoad;
             op.base = static_cast<Addr>(i) * 1u << 20;
             op.bytes = c.gpu.chunkBytes;
             op.expected = sys.numGpus();
-            grid[0].pullOps.push_back(op);
+            grid.addPull(op);
         }
         sys.addKernel(std::move(k));
     }
@@ -321,6 +341,120 @@ TEST(Verify, V5CatchesSameDirectionOverlapPair)
     // Ordering the pair legitimizes it.
     sys.kernel(1).kernelDeps.push_back(0);
     EXPECT_TRUE(verify::verifySystem(sys).ok());
+}
+
+// ---------------------------------------------------------------
+// Every defect in one lowering: the full diagnostic list, locked
+// ---------------------------------------------------------------
+
+namespace
+{
+
+/** Append one remote op to GPU @p g's last TB of @p k. */
+void
+addOp(KernelDesc &k, GpuId g, RemoteOpKind kind, Addr base,
+      std::uint64_t bytes, int expected)
+{
+    RemoteOp op;
+    op.kind = kind;
+    op.base = base;
+    op.bytes = bytes;
+    op.expected = expected;
+    TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+    if (isPullKind(kind))
+        grid.addPull(op);
+    else
+        grid.addPush(op);
+}
+
+/** Append a compute-only TB in @p group to GPU @p g's grid. */
+void
+addGroupTb(KernelDesc &k, GpuId g, GroupId group)
+{
+    TbDesc &tb = k.grids[static_cast<std::size_t>(g)].add();
+    tb.computeCycles = 10;
+    tb.group = group;
+}
+
+/** One "rule | message | path" line per diagnostic, in order. */
+std::string
+diagnosticLines(const verify::VerifyResult &r)
+{
+    std::string s;
+    for (const verify::Diagnostic &d : r.diagnostics) {
+        s += d.id + " | " + d.message + " |";
+        for (const std::string &p : d.path)
+            s += " [" + p + "]";
+        s += "\n";
+    }
+    return s;
+}
+
+} // namespace
+
+TEST(Verify, MultiDefectDiagnosticsMatchGolden)
+{
+    SystemConfig c = tinyConfig();
+    c.fabric.numSwitches = 4; // interleave blocks 0 and 1 split
+    System sys(c);
+    const int G = sys.numGpus();
+    const std::uint64_t chunk = c.gpu.chunkBytes;
+
+    // V3: four defective sessions in one kernel, issued out of their
+    // (kind, base) order so the report order is the checker's own.
+    KernelDesc s = emptyKernel("v3.sessions", G);
+    for (GpuId g = 0; g < G - 1; ++g) // issuer shortfall
+        addOp(s, g, RemoteOpKind::caisRed, 8 * chunk, chunk, G);
+    for (GpuId g = 0; g < G; ++g) // duplicate contribution on GPU 1
+        addOp(s, g, RemoteOpKind::caisRed, 2 * chunk, chunk, G);
+    addOp(s, 1, RemoteOpKind::caisRed, 2 * chunk, chunk, G);
+    addOp(s, 0, RemoteOpKind::caisLoad, 6 * chunk, chunk, G - 1);
+    addOp(s, 2, RemoteOpKind::caisLoad, 6 * chunk, chunk, G - 2);
+    addOp(s, 3, RemoteOpKind::caisLoad, c.fabric.interleaveBytes / 2,
+          chunk, G - 1); // straddles blocks 0 and 1
+    sys.addKernel(std::move(s));
+
+    // V4: group 11 has two TBs on GPU 0; group 12 misses GPU 3.
+    KernelDesc y;
+    y.name = "v4.sync";
+    y.preLaunchSync = true;
+    y.grids.resize(static_cast<std::size_t>(G));
+    for (GpuId g = 0; g < G; ++g) {
+        if (g < G - 1)
+            addGroupTb(y, g, 12);
+        addGroupTb(y, g, 11);
+    }
+    addGroupTb(y, 0, 11);
+    sys.addKernel(std::move(y));
+
+    // V5: a dependency on a kernel that does not exist.
+    KernelDesc d = emptyKernel("v5.deps", G);
+    d.kernelDeps.push_back(42);
+    sys.addKernel(std::move(d));
+
+    verify::VerifyResult r = verify::verifySystem(sys);
+    const char *golden =
+        "V3 | kernel v3.sessions: ld.cais chunk at 0x800 (+4096 B) "
+        "straddles interleave blocks, splitting one address class "
+        "across sw3 and sw1 | [v3.sessions] [addr=0x800] [sw3] [sw1]\n"
+        "V3 | kernel v3.sessions: GPUs disagree on the expected "
+        "participant count of the ld.cais session at 0x6000 | "
+        "[v3.sessions] [ld.cais] [expected=2] [expected=3]\n"
+        "V3 | kernel v3.sessions: GPU 1 contributes 2 times to the "
+        "red.cais session at 0x2000 (exactly one contribution per GPU "
+        "closes the session) | [v3.sessions] [gpu1] [contribs=2]\n"
+        "V3 | kernel v3.sessions: red.cais session at 0x8000 expects 4 "
+        "contributions but 3 GPU(s) issue it | [v3.sessions] "
+        "[addr=0x8000] [expected=4] [issuers=3]\n"
+        "V4 | kernel v4.sync: TB group 11 has 2 TBs on GPU 0 (the sync "
+        "table counts each GPU once, so extra TBs never release) | "
+        "[v4.sync] [group=11] [gpu0] [tbs=2]\n"
+        "V4 | kernel v4.sync: TB group 12 spans 3 GPU(s) but the "
+        "release broadcast waits for all 4 | [v4.sync] [group=12] "
+        "[missing gpu3]\n"
+        "V5 | kernel v5.deps depends on unknown kernel id 42 | "
+        "[v5.deps] [dep=42]\n";
+    EXPECT_EQ(diagnosticLines(r), golden);
 }
 
 // ---------------------------------------------------------------
