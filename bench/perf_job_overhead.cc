@@ -2,18 +2,22 @@
  * @file
  * Per-phase host cost of one simulation job.
  *
- * A runGraph job is eight phases: build the System, register its
+ * A runGraph job is nine phases: build the System, register its
  * metrics, lower the graph, verify it, run it, snapshot the registry,
- * harvest the result (bound, counters, utilization, post-run gate)
- * and tear everything down. On a 72-GPU fabric the fixed phases can
- * cost as much as the simulation itself, so this bench times each
- * phase separately and counts the heap allocations it makes, through
- * an operator new hook local to this binary.
+ * compute the static bound, harvest the result (counters,
+ * utilization, post-run gate) and tear everything down. On a 72-GPU
+ * fabric the fixed phases can cost as much as the simulation itself,
+ * so this bench times each phase separately and counts the heap
+ * allocations it makes, through an operator new hook local to this
+ * binary.
  *
  * Runs TP-NVLS on Llama-7B L1 (dim 1/16, tok 1/32: perfbench's tier72
- * sizes) over the flat 8-GPU fabric, nvl72 and rail-optimized-4node;
- * writes BENCH_job_overhead.json (cais-job-overhead-v1) and prints one
- * markdown table per fabric.
+ * sizes) over the flat 8-GPU fabric, nvl72 and rail-optimized-4node,
+ * plus one full-size static job: LADM on MegaGPT-4B L1 (dim 1, tok 1)
+ * over nvl72, built, lowered, verified and bounded without running, as
+ * every job of perfbench's static_gates is. Writes
+ * BENCH_job_overhead.json (cais-job-overhead-v2) and prints one
+ * markdown table per job.
  *
  *     ./build/bench/perf_job_overhead [reps=5] [out=BENCH_job_overhead.json]
  *     ./build/bench/perf_job_overhead --smoke   # 1 rep, tok 1/64
@@ -95,18 +99,20 @@ enum Phase : int
     verifyPhase,
     run,
     snapshot,
+    bound,
     harvest,
     teardown,
     numPhases,
 };
 
 const char *const kPhaseNames[numPhases] = {
-    "construct", "registerMetrics", "lower", "verify",
-    "run",       "snapshot",        "harvest", "teardown",
+    "construct", "registerMetrics", "lower", "verify",  "run",
+    "snapshot",  "bound",           "harvest", "teardown",
 };
 
 struct Sample
 {
+    bool ran[numPhases] = {}; ///< a static job skips the run phases
     double ms[numPhases] = {};
     std::uint64_t allocs[numPhases] = {};
     std::uint64_t bytes[numPhases] = {};
@@ -114,6 +120,7 @@ struct Sample
     std::size_t metrics = 0;
     std::uint64_t events = 0;
     Cycle makespan = 0;
+    Cycle bound = 0; ///< composite static bound
 };
 
 std::uint64_t
@@ -139,6 +146,7 @@ struct Meter
     {
         const Clock::time_point now = Clock::now();
         const std::uint64_t f = minorFaults();
+        s.ran[p] = true;
         s.ms[p] = std::chrono::duration<double, std::milli>(now - last)
                       .count();
         s.allocs[p] = gAllocs - allocs;
@@ -151,10 +159,14 @@ struct Meter
     }
 };
 
-/** One job, runGraph's steps one public call at a time. */
+/**
+ * One job, runGraph's steps one public call at a time. A static job
+ * (@p executes false) stops at the bound, as perfbench's static_gates
+ * jobs do: no metrics, no run, no harvest.
+ */
 Sample
 runJob(const StrategySpec &spec, const OpGraph &graph,
-       const RunConfig &cfg)
+       const RunConfig &cfg, bool executes)
 {
     Sample s;
     Meter m{s};
@@ -163,8 +175,10 @@ runJob(const StrategySpec &spec, const OpGraph &graph,
     m.mark(construct);
 
     auto reg = std::make_unique<MetricRegistry>();
-    sys->registerMetrics(*reg);
-    m.mark(registerMetrics);
+    if (executes) {
+        sys->registerMetrics(*reg);
+        m.mark(registerMetrics);
+    }
 
     auto lowering = std::make_unique<GraphLowering>(*sys, graph, spec.opts);
     lowering->lower();
@@ -177,15 +191,28 @@ runJob(const StrategySpec &spec, const OpGraph &graph,
         fatal("static verification failed for %s", spec.name.c_str());
     m.mark(verifyPhase);
 
+    if (!executes) {
+        s.bound = computeBound(*sys).composite;
+        m.mark(bound);
+        reg.reset();
+        lowering.reset();
+        sys.reset();
+        m.mark(teardown);
+        return s;
+    }
+
     sys->run();
     m.mark(run);
 
     auto snap = std::make_unique<MetricSnapshot>(reg->snapshot());
     m.mark(snapshot);
 
-    // runGraph's harvest: the bound, the snapshot walk, the windowed
-    // utilization aggregates, the series and the post-run gate.
-    const BoundResult bound = computeBound(*sys);
+    const BoundResult bound_result = computeBound(*sys);
+    s.bound = bound_result.composite;
+    m.mark(bound);
+
+    // runGraph's harvest: the snapshot walk, the windowed utilization
+    // aggregates, the series and the post-run gate.
     RunResult r;
     r.makespan = sys->makespan();
     harvestCounters(*snap, r);
@@ -196,7 +223,9 @@ runJob(const StrategySpec &spec, const OpGraph &graph,
     r.gpuUtil = sys->gpuUtilization();
     if (const MetricValue *ts = snap->find("fabric.utilSeries"))
         r.utilSeries = ts->bins;
-    if (!verify::verifyPostRun(*sys, bound, r.makespan, nullptr, vo).ok())
+    if (!verify::verifyPostRun(*sys, bound_result, r.makespan, nullptr,
+                               vo)
+             .ok())
         fatal("post-run verification failed for %s", spec.name.c_str());
     m.mark(harvest);
 
@@ -211,17 +240,23 @@ runJob(const StrategySpec &spec, const OpGraph &graph,
     return s;
 }
 
-struct FabricCase
+/** One measured job: a strategy and model on a fabric. */
+struct JobCase
 {
-    const char *name;
+    const char *fabric;
     const char *topology; ///< "" = flat gpus x switches
     int gpus;
+    const char *strategy;
+    /** A full-size static job (MegaGPT-4B dim 1 tok 1; no metrics, no
+     *  run), else a run of Llama-7B at perfbench's tier72 sizes. */
+    bool fullStatic;
 };
 
-const FabricCase kFabrics[] = {
-    {"flat-8", "", 8},
-    {"nvl72", "nvl72", 72},
-    {"rail-optimized-4node", "rail-optimized-4node", 32},
+const JobCase kJobs[] = {
+    {"flat-8", "", 8, "TP-NVLS", false},
+    {"nvl72", "nvl72", 72, "TP-NVLS", false},
+    {"rail-optimized-4node", "rail-optimized-4node", 32, "TP-NVLS", false},
+    {"nvl72", "nvl72", 72, "LADM", true},
 };
 
 double
@@ -252,9 +287,10 @@ main(int argc, char **argv)
     }
 
     const double tok = smoke ? 0.015625 : 0.03125;
-    const LlmConfig model = llama7B().scaled(0.0625, tok);
-    const OpGraph graph = buildSubLayer(model, SubLayerId::L1);
-    const StrategySpec spec = strategyByName("TP-NVLS");
+    const OpGraph small =
+        buildSubLayer(llama7B().scaled(0.0625, tok), SubLayerId::L1);
+    const OpGraph full =
+        buildSubLayer(megaGpt4B().scaled(1.0, 1.0), SubLayerId::L1);
 
 #ifdef NDEBUG
     const bool ndebug = true;
@@ -263,44 +299,57 @@ main(int argc, char **argv)
 #endif
     JsonWriter w;
     w.beginObject()
-        .field("schema", "cais-job-overhead-v1")
+        .field("schema", "cais-job-overhead-v2")
         .field("threads", static_cast<std::uint64_t>(
                               std::thread::hardware_concurrency()))
         .field("compiler", __VERSION__)
         .field("ndebug", ndebug)
-        .field("workload", "Llama-7B/L1")
-        .field("strategy", spec.name)
-        .field("dim", 0.0625)
-        .field("tok", tok)
         .field("reps", reps);
-    w.key("fabrics").beginArray();
-    for (const FabricCase &f : kFabrics) {
+    w.key("jobs").beginArray();
+    for (const JobCase &job : kJobs) {
         RunConfig cfg;
-        cfg.topology = f.topology;
-        cfg.numGpus = f.gpus;
+        cfg.topology = job.topology;
+        cfg.numGpus = job.gpus;
         cfg.verbosity = LogLevel::quiet;
+        const StrategySpec spec = strategyByName(job.strategy);
+        const bool executes = !job.fullStatic;
+        const char *workload =
+            job.fullStatic ? "MegaGPT-4B/L1" : "Llama-7B/L1";
+        const double dim = job.fullStatic ? 1.0 : 0.0625;
+        const double job_tok = job.fullStatic ? 1.0 : tok;
 
         std::vector<Sample> samples;
         for (int r = 0; r < reps; ++r)
-            samples.push_back(runJob(spec, graph, cfg));
+            samples.push_back(runJob(spec, job.fullStatic ? full : small,
+                                     cfg, executes));
         const Sample &last = samples.back();
 
-        std::printf("\n%s (%d GPUs): %zu metrics, %llu events, "
-                    "median of %d\n\n",
-                    f.name, f.gpus, last.metrics,
+        std::printf("\n%s on %s (%d GPUs, dim %g tok %g), %s: %zu "
+                    "metrics, %llu events, median of %d\n\n",
+                    spec.name.c_str(), job.fabric, job.gpus, dim,
+                    job_tok, executes ? "run" : "static gates only",
+                    last.metrics,
                     static_cast<unsigned long long>(last.events), reps);
         std::printf("| phase | ms | allocations | MB allocated | "
                     "page faults |\n");
         std::printf("|---|---|---|---|---|\n");
         w.beginObject()
-            .field("fabric", f.name)
-            .field("gpus", f.gpus)
+            .field("fabric", job.fabric)
+            .field("gpus", job.gpus)
+            .field("strategy", spec.name)
+            .field("workload", workload)
+            .field("dim", dim)
+            .field("tok", job_tok)
+            .field("executes", executes)
             .field("metrics", static_cast<std::uint64_t>(last.metrics))
             .field("events", last.events)
-            .field("makespan", static_cast<std::uint64_t>(last.makespan));
+            .field("makespan", static_cast<std::uint64_t>(last.makespan))
+            .field("bound", static_cast<std::uint64_t>(last.bound));
         w.key("phases").beginArray();
         double total = 0.0;
         for (int p = 0; p < numPhases; ++p) {
+            if (!last.ran[p])
+                continue;
             std::vector<double> ms;
             for (const Sample &s : samples)
                 ms.push_back(s.ms[p]);

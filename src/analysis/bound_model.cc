@@ -30,6 +30,22 @@ tbFloorCycles(Cycle compute, bool jittered)
     return std::max<std::uint64_t>(1, compute / 2);
 }
 
+/**
+ * Append the half-open range [@p b, @p e), merged into the last range
+ * when it starts inside it or right at its end. Lowered ops walk
+ * addresses upward, so most lists collapse to a few ranges as they
+ * are built; the union is unchanged.
+ */
+void
+appendRange(std::vector<std::pair<Addr, Addr>> &iv, Addr b, Addr e)
+{
+    if (!iv.empty() && b >= iv.back().first && b <= iv.back().second) {
+        iv.back().second = std::max(iv.back().second, e);
+        return;
+    }
+    iv.emplace_back(b, e);
+}
+
 /** Bytes covered by the union of half-open [first, second) ranges. */
 std::uint64_t
 unionBytes(std::vector<std::pair<Addr, Addr>> &iv)
@@ -103,8 +119,7 @@ accountOp(const RemoteOp &op, std::size_t g, std::uint64_t chunk,
         t[g].up += hdrs;
         t[g].dn += op.bytes + hdrs;
         if (home_ok)
-            t[home].loadRanges.emplace_back(op.base,
-                                            op.base + op.bytes);
+            appendRange(t[home].loadRanges, op.base, op.base + op.bytes);
         break;
       case RemoteOpKind::nvlsLdReduce:
         // Each request gets its own gather session and a full-size
@@ -127,8 +142,7 @@ accountOp(const RemoteOp &op, std::size_t g, std::uint64_t chunk,
         // from the range union below).
         t[g].up += op.bytes + hdrs;
         if (home_ok)
-            t[home].redRanges.emplace_back(op.base,
-                                           op.base + op.bytes);
+            appendRange(t[home].redRanges, op.base, op.base + op.bytes);
         break;
       case RemoteOpKind::nvlsSt:
       case RemoteOpKind::nvlsRed:

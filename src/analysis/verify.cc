@@ -143,11 +143,68 @@ leafUpCouplings()
     return c;
 }
 
-/** Channel index space: (direction, gpu, switch, vc). */
-struct ChannelGraph
+/**
+ * The (from, to) VC pairs of one turn family: bit b of to[a] is set
+ * when an arrival on VC a emits on VC b. Only the policed class VCs
+ * carry couplings; higher VCs have no outgoing turns.
+ */
+struct VcTurns
+{
+    static constexpr int classes = static_cast<int>(VcClass::numClasses);
+
+    std::uint8_t to[classes] = {};
+    bool unified = false;
+
+    void
+    add(const Coupling &c)
+    {
+        to[static_cast<int>(policedVc(c.from, unified))] |=
+            static_cast<std::uint8_t>(
+                1u << static_cast<int>(policedVc(c.to, unified)));
+    }
+
+    unsigned
+    of(int v) const
+    {
+        return v < classes ? to[v] : 0u;
+    }
+};
+
+/**
+ * One run of a node's edge targets: channel base + p * stride + b for
+ * each position p in [0, count) and each VC b set in @p vcs. Strides
+ * are multiples of the VC count, so a fan yields ascending ids.
+ */
+struct Fan
+{
+    int base = 0;
+    int stride = 0;
+    int count = 0;
+    unsigned vcs = 0;
+};
+
+/** A node's outgoing edges: at most two fans, the first one's ids
+ *  below the second's, so together they are sorted and unique. */
+struct Fans
+{
+    Fan fan[2];
+    int n = 0;
+
+    void
+    add(int base, int stride, int count, unsigned vcs)
+    {
+        if (vcs != 0 && count > 0)
+            fan[n++] = Fan{base, stride, count, vcs};
+    }
+};
+
+/** Flat channel index space: (direction, gpu, switch, vc). A switch
+ *  turns every GPU's uplink to every GPU's downlink on the same
+ *  switch; a GPU turns its downlink back up the same switch. */
+struct FlatChannels
 {
     int G, S, V;
-    bool unified;
+    VcTurns sw, gpu;
 
     int
     id(int dir, GpuId g, SwitchId s, int v) const
@@ -159,6 +216,20 @@ struct ChannelGraph
     count() const
     {
         return 2 * G * S * V;
+    }
+
+    Fans
+    targets(int node) const
+    {
+        const int v = node % V;
+        const int s = node / V % S;
+        const int g = node / (V * S) % G;
+        Fans f;
+        if (node < G * S * V)
+            f.add(id(1, 0, s, 0), S * V, G, sw.of(v));
+        else
+            f.add(id(0, g, s, 0), V, 1, gpu.of(v));
+        return f;
     }
 
     std::string
@@ -176,122 +247,63 @@ struct ChannelGraph
         return strfmt("sw%d->gpu%d vc%d(%s)", s, g, v,
                       vcClassName(v));
     }
-
-    int
-    vcOf(VcClass c) const
-    {
-        return static_cast<int>(policedVc(c, unified));
-    }
 };
 
-/** Sort/dedupe adjacency, then DFS for the first back edge (in
- *  ascending node order, so reports are deterministic). @p name maps
- *  a channel node id to its diagnostic label. */
-void
-reportFirstChannelCycle(
-    Ctx &cx, std::vector<std::vector<int>> &adj,
-    const std::function<std::string(int)> &name)
-{
-    for (auto &targets : adj) {
-        std::sort(targets.begin(), targets.end());
-        targets.erase(std::unique(targets.begin(), targets.end()),
-                      targets.end());
-    }
-
-    const int count = static_cast<int>(adj.size());
-    std::vector<std::uint8_t> color(adj.size(), 0);
-    std::vector<int> pathStack;
-    for (int root = 0; root < count; ++root) {
-        if (color[static_cast<std::size_t>(root)] != 0)
-            continue;
-        // Frames of (node, next-child index).
-        std::vector<std::pair<int, std::size_t>> frames;
-        frames.emplace_back(root, 0);
-        color[static_cast<std::size_t>(root)] = 1;
-        pathStack = {root};
-        while (!frames.empty()) {
-            auto &[node, next] = frames.back();
-            const auto &targets =
-                adj[static_cast<std::size_t>(node)];
-            if (next < targets.size()) {
-                int t = targets[next++];
-                if (color[static_cast<std::size_t>(t)] == 1) {
-                    // Back edge: pathStack from t's position onward
-                    // plus the edge back to t is the cycle.
-                    auto it = std::find(pathStack.begin(),
-                                        pathStack.end(), t);
-                    std::vector<std::string> cyc;
-                    for (; it != pathStack.end(); ++it)
-                        cyc.push_back(name(*it));
-                    cyc.push_back(name(t));
-                    cx.report(
-                        "V1",
-                        strfmt("channel-dependency cycle over %zu "
-                               "port/VC channels: a filled buffer on "
-                               "each waits on the next, so the fabric "
-                               "can deadlock",
-                               cyc.size() - 1),
-                        std::move(cyc));
-                    return;
-                }
-                if (color[static_cast<std::size_t>(t)] == 0) {
-                    color[static_cast<std::size_t>(t)] = 1;
-                    frames.emplace_back(t, 0);
-                    pathStack.push_back(t);
-                }
-            } else {
-                color[static_cast<std::size_t>(node)] = 2;
-                frames.pop_back();
-                pathStack.pop_back();
-            }
-        }
-    }
-}
-
 /**
- * Multi-tier channel-dependency graph. Four channel families --
- * GPU->leaf (U1) and leaf->GPU (D1) indexed by (gpu, rail), and
- * leaf->spine (U2) / spine->leaf (D2) indexed by (leaf, spine) --
- * with turn edges mirroring the tiered protocol: a leaf turns local
- * traffic down with the flat coupling set and forwards/aggregates
- * upstream class-identically; the spine turns every upstream arrival
- * down with the flat coupling set; a leaf fans spine traffic out to
- * its local GPUs; GPUs couple downlink arrivals to uplink emissions
- * exactly as on the flat fabric.
+ * Multi-tier channel index space. Four channel families -- GPU->leaf
+ * (U1) and leaf->GPU (D1) indexed by (gpu, rail), and leaf->spine (U2)
+ * / spine->leaf (D2) indexed by (leaf, spine) -- with turns mirroring
+ * the tiered protocol: a leaf turns local traffic down with the flat
+ * switch couplings and forwards upstream class-identically; the spine
+ * turns every upstream arrival down with the switch couplings; a leaf
+ * fans spine traffic out to its local GPUs; GPUs couple downlink
+ * arrivals to uplink emissions exactly as on the flat fabric.
  */
-void
-checkV1Tiered(Ctx &cx)
+struct TieredChannels
 {
-    const FabricParams &p = cx.sys.config().fabric;
-    const int G = p.numGpus, V = p.sw.numVcs;
-    const int rails = p.railsPerGroup, L = p.numLeaves();
-    const int P = p.numSpines, gpp = p.gpusPerGroup();
-    const bool unified = p.sw.unifiedDataVc;
+    int G, V, rails, L, P, gpp;
+    VcTurns sw, up, gpu;
 
-    const int d1 = G * rails * V;
-    const int u2 = 2 * G * rails * V;
-    const int d2 = u2 + L * P * V;
-    const int total = d2 + P * L * V;
-    auto U1 = [&](GpuId g, int r, int v) {
-        return (g * rails + r) * V + v;
-    };
-    auto D1 = [&](GpuId g, int r, int v) {
-        return d1 + (g * rails + r) * V + v;
-    };
-    auto U2 = [&](int l, int sp, int v) {
-        return u2 + (l * P + sp) * V + v;
-    };
-    auto D2 = [&](int sp, int l, int v) {
-        return d2 + (sp * L + l) * V + v;
-    };
-    auto vcOf = [&](VcClass c) {
-        return static_cast<int>(policedVc(c, unified));
-    };
+    int d1() const { return G * rails * V; }
+    int u2() const { return 2 * G * rails * V; }
+    int d2() const { return u2() + L * P * V; }
+    int count() const { return d2() + P * L * V; }
 
-    auto name = [=](int node) -> std::string {
-        if (node < u2) {
-            bool down = node >= d1;
-            int idx = down ? node - d1 : node;
+    int U1(GpuId g, int r) const { return (g * rails + r) * V; }
+    int D1(GpuId g, int r) const { return d1() + (g * rails + r) * V; }
+    int U2(int l, int sp) const { return u2() + (l * P + sp) * V; }
+    int D2(int sp, int l) const { return d2() + (sp * L + l) * V; }
+
+    Fans
+    targets(int node) const
+    {
+        Fans f;
+        if (node < d1()) { // GPU -> leaf: turn down locally, or go up
+            const int v = node % V, gr = node / V;
+            const GpuId g = gr / rails;
+            const int r = gr % rails;
+            f.add(D1(g / gpp * gpp, r), rails * V, gpp, sw.of(v));
+            f.add(U2(g / gpp * rails + r, 0), V, P, up.of(v));
+        } else if (node < u2()) { // leaf -> GPU: the GPU turns up
+            const int idx = node - d1(), v = idx % V, gr = idx / V;
+            f.add(U1(gr / rails, gr % rails), V, 1, gpu.of(v));
+        } else if (node < d2()) { // leaf -> spine: spine turns down
+            const int idx = node - u2(), v = idx % V;
+            f.add(D2(idx / V % P, 0), V, L, sw.of(v));
+        } else { // spine -> leaf: fan out to the leaf's GPUs
+            const int idx = node - d2(), v = idx % V, l = idx / V % L;
+            f.add(D1(l / rails * gpp, l % rails), rails * V, gpp,
+                  sw.of(v));
+        }
+        return f;
+    }
+
+    std::string
+    name(int node) const
+    {
+        if (node < u2()) {
+            bool down = node >= d1();
+            int idx = down ? node - d1() : node;
             int v = idx % V;
             int gr = idx / V;
             int r = gr % rails;
@@ -303,8 +315,8 @@ checkV1Tiered(Ctx &cx)
             return strfmt("gpu%d->leaf%d.sw%d vc%d(%s)", g, grp, r, v,
                           vcClassName(v));
         }
-        bool down = node >= d2;
-        int idx = down ? node - d2 : node - u2;
+        bool down = node >= d2();
+        int idx = down ? node - d2() : node - u2();
         int v = idx % V;
         int lp = idx / V;
         int l = down ? lp % L : lp / P;
@@ -314,122 +326,118 @@ checkV1Tiered(Ctx &cx)
                           l / rails, l % rails, v, vcClassName(v));
         return strfmt("leaf%d.sw%d->spine.sw%d vc%d(%s)", l / rails,
                       l % rails, sp, v, vcClassName(v));
-    };
-
-    std::vector<std::vector<int>> adj(
-        static_cast<std::size_t>(total));
-    auto addEdge = [&](int a, int b) {
-        adj[static_cast<std::size_t>(a)].push_back(b);
-    };
-
-    auto leafLocalTurn = [&](VcClass from, VcClass to) {
-        int a = vcOf(from), b = vcOf(to);
-        for (int grp = 0; grp < p.numGroups; ++grp)
-            for (int r = 0; r < rails; ++r)
-                for (int gi = 0; gi < gpp; ++gi)
-                    for (int di = 0; di < gpp; ++di)
-                        addEdge(U1(grp * gpp + gi, r, a),
-                                D1(grp * gpp + di, r, b));
-    };
-    auto leafUpTurn = [&](VcClass from, VcClass to) {
-        int a = vcOf(from), b = vcOf(to);
-        for (GpuId g = 0; g < G; ++g)
-            for (int r = 0; r < rails; ++r)
-                for (int sp = 0; sp < P; ++sp)
-                    addEdge(U1(g, r, a),
-                            U2((g / gpp) * rails + r, sp, b));
-    };
-    auto spineTurn = [&](VcClass from, VcClass to) {
-        int a = vcOf(from), b = vcOf(to);
-        for (int sp = 0; sp < P; ++sp)
-            for (int l = 0; l < L; ++l)
-                for (int l2 = 0; l2 < L; ++l2)
-                    addEdge(U2(l, sp, a), D2(sp, l2, b));
-    };
-    auto leafDownTurn = [&](VcClass from, VcClass to) {
-        int a = vcOf(from), b = vcOf(to);
-        for (int sp = 0; sp < P; ++sp)
-            for (int l = 0; l < L; ++l) {
-                int grp = l / rails, r = l % rails;
-                for (int di = 0; di < gpp; ++di)
-                    addEdge(D2(sp, l, a),
-                            D1(grp * gpp + di, r, b));
-            }
-    };
-    auto gpuTurn = [&](VcClass from, VcClass to) {
-        int a = vcOf(from), b = vcOf(to);
-        for (GpuId g = 0; g < G; ++g)
-            for (int r = 0; r < rails; ++r)
-                addEdge(D1(g, r, a), U1(g, r, b));
-    };
-
-    for (const Coupling &c : switchCouplings()) {
-        leafLocalTurn(c.from, c.to);
-        spineTurn(c.from, c.to);
-        leafDownTurn(c.from, c.to);
     }
-    for (const Coupling &c : leafUpCouplings())
-        leafUpTurn(c.from, c.to);
-    for (const Coupling &c : gpuCouplings())
-        gpuTurn(c.from, c.to);
-    for (const ExtraCoupling &c : cx.opts.extraCouplings) {
-        if (c.atGpu) {
-            gpuTurn(c.from, c.to);
-        } else {
-            leafLocalTurn(c.from, c.to);
-            spineTurn(c.from, c.to);
-            leafDownTurn(c.from, c.to);
+};
+
+/**
+ * DFS for the first back edge, in ascending node order and over each
+ * node's targets in ascending order, so reports are deterministic.
+ * Targets are generated on demand from the node's fans; the walk keeps
+ * only a color per node and its frame stack, and formats channel names
+ * only for a reported cycle.
+ */
+template <typename Channels>
+void
+reportFirstChannelCycle(Ctx &cx, const Channels &ch)
+{
+    struct Frame
+    {
+        int node;
+        Fans fans;
+        int fi = 0;
+        int pos = -1;
+        unsigned rem = 0;
+
+        /** The next target id, or -1 when the node is exhausted. */
+        int
+        next()
+        {
+            while (fi < fans.n) {
+                const Fan &f = fans.fan[fi];
+                if (rem != 0) {
+                    const int b = std::countr_zero(rem);
+                    rem &= rem - 1;
+                    return f.base + pos * f.stride + b;
+                }
+                if (++pos < f.count) {
+                    rem = f.vcs;
+                } else {
+                    ++fi;
+                    pos = -1;
+                }
+            }
+            return -1;
+        }
+    };
+
+    const int count = ch.count();
+    std::vector<std::uint8_t> color(static_cast<std::size_t>(count), 0);
+    std::vector<Frame> stack;
+    for (int root = 0; root < count; ++root) {
+        if (color[static_cast<std::size_t>(root)] != 0)
+            continue;
+        color[static_cast<std::size_t>(root)] = 1;
+        stack.push_back(Frame{root, ch.targets(root)});
+        while (!stack.empty()) {
+            const int t = stack.back().next();
+            if (t < 0) {
+                color[static_cast<std::size_t>(stack.back().node)] = 2;
+                stack.pop_back();
+            } else if (color[static_cast<std::size_t>(t)] == 1) {
+                // Back edge: the stack from t's frame onward plus the
+                // edge back to t is the cycle.
+                auto it = std::find_if(
+                    stack.begin(), stack.end(),
+                    [t](const Frame &f) { return f.node == t; });
+                std::vector<std::string> cyc;
+                for (; it != stack.end(); ++it)
+                    cyc.push_back(ch.name(it->node));
+                cyc.push_back(ch.name(t));
+                const std::size_t channels = cyc.size() - 1;
+                cx.report(
+                    "V1",
+                    strfmt("channel-dependency cycle over %zu "
+                           "port/VC channels: a filled buffer on "
+                           "each waits on the next, so the fabric "
+                           "can deadlock",
+                           channels),
+                    std::move(cyc));
+                return;
+            } else if (color[static_cast<std::size_t>(t)] == 0) {
+                color[static_cast<std::size_t>(t)] = 1;
+                stack.push_back(Frame{t, ch.targets(t)});
+            }
         }
     }
-
-    reportFirstChannelCycle(cx, adj, name);
 }
 
 void
 checkV1(Ctx &cx)
 {
     const FabricParams &p = cx.sys.config().fabric;
-    if (p.multiTier()) {
-        checkV1Tiered(cx);
-        return;
-    }
-    ChannelGraph cg{p.numGpus, p.numSwitches, p.sw.numVcs,
-                    p.sw.unifiedDataVc};
-
-    // Adjacency as sorted unique edge targets per node.
-    std::vector<std::vector<int>> adj(
-        static_cast<std::size_t>(cg.count()));
-    auto addEdge = [&](int a, int b) {
-        adj[static_cast<std::size_t>(a)].push_back(b);
-    };
-
-    auto switchTurn = [&](VcClass from, VcClass to) {
-        int a = cg.vcOf(from), b = cg.vcOf(to);
-        for (SwitchId s = 0; s < cg.S; ++s)
-            for (GpuId g = 0; g < cg.G; ++g)
-                for (GpuId d = 0; d < cg.G; ++d)
-                    addEdge(cg.id(0, g, s, a), cg.id(1, d, s, b));
-    };
-    auto gpuTurn = [&](VcClass from, VcClass to) {
-        int a = cg.vcOf(from), b = cg.vcOf(to);
-        for (SwitchId s = 0; s < cg.S; ++s)
-            for (GpuId g = 0; g < cg.G; ++g)
-                addEdge(cg.id(1, g, s, a), cg.id(0, g, s, b));
-    };
-
+    VcTurns sw, gpu;
+    sw.unified = gpu.unified = p.sw.unifiedDataVc;
     for (const Coupling &c : switchCouplings())
-        switchTurn(c.from, c.to);
+        sw.add(c);
     for (const Coupling &c : gpuCouplings())
-        gpuTurn(c.from, c.to);
-    for (const ExtraCoupling &c : cx.opts.extraCouplings) {
-        if (c.atGpu)
-            gpuTurn(c.from, c.to);
-        else
-            switchTurn(c.from, c.to);
-    }
+        gpu.add(c);
+    for (const ExtraCoupling &c : cx.opts.extraCouplings)
+        (c.atGpu ? gpu : sw).add(Coupling{c.from, c.to});
 
-    reportFirstChannelCycle(
-        cx, adj, [&cg](int node) { return cg.name(node); });
+    if (p.multiTier()) {
+        VcTurns up;
+        up.unified = p.sw.unifiedDataVc;
+        for (const Coupling &c : leafUpCouplings())
+            up.add(c);
+        reportFirstChannelCycle(
+            cx, TieredChannels{p.numGpus, p.sw.numVcs, p.railsPerGroup,
+                               p.numLeaves(), p.numSpines,
+                               p.gpusPerGroup(), sw, up, gpu});
+    } else {
+        reportFirstChannelCycle(
+            cx, FlatChannels{p.numGpus, p.numSwitches, p.sw.numVcs, sw,
+                             gpu});
+    }
 }
 
 // ------------------------------------------------------------------
@@ -794,10 +802,11 @@ checkV3(Ctx &cx)
 
     // A session chunk spanning two interleave blocks splits one
     // address class across two switches (routing keys on the chunk
-    // base), unless both blocks hash to the same one.
-    auto scanStraddle = [&](const KernelDesc &k, const RemoteOp &op) {
+    // base), unless both blocks hash to the same one. @return the
+    // offset of @p op's first such chunk, or op.bytes if none.
+    auto firstStraddle = [&](const RemoteOp &op) -> std::uint64_t {
         if (chunksTileBlocks && chunkAligned(op.base))
-            return;
+            return op.bytes;
         std::uint64_t off = 0;
         int scanned = 0;
         while (off < op.bytes && scanned++ < 4096) {
@@ -805,30 +814,53 @@ checkV3(Ctx &cx)
                                                       op.bytes - off);
             Addr a = op.base + off;
             Addr z = a + n - 1;
-            if (a / interleave != z / interleave &&
-                !sameSwitches(a, z)) {
-                cx.report(
-                    "V3",
-                    strfmt("kernel %s: %s chunk at 0x%llx (+%llu B) "
-                           "straddles interleave blocks, splitting "
-                           "one address class across %s and %s",
-                           k.name.c_str(), kindName(op.kind),
-                           static_cast<unsigned long long>(a),
-                           static_cast<unsigned long long>(n),
-                           where(a).c_str(), where(z).c_str()),
-                    {k.name,
-                     strfmt("addr=0x%llx",
-                            static_cast<unsigned long long>(a)),
-                     where(a), where(z)});
-                return;
-            }
+            if (a / interleave != z / interleave && !sameSwitches(a, z))
+                return off;
             off += n;
+        }
+        return op.bytes;
+    };
+
+    // Straddles report in issue order (TB by TB, pulls before pushes).
+    auto reportStraddles = [&](const KernelDesc &k) {
+        for (const TbGrid &grid : k.grids) {
+            for (const TbDesc &tb : grid.tbs) {
+                for (auto ops : {grid.pullOps(tb), grid.pushOps(tb)}) {
+                    for (const RemoteOp &op : ops) {
+                        if (!isSessionKind(op.kind))
+                            continue;
+                        const std::uint64_t off = firstStraddle(op);
+                        if (off == op.bytes)
+                            continue;
+                        const std::uint64_t n = std::min<std::uint64_t>(
+                            chunk, op.bytes - off);
+                        const Addr a = op.base + off;
+                        const Addr z = a + n - 1;
+                        cx.report(
+                            "V3",
+                            strfmt("kernel %s: %s chunk at 0x%llx "
+                                   "(+%llu B) straddles interleave "
+                                   "blocks, splitting one address "
+                                   "class across %s and %s",
+                                   k.name.c_str(), kindName(op.kind),
+                                   static_cast<unsigned long long>(a),
+                                   static_cast<unsigned long long>(n),
+                                   where(a).c_str(), where(z).c_str()),
+                            {k.name,
+                             strfmt("addr=0x%llx",
+                                    static_cast<unsigned long long>(a)),
+                             where(a), where(z)});
+                    }
+                }
+            }
         }
     };
 
-    // Straddles report in issue order as the scan meets them; the
-    // per-session checks follow for every kernel the table flags, in
-    // kernel order. The issuer mask holds one bit per GPU.
+    // One flat sweep per op array finds straddles and fills the
+    // session table (whose checks do not depend on op order); only a
+    // kernel with a straddle is walked again, in TB order, to report
+    // it. The per-session checks follow for every kernel the table
+    // flags, in kernel order. The issuer mask holds one bit per GPU.
     const bool maskFits = G <= NodeMask::capacity;
     SessionTable table;
     std::vector<KernelId> flagged;
@@ -836,20 +868,21 @@ checkV3(Ctx &cx)
         const KernelDesc &k =
             cx.sys.kernel(static_cast<KernelId>(ki));
         table.reset();
+        bool straddled = false;
         for (GpuId g = 0; g < static_cast<GpuId>(k.grids.size()); ++g) {
             const TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-            for (const TbDesc &tb : grid.tbs) {
-                for (auto ops : {grid.pullOps(tb), grid.pushOps(tb)}) {
-                    for (const RemoteOp &op : ops) {
-                        if (!isSessionKind(op.kind))
-                            continue;
-                        scanStraddle(k, op);
-                        if (maskFits && isSessionCounted(op.kind))
-                            table.add(op, g);
-                    }
+            for (auto ops : {grid.allPulls(), grid.allPushes()}) {
+                for (const RemoteOp &op : ops) {
+                    if (!isSessionKind(op.kind))
+                        continue;
+                    straddled |= firstStraddle(op) != op.bytes;
+                    if (maskFits && isSessionCounted(op.kind))
+                        table.add(op, g);
                 }
             }
         }
+        if (straddled)
+            reportStraddles(k);
         if (!maskFits || table.suspicious(G, tiered))
             flagged.push_back(k.id);
     }
@@ -1123,12 +1156,13 @@ checkV5(Ctx &cx)
                     for (; it != pathStack.end(); ++it)
                         cyc.push_back(kernelName(*it));
                     cyc.push_back(kernelName(t));
+                    const std::size_t kernels = cyc.size() - 1;
                     cx.report(
                         "V5",
                         strfmt("kernel dependency cycle over %zu "
                                "kernel(s): none of them can ever "
                                "launch",
-                               cyc.size() - 1),
+                               kernels),
                         std::move(cyc));
                     cycleFound = true;
                     break;

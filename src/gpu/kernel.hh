@@ -12,7 +12,7 @@
  *
  * A TbGrid keeps one GPU's TBs dense: every TB's ops and deps live in
  * three flat arrays of the grid, and a TbDesc holds only a begin and a
- * count into each (DESIGN.md §6j).
+ * count into each. Emitters reserve exact sizes first (DESIGN.md §6j).
  */
 
 #ifndef CAIS_GPU_KERNEL_HH
@@ -108,6 +108,18 @@ class TbGrid
   public:
     std::vector<TbDesc> tbs;
 
+    /** Size every array for its final contents up front: an emitter
+     *  that knows its counts never grows (or over-allocates) one. */
+    void
+    reserve(std::size_t num_tbs, std::size_t num_pulls,
+            std::size_t num_pushes, std::size_t num_deps)
+    {
+        tbs.reserve(num_tbs);
+        pulls.reserve(num_pulls);
+        pushes.reserve(num_pushes);
+        depRefs.reserve(num_deps);
+    }
+
     /** Append a TB; addPull/addPush/addDep extend the newest one. */
     TbDesc &
     add()
@@ -164,6 +176,15 @@ class TbGrid
     std::span<const TileRef> allDeps() const { return depRefs; }
 
     std::size_t size() const { return tbs.size(); }
+
+    /** Reserved but unused entries over the four arrays. */
+    std::size_t
+    slack() const
+    {
+        return tbs.capacity() - tbs.size() + pulls.capacity() -
+               pulls.size() + pushes.capacity() - pushes.size() +
+               depRefs.capacity() - depRefs.size();
+    }
 
   private:
     TbDesc &

@@ -48,11 +48,15 @@ class SmPool
     double utilization(Cycle t) const;
 
   private:
-    int smOfSlot(int slot) const { return slot % sms; }
+    /** The lowest free slot whose SM lies in [from, to), or -1. */
+    int findFree(double from, double to) const;
 
     EventQueue &eq;
     int sms;
     std::vector<Cycle> busyAt; ///< acquire time, or ~0ull when free
+    /** Bit s set when slot s is free. Slot s sits on SM s % sms, so
+     *  an SM range is one run of bits per CTA layer. */
+    std::vector<std::uint64_t> freeBits;
     int freeSlots;
     Cycle accumulated = 0;     ///< finished occupancy
 };

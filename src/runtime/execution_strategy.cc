@@ -15,17 +15,41 @@ namespace
  *  SM stealing of CoCoNet / FuseLib's comm kernels. */
 constexpr double pipelinedCommSmFrom = 0.8;
 
-/** Tile dep at the GPU where the producer instance lives. */
-TileRef
-depAt(const TensorInfo &src, int tile, GpuId consumer_gpu)
+/**
+ * Tile deps of one consumer GPU on @p src (null: the op has no input),
+ * at the GPU where each producer instance lives, for a walk over
+ * ascending tiles: a sharded producer's owner is stepped forward,
+ * never searched.
+ */
+class DepAt
 {
-    TileRef r;
-    r.tracker = src.tracker;
-    r.tile = tile;
-    r.atGpu = src.layout == TensorLayout::rowShardedHome
-                  ? src.tileOwner(tile)
-                  : consumer_gpu;
-    return r;
+  public:
+    DepAt(const TensorInfo *src_, GpuId consumer_gpu)
+        : src(src_),
+          sharded(src_ && src_->layout == TensorLayout::rowShardedHome),
+          gpu(sharded ? 0 : consumer_gpu)
+    {
+    }
+
+    TileRef
+    operator()(int tile)
+    {
+        if (sharded)
+            gpu = src->tileOwnerFrom(tile, gpu);
+        return TileRef{src->tracker, tile, gpu};
+    }
+
+  private:
+    const TensorInfo *src;
+    bool sharded;
+    GpuId gpu;
+};
+
+/** Tiles of @p t that GPU @p g owns (rowShardedHome). */
+int
+shardSize(const TensorInfo &t, GpuId g)
+{
+    return t.shardBegin(g + 1) - t.shardBegin(g);
 }
 
 } // namespace
@@ -205,15 +229,18 @@ GraphLowering::lowerElementwise(OpId id)
 
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        for (int t = 0; t < out.numTiles; ++t) {
-            if (row_sharded && out.tileOwner(t) != g)
-                continue;
+        const int lo = row_sharded ? out.shardBegin(g) : 0;
+        const int hi = row_sharded ? out.shardBegin(g + 1) : out.numTiles;
+        const auto tbs = static_cast<std::size_t>(hi - lo);
+        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+        DepAt dep(inT, g);
+        for (int t = lo; t < hi; ++t) {
             TbDesc &tb = grid.add();
             tb.computeCycles = cost;
             tb.producesTile = t;
             tb.produceBytes = out.bytesPerTile;
             if (inT)
-                grid.addDep(depAt(*inT, t, g));
+                grid.addDep(dep(t));
         }
     }
     finishKernel(id, std::move(k));
@@ -243,15 +270,18 @@ GraphLowering::lowerAttention(OpId id)
                                               tileRows)) *
         n.flopScale);
 
+    const auto tbs = static_cast<std::size_t>(out.numTiles);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+        DepAt dep(inT, g);
         for (int t = 0; t < out.numTiles; ++t) {
             TbDesc &tb = grid.add();
             tb.computeCycles = cost;
             tb.producesTile = t;
             tb.produceBytes = out.bytesPerTile;
             if (inT)
-                grid.addDep(depAt(*inT, t, g));
+                grid.addDep(dep(t));
         }
     }
     finishKernel(id, std::move(k));
@@ -301,16 +331,21 @@ GraphLowering::lowerGemmCol(OpId id)
                             static_cast<std::uint64_t>(tiling.tileN) *
                             static_cast<std::uint64_t>(n.elemBytes);
 
+    const auto tbs = static_cast<std::size_t>(out.numTiles) *
+                     static_cast<std::size_t>(nt);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+        DepAt dep(inT, g);
         for (int i = 0; i < out.numTiles; ++i) {
+            const TileRef in_tile = inT ? dep(i) : TileRef{};
             for (int j = 0; j < nt; ++j) {
                 TbDesc &tb = grid.add();
                 tb.computeCycles = cost;
                 tb.producesTile = i;
                 tb.produceBytes = portion;
                 if (inT)
-                    grid.addDep(depAt(*inT, i, g));
+                    grid.addDep(in_tile);
             }
         }
     }
@@ -394,25 +429,43 @@ GraphLowering::lowerGemmRow(OpId id)
             k.preAccessSync = true;
         }
 
+        const auto cols = static_cast<std::size_t>(nt_cols);
+        const auto tbs = static_cast<std::size_t>(rsOut.numTiles) * cols;
         for (GpuId g = 0; g < G; ++g) {
             TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+            const int lo = rsOut.shardBegin(g);
+            const int hi = rsOut.shardBegin(g + 1);
+            grid.reserve(tbs, 0,
+                         tbs - static_cast<std::size_t>(hi - lo) * cols,
+                         inT ? tbs : 0);
+            DepAt dep(inT, g);
+            GpuId owner = 0;
             for (int i = 0; i < rsOut.numTiles; ++i) {
+                const TileRef in_tile = inT ? dep(i) : TileRef{};
+                // The home GPU's partial reduces locally; every other
+                // GPU pushes its portions into the home shard.
+                const bool home = i >= lo && i < hi;
+                Addr tile_addr = 0;
+                if (!home) {
+                    owner = rsOut.tileOwnerFrom(i, owner);
+                    tile_addr = rsOut.tileAddrAt(
+                        owner, i - rsOut.shardBegin(owner));
+                }
                 for (int j = 0; j < nt_cols; ++j) {
                     TbDesc &tb = grid.add();
                     tb.computeCycles = cost;
                     if (inT)
-                        grid.addDep(depAt(*inT, i, g));
+                        grid.addDep(in_tile);
                     if (plan.grouped)
                         tb.group = plan.groupOfTb[static_cast<
                             std::size_t>(i * nt_cols + j)];
-                    if (rsOut.tileOwner(i) == g) {
-                        // The home GPU's partial reduces locally.
+                    if (home) {
                         tb.producesTile = i;
                         tb.produceBytes = portion;
                     } else {
                         RemoteOp op;
                         op.kind = push_kind;
-                        op.base = rsOut.tileAddr(i) +
+                        op.base = tile_addr +
                                   static_cast<std::uint64_t>(j) *
                                       portion;
                         op.bytes = portion;
@@ -440,16 +493,21 @@ GraphLowering::lowerGemmRow(OpId id)
         n.cols, 1);
     k.producesTracker = out.tracker;
 
+    const auto tbs = static_cast<std::size_t>(out.numTiles) *
+                     static_cast<std::size_t>(nt_cols);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+        DepAt dep(inT, g);
         for (int i = 0; i < out.numTiles; ++i) {
+            const TileRef in_tile = inT ? dep(i) : TileRef{};
             for (int j = 0; j < nt_cols; ++j) {
                 TbDesc &tb = grid.add();
                 tb.computeCycles = cost;
                 tb.producesTile = i;
                 tb.produceBytes = portion;
                 if (inT)
-                    grid.addDep(depAt(*inT, i, g));
+                    grid.addDep(in_tile);
             }
         }
     }
@@ -572,11 +630,12 @@ GraphLowering::emitNvlsReduceScatter(OpId rs, const TensorInfo &partial)
         rs, TensorLayout::rowShardedHome, node(rs).cols, G);
     KernelDesc k = newCommKernel(rs, ".nvls-rs", out, barrierDeps(rs));
 
+    const auto gpus = static_cast<std::size_t>(G);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        for (int i = 0; i < out.numTiles; ++i) {
-            if (out.tileOwner(i) != g)
-                continue;
+        const auto tbs = static_cast<std::size_t>(shardSize(out, g));
+        grid.reserve(tbs, tbs, 0, tbs * gpus);
+        for (int i = out.shardBegin(g); i < out.shardBegin(g + 1); ++i) {
             TbDesc &tb = grid.add();
             tb.computeCycles = opts.perCommTbOverhead;
             RemoteOp op;
@@ -603,11 +662,14 @@ GraphLowering::emitNvlsAllGather(OpId ag, const TensorInfo &in)
         defineOutput(ag, TensorLayout::replicated, node(ag).cols, 1);
     KernelDesc k = newCommKernel(ag, ".nvls-ag", out, barrierDeps(ag));
 
+    // Each owner multicasts its shard; its deps are its own tiles.
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        for (int i = 0; i < out.numTiles; ++i) {
-            if (in.tileOwner(i) != g)
-                continue;
+        const int lo = in.shardBegin(g);
+        const int hi = std::min(in.shardBegin(g + 1), out.numTiles);
+        const auto tbs = static_cast<std::size_t>(std::max(hi - lo, 0));
+        grid.reserve(tbs, 0, tbs, tbs);
+        for (int i = lo; i < hi; ++i) {
             TbDesc &tb = grid.add();
             tb.computeCycles = opts.perCommTbOverhead;
             RemoteOp op;
@@ -618,7 +680,7 @@ GraphLowering::emitNvlsAllGather(OpId ag, const TensorInfo &in)
             grid.addPush(op);
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
-            grid.addDep(depAt(in, i, g));
+            grid.addDep(TileRef{in.tracker, i, g});
         }
     }
     finishKernel(ag, std::move(k));
@@ -631,12 +693,15 @@ GraphLowering::emitNvlsAllReduce(OpId rs, const TensorInfo &partial)
         defineOutput(rs, TensorLayout::replicated, node(rs).cols, 1);
     KernelDesc k = newCommKernel(rs, ".nvls-ar", out, barrierDeps(rs));
 
-    int per_gpu = (out.numTiles + G - 1) / G;
+    const int per_gpu = (out.numTiles + G - 1) / G;
+    const auto gpus = static_cast<std::size_t>(G);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        for (int i = 0; i < out.numTiles; ++i) {
-            if (i / per_gpu != g)
-                continue;
+        const int lo = std::min(g * per_gpu, out.numTiles);
+        const int hi = std::min(lo + per_gpu, out.numTiles);
+        const auto tbs = static_cast<std::size_t>(hi - lo);
+        grid.reserve(tbs, tbs, tbs, tbs * gpus);
+        for (int i = lo; i < hi; ++i) {
             TbDesc &tb = grid.add();
             tb.computeCycles = opts.perCommTbOverhead;
             RemoteOp pull;
@@ -672,22 +737,30 @@ GraphLowering::emitSoftwareReduceScatter(OpId rs,
     KernelDesc k = newCommKernel(rs, suffix, out, std::move(deps));
 
     // Every GPU ships its partial of tile i to owner(i).
+    const Cycle cost = memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
+                       opts.perCommTbOverhead;
+    const auto tbs = static_cast<std::size_t>(out.numTiles);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.reserve(tbs, 0,
+                     tbs - static_cast<std::size_t>(shardSize(out, g)),
+                     tbs);
+        DepAt dep(&partial, g);
+        GpuId owner = 0;
         for (int i = 0; i < out.numTiles; ++i) {
             TbDesc &tb = grid.add();
-            tb.computeCycles =
-                memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
-                opts.perCommTbOverhead;
-            grid.addDep(depAt(partial, i, g));
-            if (out.tileOwner(i) == g) {
+            tb.computeCycles = cost;
+            grid.addDep(dep(i));
+            owner = out.tileOwnerFrom(i, owner);
+            if (owner == g) {
                 tb.producesTile = i;
                 tb.produceBytes = out.bytesPerTile;
             } else {
                 RemoteOp op;
                 op.kind = RemoteOpKind::plainWrite;
                 op.protocolPad = true;
-                op.base = out.tileAddr(i);
+                op.base =
+                    out.tileAddrAt(owner, i - out.shardBegin(owner));
                 op.bytes = out.bytesPerTile;
                 grid.addPush(op);
             }
@@ -707,16 +780,18 @@ GraphLowering::emitSoftwareAllGather(OpId ag, const TensorInfo &in,
     KernelDesc k = newCommKernel(ag, suffix, out, std::move(deps));
 
     // Owners broadcast their tiles to all peers.
+    const Cycle cost = memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
+                       opts.perCommTbOverhead;
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        for (int i = 0; i < out.numTiles; ++i) {
-            if (in.tileOwner(i) != g)
-                continue;
+        const int lo = in.shardBegin(g);
+        const int hi = std::min(in.shardBegin(g + 1), out.numTiles);
+        const auto tbs = static_cast<std::size_t>(std::max(hi - lo, 0));
+        grid.reserve(tbs, 0, tbs * static_cast<std::size_t>(G - 1), tbs);
+        for (int i = lo; i < hi; ++i) {
             TbDesc &tb = grid.add();
-            tb.computeCycles =
-                memBoundTbCycles(gp, out.bytesPerTile, 1.0) +
-                opts.perCommTbOverhead;
-            grid.addDep(depAt(in, i, g));
+            tb.computeCycles = cost;
+            grid.addDep(TileRef{in.tracker, i, g});
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
             for (GpuId p = 0; p < G; ++p) {
@@ -747,8 +822,11 @@ GraphLowering::emitLadmAllReduce(OpId rs, const TensorInfo &partial)
     k.kernelDeps = barrierDeps(rs);
     k.producesTracker = out.tracker;
 
+    const auto tbs = static_cast<std::size_t>(out.numTiles);
+    const auto gpus = static_cast<std::size_t>(G);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.reserve(tbs, tbs * (gpus - 1), 0, tbs * gpus);
         for (int i = 0; i < out.numTiles; ++i) {
             TbDesc &tb = grid.add();
             // Locality-aware placement dedups reads within a GPU but
@@ -813,20 +891,28 @@ GraphLowering::emitPullStage(OpId ag, const TensorInfo &src,
         k.preAccessSync = true;
     }
 
+    // Every GPU pulls the tiles of the other GPUs' shards.
+    const auto tbs = static_cast<std::size_t>(src.numTiles);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        grid.reserve(tbs,
+                     tbs - static_cast<std::size_t>(shardSize(src, g)), 0,
+                     tbs);
+        GpuId owner = 0;
         for (int i = 0; i < src.numTiles; ++i) {
+            owner = src.tileOwnerFrom(i, owner);
             TbDesc &tb = grid.add();
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
-            grid.addDep(depAt(src, i, g));
+            grid.addDep(TileRef{src.tracker, i, owner});
             if (plan.grouped)
                 tb.group =
                     plan.groupOfTb[static_cast<std::size_t>(i)];
-            if (src.tileOwner(i) != g) {
+            if (owner != g) {
                 RemoteOp op;
                 op.kind = kind;
-                op.base = src.tileAddr(i);
+                op.base =
+                    src.tileAddrAt(owner, i - src.shardBegin(owner));
                 op.bytes = src.bytesPerTile;
                 op.expected = G - 1;
                 grid.addPull(op);

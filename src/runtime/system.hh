@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "common/event_queue.hh"
+#include "common/log.hh"
 #include "dataflow/tile_dependency.hh"
 #include "gpu/gpu_core.hh"
 #include "switchcompute/switch_compute.hh"
@@ -64,6 +65,27 @@ struct TensorInfo
 
     /** Home GPU of tile @p t (rowShardedHome: contiguous shards). */
     GpuId tileOwner(int t) const;
+
+    /** rowShardedHome: GPU @p g owns tiles [shardBegin(g),
+     *  shardBegin(g + 1)). */
+    int
+    shardBegin(GpuId g) const
+    {
+        return shardStart[static_cast<std::size_t>(g)];
+    }
+
+    /** rowShardedHome: tileOwner(@p t) for a walk over ascending
+     *  tiles, stepping forward from @p from (the owner of an earlier
+     *  tile, or 0) instead of searching. */
+    GpuId
+    tileOwnerFrom(int t, GpuId from) const
+    {
+        if (t < 0 || t >= numTiles)
+            panic("tensor %s: tile %d out of range", name.c_str(), t);
+        while (shardStart[static_cast<std::size_t>(from) + 1] <= t)
+            ++from;
+        return from;
+    }
 
     /** Address of tile @p t (its unique or shared instance). */
     Addr tileAddr(int t) const;

@@ -1,5 +1,7 @@
 #include "workload/collectives.hh"
 
+#include <algorithm>
+
 #include "common/log.hh"
 
 namespace cais
@@ -40,12 +42,14 @@ buildNvlsAllReduce(System &sys, std::uint64_t bytes, int tb_bytes_log2)
     k.grids.resize(static_cast<std::size_t>(G));
     k.producesTracker = out.tracker;
 
-    int per_gpu = (out.numTiles + G - 1) / G;
+    const int per_gpu = (out.numTiles + G - 1) / G;
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        for (int i = 0; i < out.numTiles; ++i) {
-            if (i / per_gpu != g)
-                continue;
+        const int lo = std::min(g * per_gpu, out.numTiles);
+        const int hi = std::min(lo + per_gpu, out.numTiles);
+        const auto tbs = static_cast<std::size_t>(hi - lo);
+        grid.reserve(tbs, tbs, tbs, 0);
+        for (int i = lo; i < hi; ++i) {
             TbDesc &tb = grid.add();
             RemoteOp pull;
             pull.kind = RemoteOpKind::nvlsLdReduce;
@@ -100,18 +104,26 @@ buildSoftwareAllReduce(System &sys, std::uint64_t bytes,
     k1.commKernel = true;
     k1.grids.resize(static_cast<std::size_t>(G));
     k1.producesTracker = scratch.tracker;
+    const auto tiles = static_cast<std::size_t>(scratch.numTiles);
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k1.grids[static_cast<std::size_t>(g)];
+        const int lo = scratch.shardBegin(g);
+        const int hi = scratch.shardBegin(g + 1);
+        grid.reserve(tiles, 0, tiles - static_cast<std::size_t>(hi - lo),
+                     0);
+        GpuId owner = 0;
         for (int i = 0; i < scratch.numTiles; ++i) {
             TbDesc &tb = grid.add();
-            if (scratch.tileOwner(i) == g) {
+            owner = scratch.tileOwnerFrom(i, owner);
+            if (owner == g) {
                 tb.producesTile = i;
                 tb.produceBytes = scratch.bytesPerTile;
             } else {
                 RemoteOp op;
                 op.kind = RemoteOpKind::plainWrite;
                 op.protocolPad = true;
-                op.base = scratch.tileAddr(i);
+                op.base = scratch.tileAddrAt(
+                    owner, i - scratch.shardBegin(owner));
                 op.bytes = scratch.bytesPerTile;
                 grid.addPush(op);
             }
@@ -127,9 +139,11 @@ buildSoftwareAllReduce(System &sys, std::uint64_t bytes,
     k2.producesTracker = out.tracker;
     for (GpuId g = 0; g < G; ++g) {
         TbGrid &grid = k2.grids[static_cast<std::size_t>(g)];
-        for (int i = 0; i < out.numTiles; ++i) {
-            if (scratch.tileOwner(i) != g)
-                continue;
+        const int lo = scratch.shardBegin(g);
+        const int hi = std::min(scratch.shardBegin(g + 1), out.numTiles);
+        const auto tbs = static_cast<std::size_t>(std::max(hi - lo, 0));
+        grid.reserve(tbs, 0, tbs * static_cast<std::size_t>(G - 1), tbs);
+        for (int i = lo; i < hi; ++i) {
             TbDesc &tb = grid.add();
             grid.addDep(TileRef{scratch.tracker, i, g});
             tb.producesTile = i;

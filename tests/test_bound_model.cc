@@ -511,3 +511,105 @@ TEST(BoundModel, GatedRunIsBitIdenticalToSuppressedRun)
     EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
     EXPECT_EQ(a.boundComposite, b.boundComposite);
 }
+
+// ---------------------------------------------------------------
+// Mergeable range union (§6h): the home port is charged once per
+// unique byte, however the ranges arrive.
+// ---------------------------------------------------------------
+
+TEST(BoundModel, RangeCoalescingKeepsUnion)
+{
+    SystemConfig c;
+    c.fabric.numGpus = 4;
+    c.fabric.numSwitches = 2;
+    c.gpu.numSms = 8;
+    c.gpu.jitterSigma = 0.0;
+    const std::uint64_t u = c.gpu.chunkBytes;
+
+    // [begin, end) in chunks, in issue order on GPUs 1 and 2: reversed
+    // (10-12 then 8-10 then 6-7), overlapping (20-24, 22-26, 21-23),
+    // adjacent (30-31, 31-32), disjoint (40-41, 50-51) and a repeat.
+    const std::pair<int, int> gpu1[] = {{10, 12}, {8, 10}, {6, 7},
+                                        {20, 24}, {22, 26}, {21, 23},
+                                        {30, 31}, {31, 32}, {40, 41},
+                                        {50, 51}, {40, 41}};
+    const std::pair<int, int> gpu2[] = {{24, 30}, {5, 6}, {51, 52},
+                                        {7, 8}};
+    struct Want
+    {
+        RemoteOpKind kind;
+        Cycle hbm;
+        Cycle mergeService;
+    };
+    const Want wants[] = {
+        {RemoteOpKind::caisLoad, 27ull, 201ull},
+        {RemoteOpKind::caisRed, 27ull, 201ull},
+    };
+    for (const Want &w : wants) {
+        System sys(c);
+        KernelDesc k;
+        k.name = "ranges";
+        k.grids.resize(4);
+        auto issue = [&](GpuId g, std::span<const std::pair<int, int>> rs) {
+            TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+            for (const auto &[b, e] : rs) {
+                grid.add().computeCycles = 10;
+                RemoteOp op;
+                op.kind = w.kind;
+                op.base = makeAddr(0, static_cast<Addr>(b) * u);
+                op.bytes = static_cast<std::uint64_t>(e - b) * u;
+                op.expected = 2;
+                if (isPullKind(w.kind))
+                    grid.addPull(op);
+                else
+                    grid.addPush(op);
+            }
+        };
+        issue(1, gpu1);
+        issue(2, gpu2);
+        sys.addKernel(std::move(k));
+        BoundResult b = computeBound(sys);
+        EXPECT_EQ(b.hbm, w.hbm) << static_cast<int>(w.kind);
+        EXPECT_EQ(b.mergeService, w.mergeService)
+            << static_cast<int>(w.kind);
+    }
+}
+
+TEST(BoundModel, StaticGatesMatrixMatchesGolden)
+{
+    // Every bound class of the 330 static_gates configurations (flat
+    // plus four presets, 11 strategies, six graphs) at dim=0.25
+    // tok=0.125, folded into one FNV-1a digest.
+    const LlmConfig m = megaGpt4B().scaled(0.25, 0.125);
+    const std::vector<OpGraph> graphs = {
+        buildSubLayer(m, SubLayerId::L1),
+        buildSubLayer(m, SubLayerId::L2),
+        buildSubLayer(m, SubLayerId::L3),
+        buildSubLayer(m, SubLayerId::L4),
+        buildTransformerLayer(m, Pass::forward),
+        buildTransformerLayer(m, Pass::backward),
+    };
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    auto mix = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xff;
+            h *= 0x100000001b3ull;
+        }
+    };
+    int configs = 0;
+    for (const std::string &shape : allShapes()) {
+        const RunConfig cfg = presetConfig(shape);
+        for (const StrategySpec &spec : allStrategies()) {
+            for (const OpGraph &g : graphs) {
+                BoundResult b = staticBound(spec, g, cfg);
+                for (Cycle v : {b.smCompute, b.hbm, b.linkSerialization,
+                                b.mergeService, b.criticalPath,
+                                b.composite})
+                    mix(v);
+                ++configs;
+            }
+        }
+    }
+    EXPECT_EQ(configs, 330);
+    EXPECT_EQ(h, 0x5a118b9afbf1a9ccull) << std::hex << h;
+}

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "fake_tb_listener.hh"
+#include "common/rng.hh"
 #include "gpu/gpu_core.hh"
 #include "workload/gemm_model.hh"
 
@@ -39,6 +40,80 @@ TEST(SmPool, UtilizationAccounting)
     eq.runUntil(200);
     // One of two slots busy for 100 of 200 cycles -> 25%.
     EXPECT_NEAR(pool.utilization(200), 0.25, 1e-9);
+}
+
+TEST(SmPool, AcquireMatchesLinearScan)
+{
+    // Reference: the lowest free slot whose SM (slot % sms) lies in
+    // [lo, hi), with an empty range widened to the one SM at lo.
+    struct Scan
+    {
+        int sms;
+        std::vector<bool> busy;
+
+        int
+        find(double from, double to) const
+        {
+            int lo = static_cast<int>(from * sms);
+            int hi = static_cast<int>(to * sms);
+            if (hi <= lo)
+                hi = lo + 1;
+            for (std::size_t slot = 0; slot < busy.size(); ++slot) {
+                int sm = static_cast<int>(slot) % sms;
+                if (sm >= lo && sm < hi && !busy[slot])
+                    return static_cast<int>(slot);
+            }
+            return -1;
+        }
+    };
+    const double fracs[] = {0.0, 0.25, 0.5, 0.8, 1.0};
+    const std::pair<int, int> shapes[] = {{1, 1}, {3, 1}, {4, 2},
+                                          {7, 3}, {66, 2}, {132, 4}};
+    for (const auto &[sms, ctas] : shapes) {
+        for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+            EventQueue eq;
+            SmPool pool(eq, sms, ctas);
+            Scan ref{sms, std::vector<bool>(
+                              static_cast<std::size_t>(sms * ctas))};
+            std::vector<int> held;
+            Rng rng(seed);
+            for (int step = 0; step < 2000; ++step) {
+                // Mostly the fractions the lowering uses; some random
+                // ones, and to <= from for the widened range.
+                auto frac = [&] {
+                    return rng.uniform() < 0.7
+                               ? fracs[rng.uniformInt(0, 4)]
+                               : rng.uniform();
+                };
+                double from = frac(), to = frac();
+                if (rng.uniform() < 0.1)
+                    to = from;
+                const std::string at = "sms=" + std::to_string(sms) +
+                                       " seed=" + std::to_string(seed) +
+                                       " step=" + std::to_string(step);
+                if (!held.empty() && rng.uniform() < 0.45) {
+                    std::size_t i = static_cast<std::size_t>(
+                        rng.uniformInt(0, static_cast<std::int64_t>(
+                                              held.size()) - 1));
+                    pool.release(held[i]);
+                    ref.busy[static_cast<std::size_t>(held[i])] = false;
+                    held[i] = held.back();
+                    held.pop_back();
+                    continue;
+                }
+                int want = ref.find(from, to);
+                ASSERT_EQ(pool.hasFree(from, to), want >= 0) << at;
+                ASSERT_EQ(pool.acquire(from, to), want) << at;
+                if (want >= 0) {
+                    ref.busy[static_cast<std::size_t>(want)] = true;
+                    held.push_back(want);
+                }
+                ASSERT_EQ(pool.freeCount(),
+                          sms * ctas - static_cast<int>(held.size()))
+                    << at;
+            }
+        }
+    }
 }
 
 TEST(TbScheduler, DispatchesFifoWithinBucket)

@@ -7,7 +7,9 @@
 #include <cstring>
 #include <span>
 
+#include "noc/topology.hh"
 #include "runtime/simulation_driver.hh"
+#include "workload/collectives.hh"
 #include "workload/transformer.hh"
 
 using namespace cais;
@@ -385,4 +387,117 @@ TEST(LoweringFingerprint, Nvl72MatchesGolden)
                               {"CAIS-Partial", 0xff50713c2623b835ull},
                               {"CAIS-w/o-Coord", 0xee58ed183d7d2d95ull},
                           });
+}
+
+TEST(LoweringFingerprint, DgxH100MatchesGolden)
+{
+    RunConfig cfg;
+    cfg.topology = "dgx-h100";
+    cfg.numGpus = FabricParams::preset(cfg.topology).numGpus;
+    // The preset is the default flat machine: same digests as flat-8.
+    expectLoweringDigests(cfg,
+                          {
+                              {"TP-NVLS", 0xd3a20d141a86d93dull},
+                              {"SP-NVLS", 0x1a6ab26fc3163ec9ull},
+                              {"CoCoNet", 0x77f69c72aff1c65dull},
+                              {"FuseLib", 0x5a09d93f77aa8985ull},
+                              {"T3", 0x4d920f85f7074085ull},
+                              {"CoCoNet-NVLS", 0x8d90df7288af3b3dull},
+                              {"FuseLib-NVLS", 0x799ab44395db472dull},
+                              {"T3-NVLS", 0xb8de713f2e47ef81ull},
+                              {"LADM", 0x6b45d754fc8ec9adull},
+                              {"CAIS-Base", 0xadaabb8ba1da9d35ull},
+                              {"CAIS", 0x87fe6fdab21f43c5ull},
+                              {"CAIS-Partial", 0x87fe6fdab21f43c5ull},
+                              {"CAIS-w/o-Coord", 0xcda3e40e7ca328e5ull},
+                          });
+}
+
+TEST(LoweringFingerprint, RailOptimized2NodeMatchesGolden)
+{
+    RunConfig cfg;
+    cfg.topology = "rail-optimized-2node";
+    cfg.numGpus = FabricParams::preset(cfg.topology).numGpus;
+    expectLoweringDigests(cfg,
+                          {
+                              {"TP-NVLS", 0x19304e356e359e7dull},
+                              {"SP-NVLS", 0x7255221591100c19ull},
+                              {"CoCoNet", 0x051ed938bdd2d275ull},
+                              {"FuseLib", 0x27e95a80c39e18c5ull},
+                              {"T3", 0xe6e3a8f0f7a1c6c5ull},
+                              {"CoCoNet-NVLS", 0x3423d17c17e6373dull},
+                              {"FuseLib-NVLS", 0x37b42e32a06740adull},
+                              {"T3-NVLS", 0x7326c9b5a088c1c1ull},
+                              {"LADM", 0x481c9bc456b1c2bdull},
+                              {"CAIS-Base", 0x5fd4e0e9d4363865ull},
+                              {"CAIS", 0x01b16af62cc7dc05ull},
+                              {"CAIS-Partial", 0x01b16af62cc7dc05ull},
+                              {"CAIS-w/o-Coord", 0xfd61289d00cc6fc5ull},
+                          });
+}
+
+TEST(LoweringFingerprint, RailOptimized4NodeMatchesGolden)
+{
+    RunConfig cfg;
+    cfg.topology = "rail-optimized-4node";
+    cfg.numGpus = FabricParams::preset(cfg.topology).numGpus;
+    expectLoweringDigests(cfg,
+                          {
+                              {"TP-NVLS", 0x3a257e39531284ddull},
+                              {"SP-NVLS", 0xcb16efb86ada0319ull},
+                              {"CoCoNet", 0x7ea2a250694784f5ull},
+                              {"FuseLib", 0x48a88c2cc26052c5ull},
+                              {"T3", 0x6b46e4cb6b54ef05ull},
+                              {"CoCoNet-NVLS", 0xcd0949f1bbadb2ddull},
+                              {"FuseLib-NVLS", 0x704feeafc06a258dull},
+                              {"T3-NVLS", 0xbd3cd26e59f7c861ull},
+                              {"LADM", 0x8c2d775adc2d8eddull},
+                              {"CAIS-Base", 0x1810aecf466805a5ull},
+                              {"CAIS", 0x3121cb3227d56d85ull},
+                              {"CAIS-Partial", 0x3121cb3227d56d85ull},
+                              {"CAIS-w/o-Coord", 0x41a2904779044e25ull},
+                          });
+}
+
+TEST(LoweringReserve, GridsHaveNoSlack)
+{
+    // Every emitter reserves its grids' exact final sizes: after
+    // lowering, no TbGrid array holds a spare (or regrown) slot.
+    const LlmConfig model = megaGpt4B().scaled(0.25, 0.125);
+    const std::vector<OpGraph> graphs = {
+        buildSubLayer(model, SubLayerId::L1),
+        buildSubLayer(model, SubLayerId::L2),
+        buildSubLayer(model, SubLayerId::L3),
+        buildSubLayer(model, SubLayerId::L4),
+        buildTransformerLayer(model, Pass::forward),
+        buildTransformerLayer(model, Pass::backward),
+    };
+    std::vector<StrategySpec> specs = allStrategies();
+    specs.push_back(makeCaisPartial());
+    specs.push_back(makeCaisNoCoord());
+    RunConfig nvl72;
+    nvl72.topology = "nvl72";
+    nvl72.numGpus = 72;
+    auto expectExact = [](const System &sys, const std::string &what) {
+        for (std::size_t k = 0; k < sys.numKernels(); ++k) {
+            const KernelDesc &kd = sys.kernel(static_cast<KernelId>(k));
+            for (std::size_t g = 0; g < kd.grids.size(); ++g)
+                EXPECT_EQ(kd.grids[g].slack(), 0u)
+                    << what << " kernel " << kd.name << " gpu " << g;
+        }
+    };
+    for (const RunConfig &cfg : {RunConfig{}, nvl72}) {
+        for (const StrategySpec &spec : specs) {
+            for (const OpGraph &g : graphs) {
+                System sys(cfg.toSystemConfig(spec));
+                GraphLowering(sys, g, spec.opts).lower();
+                expectExact(sys, spec.name + "@" + cfg.topology);
+            }
+        }
+        // The standalone collective builders size their grids too.
+        System sys(cfg.toSystemConfig(makeTpNvls()));
+        buildNvlsAllReduce(sys, 1ull << 20, 16);
+        buildSoftwareAllReduce(sys, 1ull << 20, 16);
+        expectExact(sys, "collectives@" + cfg.topology);
+    }
 }

@@ -100,6 +100,41 @@ TEST(TensorInfoDeathTest, TileOwnerRejectsOutOfRangeTiles)
     EXPECT_DEATH(t.tileOwner(-1), "out of range");
 }
 
+TEST(TensorInfo, TileOwnerFromWalksShardsInOrder)
+{
+    // The emitters' ascending walk: owner stepped forward from the
+    // previous tile's, and the home address formed from the shard's
+    // local index, agree with the searching accessors.
+    for (int gpus : {8, 72}) {
+        System sys(smallConfig(gpus, 2));
+        for (int tiles : {gpus / 2 - 1, gpus, 3 * gpus + 5}) {
+            TensorInfo &t = sys.defineTensor(
+                strfmt("w%d", tiles), TensorLayout::rowShardedHome,
+                tiles * 128, 64, 2, 128, 1);
+            GpuId owner = 0;
+            for (int i = 0; i < tiles; ++i) {
+                owner = t.tileOwnerFrom(i, owner);
+                EXPECT_EQ(owner, linearScanOwner(t, i))
+                    << gpus << " GPUs, " << tiles << " tiles, tile "
+                    << i;
+                EXPECT_EQ(t.tileAddrAt(owner, i - t.shardBegin(owner)),
+                          t.tileAddr(i));
+                EXPECT_GE(i, t.shardBegin(owner));
+                EXPECT_LT(i, t.shardBegin(owner + 1));
+            }
+        }
+    }
+}
+
+TEST(TensorInfoDeathTest, TileOwnerFromRejectsOutOfRangeTiles)
+{
+    System sys(smallConfig(4));
+    TensorInfo &t = sys.defineTensor(
+        "s", TensorLayout::rowShardedHome, 2 * 128, 64, 2, 128, 1);
+    EXPECT_DEATH(t.tileOwnerFrom(2, 0), "out of range");
+    EXPECT_DEATH(t.tileOwnerFrom(-1, 0), "out of range");
+}
+
 TEST(System, LocalAllocationsAreDisjoint)
 {
     System sys(smallConfig());

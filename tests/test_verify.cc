@@ -4,6 +4,7 @@
 
 #include "analysis/verify.hh"
 #include "common/json.hh"
+#include "noc/topology.hh"
 #include "workload/transformer.hh"
 
 using namespace cais;
@@ -308,6 +309,9 @@ TEST(Verify, V5CatchesKernelDependencyCycle)
     EXPECT_EQ(path.front(), path.back());
     EXPECT_TRUE(pathContains(r.diagnostics[0], "gemm.a"));
     EXPECT_TRUE(pathContains(r.diagnostics[0], "gemm.b"));
+    EXPECT_NE(r.diagnostics[0].message.find("cycle over 2 kernel(s)"),
+              std::string::npos)
+        << r.diagnostics[0].message;
 }
 
 TEST(Verify, V5CatchesSameDirectionOverlapPair)
@@ -455,6 +459,100 @@ TEST(Verify, MultiDefectDiagnosticsMatchGolden)
         "V5 | kernel v5.deps depends on unknown kernel id 42 | "
         "[v5.deps] [dep=42]\n";
     EXPECT_EQ(diagnosticLines(r), golden);
+}
+
+TEST(Verify, V1CycleDiagnosticMatchesGolden)
+{
+    // The full V1 report -- message and channel path -- for a GPU-turn
+    // and a switch-turn coupling on a flat and on a tiered fabric. The
+    // DFS visits nodes and targets in ascending id order, so the cycle
+    // it closes first is part of the contract.
+    RunConfig rail;
+    rail.topology = "rail-optimized-2node";
+    rail.numGpus = FabricParams::preset(rail.topology).numGpus;
+    const SystemConfig shapes[] = {tinyConfig(),
+                                   rail.toSystemConfig(makeCais())};
+    const verify::ExtraCoupling couplings[] = {
+        {true, VcClass::response, VcClass::request},
+        {false, VcClass::control, VcClass::reduction},
+    };
+    std::string all;
+    for (const SystemConfig &c : shapes) {
+        System sys(c);
+        for (const verify::ExtraCoupling &x : couplings) {
+            verify::Options o;
+            o.extraCouplings.push_back(x);
+            all += diagnosticLines(verify::verifySystem(sys, o));
+        }
+    }
+    const char *golden =
+        "V1 | channel-dependency cycle over 4 port/VC channels: a "
+        "filled buffer on each waits on the next, so the fabric "
+        "can deadlock | [gpu0->sw0 vc0(request)] [sw0->gpu0 "
+        "vc0(request)] [gpu0->sw0 vc1(response)] [sw0->gpu0 "
+        "vc1(response)] [gpu0->sw0 vc0(request)]\n"
+        "V1 | channel-dependency cycle over 2 port/VC channels: a "
+        "filled buffer on each waits on the next, so the fabric "
+        "can deadlock | [sw0->gpu0 vc2(reduction)] [gpu0->sw0 "
+        "vc5(control)] [sw0->gpu0 vc2(reduction)]\n"
+        "V1 | channel-dependency cycle over 4 port/VC channels: a "
+        "filled buffer on each waits on the next, so the fabric "
+        "can deadlock | [gpu0->leaf0.sw0 vc0(request)] "
+        "[leaf0.sw0->gpu0 vc0(request)] [gpu0->leaf0.sw0 "
+        "vc1(response)] [leaf0.sw0->gpu0 vc1(response)] "
+        "[gpu0->leaf0.sw0 vc0(request)]\n"
+        "V1 | channel-dependency cycle over 2 port/VC channels: a "
+        "filled buffer on each waits on the next, so the fabric "
+        "can deadlock | [leaf0.sw0->gpu0 vc2(reduction)] "
+        "[gpu0->leaf0.sw0 vc5(control)] [leaf0.sw0->gpu0 "
+        "vc2(reduction)]\n";
+    EXPECT_EQ(all, golden);
+}
+
+TEST(Verify, V1CyclePathsMatchGoldenForEveryCoupling)
+{
+    // Every single injected coupling (GPU or switch turn, any class
+    // pair) on a flat fabric, the same with the unified data VC, and a
+    // tiered fabric: the reported cycle paths, in order, folded into
+    // one FNV-1a digest. Clean cases contribute an empty line.
+    RunConfig rail;
+    rail.topology = "rail-optimized-2node";
+    rail.numGpus = FabricParams::preset(rail.topology).numGpus;
+    SystemConfig unified = tinyConfig();
+    unified.fabric.sw.unifiedDataVc = true;
+    const SystemConfig shapes[] = {tinyConfig(), unified,
+                                   rail.toSystemConfig(makeCais())};
+    const int classes = static_cast<int>(VcClass::numClasses);
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    int cycles = 0;
+    for (const SystemConfig &c : shapes) {
+        System sys(c);
+        for (bool at_gpu : {true, false}) {
+            for (int from = 0; from < classes; ++from) {
+                for (int to = 0; to < classes; ++to) {
+                    verify::Options o;
+                    o.suppress = {"V2", "V3", "V4", "V5"};
+                    o.extraCouplings.push_back(
+                        {at_gpu, static_cast<VcClass>(from),
+                         static_cast<VcClass>(to)});
+                    std::string line;
+                    for (const verify::Diagnostic &d :
+                         verify::verifySystem(sys, o).diagnostics) {
+                        ++cycles;
+                        for (const std::string &p : d.path)
+                            line += p + ";";
+                    }
+                    line += "\n";
+                    for (char ch : line) {
+                        h ^= static_cast<unsigned char>(ch);
+                        h *= 0x100000001b3ull;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cycles, 50);
+    EXPECT_EQ(h, 0x5eca1afad55abe72ull) << std::hex << h;
 }
 
 // ---------------------------------------------------------------
