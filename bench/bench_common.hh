@@ -168,7 +168,10 @@ uniquifyPath(const std::string &path, std::size_t index)
 {
     if (path.empty() || index == 0)
         return path;
-    std::string suffix = "." + std::to_string(index);
+    // Built by appends: GCC 12 flags `"." + std::to_string(index)`
+    // with a false -Wrestrict warning (const char * + std::string &&).
+    std::string suffix = ".";
+    suffix += std::to_string(index);
     auto dot = path.rfind('.');
     if (dot == std::string::npos || dot == 0)
         return path + suffix;

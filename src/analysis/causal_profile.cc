@@ -89,26 +89,6 @@ CausalProfiler::causeTime() const
     return causeT;
 }
 
-CausalProfiler::ScopedCause::ScopedCause(CausalProfiler *p,
-                                         ProfNode node, Cycle t)
-    : prof(p)
-{
-    if (!prof)
-        return;
-    prevNode = prof->cause;
-    prevT = prof->causeT;
-    prof->cause = node;
-    prof->causeT = t;
-}
-
-CausalProfiler::ScopedCause::~ScopedCause()
-{
-    if (!prof)
-        return;
-    prof->cause = prevNode;
-    prof->causeT = prevT;
-}
-
 void
 CausalProfiler::setName(ProfNode node, const std::string &name)
 {

@@ -271,13 +271,30 @@ class CausalProfiler
     /**
      * RAII "current enabling cause": while in scope, cause-less
      * record() calls and packet stamps inherit (node, t). Nests; always restored before the enclosing event
-     * returns, so causes never leak across events.
+     * returns, so causes never leak across events. Defined inline:
+     * the hop path opens one per event, mostly with no profiler
+     * attached, where only the null check remains.
      */
     class ScopedCause
     {
       public:
-        ScopedCause(CausalProfiler *p, ProfNode node, Cycle t);
-        ~ScopedCause();
+        ScopedCause(CausalProfiler *p, ProfNode node, Cycle t) : prof(p)
+        {
+            if (!prof)
+                return;
+            prevNode = prof->cause;
+            prevT = prof->causeT;
+            prof->cause = node;
+            prof->causeT = t;
+        }
+
+        ~ScopedCause()
+        {
+            if (!prof)
+                return;
+            prof->cause = prevNode;
+            prof->causeT = prevT;
+        }
 
         ScopedCause(const ScopedCause &) = delete;
         ScopedCause &operator=(const ScopedCause &) = delete;

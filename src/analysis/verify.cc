@@ -1068,19 +1068,29 @@ checkV5(Ctx &cx)
 {
     const std::size_t N = cx.sys.numKernels();
 
-    // Tracker -> producing kernels.
-    std::map<int, std::vector<std::size_t>> producers;
+    // Tracker -> producing kernels, in kernel order. Tracker ids are
+    // indices into the system's trackers; a negative one names none.
+    std::vector<std::vector<std::size_t>> producers;
     for (std::size_t ki = 0; ki < N; ++ki) {
-        const KernelDesc &k =
-            cx.sys.kernel(static_cast<KernelId>(ki));
-        if (k.producesTracker != invalidId)
-            producers[k.producesTracker].push_back(ki);
+        const int t = cx.sys.kernel(static_cast<KernelId>(ki))
+                          .producesTracker;
+        if (t < 0)
+            continue;
+        if (static_cast<std::size_t>(t) >= producers.size())
+            producers.resize(static_cast<std::size_t>(t) + 1);
+        producers[static_cast<std::size_t>(t)].push_back(ki);
     }
 
     // Dependency edges: explicit kernelDeps plus tile-level
-    // producer/consumer edges through the trackers.
+    // producer/consumer edges through the trackers. Every edge added
+    // while visiting kernel ki ends at ki, so each target list comes
+    // out ascending; skipping a repeat of its last entry deduplicates.
     std::vector<std::vector<std::size_t>> adj(N);
-    std::vector<std::uint8_t> seen;
+    auto addEdge = [&](std::size_t from, std::size_t to) {
+        if (adj[from].empty() || adj[from].back() != to)
+            adj[from].push_back(to);
+    };
+    std::vector<std::uint8_t> seen(producers.size(), 0);
     std::vector<int> depTrackers;
     for (std::size_t ki = 0; ki < N; ++ki) {
         const KernelDesc &k =
@@ -1094,58 +1104,56 @@ checkV5(Ctx &cx)
                           {k.name, strfmt("dep=%d", d)});
                 continue;
             }
-            adj[static_cast<std::size_t>(d)].push_back(ki);
+            addEdge(static_cast<std::size_t>(d), ki);
         }
-        // Each tracker this kernel waits on, once (adj is sorted and
-        // deduplicated below, so only the lookups need the dedup).
+        // Each produced tracker this kernel waits on, once.
         depTrackers.clear();
         for (const TbGrid &grid : k.grids)
             for (const TileRef &ref : grid.allDeps()) {
                 const int t = ref.tracker;
-                if (t == invalidId)
+                if (t < 0 ||
+                    static_cast<std::size_t>(t) >= producers.size() ||
+                    seen[static_cast<std::size_t>(t)])
                     continue;
-                if (t >= 0) {
-                    if (static_cast<std::size_t>(t) >= seen.size())
-                        seen.resize(static_cast<std::size_t>(t) + 1);
-                    if (seen[static_cast<std::size_t>(t)])
-                        continue;
-                    seen[static_cast<std::size_t>(t)] = 1;
-                }
+                seen[static_cast<std::size_t>(t)] = 1;
                 depTrackers.push_back(t);
             }
         for (int t : depTrackers) {
-            if (t >= 0)
-                seen[static_cast<std::size_t>(t)] = 0;
-            auto it = producers.find(t);
-            if (it == producers.end())
-                continue;
-            for (std::size_t p : it->second)
+            seen[static_cast<std::size_t>(t)] = 0;
+            for (std::size_t p : producers[static_cast<std::size_t>(t)])
                 if (p != ki)
-                    adj[p].push_back(ki);
+                    addEdge(p, ki);
         }
-    }
-    for (auto &targets : adj) {
-        std::sort(targets.begin(), targets.end());
-        targets.erase(std::unique(targets.begin(), targets.end()),
-                      targets.end());
     }
 
     auto kernelName = [&](std::size_t ki) {
         return cx.sys.kernel(static_cast<KernelId>(ki)).name;
     };
 
-    // Cycle detection (DFS, deterministic order).
+    // Cycle detection (DFS, deterministic order). A kernel finishes
+    // after all its targets, so its reachability row -- one bit per
+    // kernel -- is filled once, from theirs, when it finishes.
+    const std::size_t W = (N + 63) / 64;
+    std::vector<std::uint64_t> reach(N * W, 0);
+    auto finish = [&](std::size_t node) {
+        std::uint64_t *row = &reach[node * W];
+        for (std::size_t t : adj[node]) {
+            row[t / 64] |= std::uint64_t{1} << (t % 64);
+            const std::uint64_t *from = &reach[t * W];
+            for (std::size_t w = 0; w < W; ++w)
+                row[w] |= from[w];
+        }
+    };
     std::vector<std::uint8_t> color(N, 0);
     std::vector<std::size_t> pathStack;
-    bool cycleFound = false;
-    for (std::size_t root = 0; root < N && !cycleFound; ++root) {
+    std::vector<std::pair<std::size_t, std::size_t>> frames;
+    for (std::size_t root = 0; root < N; ++root) {
         if (color[root] != 0)
             continue;
-        std::vector<std::pair<std::size_t, std::size_t>> frames;
         frames.emplace_back(root, 0);
         color[root] = 1;
         pathStack = {root};
-        while (!frames.empty() && !cycleFound) {
+        while (!frames.empty()) {
             auto &[node, next] = frames.back();
             if (next < adj[node].size()) {
                 std::size_t t = adj[node][next++];
@@ -1164,8 +1172,7 @@ checkV5(Ctx &cx)
                                "launch",
                                kernels),
                         std::move(cyc));
-                    cycleFound = true;
-                    break;
+                    return; // reachability below assumes a DAG
                 }
                 if (color[t] == 0) {
                     color[t] = 1;
@@ -1174,37 +1181,18 @@ checkV5(Ctx &cx)
                 }
             } else {
                 color[node] = 2;
+                finish(node);
                 frames.pop_back();
                 pathStack.pop_back();
             }
         }
     }
-    if (cycleFound)
-        return; // reachability below assumes a DAG
+    auto reaches = [&](std::size_t from, std::size_t to) {
+        return (reach[from * W + to / 64] >> (to % 64)) & 1u;
+    };
 
-    // Reachability closure for the overlap analysis.
-    std::vector<std::vector<bool>> reach(N,
-                                         std::vector<bool>(N, false));
-    for (std::size_t ki = N; ki-- > 0;) {
-        // adj targets always have larger topological depth; a reverse
-        // index sweep is not a topological order, so iterate to a
-        // fixed point instead (N is small: one kernel per op stage).
-        for (std::size_t t : adj[ki])
-            reach[ki][t] = true;
-    }
-    bool changed = true;
-    while (changed) {
-        changed = false;
-        for (std::size_t ki = 0; ki < N; ++ki)
-            for (std::size_t t : adj[ki])
-                for (std::size_t x = 0; x < N; ++x)
-                    if (reach[t][x] && !reach[ki][x]) {
-                        reach[ki][x] = true;
-                        changed = true;
-                    }
-    }
-
-    // Traffic direction of each kernel: +1 pure pull (stresses the
+    // Traffic direction of each SM-partitioned kernel (the only ones
+    // the overlap rule pairs): +1 pure pull (stresses the
     // switch-to-GPU direction), -1 pure push (GPU-to-switch), 0 mixed
     // or local-only.
     std::vector<int> dir(N, 0);
@@ -1212,6 +1200,9 @@ checkV5(Ctx &cx)
     for (std::size_t ki = 0; ki < N; ++ki) {
         const KernelDesc &k =
             cx.sys.kernel(static_cast<KernelId>(ki));
+        partial[ki] = k.smFrom > 0.0 || k.smTo < 1.0;
+        if (!partial[ki])
+            continue;
         std::uint64_t pull = 0, push = 0;
         for (const TbGrid &grid : k.grids) {
             for (const RemoteOp &op : grid.allPulls())
@@ -1223,7 +1214,6 @@ checkV5(Ctx &cx)
             dir[ki] = 1;
         else if (push > 0 && pull == 0)
             dir[ki] = -1;
-        partial[ki] = k.smFrom > 0.0 || k.smTo < 1.0;
     }
 
     // Asymmetric-overlap pairs: SM-disjoint, unordered kernels that
@@ -1235,7 +1225,7 @@ checkV5(Ctx &cx)
                 continue;
             if (dir[i] == 0 || dir[i] != dir[j])
                 continue;
-            if (reach[i][j] || reach[j][i])
+            if (reaches(i, j) || reaches(j, i))
                 continue;
             const KernelDesc &a =
                 cx.sys.kernel(static_cast<KernelId>(i));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cstdint>
 #include <sstream>
 
@@ -263,7 +264,8 @@ MetricRegistry::reindex(std::size_t buckets) const
     std::vector<std::uint64_t> old = std::move(index);
     index.assign(buckets, 0);
     if (old.empty()) {
-        // Cleared by seal(): hash every path again.
+        // Not built yet (paths in order so far) or cleared by
+        // seal(): hash every path.
         for (std::size_t i = 0; i < paths->size(); ++i)
             place(hashPath((*paths)[i]), i);
         return;
@@ -282,26 +284,35 @@ MetricRegistry::insert(std::string_view path, const Slot &slot)
     // A snapshot still reading the path table keeps its own copy.
     if (paths.use_count() > 1)
         paths = std::make_shared<MetricPathTable>(*paths);
-    // Load factor <= 1/2 keeps the linear probes short.
-    if (2 * (slots.size() + 1) > index.size())
-        reindex(std::max<std::size_t>(
-            64, std::bit_ceil(4 * (slots.size() + 1))));
 
-    const std::uint32_t h = hashPath(path);
-    const std::size_t mask = index.size() - 1;
-    for (std::size_t b = h & mask; index[b]; b = (b + 1) & mask)
-        if (index[b] >> 32 == h &&
-            (*paths)[(index[b] & 0xffffffffu) - 1] == path)
+    // In path order, a path above the last one is above every earlier
+    // one too, so it cannot be a duplicate.
+    if (sorted && paths->size()) {
+        const int cmp = path.compare((*paths)[paths->size() - 1]);
+        if (cmp == 0)
             panic("duplicate metric path '%.*s'",
                   static_cast<int>(path.size()), path.data());
-    place(h, slots.size());
+        if (cmp < 0)
+            sorted = false; // index every path from here on
+    }
+    if (!sorted) {
+        // Load factor <= 1/2 keeps the linear probes short.
+        if (2 * (slots.size() + 1) > index.size())
+            reindex(std::max<std::size_t>(
+                64, std::bit_ceil(4 * (slots.size() + 1))));
+        const std::uint32_t h = hashPath(path);
+        const std::size_t mask = index.size() - 1;
+        for (std::size_t b = h & mask; index[b]; b = (b + 1) & mask)
+            if (index[b] >> 32 == h &&
+                (*paths)[(index[b] & 0xffffffffu) - 1] == path)
+                panic("duplicate metric path '%.*s'",
+                      static_cast<int>(path.size()), path.data());
+        place(h, slots.size());
+    }
 
     std::string &chars = paths->chars;
     if (chars.size() + path.size() > UINT32_MAX)
         panic("metric path table exceeds 4 GiB");
-    if (sorted && paths->size() &&
-        path < (*paths)[paths->size() - 1])
-        sorted = false;
     paths->at.emplace_back(static_cast<std::uint32_t>(chars.size()),
                            static_cast<std::uint32_t>(path.size()));
     chars.append(path);
@@ -329,9 +340,16 @@ MetricRegistry::seal() const
     }
     paths->at = std::move(at);
     slots = std::move(sorted_slots);
-    // Slot numbers moved; the next add rebuilds the index.
+    // Slot numbers moved; an out-of-order add rebuilds the index.
     index.clear();
     sorted = true;
+}
+
+void
+MetricPath::put(std::uint64_t id)
+{
+    char digits[20]; // UINT64_MAX has 20 digits
+    buf.append(digits, std::to_chars(digits, digits + 20, id).ptr);
 }
 
 void

@@ -173,11 +173,17 @@ class MetricSnapshot
  * Flat layout: a MetricPathTable and a parallel vector of compact
  * slots (kind tag, plain reader function, and inline state: the
  * stats object's pointer or a small lambda). No std::function, no
- * heap node per metric. Duplicate paths are caught at add time
- * through an open-addressed index of path hashes and slot numbers.
- * The slots are sorted by path once, at the first snapshot() or
- * has(). That sort writes to the registry, so one registry is not
- * read from two threads at once (each job owns its registry).
+ * heap node per metric.
+ *
+ * Paths added in strictly increasing byte order (as
+ * System::registerMetrics adds them) cost one comparison with the
+ * previous path each: that comparison is the duplicate check, and the
+ * table needs no sort. The first path that arrives out of order
+ * switches the registry to an open-addressed index of path hashes and
+ * slot numbers for the duplicate check, and the slots are then sorted
+ * by path once, at the next snapshot() or has(). That sort writes to
+ * the registry, so one registry is not read from two threads at once
+ * (each job owns its registry).
  */
 class MetricRegistry
 {
@@ -228,6 +234,13 @@ class MetricRegistry
 
     /** Number of registered paths. */
     std::size_t size() const { return slots.size(); }
+
+    /**
+     * True while every path added since the last sort arrived above
+     * its predecessor in byte order, so the next snapshot() or has()
+     * sorts nothing.
+     */
+    bool inPathOrder() const { return sorted; }
 
     /** True when @p path is registered. */
     bool has(std::string_view path) const;
@@ -288,7 +301,7 @@ class MetricRegistry
     void place(std::uint32_t hash, std::size_t slot) const;
 
     /** Regrow the duplicate-check index to @p buckets (a power of
-     *  two), rehashing the paths only after seal() cleared it. */
+     *  two), hashing every path when it is empty. */
     void reindex(std::size_t buckets) const;
 
     /** Path of slot i at at[i]; shared with snapshots, copied before
@@ -297,16 +310,91 @@ class MetricRegistry
         std::make_shared<MetricPathTable>();
     mutable std::vector<Slot> slots;
     /** Open-addressed duplicate check: path hash << 32 | slot + 1
-     *  (0 = empty); cleared by seal(), rebuilt on the next add. */
+     *  (0 = empty). Holds every slot while !sorted; empty otherwise
+     *  (seal() clears it, an out-of-order add rebuilds it). */
     mutable std::vector<std::uint64_t> index;
+    /** Paths strictly increasing in slot order. */
     mutable bool sorted = true;
 };
 
 /**
+ * A dotted metric path built in one reused buffer. A probe names each
+ * leaf as path("loadReqs") or path("port", 3, ".peakBytes") and gets
+ * back `prefix.loadReqs` or `prefix.port3.peakBytes` without building
+ * a string temporary. The returned string holds until the next call.
+ */
+class MetricPath
+{
+  public:
+    /** Paths under @p prefix; an empty prefix makes top-level paths. */
+    explicit MetricPath(std::string_view prefix)
+    {
+        buf.reserve(prefix.size() + 40); // + the longest leaf
+        buf.append(prefix);
+        if (!buf.empty())
+            buf += '.';
+        base = buf.size();
+    }
+
+    /** `prefix.` followed by @p parts: strings, and integers written
+     *  in decimal. */
+    template <class... Parts>
+    const std::string &
+    operator()(const Parts &...parts)
+    {
+        buf.resize(base);
+        (put(parts), ...);
+        return buf;
+    }
+
+  private:
+    void put(std::string_view s) { buf.append(s); }
+    void put(std::uint64_t id);
+
+    std::string buf;
+    std::size_t base = 0;
+};
+
+/**
+ * Calls @p fn(i) for every i in [@p lo, @p hi) in the byte order of
+ * their decimal strings: 0, 1, 10, 11, ..., 19, 2, 20, .... A path
+ * component such as gpu<i> or port<i> is always followed by '.',
+ * which sorts below every digit, so this is the order in which the
+ * registry sorts the children's paths. Probes walk indexed children
+ * through it to add their paths in path order.
+ */
+template <class F>
+void
+forEachInPathOrder(int lo, int hi, F &&fn)
+{
+    if (hi <= 0)
+        return;
+    if (lo <= 0)
+        fn(0);
+    // Preorder walk of the decimal trie over 1 .. hi - 1: descend to
+    // i * 10 while it is in range, else step to the next sibling,
+    // climbing past exhausted digits.
+    int i = 1;
+    for (int left = hi - 1; left > 0; --left) {
+        if (i >= lo)
+            fn(i);
+        if (i <= (hi - 1) / 10) {
+            i *= 10;
+        } else {
+            while (i % 10 == 9 || i + 1 >= hi)
+                i /= 10;
+            ++i;
+        }
+    }
+}
+
+/**
  * Interface of a component that publishes metrics. Implementations
  * register every metric they own under `prefix + "."` and recurse
- * into sub-components with an extended prefix. Registration must not
- * change simulation behaviour (readers only).
+ * into sub-components with an extended prefix, in path order (leaf
+ * names in byte order, indexed children through forEachInPathOrder)
+ * so the registry neither indexes nor sorts them. Registration must
+ * not change simulation behaviour (readers only).
  */
 class Probe
 {

@@ -48,14 +48,16 @@ class GpuCore
         hubImpl.setProfiler(pr);
     }
 
-    /** Register every sub-component under prefix.{hub,hbm,sched,sync}. */
+    /** Register every sub-component under prefix.{hbm,hub,sched,sync},
+     *  in path order. */
     void
     registerMetrics(MetricRegistry &reg, const std::string &prefix) const
     {
-        hubImpl.registerMetrics(reg, prefix + ".hub");
-        hubImpl.hbm().registerMetrics(reg, prefix + ".hbm");
-        sched.registerMetrics(reg, prefix + ".sched");
-        syncImpl.registerMetrics(reg, prefix + ".sync");
+        MetricPath path(prefix);
+        hubImpl.hbm().registerMetrics(reg, path("hbm"));
+        hubImpl.registerMetrics(reg, path("hub"));
+        sched.registerMetrics(reg, path("sched"));
+        syncImpl.registerMetrics(reg, path("sync"));
     }
 
   private:

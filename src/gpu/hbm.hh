@@ -51,9 +51,10 @@ class HbmModel : public Probe
     registerMetrics(MetricRegistry &reg,
                     const std::string &prefix) const override
     {
-        reg.addCounter(prefix + ".bytes", &bytes);
-        reg.addCounter(prefix + ".accesses", &accesses);
-        reg.addGaugeU64(prefix + ".busyCycles", [this] { return busy; });
+        MetricPath path(prefix);
+        reg.addCounter(path("accesses"), &accesses);
+        reg.addGaugeU64(path("busyCycles"), [this] { return busy; });
+        reg.addCounter(path("bytes"), &bytes);
     }
 
   private:

@@ -171,8 +171,10 @@ GpuHub::pump()
             issueQueue.insert(
                 std::min<std::size_t>(issueWindow - 1, issueQueue.size()),
                 id);
+        // No completion check here: the chunk just injected is still
+        // counted in awaitingInject, so the job can only finish in
+        // onLinkDequeue or acceptPacket, which both check.
         injectChunk(id, js, chunk);
-        maybeFinish(id);
     }
 
     if (earliest_resume > now && !pumpScheduled) {

@@ -126,10 +126,11 @@ class GpuHub : public PacketSink,
     registerMetrics(MetricRegistry &reg,
                     const std::string &prefix) const override
     {
-        reg.addCounter(prefix + ".chunksInjected", &injected);
-        reg.addCounter(prefix + ".responses", &responses);
-        reg.addCounter(prefix + ".throttlePauses", &pauses);
-        reg.addCounter(prefix + ".bytesServed", &served);
+        MetricPath path(prefix);
+        reg.addCounter(path("bytesServed"), &served);
+        reg.addCounter(path("chunksInjected"), &injected);
+        reg.addCounter(path("responses"), &responses);
+        reg.addCounter(path("throttlePauses"), &pauses);
     }
 
   private:

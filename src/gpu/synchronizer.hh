@@ -51,8 +51,9 @@ class Synchronizer : public Probe
     registerMetrics(MetricRegistry &reg,
                     const std::string &prefix) const override
     {
-        reg.addCounter(prefix + ".requests", &reqs);
-        reg.addCounter(prefix + ".releases", &rels);
+        MetricPath path(prefix);
+        reg.addCounter(path("releases"), &rels);
+        reg.addCounter(path("requests"), &reqs);
     }
 
   private:

@@ -45,7 +45,7 @@ class TbScheduler : public Probe
     registerMetrics(MetricRegistry &reg,
                     const std::string &prefix) const override
     {
-        reg.addCounter(prefix + ".dispatched", &dispatched);
+        reg.addCounter(MetricPath(prefix)("dispatched"), &dispatched);
     }
 
   private:

@@ -204,10 +204,12 @@ CreditLink::registerMetrics(MetricRegistry &reg,
     // The per-bin utilization TimeSeries is deliberately not
     // registered: one series per link direction would dominate the
     // report; Fabric exposes the fleet-wide aggregate instead.
-    reg.addCounter(prefix + ".wireBytes", &wireBytes);
-    reg.addCounter(prefix + ".payloadBytes", &payloadBytes);
-    reg.addCounter(prefix + ".packets", &packets);
-    reg.addGaugeU64(prefix + ".busyCycles", [this] { return busy; });
+    // Leaves in path order (see MetricRegistry).
+    MetricPath path(prefix);
+    reg.addGaugeU64(path("busyCycles"), [this] { return busy; });
+    reg.addCounter(path("packets"), &packets);
+    reg.addCounter(path("payloadBytes"), &payloadBytes);
+    reg.addCounter(path("wireBytes"), &wireBytes);
 }
 
 } // namespace cais

@@ -449,50 +449,57 @@ void
 Fabric::registerMetrics(MetricRegistry &reg,
                         const std::string &prefix) const
 {
+    // In path order: dn < t_dn < t_up < up, indices through
+    // forEachInPathOrder.
+    MetricPath path(prefix);
+    auto at = [](const auto &links, int i, int j) {
+        return links[static_cast<std::size_t>(i)]
+                    [static_cast<std::size_t>(j)].get();
+    };
     if (!p.multiTier()) {
-        for (int g = 0; g < p.numGpus; ++g) {
-            for (int s = 0; s < p.numSwitches; ++s) {
-                up[static_cast<std::size_t>(g)][static_cast<std::size_t>(s)]
-                    ->registerMetrics(reg, prefix + ".up.g" +
-                                               std::to_string(g) + ".s" +
-                                               std::to_string(s));
-                down[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)]
-                    ->registerMetrics(reg, prefix + ".dn.s" +
-                                               std::to_string(s) + ".g" +
-                                               std::to_string(g));
-            }
-        }
+        forEachInPathOrder(0, p.numSwitches, [&](int s) {
+            forEachInPathOrder(0, p.numGpus, [&](int g) {
+                at(down, s, g)->registerMetrics(
+                    reg, path("dn.s", s, ".g", g));
+            });
+        });
+        forEachInPathOrder(0, p.numGpus, [&](int g) {
+            forEachInPathOrder(0, p.numSwitches, [&](int s) {
+                at(up, g, s)->registerMetrics(
+                    reg, path("up.g", g, ".s", s));
+            });
+        });
         return;
     }
-    int gpp = p.gpusPerGroup();
-    for (int g = 0; g < p.numGpus; ++g) {
-        for (int r = 0; r < p.railsPerGroup; ++r) {
-            int l = p.leafIndex(g / gpp, r);
-            up[static_cast<std::size_t>(g)][static_cast<std::size_t>(r)]
-                ->registerMetrics(reg, prefix + ".up.g" +
-                                           std::to_string(g) + ".l" +
-                                           std::to_string(l));
-            down[static_cast<std::size_t>(l)]
-                [static_cast<std::size_t>(g % gpp)]
-                    ->registerMetrics(reg, prefix + ".dn.l" +
-                                               std::to_string(l) + ".g" +
-                                               std::to_string(g));
-        }
-    }
-    for (int l = 0; l < p.numLeaves(); ++l) {
-        for (int k = 0; k < p.numSpines; ++k) {
-            tierUp[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)]
-                ->registerMetrics(reg, prefix + ".t_up.l" +
-                                           std::to_string(l) + ".k" +
-                                           std::to_string(k));
-            tierDown[static_cast<std::size_t>(k)]
-                    [static_cast<std::size_t>(l)]
-                        ->registerMetrics(reg, prefix + ".t_dn.k" +
-                                                   std::to_string(k) +
-                                                   ".l" +
-                                                   std::to_string(l));
-        }
-    }
+    // Leaf l serves GPU group l / railsPerGroup; GPU g reaches one leaf
+    // per rail of its group.
+    const int gpp = p.gpusPerGroup();
+    forEachInPathOrder(0, p.numLeaves(), [&](int l) {
+        const int first = l / p.railsPerGroup * gpp;
+        forEachInPathOrder(first, first + gpp, [&](int g) {
+            at(down, l, g - first)->registerMetrics(
+                reg, path("dn.l", l, ".g", g));
+        });
+    });
+    forEachInPathOrder(0, p.numSpines, [&](int k) {
+        forEachInPathOrder(0, p.numLeaves(), [&](int l) {
+            at(tierDown, k, l)->registerMetrics(
+                reg, path("t_dn.k", k, ".l", l));
+        });
+    });
+    forEachInPathOrder(0, p.numLeaves(), [&](int l) {
+        forEachInPathOrder(0, p.numSpines, [&](int k) {
+            at(tierUp, l, k)->registerMetrics(
+                reg, path("t_up.l", l, ".k", k));
+        });
+    });
+    forEachInPathOrder(0, p.numGpus, [&](int g) {
+        const int first = p.leafIndex(g / gpp, 0);
+        forEachInPathOrder(first, first + p.railsPerGroup, [&](int l) {
+            at(up, g, l - first)->registerMetrics(
+                reg, path("up.g", g, ".l", l));
+        });
+    });
 }
 
 } // namespace cais

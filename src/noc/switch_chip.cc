@@ -206,10 +206,11 @@ void
 SwitchChip::registerMetrics(MetricRegistry &reg,
                             const std::string &prefix) const
 {
-    reg.addCounter(prefix + ".forwarded", &forwarded);
-    reg.addCounter(prefix + ".consumed", &consumed);
-    reg.addCounter(prefix + ".generated", &generated);
-    reg.addGaugeU64(prefix + ".peakInputVcOccupancy", [this] {
+    MetricPath path(prefix);
+    reg.addCounter(path("consumed"), &consumed);
+    reg.addCounter(path("forwarded"), &forwarded);
+    reg.addCounter(path("generated"), &generated);
+    reg.addGaugeU64(path("peakInputVcOccupancy"), [this] {
         return static_cast<std::uint64_t>(peakInputOccupancy());
     });
 }

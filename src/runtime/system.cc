@@ -640,37 +640,52 @@ System::kernelGpuSpan(KernelId k, GpuId g) const
 void
 System::registerMetrics(MetricRegistry &reg) const
 {
+    // Paths are added in path order, so the registry neither indexes
+    // nor sorts them (DESIGN.md §6d): top-level names alphabetically,
+    // indexed children through forEachInPathOrder.
     reg.addGaugeU64("eventq.executed",
                     [this] { return queue.executed(); });
     reg.addGaugeU64("eventq.peakPending", [this] {
         return static_cast<std::uint64_t>(queue.peakPending());
     });
-    const FabricParams &fp = cfg.fabric;
-    for (std::size_t s = 0; s < complexes.size(); ++s) {
-        // Tier-prefixed switch paths on multi-tier fabrics; flat
-        // shapes keep the historical switch<S> names so report diffs
-        // against older runs line up.
-        SwitchId si = static_cast<SwitchId>(s);
-        std::string prefix;
-        if (!fp.multiTier())
-            prefix = "switch" + std::to_string(s);
-        else if (fp.isSpineSwitch(si))
-            prefix = "spine.sw" + std::to_string(si - fp.numLeaves());
-        else
-            prefix = "leaf" + std::to_string(si / fp.railsPerGroup) +
-                     ".sw" + std::to_string(si % fp.railsPerGroup);
-        complexes[s]->registerMetrics(reg, prefix);
-        fab->switchChip(si).registerMetrics(reg, prefix + ".chip");
-    }
-    for (std::size_t g = 0; g < gpus.size(); ++g)
-        gpus[g]->registerMetrics(reg, "gpu" + std::to_string(g));
-    fab->registerMetrics(reg, "link");
     // Fig. 16 utilization-over-time series, computed over the run
     // window at snapshot time so it appears in run reports (and
     // therefore in cais_report summaries and diffs).
     reg.addTimeSeriesFn("fabric.utilSeries", cfg.fabric.utilBinWidth,
                         [this] {
         return fab->utilizationSeries(0, finishedAt ? finishedAt : 1);
+    });
+    MetricPath path("");
+    forEachInPathOrder(0, static_cast<int>(gpus.size()), [&](int g) {
+        gpus[static_cast<std::size_t>(g)]->registerMetrics(
+            reg, path("gpu", g));
+    });
+
+    // Tier-prefixed switch paths on multi-tier fabrics (leaf<G>.sw<R>,
+    // spine.sw<K>); flat shapes keep the historical switch<S> names so
+    // report diffs against older runs line up. The chip's paths sort
+    // before the engines' (chip < merge < nvls < sync).
+    auto addSwitch = [&](int s, const std::string &prefix) {
+        fab->switchChip(static_cast<SwitchId>(s))
+            .registerMetrics(reg, MetricPath(prefix)("chip"));
+        complexes[static_cast<std::size_t>(s)]->registerMetrics(reg,
+                                                                prefix);
+    };
+    const FabricParams &fp = cfg.fabric;
+    if (!fp.multiTier()) {
+        fab->registerMetrics(reg, "link");
+        forEachInPathOrder(0, static_cast<int>(complexes.size()),
+                           [&](int s) { addSwitch(s, path("switch", s)); });
+        return;
+    }
+    forEachInPathOrder(0, fp.numGroups, [&](int grp) {
+        forEachInPathOrder(0, fp.railsPerGroup, [&](int r) {
+            addSwitch(fp.leafIndex(grp, r), path("leaf", grp, ".sw", r));
+        });
+    });
+    fab->registerMetrics(reg, "link");
+    forEachInPathOrder(0, fp.numSpines, [&](int k) {
+        addSwitch(fp.numLeaves() + k, path("spine.sw", k));
     });
 }
 

@@ -123,9 +123,10 @@ void
 GroupSyncTable::registerMetrics(MetricRegistry &reg,
                                 const std::string &prefix) const
 {
-    reg.addCounter(prefix + ".requests", &reqs);
-    reg.addCounter(prefix + ".releases", &rels);
-    reg.addHistogram(prefix + ".window", &window);
+    MetricPath path(prefix);
+    reg.addCounter(path("releases"), &rels);
+    reg.addCounter(path("requests"), &reqs);
+    reg.addHistogram(path("window"), &window);
 }
 
 } // namespace cais

@@ -501,51 +501,45 @@ void
 MergeUnit::registerMetrics(MetricRegistry &reg,
                            const std::string &prefix) const
 {
-    reg.addCounter(prefix + ".loadReqs", &st.loadReqs);
-    reg.addCounter(prefix + ".redReqs", &st.redReqs);
-    reg.addCounter(prefix + ".loadHits", &st.loadHits);
-    reg.addCounter(prefix + ".redHits", &st.redHits);
-    reg.addCounter(prefix + ".fetches", &st.fetches);
-    reg.addCounter(prefix + ".bypassFetches", &st.bypassFetches);
-    reg.addCounter(prefix + ".unmergedWrites", &st.unmergedWrites);
-    reg.addCounter(prefix + ".mergedWrites", &st.mergedWrites);
-    reg.addCounter(prefix + ".sessionsOpened", &st.sessionsOpened);
-    reg.addCounter(prefix + ".sessionsClosed", &st.sessionsClosed);
+    // Leaves and ports in path order (see MetricRegistry).
+    MetricPath path(prefix);
+    reg.addCounter(path("bypassFetches"), &st.bypassFetches);
+    reg.addCounter(path("evictions.deferred"), &evSt.deferredEvictions);
+    reg.addCounter(path("evictions.lru"), &evSt.lruEvictions);
+    reg.addCounter(path("evictions.timeout"), &evSt.timeoutEvictions);
+    reg.addCounter(path("fetches"), &st.fetches);
+    reg.addCounter(path("loadHits"), &st.loadHits);
+    reg.addCounter(path("loadReqs"), &st.loadReqs);
+    reg.addHistogram(path("loadStagger"), &loadStagger);
+    reg.addCounter(path("mergedWrites"), &st.mergedWrites);
     if (tier.isLeaf())
-        reg.addCounter(prefix + ".partialUpstream", &st.partialUpstream);
-
-    reg.addCounter(prefix + ".evictions.lru", &evSt.lruEvictions);
-    reg.addCounter(prefix + ".evictions.timeout",
-                   &evSt.timeoutEvictions);
-    reg.addCounter(prefix + ".evictions.deferred",
-                   &evSt.deferredEvictions);
-
-    reg.addHistogram(prefix + ".stagger", &stagger);
-    reg.addHistogram(prefix + ".loadStagger", &loadStagger);
-    reg.addHistogram(prefix + ".redStagger", &redStagger);
-
-    reg.addGaugeU64(prefix + ".peakTableBytes",
-                    [this] { return peakTableBytes(); });
-    reg.addGaugeU64(prefix + ".peakLoadSessions", [this] {
+        reg.addCounter(path("partialUpstream"), &st.partialUpstream);
+    reg.addGaugeU64(path("peakLoadSessions"), [this] {
         return static_cast<std::uint64_t>(peakLoads);
     });
-    reg.addGaugeU64(prefix + ".peakRedSessions", [this] {
+    reg.addGaugeU64(path("peakRedSessions"), [this] {
         return static_cast<std::uint64_t>(peakReds);
     });
+    reg.addGaugeU64(path("peakTableBytes"),
+                    [this] { return peakTableBytes(); });
 
-    for (std::size_t port = 0; port < tables.size(); ++port) {
-        const MergingTable *t = &tables[port];
-        reg.addGaugeU64(prefix + ".port" + std::to_string(port) +
-                            ".peakBytes",
+    forEachInPathOrder(0, static_cast<int>(tables.size()), [&](int port) {
+        const MergingTable *t = &tables[static_cast<std::size_t>(port)];
+        reg.addGaugeU64(path("port", port, ".peakBytes"),
                         [t] { return t->peakBytes(); });
-        reg.addGaugeU64(prefix + ".port" + std::to_string(port) +
-                            ".peakEntries",
-                        [t] {
+        reg.addGaugeU64(path("port", port, ".peakEntries"), [t] {
             return static_cast<std::uint64_t>(t->peakEntries());
         });
-    }
+    });
 
-    throttle.registerMetrics(reg, prefix + ".throttle");
+    reg.addCounter(path("redHits"), &st.redHits);
+    reg.addCounter(path("redReqs"), &st.redReqs);
+    reg.addHistogram(path("redStagger"), &redStagger);
+    reg.addCounter(path("sessionsClosed"), &st.sessionsClosed);
+    reg.addCounter(path("sessionsOpened"), &st.sessionsOpened);
+    reg.addHistogram(path("stagger"), &stagger);
+    throttle.registerMetrics(reg, path("throttle"));
+    reg.addCounter(path("unmergedWrites"), &st.unmergedWrites);
 }
 
 } // namespace cais

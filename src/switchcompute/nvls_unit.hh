@@ -71,9 +71,10 @@ class NvlsUnit : public Probe
     registerMetrics(MetricRegistry &reg,
                     const std::string &prefix) const override
     {
-        reg.addCounter(prefix + ".multicasts", &stMulticasts);
-        reg.addCounter(prefix + ".gatherReduces", &gathersDone);
-        reg.addCounter(prefix + ".pushReduces", &redsDone);
+        MetricPath path(prefix);
+        reg.addCounter(path("gatherReduces"), &gathersDone);
+        reg.addCounter(path("multicasts"), &stMulticasts);
+        reg.addCounter(path("pushReduces"), &redsDone);
     }
 
   private:

@@ -43,13 +43,15 @@ class SwitchComputeComplex : public SwitchComputeHandler
         syncTable.setTraceHooks(h);
     }
 
-    /** Register every engine under prefix.{nvls,merge,sync}. */
+    /** Register every engine under prefix.{merge,nvls,sync}, in
+     *  path order. */
     void
     registerMetrics(MetricRegistry &reg, const std::string &prefix) const
     {
-        nvlsUnit.registerMetrics(reg, prefix + ".nvls");
-        mergeUnit.registerMetrics(reg, prefix + ".merge");
-        syncTable.registerMetrics(reg, prefix + ".sync");
+        MetricPath path(prefix);
+        mergeUnit.registerMetrics(reg, path("merge"));
+        nvlsUnit.registerMetrics(reg, path("nvls"));
+        syncTable.registerMetrics(reg, path("sync"));
     }
 
     NvlsUnit &nvls() { return nvlsUnit; }

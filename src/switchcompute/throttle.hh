@@ -61,7 +61,7 @@ class ThrottleController : public Probe
     registerMetrics(MetricRegistry &reg,
                     const std::string &prefix) const override
     {
-        reg.addCounter(prefix + ".hintsSent", &hints);
+        reg.addCounter(MetricPath(prefix)("hintsSent"), &hints);
     }
 
   private:

@@ -189,9 +189,16 @@ buildTransformerStack(const LlmConfig &m, int layers, Pass pass)
         fatal("transformer stack needs at least one layer");
     OpGraph g;
     OpId prev = invalidId;
-    for (int l = 0; l < layers; ++l)
-        prev = appendLayer(g, m, pass, prev,
-                           "l" + std::to_string(l) + ".");
+    // Built by appends: GCC 12 flags `"l" + std::to_string(l)` (and
+    // `tag = "l"`) with a false -Wrestrict warning.
+    std::string tag;
+    for (int l = 0; l < layers; ++l) {
+        tag.clear();
+        tag += 'l';
+        tag += std::to_string(l);
+        tag += '.';
+        prev = appendLayer(g, m, pass, prev, tag);
+    }
     g.validate();
     return g;
 }

@@ -6,6 +6,7 @@
  * cais_report renderer (driven in-process via cais_report_core).
  */
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -140,6 +141,36 @@ TEST(MetricSnapshot, AggregatesOverPatterns)
         ++visited;
     });
     EXPECT_EQ(visited, 2);
+}
+
+TEST(MetricPath, ForEachInPathOrderMatchesStringSort)
+{
+    // Every range [lo, hi) up to 250 against a sort of the ids'
+    // decimal strings, each followed by '.' as in a path.
+    for (int hi = 0; hi <= 250; ++hi) {
+        for (int lo = 0; lo <= hi; lo += lo < 12 ? 1 : 7) {
+            std::vector<std::string> want;
+            for (int i = lo; i < hi; ++i)
+                want.push_back(std::to_string(i) + ".");
+            std::sort(want.begin(), want.end());
+            std::vector<std::string> got;
+            forEachInPathOrder(lo, hi, [&](int i) {
+                got.push_back(std::to_string(i) + ".");
+            });
+            ASSERT_EQ(got, want) << "lo=" << lo << " hi=" << hi;
+        }
+    }
+}
+
+TEST(MetricPath, JoinsPrefixAndParts)
+{
+    MetricPath path("switch0.merge");
+    EXPECT_EQ(path("loadReqs"), "switch0.merge.loadReqs");
+    EXPECT_EQ(path("port", 12, ".peakBytes"),
+              "switch0.merge.port12.peakBytes");
+    EXPECT_EQ(path("port", std::size_t{0}), "switch0.merge.port0");
+    MetricPath top("");
+    EXPECT_EQ(top("gpu", 7), "gpu7");
 }
 
 struct TestProbe : public Probe
@@ -617,6 +648,31 @@ TEST(MetricSnapshot, WriteJsonIsIndependentOfAddOrder)
               wf.str().find("\"switch10.acc\""));
     EXPECT_LT(wf.str().find("\"switch10.series\""),
               wf.str().find("\"switch2.acc\""));
+}
+
+TEST(MetricRegistry, OutOfOrderAddSwitchesToTheIndex)
+{
+    Counter c;
+    MetricRegistry reg;
+    for (const char *p : {"a.x", "a.y", "b", "b.c"})
+        reg.addCounter(p, &c);
+    EXPECT_TRUE(reg.inPathOrder());
+    // Below its predecessor but new: the registry indexes every path
+    // from here on, so a duplicate of any earlier path is caught.
+    reg.addCounter("a.z", &c);
+    EXPECT_FALSE(reg.inPathOrder());
+    EXPECT_DEATH(reg.addCounter("a.x", &c), "duplicate metric path");
+    EXPECT_DEATH(reg.addCounter("b", &c), "duplicate metric path");
+    reg.addCounter("c", &c);
+    const MetricSnapshot snap = reg.snapshot(); // sorts
+    EXPECT_TRUE(reg.inPathOrder());
+    ASSERT_EQ(snap.size(), 6u);
+    EXPECT_EQ(snap.path(2), "a.z");
+    EXPECT_EQ(snap.path(5), "c");
+    // In order again after the sort: compared with the last path only.
+    reg.addCounter("d", &c);
+    EXPECT_TRUE(reg.inPathOrder());
+    EXPECT_DEATH(reg.addCounter("d", &c), "duplicate metric path");
 }
 
 TEST(MetricRegistry, AddAfterSnapshotLeavesThatSnapshotIntact)

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include "common/json.hh"
 #include "common/metrics.hh"
+#include "noc/topology.hh"
 #include "runtime/execution_strategy.hh"
 #include "runtime/simulation_driver.hh"
 #include "runtime/system.hh"
@@ -210,4 +212,85 @@ TEST(Driver, PeakPendingGaugeIsDeterministic)
     std::uint64_t first = peakPendingOf(cfg, m);
     EXPECT_GT(first, 0u);
     EXPECT_EQ(first, peakPendingOf(cfg, m));
+}
+
+namespace
+{
+
+/** FNV-1a over @p bytes. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** RunConfig of preset @p topology at its full GPU count. */
+RunConfig
+presetConfig(const std::string &topology)
+{
+    RunConfig cfg;
+    cfg.topology = topology;
+    cfg.numGpus = FabricParams::preset(topology).numGpus;
+    return cfg;
+}
+
+} // namespace
+
+TEST(MetricsReport, TieredSnapshotsMatchGoldenDigest)
+{
+    // Locks every byte of the "metrics" object of two tiered CAIS
+    // runs: path set, path order and every value. How the registry
+    // collects its paths may change; none of these bytes may.
+    struct Case
+    {
+        const char *preset;
+        std::uint64_t digest;
+    };
+    const Case cases[] = {
+        {"nvl72", 0x4714c35a130d59f0ull},
+        {"rail-optimized-2node", 0x0016ea5cd3406ba1ull},
+    };
+    const StrategySpec spec = strategyByName("CAIS");
+    for (const Case &c : cases) {
+        System sys(presetConfig(c.preset).toSystemConfig(spec));
+        MetricRegistry reg;
+        sys.registerMetrics(reg);
+        OpGraph g = buildSubLayer(llama7B().scaled(0.0625, 0.03125),
+                                  SubLayerId::L1);
+        GraphLowering lowering(sys, g, spec.opts);
+        lowering.lower();
+        sys.run();
+        JsonWriter w;
+        reg.snapshot().writeJson(w);
+        const std::uint64_t digest = fnv1a(w.str());
+        EXPECT_EQ(digest, c.digest) << c.preset << " metrics digest is 0x"
+                                    << std::hex << digest;
+    }
+}
+
+TEST(MetricRegistry, SystemRegistersInPathOrder)
+{
+    // System::registerMetrics adds every path above its predecessor,
+    // so the registry needs neither a duplicate index nor a sort. A
+    // probe that adds out of order still yields a correct (sorted)
+    // snapshot, only slower; this catches it.
+    std::vector<RunConfig> shapes = {RunConfig{}}; // flat-8
+    for (const std::string &name : FabricParams::presetNames())
+        shapes.push_back(presetConfig(name));
+    for (const RunConfig &cfg : shapes) {
+        System sys(cfg.toSystemConfig(strategyByName("CAIS")));
+        MetricRegistry reg;
+        sys.registerMetrics(reg);
+        EXPECT_TRUE(reg.inPathOrder())
+            << (cfg.topology.empty() ? "flat" : cfg.topology);
+        const MetricSnapshot snap = reg.snapshot();
+        ASSERT_EQ(snap.size(), reg.size());
+        for (std::size_t i = 1; i < snap.size(); ++i)
+            ASSERT_LT(snap.path(i - 1), snap.path(i));
+    }
 }

@@ -461,6 +461,137 @@ TEST(Verify, MultiDefectDiagnosticsMatchGolden)
     EXPECT_EQ(diagnosticLines(r), golden);
 }
 
+namespace
+{
+
+/** A kernel on SM range [@p from, @p to) whose every GPU pulls
+ *  (ld.cais) or pushes (red.cais) one chunk at @p base. */
+KernelDesc
+directedKernel(const std::string &name, int gpus, double from, double to,
+               bool pull, bool push, Addr base, std::uint64_t chunk)
+{
+    KernelDesc k = emptyKernel(name, gpus);
+    k.smFrom = from;
+    k.smTo = to;
+    for (GpuId g = 0; g < gpus; ++g) {
+        if (pull)
+            addOp(k, g, RemoteOpKind::caisLoad, base, chunk, gpus);
+        if (push)
+            addOp(k, g, RemoteOpKind::caisRed, base + chunk, chunk,
+                  gpus);
+    }
+    return k;
+}
+
+/** Make every TB of @p k wait on tile 0 of @p tracker. */
+void
+waitOnTracker(KernelDesc &k, int tracker)
+{
+    for (TbGrid &grid : k.grids)
+        grid.addDep({tracker, 0});
+}
+
+/** diagnosticLines() restricted to rule V5. */
+std::string
+v5Lines(const verify::VerifyResult &r)
+{
+    verify::VerifyResult only;
+    for (const verify::Diagnostic &d : r.diagnostics)
+        if (d.id == "V5")
+            only.diagnostics.push_back(d);
+    return diagnosticLines(only);
+}
+
+} // namespace
+
+TEST(Verify, V5DiagnosticsMatchGolden)
+{
+    // The full V5 report for a kernel graph that closes a cycle
+    // through explicit and tracker edges, and for one with several
+    // same-direction overlap candidates, some ordered only
+    // transitively. The DFS visits kernels and targets in ascending
+    // id order and pairs are reported in (i, j) order, so both lists
+    // are part of the contract.
+    const int G = tinyConfig().fabric.numGpus;
+    const std::uint64_t chunk = tinyConfig().gpu.chunkBytes;
+
+    System cyc(tinyConfig());
+    KernelDesc a = emptyKernel("v5.a", G); // waits on b's tracker 5
+    a.producesTracker = 3;
+    waitOnTracker(a, 5);
+    cyc.addKernel(std::move(a));
+    KernelDesc b = emptyKernel("v5.b", G); // launches after c
+    b.producesTracker = 5;
+    b.kernelDeps.push_back(2);
+    cyc.addKernel(std::move(b));
+    KernelDesc c = emptyKernel("v5.c", G); // waits on a's tracker 3
+    c.producesTracker = 7;
+    waitOnTracker(c, 3);
+    cyc.addKernel(std::move(c));
+    KernelDesc d = emptyKernel("v5.d", G);
+    d.kernelDeps.push_back(99);
+    waitOnTracker(d, 11); // nobody produces tracker 11
+    cyc.addKernel(std::move(d));
+    KernelDesc f = emptyKernel("v5.f", G); // second producer of 3
+    f.producesTracker = 3;
+    cyc.addKernel(std::move(f));
+    const char *cycleGolden =
+        "V5 | kernel v5.d depends on unknown kernel id 99 | [v5.d] "
+        "[dep=99]\n"
+        "V5 | kernel dependency cycle over 3 kernel(s): none of them "
+        "can ever launch | [v5.a] [v5.c] [v5.b] [v5.a]\n";
+    EXPECT_EQ(v5Lines(verify::verifySystem(cyc)), cycleGolden);
+
+    System ovl(tinyConfig());
+    const Addr mib = Addr{1} << 20;
+    KernelDesc p0 = directedKernel("pull.a", G, 0.0, 0.5, true, false,
+                                   0 * mib, chunk);
+    p0.producesTracker = 1;
+    ovl.addKernel(std::move(p0));
+    KernelDesc p1 = directedKernel("pull.b", G, 0.5, 1.0, true, false,
+                                   1 * mib, chunk);
+    waitOnTracker(p1, 2);
+    ovl.addKernel(std::move(p1));
+    ovl.addKernel(directedKernel("push.a", G, 0.0, 0.25, false, true,
+                                 2 * mib, chunk));
+    KernelDesc p3 = directedKernel("push.b", G, 0.5, 0.75, false, true,
+                                   3 * mib, chunk);
+    p3.producesTracker = 2;
+    ovl.addKernel(std::move(p3));
+    KernelDesc p4 = directedKernel("pull.c", G, 0.5, 1.0, true, false,
+                                   4 * mib, chunk);
+    waitOnTracker(p4, 1);
+    ovl.addKernel(std::move(p4));
+    ovl.addKernel(directedKernel("mixed", G, 0.0, 0.5, true, true,
+                                 5 * mib, chunk));
+    ovl.addKernel(directedKernel("pull.full", G, 0.0, 1.0, true, false,
+                                 6 * mib, chunk));
+    KernelDesc p7 = directedKernel("push.c", G, 0.25, 0.5, false, true,
+                                   7 * mib, chunk);
+    p7.kernelDeps.push_back(1); // after pull.b, so after push.b
+    ovl.addKernel(std::move(p7));
+    KernelDesc p8 = directedKernel("pull.d", G, 0.0, 0.5, true, false,
+                                   8 * mib, chunk);
+    ovl.addKernel(std::move(p8));
+    auto overlap = [](const std::string &a, const std::string &b,
+                      const std::string &dir) {
+        return "V5 | asymmetric-overlap pair " + a + " / " + b +
+               " runs on disjoint SM partitions with no ordering but "
+               "both " + dir + ": the shared link direction saturates "
+               "instead of overlapping | [" + a + "] [" + b + "] [" +
+               dir + "]\n";
+    };
+    // push.b / push.c are ordered through pull.b; pull.a / pull.c
+    // through tracker 1.
+    const std::string overlapGolden =
+        overlap("pull.a", "pull.b", "pull") +
+        overlap("pull.b", "pull.d", "pull") +
+        overlap("push.a", "push.b", "push") +
+        overlap("push.a", "push.c", "push") +
+        overlap("pull.c", "pull.d", "pull");
+    EXPECT_EQ(v5Lines(verify::verifySystem(ovl)), overlapGolden);
+}
+
 TEST(Verify, V1CycleDiagnosticMatchesGolden)
 {
     // The full V1 report -- message and channel path -- for a GPU-turn
