@@ -30,56 +30,6 @@ sortedIndexOf(const MetricPathTable &p, std::string_view path)
     return lo < p.size() && p[lo] == path ? lo : p.size();
 }
 
-/** Byte @p d of path @p i, or -1 past its end. */
-int
-charAt(const MetricPathTable &p, std::uint32_t i, std::size_t d)
-{
-    const auto [off, len] = p.at[i];
-    return d < len ? static_cast<unsigned char>(p.chars[off + d]) : -1;
-}
-
-/**
- * Sort slot numbers [a, a + n) by path, all equal in their first
- * @p d bytes: Bentley-Sedgewick multikey quicksort. Paths share long
- * dotted prefixes, so comparing one byte per partition step, instead
- * of whole strings per comparison, is what keeps the sort cheap.
- */
-void
-sortByPath(const MetricPathTable &p, std::uint32_t *a, std::size_t n,
-           std::size_t d)
-{
-    while (n > 1) {
-        if (n < 12) {
-            // Insertion sort on the remaining suffixes.
-            for (std::size_t i = 1; i < n; ++i)
-                for (std::size_t j = i;
-                     j > 0 && p[a[j]].substr(d) < p[a[j - 1]].substr(d);
-                     --j)
-                    std::swap(a[j], a[j - 1]);
-            return;
-        }
-        // Three-way partition on byte d around the middle element's.
-        const int pivot = charAt(p, a[n / 2], d);
-        std::size_t lt = 0, i = 0, gt = n;
-        while (i < gt) {
-            const int c = charAt(p, a[i], d);
-            if (c < pivot)
-                std::swap(a[lt++], a[i++]);
-            else if (c > pivot)
-                std::swap(a[i], a[--gt]);
-            else
-                ++i;
-        }
-        sortByPath(p, a, lt, d);
-        sortByPath(p, a + gt, n - gt, d);
-        if (pivot < 0)
-            return; // paths ending at d are equal; at most one exists
-        a += lt;
-        n = gt - lt;
-        ++d;
-    }
-}
-
 } // namespace
 
 // --- MetricSnapshot --------------------------------------------------
@@ -328,7 +278,10 @@ MetricRegistry::seal() const
     std::vector<std::uint32_t> order(p.size());
     for (std::size_t i = 0; i < order.size(); ++i)
         order[i] = static_cast<std::uint32_t>(i);
-    sortByPath(p, order.data(), order.size(), 0);
+    std::sort(order.begin(), order.end(),
+              [&p](std::uint32_t a, std::uint32_t b) {
+        return p[a] < p[b];
+    });
     // Only the (offset, length) pairs move; the characters stay put.
     std::vector<std::pair<std::uint32_t, std::uint32_t>> at;
     at.reserve(order.size());

@@ -4,12 +4,27 @@
 #include <utility>
 
 #include "analysis/causal_profile.hh"
+#include "common/intmath.hh"
 #include "common/log.hh"
 #include "gpu/synchronizer.hh"
 #include "gpu/thread_block.hh"
 
 namespace cais
 {
+
+namespace
+{
+
+/** First op at or after @p i that moves bytes, or ops.size(). */
+std::size_t
+nonEmptyFrom(std::span<const RemoteOp> ops, std::size_t i)
+{
+    while (i < ops.size() && ops[i].bytes == 0)
+        ++i;
+    return i;
+}
+
+} // namespace
 
 GpuHub::GpuHub(EventQueue &eq_, Fabric &fabric_, GpuId gpu_,
                const GpuParams &params)
@@ -41,23 +56,8 @@ GpuHub::setProfiler(CausalProfiler *pr)
     mem.setProfiler(pr, profnode::hbm(gpu));
 }
 
-std::vector<HubJob::Chunk>
-GpuHub::chunkify(const RemoteOp &op) const
-{
-    std::vector<HubJob::Chunk> out;
-    std::uint64_t off = 0;
-    while (off < op.bytes) {
-        std::uint32_t n = static_cast<std::uint32_t>(
-            std::min<std::uint64_t>(chunkBytes, op.bytes - off));
-        out.push_back(HubJob::Chunk{op.kind, op.base + off, n,
-                                    op.expected, op.protocolPad});
-        off += n;
-    }
-    return out;
-}
-
 void
-GpuHub::submit(std::unique_ptr<HubJob> job)
+GpuHub::submit(const HubJob &job)
 {
     std::uint32_t slot;
     if (freeSlots.empty()) {
@@ -71,16 +71,18 @@ GpuHub::submit(std::unique_ptr<HubJob> job)
     JobState &js = jobs[slot];
     js = JobState{};
     js.id = id;
-    js.job = std::move(job);
+    js.job = job;
     js.submitAt = eq.now();
-    js.awaitingInject = static_cast<int>(js.job->chunks.size());
+    js.nextOp = nonEmptyFrom(job.ops, 0);
 
-    for (const auto &c : js.job->chunks) {
-        if (isPullKind(c.kind) || c.kind == RemoteOpKind::nvlsSt)
-            ++js.awaitingReply;
+    for (const RemoteOp &op : job.ops) {
+        int chunks = static_cast<int>(ceilDiv(op.bytes, chunkBytes));
+        js.awaitingInject += chunks;
+        if (isPullKind(op.kind) || op.kind == RemoteOpKind::nvlsSt)
+            js.awaitingReply += chunks;
     }
 
-    if (js.job->chunks.empty()) {
+    if (js.awaitingInject == 0) {
         maybeFinish(id);
         return;
     }
@@ -127,12 +129,12 @@ GpuHub::pump()
         std::uint64_t id = issueQueue.front();
         JobState &js = *findJob(id);
 
-        RemoteOpKind next_kind = js.job->chunks[js.nextChunk].kind;
+        const RemoteOp &op = js.job.ops[js.nextOp];
 
         // Outstanding-request throttling (Sec. V-C.2): mergeable
         // loads are capped so the switch merging tables track one
         // GPU's bounded working set.
-        if (next_kind == RemoteOpKind::caisLoad &&
+        if (op.kind == RemoteOpKind::caisLoad &&
             caisLoadsOutstanding >= maxCaisLoads) {
             issueQueue.pop_front();
             issueQueue.push_back(id);
@@ -143,11 +145,11 @@ GpuHub::pump()
 
         // TB-aware request throttling: pause mergeable traffic of a
         // hinted group until the deadline.
-        auto pit = pausedGroups.find(js.job->group);
+        auto pit = pausedGroups.find(js.job.group);
         if (pit != pausedGroups.end()) {
             if (now >= pit->second) {
                 pausedGroups.erase(pit);
-            } else if (isCaisKind(next_kind)) {
+            } else if (isCaisKind(op.kind)) {
                 issueQueue.pop_front();
                 issueQueue.push_back(id);
                 if (earliest_resume == 0 ||
@@ -159,22 +161,28 @@ GpuHub::pump()
             }
         }
 
-        // Advance the cursor before injecting: injectChunk can
-        // trigger nested wire events that must observe a consistent
-        // cursor. Chunks round-robin across a small window of jobs
-        // (concurrent warps interleave their streams), which spreads
-        // switch ports while tiles still complete progressively.
-        HubJob::Chunk chunk = js.job->chunks[js.nextChunk];
-        ++js.nextChunk;
+        // Cut the chunk and advance the cursor before injecting:
+        // injectChunk can trigger nested wire events that must observe
+        // a consistent cursor. Chunks round-robin across a small window
+        // of jobs (concurrent warps interleave their streams), which
+        // spreads switch ports while tiles still complete progressively.
+        Addr addr = op.base + js.opOffset;
+        auto bytes = static_cast<std::uint32_t>(
+            std::min<std::uint64_t>(chunkBytes, op.bytes - js.opOffset));
+        js.opOffset += bytes;
+        if (js.opOffset == op.bytes) {
+            js.opOffset = 0;
+            js.nextOp = nonEmptyFrom(js.job.ops, js.nextOp + 1);
+        }
         issueQueue.pop_front();
-        if (js.nextChunk < js.job->chunks.size())
+        if (js.nextOp < js.job.ops.size())
             issueQueue.insert(
                 std::min<std::size_t>(issueWindow - 1, issueQueue.size()),
                 id);
         // No completion check here: the chunk just injected is still
         // counted in awaitingInject, so the job can only finish in
         // onLinkDequeue or acceptPacket, which both check.
-        injectChunk(id, js, chunk);
+        injectChunk(id, js, op, addr, bytes);
     }
 
     if (earliest_resume > now && !pumpScheduled) {
@@ -185,72 +193,72 @@ GpuHub::pump()
 }
 
 void
-GpuHub::injectChunk(std::uint64_t job_id, JobState &js,
-                    const HubJob::Chunk &c)
+GpuHub::injectChunk(std::uint64_t job_id, const JobState &js,
+                    const RemoteOp &op, Addr addr, std::uint32_t bytes)
 {
     std::uint64_t cookie = nextCookie++;
 
     Packet pkt;
-    switch (c.kind) {
+    switch (op.kind) {
       case RemoteOpKind::caisLoad:
         pkt = newPacket(PacketType::caisLoadReq, invalidId);
-        pkt.reqBytes = c.bytes;
-        pkt.dst = fabric.mergeNode(gpu, c.addr);
+        pkt.reqBytes = bytes;
+        pkt.dst = fabric.mergeNode(gpu, addr);
         break;
       case RemoteOpKind::plainLoad:
-        pkt = newPacket(PacketType::readReq, addrHomeGpu(c.addr));
-        pkt.reqBytes = c.bytes;
+        pkt = newPacket(PacketType::readReq, addrHomeGpu(addr));
+        pkt.reqBytes = bytes;
         break;
       case RemoteOpKind::nvlsLdReduce:
         pkt = newPacket(PacketType::multimemLdReduceReq, invalidId);
-        pkt.reqBytes = c.bytes;
-        pkt.dst = fabric.mergeNode(gpu, c.addr);
+        pkt.reqBytes = bytes;
+        pkt.dst = fabric.mergeNode(gpu, addr);
         break;
       case RemoteOpKind::nvlsSt:
         pkt = newPacket(PacketType::multimemSt, invalidId);
-        pkt.payloadBytes = c.bytes;
-        pkt.dst = fabric.mergeNode(gpu, c.addr);
+        pkt.payloadBytes = bytes;
+        pkt.dst = fabric.mergeNode(gpu, addr);
         break;
       case RemoteOpKind::nvlsRed:
         pkt = newPacket(PacketType::multimemRed, invalidId);
-        pkt.payloadBytes = c.bytes;
-        pkt.dst = fabric.mergeNode(gpu, c.addr);
+        pkt.payloadBytes = bytes;
+        pkt.dst = fabric.mergeNode(gpu, addr);
         break;
       case RemoteOpKind::caisRed:
         pkt = newPacket(PacketType::caisRedReq, invalidId);
-        pkt.payloadBytes = c.bytes;
-        pkt.dst = fabric.mergeNode(gpu, c.addr);
+        pkt.payloadBytes = bytes;
+        pkt.dst = fabric.mergeNode(gpu, addr);
         break;
       case RemoteOpKind::plainWrite:
-        pkt = newPacket(PacketType::writeReq, addrHomeGpu(c.addr));
-        pkt.payloadBytes = c.bytes;
+        pkt = newPacket(PacketType::writeReq, addrHomeGpu(addr));
+        pkt.payloadBytes = bytes;
         break;
       default:
         panic("bad remote op kind");
     }
 
-    pkt.addr = c.addr;
-    pkt.expected = c.expected;
-    if (c.protocolPad) {
+    pkt.addr = addr;
+    pkt.expected = op.expected;
+    if (op.protocolPad) {
         if (pkt.payloadBytes > 0)
-            pkt.padBytes = c.bytes / protocolPadDivisor;
+            pkt.padBytes = bytes / protocolPadDivisor;
         else
             pkt.padResponse = true; // pad rides on the data response
     }
     pkt.issuerGpu = gpu;
-    pkt.kernel = js.job->kernel;
-    pkt.tb = js.job->tb;
-    pkt.group = js.job->group;
+    pkt.kernel = js.job.kernel;
+    pkt.tb = js.job.tb;
+    pkt.group = js.job.group;
     pkt.cookie = cookie;
 
     // Only responses look a cookie up; a table with no outstanding
     // response starts at the next one that expects one.
-    if (isPullKind(c.kind) || c.kind == RemoteOpKind::nvlsSt)
+    if (isPullKind(op.kind) || op.kind == RemoteOpKind::nvlsSt)
         cookieJobs.push_back(job_id);
     else if (!cookieJobs.empty())
         cookieJobs.push_back(0);
 
-    if (c.kind == RemoteOpKind::caisLoad)
+    if (op.kind == RemoteOpKind::caisLoad)
         ++caisLoadsOutstanding;
     ++inflightChunks;
     injected.inc();
@@ -261,7 +269,7 @@ GpuHub::injectChunk(std::uint64_t job_id, JobState &js,
         // the submitting TB so the walk telescopes into compute.
         prof->record(profnode::hubQueue(gpu),
                      WaitClass::hubInjection, js.submitAt, eq.now(),
-                     profnode::tb(js.job->kernel, gpu, js.job->tb),
+                     profnode::tb(js.job.kernel, gpu, js.job.tb),
                      js.submitAt);
         CausalProfiler::ScopedCause sc(
             prof, profnode::hubQueue(gpu), eq.now());
@@ -296,13 +304,12 @@ GpuHub::maybeFinish(std::uint64_t job_id)
     if (!jp)
         return;
     JobState &js = *jp;
-    // Done once every chunk is on the wire and every response is back.
-    if (js.nextChunk < js.job->chunks.size() || js.awaitingInject > 0 ||
-        js.awaitingReply > 0)
+    // Done once every chunk is on the wire (awaitingInject counts the
+    // ones not cut yet too) and every response is back.
+    if (js.awaitingInject > 0 || js.awaitingReply > 0)
         return;
-    if (js.job->waiter)
-        js.job->waiter->onLoadsDone();
-    js.job.reset();
+    if (js.job.waiter)
+        js.job.waiter->onLoadsDone();
     js.id = 0;
     freeSlots.push_back(
         static_cast<std::uint32_t>((job_id & 0xffffffffu) - 1));

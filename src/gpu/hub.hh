@@ -17,7 +17,7 @@
 
 #include <cstdint>
 #include <deque>
-#include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -54,22 +54,18 @@ class DataArrivalHandler
                                std::uint32_t bytes, int contribs) = 0;
 };
 
-/** One chunked communication request stream from a thread block. */
+/** One thread block's communication request stream: its ops, cut
+ *  into chunks by the hub as it injects them. */
 struct HubJob
 {
     KernelId kernel = invalidId;
     TbId tb = invalidId;
     GroupId group = invalidId;
 
-    struct Chunk
-    {
-        RemoteOpKind kind;
-        Addr addr;
-        std::uint32_t bytes;
-        int expected;
-        bool protocolPad;
-    };
-    std::vector<Chunk> chunks;
+    /** The TB's pull or push ops in its kernel's TbGrid, which is not
+     *  modified once System::run() starts; zero-byte ops send
+     *  nothing. */
+    std::span<const RemoteOp> ops;
 
     /** TB whose onLoadsDone() the hub calls once every chunk is on
      *  the wire and every response/ack (pull kinds and nvlsSt) is
@@ -93,11 +89,8 @@ class GpuHub : public PacketSink,
      *  backpressure edges and wires the HBM channel's node. */
     void setProfiler(CausalProfiler *pr);
 
-    /** Split @p op into chunks (helper for job construction). */
-    std::vector<HubJob::Chunk> chunkify(const RemoteOp &op) const;
-
-    /** Submit a job; ownership transfers to the hub. */
-    void submit(std::unique_ptr<HubJob> job);
+    /** Submit @p job; its ops must stay in place until it finishes. */
+    void submit(const HubJob &job);
 
     /** Send a TB-group sync registration (bypasses the window). */
     void sendSyncReq(GroupId group, SyncPhase phase, int expected);
@@ -136,8 +129,9 @@ class GpuHub : public PacketSink,
   private:
     struct JobState
     {
-        std::unique_ptr<HubJob> job;
-        std::size_t nextChunk = 0;
+        HubJob job;
+        std::size_t nextOp = 0;  ///< op of the next chunk to inject
+        std::uint64_t opOffset = 0; ///< its byte offset in that op
         int awaitingInject = 0;  ///< chunks not yet on the wire
         int awaitingReply = 0;   ///< responses/acks outstanding
         Cycle submitAt = 0;      ///< profiler: injection-wait origin
@@ -148,8 +142,8 @@ class GpuHub : public PacketSink,
     JobState *findJob(std::uint64_t job_id);
 
     void pump();
-    void injectChunk(std::uint64_t job_id, JobState &js,
-                     const HubJob::Chunk &c);
+    void injectChunk(std::uint64_t job_id, const JobState &js,
+                     const RemoteOp &op, Addr addr, std::uint32_t bytes);
     void maybeFinish(std::uint64_t job_id);
 
     void serveRead(Packet &&pkt);

@@ -75,17 +75,8 @@ void
 TbRun::issueLoads()
 {
     loadsIssueAt = ctx.eq->now();
-    auto job = std::make_unique<HubJob>();
-    job->kernel = kernel.id;
-    job->tb = idx;
-    job->group = tb.group;
-    for (const RemoteOp &op : grid().pullOps(tb)) {
-        auto chunks = ctx.hub->chunkify(op);
-        job->chunks.insert(job->chunks.end(), chunks.begin(),
-                           chunks.end());
-    }
-    job->waiter = this;
-    ctx.hub->submit(std::move(job));
+    ctx.hub->submit({.kernel = kernel.id, .tb = idx, .group = tb.group,
+                     .ops = grid().pullOps(tb), .waiter = this});
 }
 
 void
@@ -173,19 +164,11 @@ TbRun::issuePushes()
         return;
     }
 
-    auto job = std::make_unique<HubJob>();
-    job->kernel = kernel.id;
-    job->tb = idx;
-    job->group = tb.group;
-    for (const RemoteOp &op : grid().pushOps(tb)) {
-        auto chunks = ctx.hub->chunkify(op);
-        job->chunks.insert(job->chunks.end(), chunks.begin(),
-                           chunks.end());
-    }
     // Pushes are posted writes: the CTA retires once they are handed
     // to the memory system (the hub paces actual injection); delivery
     // is tracked by the destination-side tile trackers.
-    ctx.hub->submit(std::move(job));
+    ctx.hub->submit({.kernel = kernel.id, .tb = idx, .group = tb.group,
+                     .ops = grid().pushOps(tb)});
     finish();
 }
 

@@ -66,34 +66,87 @@ allInjected(const GpuHub &hub)
     return hub.queuedJobs() == 0 && hub.inflight() == 0;
 }
 
+/** Responses and acks @p hub has received so far. */
+std::uint64_t
+responses(const GpuHub &hub)
+{
+    MetricRegistry reg;
+    hub.registerMetrics(reg, "hub");
+    return reg.snapshot().find("hub.responses")->u64;
+}
+
 } // namespace
 
 TEST(Hub, ChunkifySplitsAtGranularity)
 {
     HubRig rig;
     RemoteOp op;
-    op.kind = RemoteOpKind::caisLoad;
+    op.kind = RemoteOpKind::plainLoad;
     op.base = makeAddr(1, 0x1000);
     op.bytes = 3 * 4096 + 100;
-    op.expected = 1;
-    auto chunks = rig.hub(0).chunkify(op);
-    ASSERT_EQ(chunks.size(), 4u);
-    EXPECT_EQ(chunks[0].bytes, 4096u);
-    EXPECT_EQ(chunks[3].bytes, 100u);
-    EXPECT_EQ(chunks[2].addr, op.base + 2 * 4096);
-    for (const auto &c : chunks)
-        EXPECT_EQ(c.expected, 1);
+    rig.hub(0).submit({.ops = {&op, 1}});
+    // The window takes all four chunks at once: three full, one short.
+    EXPECT_EQ(rig.hub(0).chunksInjected(), 4u);
+    rig.eq().runAll();
+    EXPECT_EQ(rig.hub(1).bytesServed(), 3u * 4096 + 100);
+    EXPECT_EQ(responses(rig.hub(0)), 4u);
+    EXPECT_TRUE(rig.hub(0).idle());
 }
 
 TEST(Hub, EmptyJobCompletesImmediately)
 {
     HubRig rig;
     LoadWaiter waiter(rig);
-    auto job = std::make_unique<HubJob>();
-    job->waiter = waiter.run.get();
-    rig.hub(0).submit(std::move(job));
+    rig.hub(0).submit({.ops = {}, .waiter = waiter.run.get()});
     EXPECT_TRUE(allInjected(rig.hub(0)));
     EXPECT_TRUE(waiter.done());
+    EXPECT_TRUE(rig.hub(0).idle());
+}
+
+TEST(Hub, MultiOpJobKeepsOpOrderAndSkipsEmptyOps)
+{
+    HubRig rig;
+    LoadWaiter waiter(rig);
+    RemoteOp ops[3];
+    for (RemoteOp &op : ops)
+        op.kind = RemoteOpKind::plainLoad;
+    ops[0].base = makeAddr(1, 0x4000);
+    ops[0].bytes = 5000;
+    ops[1].base = makeAddr(1, 0x8000); // sends nothing
+    ops[2].base = makeAddr(1, 0xc000);
+    ops[2].bytes = 128;
+    rig.hub(0).submit({.ops = ops, .waiter = waiter.run.get()});
+    EXPECT_EQ(rig.hub(0).chunksInjected(), 3u);
+
+    // The peer sees the chunks in op order, and the waiter fires at
+    // the last response, when the job is freed.
+    std::vector<std::uint64_t> served;
+    std::uint64_t seen = 0;
+    std::uint64_t responses_at_done = 0;
+    while (rig.eq().runOne()) {
+        if (rig.hub(1).bytesServed() > seen) {
+            served.push_back(rig.hub(1).bytesServed() - seen);
+            seen = rig.hub(1).bytesServed();
+        }
+        if (waiter.done() && responses_at_done == 0) {
+            responses_at_done = responses(rig.hub(0));
+            EXPECT_TRUE(rig.hub(0).idle());
+        }
+    }
+    EXPECT_EQ(served, (std::vector<std::uint64_t>{4096, 904, 128}));
+    EXPECT_EQ(responses_at_done, 3u);
+    EXPECT_EQ(responses(rig.hub(0)), 3u);
+
+    // A job whose ops are all empty finishes inside submit, like a
+    // job with no ops.
+    LoadWaiter empty_waiter(rig);
+    RemoteOp empty_ops[2];
+    empty_ops[0].kind = RemoteOpKind::caisLoad;
+    empty_ops[1].kind = RemoteOpKind::plainWrite;
+    rig.hub(0).submit({.ops = empty_ops, .waiter = empty_waiter.run.get()});
+    EXPECT_TRUE(allInjected(rig.hub(0)));
+    EXPECT_EQ(rig.hub(0).chunksInjected(), 3u);
+    EXPECT_TRUE(empty_waiter.done());
     EXPECT_TRUE(rig.hub(0).idle());
 }
 
@@ -101,15 +154,11 @@ TEST(Hub, PlainLoadRoundTrip)
 {
     HubRig rig;
     LoadWaiter waiter(rig);
-    auto job = std::make_unique<HubJob>();
     RemoteOp op;
     op.kind = RemoteOpKind::plainLoad;
     op.base = makeAddr(1, 0x2000);
     op.bytes = 8192;
-    for (auto &c : rig.hub(0).chunkify(op))
-        job->chunks.push_back(c);
-    job->waiter = waiter.run.get();
-    rig.hub(0).submit(std::move(job));
+    rig.hub(0).submit({.ops = {&op, 1}, .waiter = waiter.run.get()});
     EXPECT_FALSE(waiter.done());
     rig.eq().runAll();
     EXPECT_TRUE(waiter.done());
@@ -124,14 +173,11 @@ TEST(Hub, PlainWriteLandsAndTracks)
     TensorInfo &t = rig.sys->defineTensor(
         "dst", TensorLayout::rowShardedHome, 2 * 128, 16, 2, 128, 1);
     // Tile 1 is homed on GPU 1; write it from GPU 0.
-    auto job = std::make_unique<HubJob>();
     RemoteOp op;
     op.kind = RemoteOpKind::plainWrite;
     op.base = t.tileAddr(1);
     op.bytes = t.bytesPerTile;
-    for (auto &c : rig.hub(0).chunkify(op))
-        job->chunks.push_back(c);
-    rig.hub(0).submit(std::move(job));
+    rig.hub(0).submit({.ops = {&op, 1}});
     rig.eq().runAll();
     EXPECT_TRUE(rig.sys->tracker(t.tracker).ready(1, 1));
     EXPECT_FALSE(rig.sys->tracker(t.tracker).ready(0, 1));
@@ -141,16 +187,13 @@ TEST(Hub, InjectionWindowBacklogsJobs)
 {
     HubRig rig;
     // A burst far larger than the window queues but still drains.
-    auto job = std::make_unique<HubJob>();
     RemoteOp op;
     op.kind = RemoteOpKind::plainWrite;
     op.base = makeAddr(1, 0x10000);
     op.bytes = static_cast<std::uint64_t>(
                    rig.sc.gpu.maxInflightChunks + 64) *
                4096;
-    for (auto &c : rig.hub(0).chunkify(op))
-        job->chunks.push_back(c);
-    rig.hub(0).submit(std::move(job));
+    rig.hub(0).submit({.ops = {&op, 1}});
     // The window holds part of the burst back.
     EXPECT_FALSE(allInjected(rig.hub(0)));
     EXPECT_LE(rig.hub(0).inflight(), rig.sc.gpu.maxInflightChunks);
@@ -163,18 +206,14 @@ TEST(Hub, CaisLoadCapLimitsOutstanding)
 {
     HubRig rig;
     int cap = rig.sc.gpu.maxCaisLoadOutstanding;
-    auto job = std::make_unique<HubJob>();
-    job->group = 1;
     RemoteOp op;
     op.kind = RemoteOpKind::caisLoad;
     op.base = makeAddr(1, 0x20000);
     op.bytes = static_cast<std::uint64_t>(cap + 100) * 4096;
     op.expected = 1;
-    for (auto &c : rig.hub(0).chunkify(op))
-        job->chunks.push_back(c);
     LoadWaiter waiter(rig);
-    job->waiter = waiter.run.get();
-    rig.hub(0).submit(std::move(job));
+    rig.hub(0).submit(
+        {.group = 1, .ops = {&op, 1}, .waiter = waiter.run.get()});
     // Before any response can arrive, at most `cap` loads are out.
     rig.eq().runUntil(100);
     EXPECT_LE(rig.hub(0).chunksInjected(),
@@ -199,16 +238,12 @@ TEST(Hub, ThrottleHintPausesGroupTraffic)
     rig.eq().runUntil(2000);
     EXPECT_EQ(hub.throttlePauses(), 1u);
 
-    auto job = std::make_unique<HubJob>();
-    job->group = 7;
     RemoteOp op;
     op.kind = RemoteOpKind::caisRed;
     op.base = makeAddr(1, 0x30000);
     op.bytes = 4096;
     op.expected = 1;
-    for (auto &c : hub.chunkify(op))
-        job->chunks.push_back(c);
-    hub.submit(std::move(job));
+    hub.submit({.group = 7, .ops = {&op, 1}});
 
     std::uint64_t before = hub.chunksInjected();
     rig.eq().runUntil(4000); // still inside the pause window
