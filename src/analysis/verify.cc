@@ -452,20 +452,9 @@ checkV2(Ctx &cx)
 
     // Uplink credits represent switch input-VC buffer slots; the
     // batched credit-return scheme conserves (credits held + credits
-    // in flight + buffer occupancy) == vcDepth only when the initial
-    // grant matches the receiver capacity exactly.
-    if (p.vcCredits != p.sw.vcDepth) {
-        cx.report(
-            "V2",
-            strfmt("link credits (%d per VC) do not match the "
-                   "switch input buffer depth (%d per VC): credits "
-                   "and buffer slots cannot balance",
-                   p.vcCredits, p.sw.vcDepth),
-            {strfmt("vcCredits=%d", p.vcCredits),
-             strfmt("sw.vcDepth=%d", p.sw.vcDepth)});
-        return; // per-link scan would repeat the same mismatch
-    }
-
+    // in flight + buffer occupancy) == vcDepth, so every link VC
+    // must start with the full grant of vcDepth credits.
+    //
     // forEachLink visits GPU-facing links in the historical (gpu,
     // switch, up-then-down) order, then the inter-switch tier links,
     // so flat-fabric diagnostics keep their seed ordering and
@@ -482,14 +471,14 @@ checkV2(Ctx &cx)
             return;
         }
         for (int v = 0; v < l.numVcs(); ++v) {
-            if (l.credits(v) != p.vcCredits) {
+            if (l.credits(v) != p.sw.vcDepth) {
                 cx.report(
                     "V2",
                     strfmt("link %s vc%d holds %d credits before the "
                            "first event (expected the full grant of "
                            "%d)",
                            l.name().c_str(), v, l.credits(v),
-                           p.vcCredits),
+                           p.sw.vcDepth),
                     {l.name(), strfmt("vc%d", v)});
                 break;
             }
@@ -1018,7 +1007,7 @@ checkV4(Ctx &cx)
     // sessions per group, which is bounded by the merging-table entry
     // capacity and by the fleet-wide outstanding-load cap.
     const MergeParams &mp = sc.inswitch.merge;
-    if (mp.throttleEnabled && mp.throttleThreshold > 0) {
+    if (mp.throttleEnabled) {
         if (mp.tableBytesPerPort > 0 && mp.chunkBytes > 0) {
             std::uint64_t entries =
                 mp.tableBytesPerPort / mp.chunkBytes;
@@ -1266,8 +1255,9 @@ ruleTable()
         {"V2",
          "link credits, receiver buffer capacities and batched credit "
          "returns must balance per (link, VC)",
-         "grant exactly the receiver buffer depth in credits "
-         "(FabricParams::vcCredits == SwitchParams::vcDepth)"},
+         "start every link VC with the full grant of "
+         "SwitchParams::vcDepth credits and an empty send queue: "
+         "send nothing before the first event"},
         {"V3",
          "every mergeable address class maps to exactly one switch "
          "(one rail per tier on multi-tier fabrics) and all GPUs "

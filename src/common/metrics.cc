@@ -4,7 +4,6 @@
 #include <bit>
 #include <charconv>
 #include <cstdint>
-#include <sstream>
 
 #include "common/json.hh"
 #include "common/log.hh"
@@ -374,16 +373,6 @@ MetricRegistry::snapshot() const
         s.read(s, vals[i]);
     }
     return MetricSnapshot(paths, std::move(vals));
-}
-
-std::string
-MetricRegistry::dump() const
-{
-    std::ostringstream os;
-    MetricSnapshot snap = snapshot();
-    for (std::size_t i = 0; i < snap.size(); ++i)
-        os << snap.path(i) << " = " << snap.value(i).value << "\n";
-    return os.str();
 }
 
 } // namespace cais

@@ -248,9 +248,6 @@ class MetricRegistry
     /** Read every metric now. */
     MetricSnapshot snapshot() const;
 
-    /** Render "path = scalar" lines (debugging aid). */
-    std::string dump() const;
-
   private:
     struct Slot;
     /** Fills @p v (kind and bin width already set) from @p s. */

@@ -14,9 +14,6 @@ GpuParams::validationError() const
         return strfmt("gpu.numSms must be >= 1 (got %d)", numSms);
     if (ctasPerSm < 1)
         return strfmt("gpu.ctasPerSm must be >= 1 (got %d)", ctasPerSm);
-    if (flopsPerCyclePerSm <= 0 || gemmEfficiency <= 0 ||
-        gemmEfficiency > 1.0)
-        return "bad GPU throughput parameters";
     if (hbmBytesPerCycle <= 0)
         return strfmt("gpu.hbmBytesPerCycle must be > 0 (got %g)",
                       hbmBytesPerCycle);

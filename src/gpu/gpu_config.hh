@@ -29,16 +29,16 @@ struct GpuParams
      * Dense fp16 FLOPs per cycle per SM at peak. An H100 sustains
      * ~989 TFLOP/s over 132 SMs at ~1 GHz -> ~7500 FLOP/cycle/SM.
      */
-    double flopsPerCyclePerSm = 7500.0;
+    static constexpr double flopsPerCyclePerSm = 7500.0;
 
     /** Fraction of peak a tuned CUTLASS GEMM sustains. */
-    double gemmEfficiency = 0.65;
+    static constexpr double gemmEfficiency = 0.65;
+
+    /** HBM access latency in cycles. */
+    static constexpr Cycle hbmLatency = 300;
 
     /** HBM3 bandwidth in bytes per cycle (3350 GB/s on H100). */
     double hbmBytesPerCycle = 3350.0;
-
-    /** HBM access latency in cycles. */
-    Cycle hbmLatency = 300;
 
     /** Remote-request granularity (coalesced burst per packet). */
     std::uint32_t chunkBytes = 4096;
@@ -72,9 +72,6 @@ struct GpuParams
 
     /** Kernel launch overhead charged once per kernel per GPU. */
     Cycle kernelLaunchOverhead = 2 * cyclesPerUs;
-
-    /** Base RNG seed; each GPU derives seed + gpuId. */
-    std::uint64_t seed = 1;
 
     /** Effective GEMM throughput per SM in FLOP/cycle. */
     double effectiveFlopsPerCyclePerSm() const

@@ -4,12 +4,13 @@ namespace cais
 {
 
 GpuCore::GpuCore(EventQueue &eq_, Fabric &fabric, GpuId id,
-                 const GpuParams &params, TbListener *listener_)
+                 const GpuParams &params, std::uint64_t seed,
+                 TbListener *listener_)
     : p(params), eq(eq_),
       hubImpl(eq_, fabric, id, params),
       syncImpl(id), smPool(eq_, params.numSms, params.ctasPerSm),
       sched(smPool, listener_),
-      rngImpl(params.seed + static_cast<std::uint64_t>(id)),
+      rngImpl(seed + static_cast<std::uint64_t>(id)),
       listener(listener_)
 {
     p.validate();

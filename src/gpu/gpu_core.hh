@@ -25,9 +25,11 @@ namespace cais
 class GpuCore
 {
   public:
-    /** @p listener receives this GPU's TB lifecycle notifications. */
+    /** @p listener receives this GPU's TB lifecycle notifications;
+     *  the GPU's jitter RNG seeds as @p seed + @p id. */
     GpuCore(EventQueue &eq, Fabric &fabric, GpuId id,
-            const GpuParams &params, TbListener *listener);
+            const GpuParams &params, std::uint64_t seed,
+            TbListener *listener);
 
     GpuCore(const GpuCore &) = delete;
     GpuCore &operator=(const GpuCore &) = delete;

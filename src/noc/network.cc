@@ -55,13 +55,13 @@ Fabric::buildFlat()
         for (SwitchId s = 0; s < p.numSwitches; ++s) {
             row[static_cast<std::size_t>(s)] = std::make_unique<CreditLink>(
                 eq, strfmt("up.g%d.s%d", g, s), link_bw, p.linkLatency,
-                p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(s)]->attachUplink(
                 g, row[static_cast<std::size_t>(s)].get());
 
             auto dl = std::make_unique<CreditLink>(
                 eq, strfmt("dn.s%d.g%d", s, g), link_bw,
-                p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                p.linkLatency, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(s)]->attachDownlink(
                 g, dl.get());
             down[static_cast<std::size_t>(s)][static_cast<std::size_t>(g)] =
@@ -103,13 +103,13 @@ Fabric::buildTiered()
             int l = p.leafIndex(grp, r);
             row[static_cast<std::size_t>(r)] = std::make_unique<CreditLink>(
                 eq, strfmt("up.g%d.l%d", g, l), rail_bw, p.linkLatency,
-                p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 local, row[static_cast<std::size_t>(r)].get());
 
             auto dl = std::make_unique<CreditLink>(
                 eq, strfmt("dn.l%d.g%d", l, g), rail_bw,
-                p.linkLatency, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                p.linkLatency, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachDownlink(
                 local, dl.get());
             down[static_cast<std::size_t>(l)][static_cast<std::size_t>(
@@ -130,13 +130,13 @@ Fabric::buildTiered()
             int spine = leaves + k;
             row[static_cast<std::size_t>(k)] = std::make_unique<CreditLink>(
                 eq, strfmt("t_up.l%d.k%d", l, k), tier_bw,
-                tier_lat, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                tier_lat, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(spine)]->attachUplink(
                 l, row[static_cast<std::size_t>(k)].get());
 
             auto dl = std::make_unique<CreditLink>(
                 eq, strfmt("t_dn.k%d.l%d", k, l), tier_bw,
-                tier_lat, p.sw.numVcs, p.vcCredits, p.utilBinWidth);
+                tier_lat, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 gpp + k, dl.get());
             switches[static_cast<std::size_t>(spine)]->attachDownlink(

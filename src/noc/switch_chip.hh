@@ -33,10 +33,15 @@ class CausalProfiler;
 /** Tunables of one switch chip. */
 struct SwitchParams
 {
-    Cycle pipelineDelay = 100;  ///< input-to-output latency, cycles
-    Cycle perPacketProcess = 1; ///< per-VC head service interval
+    /** Input-to-output latency, cycles. */
+    static constexpr Cycle pipelineDelay = 100;
+    /** Per-VC head service interval, cycles. */
+    static constexpr Cycle perPacketProcess = 1;
+    /** Input buffer slots per VC; every link VC grants exactly this
+     *  many credits, so credits and buffer slots always balance. */
+    static constexpr int vcDepth = 256;
+
     int numVcs = 8;
-    int vcDepth = 256;
     int outQueueDepth = 256;
 
     /**

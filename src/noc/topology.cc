@@ -126,8 +126,6 @@ FabricParams::validationError() const
         return "per-GPU bandwidth must be positive";
     if (sw.numVcs < 1)
         return "switch needs at least one VC";
-    if (vcCredits < 1 || sw.vcDepth < 1)
-        return "VC buffering must be at least one packet";
     if (sw.numVcs < static_cast<int>(VcClass::numClasses))
         return strfmt("switch needs >= %d VCs (got %d)",
                       static_cast<int>(VcClass::numClasses),
@@ -174,8 +172,6 @@ FabricParams::validationError() const
                       "%d groups x %d rails + %d spines = %d",
                       numSwitches, numGroups, railsPerGroup, numSpines,
                       numLeaves() + numSpines);
-    if (tierLinkBytesPerCycle < 0.0)
-        return "inter-tier bandwidth must be non-negative";
     return "";
 }
 

@@ -46,9 +46,6 @@ struct FabricParams
     /** Bin width for link-utilization time series. */
     Cycle utilBinWidth = 1000;
 
-    /** Receive-buffer credits per VC (matches switch vcDepth). */
-    int vcCredits = 256;
-
     SwitchParams sw;
 
     // -- Tier description (multi-tier fabrics only) -------------------
@@ -60,13 +57,6 @@ struct FabricParams
     int numGroups = 1;
     int railsPerGroup = 0;
     int numSpines = 0;
-
-    /** Leaf<->spine link bandwidth in bytes/cycle; 0 derives a
-     *  full-bisection value (group injection split over spines). */
-    double tierLinkBytesPerCycle = 0.0;
-
-    /** Leaf<->spine propagation latency; 0 inherits linkLatency. */
-    Cycle tierLinkLatency = 0;
 
     bool multiTier() const { return numSpines > 0; }
 
@@ -108,23 +98,18 @@ struct FabricParams
                static_cast<double>(uplinksPerGpu());
     }
 
-    /** Effective leaf<->spine link bandwidth (derived when 0). */
+    /** Leaf<->spine link bandwidth: full bisection, a group's
+     *  aggregate injection bandwidth divided over its rails' uplinks
+     *  to the spines. */
     double effectiveTierLinkBytesPerCycle() const
     {
-        if (tierLinkBytesPerCycle > 0.0)
-            return tierLinkBytesPerCycle;
-        // Full bisection: a group's aggregate injection bandwidth,
-        // divided over its rails' uplinks to the spines.
         return static_cast<double>(gpusPerGroup()) *
                perLinkBytesPerCycle() /
                static_cast<double>(numSpines > 0 ? numSpines : 1);
     }
 
-    /** Effective leaf<->spine latency (inherits linkLatency when 0). */
-    Cycle effectiveTierLinkLatency() const
-    {
-        return tierLinkLatency > 0 ? tierLinkLatency : linkLatency;
-    }
+    /** Leaf<->spine propagation latency: that of a GPU link. */
+    Cycle effectiveTierLinkLatency() const { return linkLatency; }
 
     /** Named preset; aborts on an unknown name. */
     static FabricParams preset(const std::string &name);

@@ -118,10 +118,7 @@ RunConfig::toSystemConfig(const StrategySpec &spec) const
 
     sc.gpu = gpu;
     sc.gpu.chunkBytes = chunkBytes;
-    sc.gpu.seed = seed;
-    // Fold the master seed into the skew stream without disturbing
-    // the seed == 1 default (which must match the historical runs).
-    sc.skewSeed = 0xabcdef12345ull ^ (seed - 1);
+    sc.seed = seed;
 
     sc.inswitch.merge.chunkBytes = chunkBytes;
     std::uint64_t table_bytes = mergeTableBytesPerPort

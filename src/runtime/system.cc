@@ -100,7 +100,7 @@ struct System::TbRecord
 };
 
 System::System(const SystemConfig &cfg_)
-    : cfg(cfg_), skewRng(cfg_.skewSeed)
+    : cfg(cfg_), skewRng(0xabcdef12345ull ^ (cfg_.seed - 1))
 {
     cfg.fabric.validate();
     cfg.gpu.validate();
@@ -109,8 +109,8 @@ System::System(const SystemConfig &cfg_)
     const FabricParams &fp = cfg.fabric;
     for (SwitchId s = 0; s < fp.numSwitches; ++s) {
         InSwitchParams isp = cfg.inswitch;
+        TierInfo t;
         if (fp.multiTier()) {
-            TierInfo &t = isp.tier;
             t.fabricGpus = fp.numGpus;
             t.numGroups = fp.numGroups;
             t.gpusPerGroup = fp.gpusPerGroup();
@@ -127,11 +127,11 @@ System::System(const SystemConfig &cfg_)
             }
         }
         complexes.push_back(std::make_unique<SwitchComputeComplex>(
-            fab->switchChip(s), isp));
+            fab->switchChip(s), isp, t));
     }
     for (GpuId g = 0; g < cfg.fabric.numGpus; ++g) {
-        gpus.push_back(
-            std::make_unique<GpuCore>(queue, *fab, g, cfg.gpu, this));
+        gpus.push_back(std::make_unique<GpuCore>(queue, *fab, g, cfg.gpu,
+                                                 cfg.seed, this));
         gpus.back()->hub().setArrivalHandler(this);
     }
     localBump.assign(static_cast<std::size_t>(cfg.fabric.numGpus),

@@ -101,10 +101,11 @@ struct SystemConfig
     GpuParams gpu;
     InSwitchParams inswitch;
 
-    /** Seed of the request-skew RNG (System::skewRng). Kept separate
-     *  from GpuParams::seed so the two streams never correlate; the
-     *  default reproduces the historical hard-coded stream. */
-    std::uint64_t skewSeed = 0xabcdef12345ull;
+    /** Master RNG seed. GPU g's jitter stream seeds as seed + g; the
+     *  request-skew stream (System::skewRng) as 0xabcdef12345 ^
+     *  (seed - 1), so the two never correlate and seed 1 keeps the
+     *  historical skew stream. */
+    std::uint64_t seed = 1;
 
     /** Event-budget safety valve for run(). */
     std::uint64_t maxEvents = 400ull * 1000 * 1000;

@@ -54,12 +54,15 @@ struct MergeParams
     Cycle timeout = 50 * cyclesPerUs;
 
     /** Per-session reduction latency charged at completion. */
-    Cycle reduceDelay = 8;
+    static constexpr Cycle reduceDelay = 8;
 
+    /** TB-aware throttling (Sec. III-B.2): open sessions per group
+     *  that trigger a pause hint, the pause it asks for, and the
+     *  minimum interval between hints. */
     bool throttleEnabled = true;
-    int throttleThreshold = 16;
-    Cycle throttlePause = 2 * cyclesPerUs;
-    Cycle throttleHintInterval = cyclesPerUs;
+    static constexpr int throttleThreshold = 16;
+    static constexpr Cycle throttlePause = 2 * cyclesPerUs;
+    static constexpr Cycle throttleHintInterval = cyclesPerUs;
 };
 
 /** Aggregated merge-unit statistics. */

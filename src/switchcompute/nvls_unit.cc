@@ -7,9 +7,8 @@
 namespace cais
 {
 
-NvlsUnit::NvlsUnit(SwitchChip &sw_, const NvlsParams &params,
-                   const TierInfo &tier_)
-    : sw(sw_), p(params), tier(tier_)
+NvlsUnit::NvlsUnit(SwitchChip &sw_, const TierInfo &tier_)
+    : sw(sw_), tier(tier_)
 {
 }
 
@@ -192,10 +191,10 @@ NvlsUnit::completeGather(std::uint64_t id, GatherSession &s)
     if (CausalProfiler *prof = sw.profiler())
         prof->record(profnode::nvls(sw.id()), WaitClass::nvlsFanout,
                      s.profStart,
-                     sw.eventQueue().now() + p.reduceDelay);
+                     sw.eventQueue().now() + reduceDelay);
     gathers.erase(id);
 
-    sw.eventQueue().scheduleAfter(p.reduceDelay,
+    sw.eventQueue().scheduleAfter(reduceDelay,
         [this, r = std::move(resp)]() mutable {
         CausalProfiler::ScopedCause sc(sw.profiler(),
                                        profnode::nvls(sw.id()),
@@ -278,7 +277,7 @@ NvlsUnit::handleRed(Packet &&pkt)
     if (CausalProfiler *prof = sw.profiler())
         prof->record(profnode::nvls(sw.id()), WaitClass::nvlsFanout,
                      s.profStart,
-                     sw.eventQueue().now() + p.reduceDelay);
+                     sw.eventQueue().now() + reduceDelay);
     reds.erase(pkt.addr);
 
     if (tier.isLeaf() && tier.numGroups > 1) {
@@ -292,7 +291,7 @@ NvlsUnit::handleRed(Packet &&pkt)
         up.expected = tier.numGroups;
         up.issuerGpu = sw.nodeId();
         up.tierHop = 1;
-        sw.eventQueue().scheduleAfter(p.reduceDelay,
+        sw.eventQueue().scheduleAfter(reduceDelay,
             [this, pkt2 = std::move(up)]() mutable {
             CausalProfiler::ScopedCause sc(sw.profiler(),
                                            profnode::nvls(sw.id()),
@@ -306,7 +305,7 @@ NvlsUnit::handleRed(Packet &&pkt)
     if (tier.isSpine()) {
         // Combined across groups: distribute to every group's leaf.
         redsDone.inc();
-        sw.eventQueue().scheduleAfter(p.reduceDelay,
+        sw.eventQueue().scheduleAfter(reduceDelay,
             [this, addr, bytes, kernel, contribs] {
             CausalProfiler::ScopedCause sc(sw.profiler(),
                                            profnode::nvls(sw.id()),
@@ -330,7 +329,7 @@ NvlsUnit::handleRed(Packet &&pkt)
     redsDone.inc();
     int first = tier.isLeaf() ? tier.firstLocalGpu : 0;
     int last = first + tier.localGpus(sw);
-    sw.eventQueue().scheduleAfter(p.reduceDelay,
+    sw.eventQueue().scheduleAfter(reduceDelay,
         [this, addr, bytes, kernel, contribs, first, last] {
         CausalProfiler::ScopedCause sc(sw.profiler(),
                                        profnode::nvls(sw.id()),

@@ -35,19 +35,14 @@
 namespace cais
 {
 
-/** NVLS unit tunables. */
-struct NvlsParams
-{
-    /** In-flight reduction latency charged per completed session. */
-    Cycle reduceDelay = 8;
-};
-
 /** The switch-resident NVLS engine. */
 class NvlsUnit : public Probe
 {
   public:
-    NvlsUnit(SwitchChip &sw, const NvlsParams &params = {},
-             const TierInfo &tier = {});
+    /** In-flight reduction latency charged per completed session. */
+    static constexpr Cycle reduceDelay = 8;
+
+    explicit NvlsUnit(SwitchChip &sw, const TierInfo &tier = {});
 
     void handleMultimemSt(Packet &&pkt);
     void handleLdReduceReq(Packet &&pkt);
@@ -111,7 +106,6 @@ class NvlsUnit : public Probe
     void replicateLocal(const Packet &pkt);
 
     SwitchChip &sw;
-    NvlsParams p;
     TierInfo tier;
 
     std::unordered_map<std::uint64_t, GatherSession> gathers;

@@ -6,10 +6,10 @@ namespace cais
 {
 
 SwitchComputeComplex::SwitchComputeComplex(SwitchChip &sw_,
-                                           const InSwitchParams &params)
-    : sw(sw_), nvlsUnit(sw_, params.nvls, params.tier),
-      mergeUnit(sw_, params.merge, params.tier),
-      syncTable(sw_, params.tier)
+                                           const InSwitchParams &params,
+                                           const TierInfo &tier)
+    : sw(sw_), nvlsUnit(sw_, tier), mergeUnit(sw_, params.merge, tier),
+      syncTable(sw_, tier)
 {
     sw.setComputeHandler(this);
 }

@@ -20,17 +20,16 @@ namespace cais
 /** Configuration of one switch's compute complex. */
 struct InSwitchParams
 {
-    NvlsParams nvls;
     MergeParams merge;
-    /** Placement of this switch in the fabric (flat by default). */
-    TierInfo tier;
 };
 
 /** One switch's in-switch computing engines. */
 class SwitchComputeComplex : public SwitchComputeHandler
 {
   public:
-    SwitchComputeComplex(SwitchChip &sw, const InSwitchParams &params);
+    /** @p tier places this switch in the fabric (flat by default). */
+    SwitchComputeComplex(SwitchChip &sw, const InSwitchParams &params,
+                         const TierInfo &tier = {});
 
     bool wants(const Packet &pkt) const override;
     void handlePacket(Packet &&pkt) override;

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include "runtime/execution_strategy.hh"
+#include "runtime/simulation_driver.hh"
 #include "runtime/system.hh"
+#include "workload/transformer.hh"
 
 using namespace cais;
 
@@ -274,6 +277,45 @@ TEST(System, StartSkewStaggersUncoordinatedSources)
     sys.run();
     // The straggling GPU delays completion well beyond the compute.
     EXPECT_GT(sys.makespan(), 1000u);
+}
+
+TEST(System, HandBuiltConfigSeedMatchesRunConfig)
+{
+    // An uncoordinated job with the default jitter and start skew, so
+    // both the per-GPU jitter streams and the skew stream are drawn.
+    const StrategySpec spec = strategyByName("TP-NVLS");
+    ASSERT_FALSE(spec.opts.caisCoordination);
+    const OpGraph g =
+        buildSubLayer(megaGpt4B().scaled(0.25, 0.125), SubLayerId::L1);
+
+    // The RunConfig defaults, set field by field: only the master
+    // seed reaches the RNG streams.
+    SystemConfig sc;
+    sc.fabric.utilBinWidth = 2000;
+    sc.inswitch.merge.tableBytesPerPort =
+        320ull * sc.inswitch.merge.chunkBytes;
+    sc.inswitch.merge.throttleEnabled = false;
+    sc.seed = 3;
+    System sys(sc);
+    GraphLowering lowering(sys, g, spec.opts);
+    lowering.lower();
+    sys.run();
+
+    RunConfig cfg;
+    cfg.seed = 3;
+    RunResult seeded = runGraph(spec, g, cfg, "L1");
+    EXPECT_EQ(sys.makespan(), seeded.makespan);
+    EXPECT_EQ(sys.eq().executed(), seeded.eventsExecuted);
+
+    cfg.seed = 1;
+    RunResult base = runGraph(spec, g, cfg, "L1");
+    EXPECT_NE(seeded.makespan, base.makespan);
+
+    // Without jitter only the skew stream is left to follow the seed.
+    cfg.gpu.jitterSigma = 0.0;
+    RunResult unjittered = runGraph(spec, g, cfg, "L1");
+    cfg.seed = 3;
+    EXPECT_NE(runGraph(spec, g, cfg, "L1").makespan, unjittered.makespan);
 }
 
 TEST(SystemDeathTest, UnsatisfiableDependencyReportsDeadlock)

@@ -41,6 +41,14 @@ emptyKernel(const std::string &name, int gpus)
     return k;
 }
 
+/** Seed a V2 defect: a sync request sent before the first event
+ *  leaves its uplink VC one credit short of the full grant. */
+void
+spendCreditBeforeRun(System &sys)
+{
+    sys.gpu(0).hub().sendSyncReq(0, SyncPhase::preLaunch, 2);
+}
+
 bool
 pathContains(const verify::Diagnostic &d, const std::string &what)
 {
@@ -134,14 +142,17 @@ TEST(Verify, V1SuppressionSkipsTheRule)
 
 TEST(Verify, V2CatchesCreditBufferMismatch)
 {
-    SystemConfig c = tinyConfig();
-    c.fabric.vcCredits = 8; // != sw.vcDepth (256)
-    System sys(c);
+    System sys(tinyConfig());
+    spendCreditBeforeRun(sys);
     verify::VerifyResult r = verify::verifySystem(sys);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.diagnostics[0].id, "V2");
-    EXPECT_TRUE(pathContains(r.diagnostics[0], "vcCredits=8"));
-    EXPECT_TRUE(pathContains(r.diagnostics[0], "vcDepth=256"));
+    EXPECT_NE(r.diagnostics[0].message.find(
+                  "holds 255 credits before the first event "
+                  "(expected the full grant of 256)"),
+              std::string::npos)
+        << r.diagnostics[0].message;
+    EXPECT_TRUE(pathContains(r.diagnostics[0], "up.g0."));
 }
 
 // ---------------------------------------------------------------
@@ -692,9 +703,8 @@ TEST(Verify, V1CyclePathsMatchGoldenForEveryCoupling)
 
 TEST(Verify, UnknownSuppressIdIsIgnored)
 {
-    SystemConfig c = tinyConfig();
-    c.fabric.vcCredits = 8; // seeded V2 defect
-    System sys(c);
+    System sys(tinyConfig());
+    spendCreditBeforeRun(sys); // seeded V2 defect
     verify::Options o;
     o.suppress.insert("V99");
     o.suppress.insert("bogus");
@@ -729,9 +739,8 @@ TEST(Verify, SuppressedRunIsBitIdenticalToUnsuppressed)
 
 TEST(Verify, JsonDocumentRoundTrips)
 {
-    SystemConfig c = tinyConfig();
-    c.fabric.vcCredits = 8;
-    System sys(c);
+    System sys(tinyConfig());
+    spendCreditBeforeRun(sys);
     verify::Options o;
     o.strategy = "CAIS";
     o.workload = "L1";
@@ -945,12 +954,11 @@ TEST(Verify, GatedRunIsBitIdenticalToUngated)
 
 TEST(Verify, GateSuppressionListIsHonored)
 {
-    // A credit mismatch cannot be seeded through RunConfig (the gate
-    // always derives balanced credits), so drive the suppression path
-    // through verifySystem options equivalence instead.
-    SystemConfig c = tinyConfig();
-    c.fabric.vcCredits = 8;
-    System sys(c);
+    // A credit defect cannot be seeded through RunConfig (the gate
+    // verifies before any traffic is sent), so drive the suppression
+    // path through verifySystem options equivalence instead.
+    System sys(tinyConfig());
+    spendCreditBeforeRun(sys);
     verify::Options o;
     o.suppress.insert("V2");
     EXPECT_TRUE(verify::verifySystem(sys, o).ok());
