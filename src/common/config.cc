@@ -1,11 +1,28 @@
 #include "common/config.hh"
 
+#include <cstdio>
 #include <cstdlib>
-
-#include "common/log.hh"
 
 namespace cais
 {
+
+namespace
+{
+
+/**
+ * A malformed value on the command line is a usage error: report it
+ * as fatal() does, but exit 2 like every other front-door rejection.
+ */
+[[noreturn]] void
+badValue(const std::string &key, const std::string &value,
+         const char *what)
+{
+    std::fprintf(stderr, "fatal: parameter %s=%s is not %s\n",
+                 key.c_str(), value.c_str(), what);
+    std::exit(2);
+}
+
+} // namespace
 
 Params
 Params::fromArgs(int argc, char **argv)
@@ -61,8 +78,7 @@ Params::getInt(const std::string &key, std::int64_t def) const
     char *end = nullptr;
     std::int64_t v = std::strtoll(it->second.c_str(), &end, 0);
     if (end == it->second.c_str() || *end != '\0')
-        fatal("parameter %s=%s is not an integer", key.c_str(),
-              it->second.c_str());
+        badValue(key, it->second, "an integer");
     return v;
 }
 
@@ -75,8 +91,7 @@ Params::getDouble(const std::string &key, double def) const
     char *end = nullptr;
     double v = std::strtod(it->second.c_str(), &end);
     if (end == it->second.c_str() || *end != '\0')
-        fatal("parameter %s=%s is not a number", key.c_str(),
-              it->second.c_str());
+        badValue(key, it->second, "a number");
     return v;
 }
 
@@ -91,7 +106,7 @@ Params::getBool(const std::string &key, bool def) const
         return true;
     if (v == "0" || v == "false" || v == "no" || v == "off")
         return false;
-    fatal("parameter %s=%s is not a boolean", key.c_str(), v.c_str());
+    badValue(key, v, "a boolean");
 }
 
 } // namespace cais

@@ -34,6 +34,9 @@ class Params
 
     std::string getString(const std::string &key,
                           const std::string &def) const;
+
+    /** Typed getters: @p def when @p key is absent; a value that does
+     *  not parse as the type exits 2 with a message. */
     std::int64_t getInt(const std::string &key, std::int64_t def) const;
     double getDouble(const std::string &key, double def) const;
     bool getBool(const std::string &key, bool def) const;

@@ -1,7 +1,6 @@
 #include "common/metrics.hh"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <cstdint>
 
@@ -81,16 +80,8 @@ MetricSnapshot::matches(std::string_view pattern,
 std::uint64_t
 integerReading(const MetricValue &v)
 {
-    switch (v.kind) {
-      case MetricKind::counter:
-      case MetricKind::gaugeU64:
-        return v.u64;
-      case MetricKind::stats:
-      case MetricKind::histogram:
-        return v.count;
-      default:
-        return static_cast<std::uint64_t>(v.value);
-    }
+    // A time series leaves u64 at 0.
+    return v.kind == MetricKind::histogram ? v.count : v.u64;
 }
 
 std::uint64_t
@@ -111,16 +102,6 @@ MetricSnapshot::maxU64(std::string_view pattern) const
         if (matches(pattern, (*paths)[i]))
             best = std::max(best, integerReading(vals[i]));
     return best;
-}
-
-double
-MetricSnapshot::sum(std::string_view pattern) const
-{
-    double total = 0.0;
-    for (std::size_t i = 0; i < vals.size(); ++i)
-        if (matches(pattern, (*paths)[i]))
-            total += vals[i].value;
-    return total;
 }
 
 void
@@ -153,16 +134,6 @@ MetricSnapshot::writeJson(JsonWriter &w) const
           case MetricKind::gaugeU64:
             w.field("kind", "gaugeU64").field("value", v.u64);
             break;
-          case MetricKind::gauge:
-            w.field("kind", "gauge").field("value", v.value);
-            break;
-          case MetricKind::stats:
-            w.field("kind", "stats")
-                .field("count", v.count)
-                .field("mean", v.mean)
-                .field("min", v.min)
-                .field("max", v.max);
-            break;
           case MetricKind::histogram:
             w.field("kind", "histogram")
                 .field("count", v.count)
@@ -191,73 +162,28 @@ MetricSnapshot::writeJson(JsonWriter &w) const
 
 // --- MetricRegistry --------------------------------------------------
 
-std::uint32_t
-MetricRegistry::hashPath(std::string_view path)
-{
-    return static_cast<std::uint32_t>(std::hash<std::string_view>{}(path));
-}
-
-void
-MetricRegistry::place(std::uint32_t hash, std::size_t slot) const
-{
-    const std::size_t mask = index.size() - 1;
-    std::size_t b = hash & mask;
-    while (index[b])
-        b = (b + 1) & mask;
-    index[b] = std::uint64_t{hash} << 32 | (slot + 1);
-}
-
-void
-MetricRegistry::reindex(std::size_t buckets) const
-{
-    std::vector<std::uint64_t> old = std::move(index);
-    index.assign(buckets, 0);
-    if (old.empty()) {
-        // Not built yet (paths in order so far) or cleared by
-        // seal(): hash every path.
-        for (std::size_t i = 0; i < paths->size(); ++i)
-            place(hashPath((*paths)[i]), i);
-        return;
-    }
-    for (std::uint64_t e : old)
-        if (e)
-            place(static_cast<std::uint32_t>(e >> 32),
-                  (e & 0xffffffffu) - 1);
-}
-
 void
 MetricRegistry::insert(std::string_view path, const Slot &slot)
 {
     if (path.empty())
         panic("metric registered with empty path");
-    // A snapshot still reading the path table keeps its own copy.
-    if (paths.use_count() > 1)
-        paths = std::make_shared<MetricPathTable>(*paths);
-
-    // In path order, a path above the last one is above every earlier
-    // one too, so it cannot be a duplicate.
-    if (sorted && paths->size()) {
-        const int cmp = path.compare((*paths)[paths->size() - 1]);
+    // A path above the last one is above every earlier one too, so
+    // it cannot be a duplicate.
+    if (paths->size()) {
+        const std::string_view last = (*paths)[paths->size() - 1];
+        const int cmp = path.compare(last);
         if (cmp == 0)
             panic("duplicate metric path '%.*s'",
                   static_cast<int>(path.size()), path.data());
         if (cmp < 0)
-            sorted = false; // index every path from here on
+            panic("metric path '%.*s' added after '%.*s': paths must "
+                  "arrive in strictly increasing byte order",
+                  static_cast<int>(path.size()), path.data(),
+                  static_cast<int>(last.size()), last.data());
     }
-    if (!sorted) {
-        // Load factor <= 1/2 keeps the linear probes short.
-        if (2 * (slots.size() + 1) > index.size())
-            reindex(std::max<std::size_t>(
-                64, std::bit_ceil(4 * (slots.size() + 1))));
-        const std::uint32_t h = hashPath(path);
-        const std::size_t mask = index.size() - 1;
-        for (std::size_t b = h & mask; index[b]; b = (b + 1) & mask)
-            if (index[b] >> 32 == h &&
-                (*paths)[(index[b] & 0xffffffffu) - 1] == path)
-                panic("duplicate metric path '%.*s'",
-                      static_cast<int>(path.size()), path.data());
-        place(h, slots.size());
-    }
+    // A snapshot still reading the path table keeps its own copy.
+    if (paths.use_count() > 1)
+        paths = std::make_shared<MetricPathTable>(*paths);
 
     std::string &chars = paths->chars;
     if (chars.size() + path.size() > UINT32_MAX)
@@ -266,35 +192,6 @@ MetricRegistry::insert(std::string_view path, const Slot &slot)
                            static_cast<std::uint32_t>(path.size()));
     chars.append(path);
     slots.push_back(slot);
-}
-
-void
-MetricRegistry::seal() const
-{
-    if (sorted)
-        return;
-    const MetricPathTable &p = *paths;
-    std::vector<std::uint32_t> order(p.size());
-    for (std::size_t i = 0; i < order.size(); ++i)
-        order[i] = static_cast<std::uint32_t>(i);
-    std::sort(order.begin(), order.end(),
-              [&p](std::uint32_t a, std::uint32_t b) {
-        return p[a] < p[b];
-    });
-    // Only the (offset, length) pairs move; the characters stay put.
-    std::vector<std::pair<std::uint32_t, std::uint32_t>> at;
-    at.reserve(order.size());
-    std::vector<Slot> sorted_slots;
-    sorted_slots.reserve(order.size());
-    for (std::uint32_t i : order) {
-        at.push_back(p.at[i]);
-        sorted_slots.push_back(slots[i]);
-    }
-    paths->at = std::move(at);
-    slots = std::move(sorted_slots);
-    // Slot numbers moved; an out-of-order add rebuilds the index.
-    index.clear();
-    sorted = true;
 }
 
 void
@@ -310,20 +207,6 @@ MetricRegistry::addCounter(std::string_view path, const Counter *c)
     insert(path, bind(MetricKind::counter, c,
                       [](const Counter *ctr, MetricValue &v) {
         v.u64 = ctr->value();
-        v.value = static_cast<double>(v.u64);
-    }));
-}
-
-void
-MetricRegistry::addAccumulator(std::string_view path, const Accumulator *a)
-{
-    insert(path, bind(MetricKind::stats, a,
-                      [](const Accumulator *acc, MetricValue &v) {
-        v.count = acc->count();
-        v.mean = acc->mean();
-        v.min = acc->min();
-        v.max = acc->max();
-        v.value = static_cast<double>(v.count);
     }));
 }
 
@@ -340,31 +223,12 @@ MetricRegistry::addHistogram(std::string_view path, const Histogram *h)
         v.p90 = hist->percentile(0.90);
         v.p99 = hist->percentile(0.99);
         v.p999 = hist->percentile(0.999);
-        v.value = static_cast<double>(v.count);
     }));
-}
-
-void
-MetricRegistry::addTimeSeries(std::string_view path, const TimeSeries *t)
-{
-    insert(path, bind(MetricKind::timeSeries, t,
-                      [](const TimeSeries *ts, MetricValue &v) {
-        v.binWidth = ts->binWidth();
-        v.bins = ts->data();
-    }));
-}
-
-bool
-MetricRegistry::has(std::string_view path) const
-{
-    seal();
-    return sortedIndexOf(*paths, path) < paths->size();
 }
 
 MetricSnapshot
 MetricRegistry::snapshot() const
 {
-    seal();
     std::vector<MetricValue> vals(slots.size());
     for (std::size_t i = 0; i < slots.size(); ++i) {
         const Slot &s = slots[i];

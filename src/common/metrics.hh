@@ -3,9 +3,9 @@
  * Hierarchical metric registry: the unified observability layer's
  * backbone (DESIGN.md §6d).
  *
- * Components own their statistics by value (Counter / Accumulator /
- * Histogram / TimeSeries from common/stats.hh); a MetricRegistry
- * holds non-owning readers under dotted paths such as
+ * Components own their statistics by value (Counter / Histogram
+ * from common/stats.hh); a MetricRegistry holds non-owning readers
+ * under dotted paths such as
  *
  *     switch0.merge.loadHits
  *     switch0.merge.port3.peakTableBytes
@@ -13,10 +13,12 @@
  *
  * Every instrumented component implements the Probe interface and
  * self-registers under a caller-chosen prefix; System::registerMetrics
- * walks the whole machine. Reading happens only at snapshot() time, so
- * registration is free during simulation and the layer is
- * determinism-neutral by construction: registering and snapshotting
- * never schedules events or mutates simulation state.
+ * walks the whole machine, adding every path above its predecessor in
+ * byte order (the only order the registry accepts). Reading happens
+ * only at snapshot() time, so registration is free during simulation
+ * and the layer is determinism-neutral by construction: registering
+ * and snapshotting never schedules events or mutates simulation
+ * state.
  *
  * Naming convention: `<component-instance>.<engine>.<metric>`, all
  * lowerCamelCase segments, instance ids suffixed without separators
@@ -49,36 +51,29 @@ class JsonWriter;
 enum class MetricKind : std::uint8_t
 {
     counter,    ///< monotonically increasing integer
-    gauge,      ///< point-in-time scalar (double)
     gaugeU64,   ///< point-in-time scalar (exact integer)
-    stats,      ///< Accumulator summary: count/mean/min/max
-    histogram,  ///< Histogram summary: stats + percentiles
+    histogram,  ///< Histogram summary: count/mean/min/max + percentiles
     timeSeries, ///< binned series (bin width + values)
 };
 
 /** One metric's value at snapshot time. */
 struct MetricValue
 {
-    MetricKind kind = MetricKind::gauge;
+    MetricKind kind = MetricKind::counter;
 
-    /** Scalar reading: counter/gaugeU64 value, gauge value; for
-     *  stats/histogram this is the sample count (so scalar pattern
-     *  queries over mixed kinds behave sensibly); 0 for time series. */
-    double value = 0.0;
-
-    /** Exact integer for counter/gaugeU64 (value() loses precision
-     *  past 2^53; counters like eventsExecuted must stay exact). */
+    /** Value of a counter or gaugeU64 (exact: counters like
+     *  eventsExecuted pass 2^53); 0 for the other kinds. */
     std::uint64_t u64 = 0;
 
-    // stats / histogram summary
+    // histogram summary
     std::uint64_t count = 0;
     double mean = 0.0;
     double min = 0.0;
     double max = 0.0;
-    double p50 = 0.0;  ///< histogram only
-    double p90 = 0.0;  ///< histogram only
-    double p99 = 0.0;  ///< histogram only
-    double p999 = 0.0; ///< histogram only
+    double p50 = 0.0;
+    double p90 = 0.0;
+    double p99 = 0.0;
+    double p999 = 0.0;
 
     // time series
     Cycle binWidth = 0;
@@ -87,8 +82,8 @@ struct MetricValue
 
 /**
  * Integer reading of @p v as the U64 pattern queries count it: the
- * exact value of a counter or gaugeU64, the sample count of stats and
- * histograms, the truncated scalar otherwise.
+ * exact value of a counter or gaugeU64, the sample count of a
+ * histogram, 0 for a time series.
  */
 std::uint64_t integerReading(const MetricValue &v);
 
@@ -131,14 +126,11 @@ class MetricSnapshot
     const MetricValue *find(std::string_view path) const;
 
     /** Sum of exact-integer readings over matching counters /
-     *  gaugeU64s (histograms and stats contribute their count). */
+     *  gaugeU64s (histograms contribute their count). */
     std::uint64_t sumU64(std::string_view pattern) const;
 
     /** Max of exact-integer readings over matching metrics. */
     std::uint64_t maxU64(std::string_view pattern) const;
-
-    /** Sum of scalar readings over matching metrics. */
-    double sum(std::string_view pattern) const;
 
     /** Visit every matching (path, value) pair in path order. */
     void forEach(std::string_view pattern,
@@ -175,23 +167,17 @@ class MetricSnapshot
  * stats object's pointer or a small lambda). No std::function, no
  * heap node per metric.
  *
- * Paths added in strictly increasing byte order (as
- * System::registerMetrics adds them) cost one comparison with the
- * previous path each: that comparison is the duplicate check, and the
- * table needs no sort. The first path that arrives out of order
- * switches the registry to an open-addressed index of path hashes and
- * slot numbers for the duplicate check, and the slots are then sorted
- * by path once, at the next snapshot() or has(). That sort writes to
- * the registry, so one registry is not read from two threads at once
- * (each job owns its registry).
+ * Paths must be added in strictly increasing byte order, as
+ * System::registerMetrics adds them: each costs one comparison with
+ * the previous path, which is also the duplicate check, and the table
+ * is in path order without a sort. A path that is not above its
+ * predecessor panics and names both.
  */
 class MetricRegistry
 {
   public:
     void addCounter(std::string_view path, const Counter *c);
-    void addAccumulator(std::string_view path, const Accumulator *a);
     void addHistogram(std::string_view path, const Histogram *h);
-    void addTimeSeries(std::string_view path, const TimeSeries *t);
 
     /**
      * Computed binned series, read at snapshot time (for series that
@@ -209,17 +195,6 @@ class MetricRegistry
         insert(path, s);
     }
 
-    /** Computed scalar, read at snapshot time. */
-    template <class F>
-    void
-    addGauge(std::string_view path, F reader)
-    {
-        insert(path, bind(MetricKind::gauge, reader,
-                          [](const F &f, MetricValue &v) {
-            v.value = f();
-        }));
-    }
-
     /** Computed exact-integer scalar, read at snapshot time. */
     template <class F>
     void
@@ -228,22 +203,11 @@ class MetricRegistry
         insert(path, bind(MetricKind::gaugeU64, reader,
                           [](const F &f, MetricValue &v) {
             v.u64 = f();
-            v.value = static_cast<double>(v.u64);
         }));
     }
 
     /** Number of registered paths. */
     std::size_t size() const { return slots.size(); }
-
-    /**
-     * True while every path added since the last sort arrived above
-     * its predecessor in byte order, so the next snapshot() or has()
-     * sorts nothing.
-     */
-    bool inPathOrder() const { return sorted; }
-
-    /** True when @p path is registered. */
-    bool has(std::string_view path) const;
 
     /** Read every metric now. */
     MetricSnapshot snapshot() const;
@@ -255,7 +219,7 @@ class MetricRegistry
 
     struct Slot
     {
-        MetricKind kind = MetricKind::gauge;
+        MetricKind kind = MetricKind::counter;
         ReadFn read = nullptr;
         Cycle binWidth = 0; ///< computed series only
         /** What read() reads through: the stats object's pointer, or
@@ -287,31 +251,14 @@ class MetricRegistry
         return s;
     }
 
+    /** Append @p slot under @p path, above the last path. */
     void insert(std::string_view path, const Slot &slot);
-
-    /** Sort the slots by path (once per batch of adds). */
-    void seal() const;
-
-    static std::uint32_t hashPath(std::string_view path);
-
-    /** Enter @p slot under @p hash into the duplicate-check index. */
-    void place(std::uint32_t hash, std::size_t slot) const;
-
-    /** Regrow the duplicate-check index to @p buckets (a power of
-     *  two), hashing every path when it is empty. */
-    void reindex(std::size_t buckets) const;
 
     /** Path of slot i at at[i]; shared with snapshots, copied before
      *  an add while one holds it. */
-    mutable std::shared_ptr<MetricPathTable> paths =
+    std::shared_ptr<MetricPathTable> paths =
         std::make_shared<MetricPathTable>();
-    mutable std::vector<Slot> slots;
-    /** Open-addressed duplicate check: path hash << 32 | slot + 1
-     *  (0 = empty). Holds every slot while !sorted; empty otherwise
-     *  (seal() clears it, an out-of-order add rebuilds it). */
-    mutable std::vector<std::uint64_t> index;
-    /** Paths strictly increasing in slot order. */
-    mutable bool sorted = true;
+    std::vector<Slot> slots;
 };
 
 /**
@@ -356,9 +303,9 @@ class MetricPath
  * Calls @p fn(i) for every i in [@p lo, @p hi) in the byte order of
  * their decimal strings: 0, 1, 10, 11, ..., 19, 2, 20, .... A path
  * component such as gpu<i> or port<i> is always followed by '.',
- * which sorts below every digit, so this is the order in which the
- * registry sorts the children's paths. Probes walk indexed children
- * through it to add their paths in path order.
+ * which sorts below every digit, so this is the byte order of the
+ * children's paths. Probes walk indexed children through it to add
+ * their paths in path order.
  */
 template <class F>
 void
@@ -389,9 +336,9 @@ forEachInPathOrder(int lo, int hi, F &&fn)
  * Interface of a component that publishes metrics. Implementations
  * register every metric they own under `prefix + "."` and recurse
  * into sub-components with an extended prefix, in path order (leaf
- * names in byte order, indexed children through forEachInPathOrder)
- * so the registry neither indexes nor sorts them. Registration must
- * not change simulation behaviour (readers only).
+ * names in byte order, indexed children through forEachInPathOrder):
+ * the registry panics on a path that is not above the previous one.
+ * Registration must not change simulation behaviour (readers only).
  */
 class Probe
 {

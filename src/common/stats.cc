@@ -1,8 +1,5 @@
 #include "common/stats.hh"
 
-#include <cmath>
-#include <sstream>
-
 #include "common/log.hh"
 
 namespace cais
@@ -32,13 +29,6 @@ Histogram::sample(double v)
             idx = counts.size() - 2;
     }
     ++counts[idx];
-}
-
-void
-Histogram::reset()
-{
-    std::fill(counts.begin(), counts.end(), 0);
-    acc.reset();
 }
 
 double
@@ -112,61 +102,10 @@ TimeSeries::recordInterval(Cycle start, Cycle end, double amount)
     }
 }
 
-void
-TimeSeries::reset()
-{
-    bins.clear();
-}
-
 double
 TimeSeries::binValue(std::size_t i) const
 {
     return i < bins.size() ? bins[i] : 0.0;
-}
-
-double
-TimeSeries::meanOver(std::size_t first, std::size_t last) const
-{
-    if (last <= first)
-        return 0.0;
-    double s = 0.0;
-    for (std::size_t i = first; i < last; ++i)
-        s += binValue(i);
-    return s / static_cast<double>(last - first);
-}
-
-void
-StatRegistry::add(const std::string &name, const Counter *c)
-{
-    slots[name] = Slot{c, [](const void *p) {
-        return static_cast<double>(static_cast<const Counter *>(p)->value());
-    }};
-}
-
-void
-StatRegistry::add(const std::string &name, const Accumulator *a)
-{
-    slots[name] = Slot{a, [](const void *p) {
-        return static_cast<const Accumulator *>(p)->mean();
-    }};
-}
-
-std::map<std::string, double>
-StatRegistry::snapshot() const
-{
-    std::map<std::string, double> out;
-    for (const auto &[name, slot] : slots)
-        out[name] = slot.read(slot.obj);
-    return out;
-}
-
-std::string
-StatRegistry::dump() const
-{
-    std::ostringstream os;
-    for (const auto &[name, value] : snapshot())
-        os << name << " = " << value << "\n";
-    return os.str();
 }
 
 } // namespace cais

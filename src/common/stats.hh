@@ -1,10 +1,11 @@
 /**
  * @file
  * Lightweight statistics package: scalar counters, accumulators,
- * histograms and binned time series, plus a registry for dumping.
+ * histograms and binned time series.
  *
- * Components own their stats by value; a StatRegistry only holds
- * non-owning pointers for end-of-run reporting.
+ * Components own their stats by value; a MetricRegistry
+ * (common/metrics.hh) holds non-owning readers of them for end-of-run
+ * reporting.
  */
 
 #ifndef CAIS_COMMON_STATS_HH
@@ -13,8 +14,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <limits>
-#include <map>
-#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -29,7 +28,6 @@ class Counter
     Counter() = default;
 
     void inc(std::uint64_t n = 1) { val += n; }
-    void reset() { val = 0; }
     std::uint64_t value() const { return val; }
 
   private:
@@ -56,15 +54,6 @@ class Accumulator
         hi = std::max(hi, v);
     }
 
-    void
-    reset()
-    {
-        n = 0;
-        total = 0.0;
-        lo = std::numeric_limits<double>::infinity();
-        hi = -std::numeric_limits<double>::infinity();
-    }
-
     std::uint64_t count() const { return n; }
     double sum() const { return total; }
     double mean() const { return n ? total / static_cast<double>(n) : 0.0; }
@@ -87,7 +76,6 @@ class Histogram
     Histogram(double lo, double hi, std::size_t bins);
 
     void sample(double v);
-    void reset();
 
     std::uint64_t count() const { return acc.count(); }
     double mean() const { return acc.mean(); }
@@ -132,18 +120,10 @@ class TimeSeries
      */
     void recordInterval(Cycle start, Cycle end, double amount);
 
-    void reset();
-
     Cycle binWidth() const { return width; }
-    std::size_t numBins() const { return bins.size(); }
 
     /** Accumulated amount in bin @p i (0 beyond the recorded range). */
     double binValue(std::size_t i) const;
-
-    /** Mean of binValue over bins [first, last). */
-    double meanOver(std::size_t first, std::size_t last) const;
-
-    const std::vector<double> &data() const { return bins; }
 
   private:
     /** Extend bins to @p need entries with amortized-doubling growth. */
@@ -151,34 +131,6 @@ class TimeSeries
 
     Cycle width;
     std::vector<double> bins;
-};
-
-/** Non-owning registry mapping names to scalar stat readers. */
-class StatRegistry
-{
-  public:
-    using Reader = double (*)(const void *);
-
-    /** Register a counter under @p name. */
-    void add(const std::string &name, const Counter *c);
-
-    /** Register an accumulator's mean under @p name. */
-    void add(const std::string &name, const Accumulator *a);
-
-    /** Read every registered stat. */
-    std::map<std::string, double> snapshot() const;
-
-    /** Render "name = value" lines. */
-    std::string dump() const;
-
-  private:
-    struct Slot
-    {
-        const void *obj;
-        Reader read;
-    };
-
-    std::map<std::string, Slot> slots;
 };
 
 } // namespace cais

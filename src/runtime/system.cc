@@ -640,8 +640,8 @@ System::kernelGpuSpan(KernelId k, GpuId g) const
 void
 System::registerMetrics(MetricRegistry &reg) const
 {
-    // Paths are added in path order, so the registry neither indexes
-    // nor sorts them (DESIGN.md §6d): top-level names alphabetically,
+    // Paths are added in path order, the only order the registry
+    // accepts (DESIGN.md §6d): top-level names alphabetically,
     // indexed children through forEachInPathOrder.
     reg.addGaugeU64("eventq.executed",
                     [this] { return queue.executed(); });

@@ -22,7 +22,6 @@
 #include "analysis/report.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
-#include "common/rng.hh"
 #include "report.hh" // tools/cais_report core
 
 using namespace cais;
@@ -35,49 +34,43 @@ TEST(MetricRegistry, RegistersAndSnapshotsEveryKind)
     MetricRegistry reg;
     Counter c;
     c.inc(42);
-    Accumulator a;
-    a.sample(2.0);
-    a.sample(4.0);
     Histogram h(0.0, 10.0, 10);
-    h.sample(5.0);
-    TimeSeries ts(100);
-    ts.record(50, 7.0);
+    h.sample(2.0);
+    h.sample(4.0);
 
-    reg.addCounter("sw0.pkts", &c);
-    reg.addAccumulator("sw0.lat", &a);
-    reg.addHistogram("sw0.stagger", &h);
-    reg.addTimeSeries("sw0.bw", &ts);
-    reg.addGauge("sw0.util", [] { return 0.5; });
+    // In path order, as every probe adds them.
+    reg.addTimeSeriesFn("sw0.bw", 100,
+                        [] { return std::vector<double>{7.0}; });
     reg.addGaugeU64("sw0.peak", [] { return std::uint64_t(99); });
-
-    EXPECT_EQ(reg.size(), 6u);
-    EXPECT_TRUE(reg.has("sw0.pkts"));
-    EXPECT_FALSE(reg.has("sw0.nope"));
+    reg.addCounter("sw0.pkts", &c);
+    reg.addHistogram("sw0.stagger", &h);
+    EXPECT_EQ(reg.size(), 4u);
 
     MetricSnapshot snap = reg.snapshot();
+    EXPECT_EQ(snap.find("sw0.nope"), nullptr);
+
     const MetricValue *pkts = snap.find("sw0.pkts");
     ASSERT_NE(pkts, nullptr);
     EXPECT_EQ(pkts->kind, MetricKind::counter);
     EXPECT_EQ(pkts->u64, 42u);
 
-    const MetricValue *lat = snap.find("sw0.lat");
-    ASSERT_NE(lat, nullptr);
-    EXPECT_EQ(lat->count, 2u);
-    EXPECT_DOUBLE_EQ(lat->mean, 3.0);
-
     const MetricValue *stagger = snap.find("sw0.stagger");
     ASSERT_NE(stagger, nullptr);
     EXPECT_EQ(stagger->kind, MetricKind::histogram);
-    EXPECT_EQ(stagger->count, 1u);
+    EXPECT_EQ(stagger->count, 2u);
+    EXPECT_DOUBLE_EQ(stagger->mean, 3.0);
 
     const MetricValue *bw = snap.find("sw0.bw");
     ASSERT_NE(bw, nullptr);
+    EXPECT_EQ(bw->kind, MetricKind::timeSeries);
     EXPECT_EQ(bw->binWidth, 100u);
     ASSERT_FALSE(bw->bins.empty());
     EXPECT_DOUBLE_EQ(bw->bins[0], 7.0);
 
-    EXPECT_DOUBLE_EQ(snap.find("sw0.util")->value, 0.5);
-    EXPECT_EQ(snap.find("sw0.peak")->u64, 99u);
+    const MetricValue *peak = snap.find("sw0.peak");
+    ASSERT_NE(peak, nullptr);
+    EXPECT_EQ(peak->kind, MetricKind::gaugeU64);
+    EXPECT_EQ(peak->u64, 99u);
 }
 
 TEST(MetricRegistry, SnapshotReadsAtCallTime)
@@ -98,6 +91,24 @@ TEST(MetricRegistry, RejectsDuplicateAndEmptyPaths)
     reg.addCounter("dup", &c);
     EXPECT_DEATH(reg.addCounter("dup", &c), "duplicate metric path");
     EXPECT_DEATH(reg.addCounter("", &c), "empty path");
+}
+
+TEST(MetricRegistry, OutOfOrderAddPanics)
+{
+    MetricRegistry reg;
+    Counter c;
+    for (const char *p : {"a.x", "a.y", "b", "b.c"})
+        reg.addCounter(p, &c);
+    // Below its predecessor, new or not: the panic names both paths.
+    EXPECT_DEATH(reg.addCounter("a.z", &c),
+                 "metric path 'a.z' added after 'b.c'");
+    EXPECT_DEATH(reg.addCounter("b", &c),
+                 "metric path 'b' added after 'b.c'");
+    EXPECT_DEATH(reg.addCounter("b.c", &c), "duplicate metric path 'b.c'");
+    // "port10" sorts before "port2": byte order, not numeric order.
+    reg.addCounter("port2", &c);
+    EXPECT_DEATH(reg.addCounter("port10", &c),
+                 "metric path 'port10' added after 'port2'");
 }
 
 TEST(MetricSnapshot, PatternMatching)
@@ -124,13 +135,12 @@ TEST(MetricSnapshot, AggregatesOverPatterns)
     c1.inc(32);
     other.inc(1000);
     reg.addCounter("sw0.merge.loadReqs", &c0);
-    reg.addCounter("sw1.merge.loadReqs", &c1);
     reg.addCounter("sw0.merge.redReqs", &other);
+    reg.addCounter("sw1.merge.loadReqs", &c1);
 
     MetricSnapshot snap = reg.snapshot();
     EXPECT_EQ(snap.sumU64("sw*.merge.loadReqs"), 42u);
     EXPECT_EQ(snap.maxU64("sw*.merge.loadReqs"), 32u);
-    EXPECT_DOUBLE_EQ(snap.sum("sw*.merge.loadReqs"), 42.0);
 
     int visited = 0;
     snap.forEach("sw*.merge.loadReqs",
@@ -490,7 +500,7 @@ TEST(CaisReport, DiffRendersPercentilesAndAddedRemovedPaths)
     EXPECT_NE(d.find("+ b.only"), std::string::npos);
 }
 
-// --- Flat registry: parity with the ordered-map semantics -------------
+// --- Flat registry: parity with an ordered map -----------------------
 
 /** Dotted paths shaped like a fabric's, with prefix-of-each-other
  *  and digit-ordering cases ("port10" sorts before "port2"). */
@@ -518,161 +528,121 @@ fabricShapedPaths()
     return out;
 }
 
-/** Deterministic Fisher-Yates shuffle. */
-std::vector<std::size_t>
-shuffledOrder(std::size_t n, std::uint64_t seed)
-{
-    std::vector<std::size_t> order(n);
-    for (std::size_t i = 0; i < n; ++i)
-        order[i] = i;
-    Rng rng(seed);
-    for (std::size_t i = n; i > 1; --i)
-        std::swap(order[i - 1],
-                  order[static_cast<std::size_t>(rng.uniformInt(
-                      0, static_cast<std::int64_t>(i) - 1))]);
-    return order;
-}
-
-TEST(MetricRegistry, FlatLayoutMatchesOrderedMapInAnyAddOrder)
+TEST(MetricRegistry, FlatLayoutMatchesOrderedMap)
 {
     const std::vector<std::string> paths = fabricShapedPaths();
-    // Every third path is a counter, the rest exact-integer gauges;
-    // values are distinct so a misplaced reading shows.
+    // Values are distinct so a misplaced reading shows.
     std::vector<Counter> counters(paths.size());
-    std::map<std::string, std::uint64_t> model;
+    std::map<std::string, const Counter *> model;
     for (std::size_t i = 0; i < paths.size(); ++i) {
         counters[i].inc(7 * i + 1);
-        model[paths[i]] = 7 * i + 1;
+        model[paths[i]] = &counters[i];
     }
     const std::vector<std::string> patterns = {
         "*", "leaf*.merge.loadReqs", "*.peakBytes", "link.*.wireBytes",
         "a*", "gpu1*.hbm.bytes", "nothing.*", "a.b", "*.merge.port1*"};
 
-    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-        SCOPED_TRACE(seed);
-        MetricRegistry reg;
-        for (std::size_t i : shuffledOrder(paths.size(), seed)) {
-            if (i % 3 == 0) {
-                reg.addCounter(paths[i], &counters[i]);
-            } else {
-                const Counter *c = &counters[i];
-                reg.addGaugeU64(paths[i], [c] { return c->value(); });
+    // Added in the map's (byte) order; every third path is a counter,
+    // the rest exact-integer gauges.
+    MetricRegistry reg;
+    std::size_t n = 0;
+    for (const auto &[path, c] : model) {
+        if (n++ % 3 == 0)
+            reg.addCounter(path, c);
+        else
+            reg.addGaugeU64(path, [c] { return c->value(); });
+    }
+    ASSERT_EQ(reg.size(), model.size());
+
+    const MetricSnapshot snap = reg.snapshot();
+    ASSERT_EQ(snap.size(), model.size());
+    std::size_t i = 0;
+    for (const auto &[path, c] : model) {
+        EXPECT_EQ(snap.path(i), path);
+        EXPECT_EQ(integerReading(snap.value(i)), c->value());
+        ASSERT_NE(snap.find(path), nullptr) << path;
+        EXPECT_EQ(snap.find(path), &snap.value(i));
+        ++i;
+    }
+    for (const char *missing : {"", "a.", "leaf0", "zzz", "link.1"})
+        EXPECT_EQ(snap.find(missing), nullptr) << missing;
+
+    for (const std::string &pat : patterns) {
+        SCOPED_TRACE(pat);
+        std::uint64_t sum = 0, best = 0;
+        std::vector<std::string> visited;
+        for (const auto &[path, c] : model)
+            if (MetricSnapshot::matches(pat, path)) {
+                sum += c->value();
+                best = std::max(best, c->value());
+                visited.push_back(path);
             }
-        }
-        ASSERT_EQ(reg.size(), model.size());
-
-        // has() before the first snapshot sorts; it agrees with the map.
-        for (const auto &[path, v] : model)
-            EXPECT_TRUE(reg.has(path)) << path;
-        for (const char *missing : {"", "a.", "leaf0", "zzz", "link.1"})
-            EXPECT_FALSE(reg.has(missing)) << missing;
-
-        const MetricSnapshot snap = reg.snapshot();
-        ASSERT_EQ(snap.size(), model.size());
-        std::size_t i = 0;
-        for (const auto &[path, v] : model) {
-            EXPECT_EQ(snap.path(i), path);
-            EXPECT_EQ(integerReading(snap.value(i)), v);
-            ASSERT_NE(snap.find(path), nullptr) << path;
-            EXPECT_EQ(snap.find(path), &snap.value(i));
-            ++i;
-        }
-        for (const char *missing : {"", "a.", "leaf0", "zzz", "link.1"})
-            EXPECT_EQ(snap.find(missing), nullptr) << missing;
-
-        for (const std::string &pat : patterns) {
-            SCOPED_TRACE(pat);
-            std::uint64_t sum = 0, best = 0;
-            std::vector<std::string> visited;
-            for (const auto &[path, v] : model)
-                if (MetricSnapshot::matches(pat, path)) {
-                    sum += v;
-                    best = std::max(best, v);
-                    visited.push_back(path);
-                }
-            EXPECT_EQ(snap.sumU64(pat), sum);
-            EXPECT_EQ(snap.maxU64(pat), best);
-            EXPECT_DOUBLE_EQ(snap.sum(pat), static_cast<double>(sum));
-            std::vector<std::string> seen;
-            snap.forEach(pat, [&](const std::string &path,
-                                  const MetricValue &v) {
-                EXPECT_EQ(integerReading(v), model.at(path));
-                seen.push_back(path);
-            });
-            EXPECT_EQ(seen, visited);
-        }
+        EXPECT_EQ(snap.sumU64(pat), sum);
+        EXPECT_EQ(snap.maxU64(pat), best);
+        std::vector<std::string> seen;
+        snap.forEach(pat, [&](const std::string &path,
+                              const MetricValue &v) {
+            EXPECT_EQ(integerReading(v), model.at(path)->value());
+            seen.push_back(path);
+        });
+        EXPECT_EQ(seen, visited);
     }
 }
 
-TEST(MetricSnapshot, WriteJsonIsIndependentOfAddOrder)
+TEST(MetricSnapshot, WriteJsonListsEveryKindInPathOrder)
 {
     Counter c;
     c.inc(5);
-    Accumulator a;
-    a.sample(1.5);
     Histogram h(0.0, 10.0, 10);
     h.sample(3.0);
-    TimeSeries ts(100);
-    ts.record(150, 2.0);
 
-    // Each entry adds one metric of every kind under its own prefix.
-    auto fill = [&](MetricRegistry &reg, const std::string &prefix) {
-        reg.addCounter(prefix + ".count", &c);
-        reg.addAccumulator(prefix + ".acc", &a);
-        reg.addHistogram(prefix + ".hist", &h);
-        reg.addTimeSeries(prefix + ".series", &ts);
-        reg.addGauge(prefix + ".gauge", [] { return 0.25; });
-        reg.addGaugeU64(prefix + ".peak",
-                        [] { return std::uint64_t(9); });
-        reg.addTimeSeriesFn(prefix + ".fn", 50, [] {
+    // One metric of every kind under each prefix, leaves in byte
+    // order; "switch1." sorts before "switch10." ('.' < '0').
+    MetricRegistry reg;
+    for (const char *prefix : {"fabric", "gpu0", "link.3", "switch1",
+                               "switch10", "switch2"}) {
+        MetricPath path(prefix);
+        reg.addCounter(path("count"), &c);
+        reg.addTimeSeriesFn(path("fn"), 50, [] {
             return std::vector<double>{1.0, 0.5};
         });
-    };
-    const std::vector<std::string> prefixes = {
-        "switch10", "switch2", "gpu0", "link.3", "switch1", "fabric"};
+        reg.addHistogram(path("hist"), &h);
+        reg.addGaugeU64(path("peak"), [] { return std::uint64_t(9); });
+    }
 
-    MetricRegistry forward, backward;
-    for (const std::string &p : prefixes)
-        fill(forward, p);
-    for (auto it = prefixes.rbegin(); it != prefixes.rend(); ++it)
-        fill(backward, *it);
-
-    JsonWriter wf, wb;
-    forward.snapshot().writeJson(wf);
-    backward.snapshot().writeJson(wb);
-    EXPECT_EQ(wf.str(), wb.str());
+    JsonWriter w;
+    reg.snapshot().writeJson(w);
+    const std::string json = w.str();
     // Keys come out in path order.
-    EXPECT_LT(wf.str().find("\"fabric.acc\""),
-              wf.str().find("\"gpu0.acc\""));
-    EXPECT_LT(wf.str().find("\"switch1.acc\""),
-              wf.str().find("\"switch10.acc\""));
-    EXPECT_LT(wf.str().find("\"switch10.series\""),
-              wf.str().find("\"switch2.acc\""));
-}
+    EXPECT_LT(json.find("\"fabric.peak\""), json.find("\"gpu0.count\""));
+    EXPECT_LT(json.find("\"switch1.peak\""),
+              json.find("\"switch10.count\""));
+    EXPECT_LT(json.find("\"switch10.peak\""),
+              json.find("\"switch2.count\""));
 
-TEST(MetricRegistry, OutOfOrderAddSwitchesToTheIndex)
-{
-    Counter c;
-    MetricRegistry reg;
-    for (const char *p : {"a.x", "a.y", "b", "b.c"})
-        reg.addCounter(p, &c);
-    EXPECT_TRUE(reg.inPathOrder());
-    // Below its predecessor but new: the registry indexes every path
-    // from here on, so a duplicate of any earlier path is caught.
-    reg.addCounter("a.z", &c);
-    EXPECT_FALSE(reg.inPathOrder());
-    EXPECT_DEATH(reg.addCounter("a.x", &c), "duplicate metric path");
-    EXPECT_DEATH(reg.addCounter("b", &c), "duplicate metric path");
-    reg.addCounter("c", &c);
-    const MetricSnapshot snap = reg.snapshot(); // sorts
-    EXPECT_TRUE(reg.inPathOrder());
-    ASSERT_EQ(snap.size(), 6u);
-    EXPECT_EQ(snap.path(2), "a.z");
-    EXPECT_EQ(snap.path(5), "c");
-    // In order again after the sort: compared with the last path only.
-    reg.addCounter("d", &c);
-    EXPECT_TRUE(reg.inPathOrder());
-    EXPECT_DEATH(reg.addCounter("d", &c), "duplicate metric path");
+    JsonValue v;
+    std::string error;
+    ASSERT_TRUE(jsonParse(json, v, error)) << error;
+    const JsonValue *count = v.find("switch10.count");
+    ASSERT_NE(count, nullptr);
+    EXPECT_EQ(count->getString("kind"), "counter");
+    EXPECT_DOUBLE_EQ(count->getNumber("value"), 5.0);
+    const JsonValue *fn = v.find("switch10.fn");
+    ASSERT_NE(fn, nullptr);
+    EXPECT_EQ(fn->getString("kind"), "timeseries");
+    EXPECT_DOUBLE_EQ(fn->getNumber("binWidth"), 50.0);
+    ASSERT_NE(fn->find("bins"), nullptr);
+    ASSERT_EQ(fn->find("bins")->elems.size(), 2u);
+    EXPECT_DOUBLE_EQ(fn->find("bins")->elems[1].numVal, 0.5);
+    const JsonValue *hist = v.find("switch10.hist");
+    ASSERT_NE(hist, nullptr);
+    EXPECT_EQ(hist->getString("kind"), "histogram");
+    EXPECT_DOUBLE_EQ(hist->getNumber("count"), 1.0);
+    EXPECT_DOUBLE_EQ(hist->getNumber("mean"), 3.0);
+    const JsonValue *peak = v.find("switch10.peak");
+    ASSERT_NE(peak, nullptr);
+    EXPECT_EQ(peak->getString("kind"), "gaugeU64");
+    EXPECT_DOUBLE_EQ(peak->getNumber("value"), 9.0);
 }
 
 TEST(MetricRegistry, AddAfterSnapshotLeavesThatSnapshotIntact)
@@ -682,22 +652,22 @@ TEST(MetricRegistry, AddAfterSnapshotLeavesThatSnapshotIntact)
     c2.inc(2);
     c3.inc(3);
     auto reg = std::make_unique<MetricRegistry>();
+    reg->addCounter("a", &c1);
     reg->addCounter("m", &c2);
-    reg->addCounter("z", &c3);
     const MetricSnapshot before = reg->snapshot();
 
-    // A path that sorts first forces a second sort of the registry.
-    reg->addCounter("a", &c1);
+    // The add copies the path table the snapshot still reads.
+    reg->addCounter("z", &c3);
     EXPECT_DEATH(reg->addCounter("z", &c1), "duplicate metric path");
     const MetricSnapshot after = reg->snapshot();
     reg.reset(); // snapshots share the path table, not the registry
 
     ASSERT_EQ(before.size(), 2u);
-    EXPECT_EQ(before.path(0), "m");
-    EXPECT_EQ(before.path(1), "z");
-    EXPECT_EQ(before.find("a"), nullptr);
+    EXPECT_EQ(before.path(0), "a");
+    EXPECT_EQ(before.path(1), "m");
+    EXPECT_EQ(before.find("z"), nullptr);
     ASSERT_EQ(after.size(), 3u);
-    EXPECT_EQ(after.path(0), "a");
+    EXPECT_EQ(after.path(2), "z");
     EXPECT_EQ(after.find("a")->u64, 1u);
     EXPECT_EQ(after.find("z")->u64, 3u);
 }

@@ -5,6 +5,7 @@
 
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "common/nodemask.hh"
 #include "noc/topology.hh"
 #include "runtime/execution_strategy.hh"
 #include "runtime/simulation_driver.hh"
@@ -275,22 +276,49 @@ TEST(MetricsReport, TieredSnapshotsMatchGoldenDigest)
 
 TEST(MetricRegistry, SystemRegistersInPathOrder)
 {
-    // System::registerMetrics adds every path above its predecessor,
-    // so the registry needs neither a duplicate index nor a sort. A
-    // probe that adds out of order still yields a correct (sorted)
-    // snapshot, only slower; this catches it.
-    std::vector<RunConfig> shapes = {RunConfig{}}; // flat-8
-    for (const std::string &name : FabricParams::presetNames())
-        shapes.push_back(presetConfig(name));
-    for (const RunConfig &cfg : shapes) {
-        System sys(cfg.toSystemConfig(strategyByName("CAIS")));
-        MetricRegistry reg;
-        sys.registerMetrics(reg);
-        EXPECT_TRUE(reg.inPathOrder())
-            << (cfg.topology.empty() ? "flat" : cfg.topology);
-        const MetricSnapshot snap = reg.snapshot();
-        ASSERT_EQ(snap.size(), reg.size());
-        for (std::size_t i = 1; i < snap.size(); ++i)
-            ASSERT_LT(snap.path(i - 1), snap.path(i));
+    // The registry panics on a path that is not above its predecessor,
+    // so System::registerMetrics must add in path order on every shape
+    // the front door accepts: flat fabrics and every preset at 2 to
+    // maxFabricGpus GPUs, under CAIS (merge throttle on) and TP-NVLS
+    // (no CAIS coordination).
+    std::vector<RunConfig> shapes;
+    for (int gpus = 2; gpus <= maxFabricGpus; ++gpus) {
+        for (int switches : {1, 2, 3, 4, 7, 8, 11, 16}) {
+            RunConfig cfg;
+            cfg.numGpus = gpus;
+            cfg.numSwitches = switches;
+            shapes.push_back(cfg);
+        }
+        for (const std::string &name : FabricParams::presetNames()) {
+            RunConfig cfg;
+            cfg.topology = name;
+            cfg.numGpus = gpus;
+            shapes.push_back(cfg);
+        }
     }
+    int checked = 0;
+    for (const RunConfig &cfg : shapes) {
+        if (!cfg.validationError().empty())
+            continue;
+        for (const char *strategy : {"CAIS", "TP-NVLS"}) {
+            System sys(cfg.toSystemConfig(strategyByName(strategy)));
+            MetricRegistry reg;
+            sys.registerMetrics(reg);
+            const MetricSnapshot snap = reg.snapshot();
+            ASSERT_EQ(snap.size(), reg.size());
+            std::size_t i = 1;
+            while (i < snap.size() && snap.path(i - 1) < snap.path(i))
+                ++i;
+            ASSERT_EQ(i, snap.size())
+                << snap.path(i) << " after " << snap.path(i - 1) << ", "
+                << strategy << " on "
+                << (cfg.topology.empty() ? "flat" : cfg.topology)
+                << " with " << cfg.numGpus << " GPUs, "
+                << cfg.numSwitches << " switches";
+            ++checked;
+        }
+    }
+    // The front door accepts 1153 of these shapes; a change to its
+    // rules updates this count rather than silently shrinking the sweep.
+    EXPECT_EQ(checked, 2 * 1153);
 }

