@@ -2,19 +2,22 @@
  * @file
  * Perf-regression harness for the event core (google-benchmark).
  *
- * Measures events/sec on two workload shapes:
+ * Measures events/sec on three workload shapes:
  *
  *  - a synthetic "hop storm" that mimics the deliver/wake/credit
  *    pattern CreditLink generates: many concurrent self-rescheduling
  *    chains with mixed near-future deltas, once with 1024 chains
  *    (everything in cache) and once with ~131k (the pending-set size
  *    of the 72-GPU LADM job, far larger than the caches);
+ *  - a same-cycle burst: 90 chains that each step one cycle per hop,
+ *    so every cycle holds 90 events, the density of the 72-GPU LADM
+ *    job (~92 events per simulated cycle);
  *  - a fig12-shaped end-to-end run (CAIS strategy over a scaled-down
  *    Mega-GPT sub-layer) counting real simulator events.
  *
- * The hop storm also runs against a local replica of the seed
- * implementation (std::function callbacks in one binary heap), the
- * baseline of the bucketed scheduler's ratio floor. CI uses the
+ * The hop storm and the burst also run against a local replica of
+ * the seed implementation (std::function callbacks in one binary
+ * heap), the baseline of the bucketed scheduler's ratio floors. CI uses the
  * emitted BENCH_eventcore.json to enforce a throughput floor; see
  * .github/workflows/ci.yml.
  */
@@ -118,23 +121,32 @@ constexpr int kHopsPerChain = 512;
 constexpr int kWideChains = 131072;
 constexpr int kWideHopsPerChain = 32;
 
+/** The same-cycle burst: 90 chains in lockstep, 90 events a cycle. */
+constexpr int kBurstChains = 90;
+constexpr int kBurstHopsPerChain = 4096;
+
+/** The hop storm's serialization-like delta cycle: same-cycle drains,
+ *  short serialization, propagation latency. */
+constexpr Cycle kStormDeltas[] = {1, 37, 250};
+/** The burst's: every hop lands on the next cycle. */
+constexpr Cycle kBurstDeltas[] = {1};
+
 /**
  * Drive @p eq through a hop storm: @p chains concurrent chains, each
- * rescheduling itself @p hops times with deltas cycling through a
- * serialization-like {1, 37, 250} pattern (same-cycle drains, short
- * serialization, propagation latency).
+ * rescheduling itself @p hops times with deltas cycling through
+ * @p deltas.
  */
-template <typename Queue>
+template <typename Queue, std::size_t N>
 std::uint64_t
-hopStorm(Queue &eq, int chains, int hops)
+hopStorm(Queue &eq, int chains, int hops, const Cycle (&deltas)[N])
 {
-    static constexpr Cycle deltas[3] = {1, 37, 250};
     struct Storm
     {
         Queue *q;
+        const Cycle *deltas;
         std::uint64_t hops;
         std::uint64_t done = 0;
-    } storm{&eq, static_cast<std::uint64_t>(hops)};
+    } storm{&eq, deltas, static_cast<std::uint64_t>(hops)};
     // A pointer plus a Packet-sized payload, like a link delivery;
     // the hop count rides in the payload's last word.
     struct Chain
@@ -148,7 +160,7 @@ hopStorm(Queue &eq, int chains, int hops)
             std::uint64_t &hop = payload.words[12];
             payload.words[0] += hop;
             if (++hop < s->hops) {
-                s->q->scheduleAfter(deltas[hop % 3], *this);
+                s->q->scheduleAfter(s->deltas[hop % N], *this);
             } else {
                 s->done += payload.words[0];
             }
@@ -165,7 +177,8 @@ BM_HopStorm_SeedReplica(benchmark::State &state)
 {
     for (auto _ : state) {
         LegacyEventQueue eq;
-        benchmark::DoNotOptimize(hopStorm(eq, kChains, kHopsPerChain));
+        benchmark::DoNotOptimize(
+            hopStorm(eq, kChains, kHopsPerChain, kStormDeltas));
     }
     state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
 }
@@ -176,7 +189,8 @@ BM_HopStorm_Bucketed(benchmark::State &state)
 {
     for (auto _ : state) {
         EventQueue eq;
-        benchmark::DoNotOptimize(hopStorm(eq, kChains, kHopsPerChain));
+        benchmark::DoNotOptimize(
+            hopStorm(eq, kChains, kHopsPerChain, kStormDeltas));
     }
     state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
 }
@@ -189,12 +203,38 @@ BM_HopStormHighOccupancy_Bucketed(benchmark::State &state)
     for (auto _ : state) {
         EventQueue eq;
         benchmark::DoNotOptimize(
-            hopStorm(eq, kWideChains, kWideHopsPerChain));
+            hopStorm(eq, kWideChains, kWideHopsPerChain, kStormDeltas));
     }
     state.SetItemsProcessed(state.iterations() *
                             std::int64_t{kWideChains} * kWideHopsPerChain);
 }
 BENCHMARK(BM_HopStormHighOccupancy_Bucketed);
+
+void
+BM_SameCycleBurst_SeedReplica(benchmark::State &state)
+{
+    for (auto _ : state) {
+        LegacyEventQueue eq;
+        benchmark::DoNotOptimize(
+            hopStorm(eq, kBurstChains, kBurstHopsPerChain, kBurstDeltas));
+    }
+    state.SetItemsProcessed(state.iterations() * kBurstChains *
+                            kBurstHopsPerChain);
+}
+BENCHMARK(BM_SameCycleBurst_SeedReplica);
+
+void
+BM_SameCycleBurst_Bucketed(benchmark::State &state)
+{
+    for (auto _ : state) {
+        EventQueue eq;
+        benchmark::DoNotOptimize(
+            hopStorm(eq, kBurstChains, kBurstHopsPerChain, kBurstDeltas));
+    }
+    state.SetItemsProcessed(state.iterations() * kBurstChains *
+                            kBurstHopsPerChain);
+}
+BENCHMARK(BM_SameCycleBurst_Bucketed);
 
 /** Fig. 12-shaped job: CAIS on a scaled-down Mega-GPT L3 sub-layer. */
 RunResult

@@ -10,8 +10,6 @@ namespace cais
 namespace
 {
 
-constexpr Cycle noCycle = ~0ull;
-
 /** Pull both cache lines of an event entry towards L1. */
 void
 prefetchEntry(const InlineEvent *e)
@@ -97,88 +95,92 @@ EventQueue::entryFor(Cycle when)
     return *entry;
 }
 
-Cycle
-EventQueue::nextWhen() const
+std::uint64_t
+EventQueue::run(Cycle limit, std::uint64_t budget)
 {
-    Cycle th = heap.empty() ? noCycle : heap.top().when;
-    if (nearCount == 0)
-        return th;
-    Cycle tb = bucketCycle(nextOccupied(curTick));
-    return tb < th ? tb : th;
-}
-
-bool
-EventQueue::runOne()
-{
-    // A cycle's events may be split between the ring and the heap,
-    // and the heap's go first: an event reached the heap only while
-    // its cycle was at least nearWindow ahead, so it was scheduled
-    // (and got its seq) before any event of that cycle in the ring.
-    // Comparing the two fronts by cycle alone therefore pops in
-    // exact (when, seq) order without storing seq in the ring.
-    if (nearCount != 0) {
-        std::size_t b = nextOccupied(curTick);
-        Cycle when = bucketCycle(b);
-        if (heap.empty() || when < heap.top().when) {
-            runNear(b, when);
-            return true;
+    std::uint64_t n = 0;
+    while (n < budget) {
+        // A cycle's events may be split between the ring and the heap,
+        // and the heap's go first: an event reached the heap only while
+        // its cycle was at least nearWindow ahead, so it was scheduled
+        // (and got its seq) before any event of that cycle in the ring.
+        // Comparing the two fronts by cycle alone therefore pops in
+        // exact (when, seq) order without storing seq in the ring.
+        if (nearCount != 0) {
+            std::size_t b = nextOccupied(curTick);
+            Cycle when = bucketCycle(b);
+            if (heap.empty() || when < heap.top().when) {
+                if (when > limit)
+                    break;
+                if (when >= nextObsAt)
+                    runObserver(when);
+                curTick = when;
+                n += drain(b, budget - n);
+                continue;
+            }
+        } else if (heap.empty()) {
+            break;
         }
-    } else if (heap.empty()) {
-        return false;
+        if (heap.top().when > limit)
+            break;
+        runFar();
+        ++n;
     }
-    runFar();
-    return true;
+    return n;
 }
 
-void
-EventQueue::runNear(std::size_t idx, Cycle when)
+std::uint64_t
+EventQueue::drain(std::size_t idx, std::uint64_t budget)
 {
+    // No far event can join this cycle while it drains: one scheduled
+    // now would be less than nearWindow ahead, so it lands in the
+    // ring, behind the bucket's pending events.
     Bucket &f = buckets[idx];
-    Chunk *c = f.head;
-    Callback &cb = c->ev[f.headPos++];
-    --nearCount;
-    if (c == f.tail && f.headPos == f.tailPos) {
-        clearOccupied(idx);
-    } else {
-        // Pending entries are cold (they were written up to a window
-        // ago), so fetch the one three pops ahead while this callback
-        // runs; crossing into the next chunk, fetch its header too, so
-        // its `next` link is in cache when the walk reaches it.
-        std::size_t ahead = f.headPos + prefetchAhead - 1;
-        Chunk *pc = c;
-        if (ahead >= chunkEntries) {
-            pc = c->next;
-            ahead -= chunkEntries;
+    std::uint64_t n = 0;
+    while (n < budget) {
+        Chunk *c = f.head;
+        Callback &cb = c->ev[f.headPos++];
+        --nearCount;
+        if (c != f.tail || f.headPos != f.tailPos) {
+            // Pending entries are cold (they were written up to a
+            // window ago), so fetch the one three pops ahead while this
+            // callback runs; crossing into the next chunk, fetch its
+            // header too, so its `next` link is in cache when the walk
+            // reaches it.
+            std::size_t ahead = f.headPos + prefetchAhead - 1;
+            Chunk *pc = c;
+            if (ahead >= chunkEntries) {
+                pc = c->next;
+                ahead -= chunkEntries;
+            }
+            if (pc) {
+                prefetchEntry(&pc->ev[ahead]);
+                if (ahead == 0)
+                    __builtin_prefetch(pc);
+            }
         }
-        if (pc) {
-            prefetchEntry(&pc->ev[ahead]);
-            if (ahead == 0)
-                __builtin_prefetch(pc);
+
+        ++numExecuted;
+        ++n;
+        // The entry stays in its chunk while it runs (and is destroyed
+        // by the same call): the callback may append to this very
+        // bucket, and the chunk goes back to the pool only after it
+        // returns.
+        cb();
+
+        if (c == f.tail && f.headPos == f.tailPos) {
+            f = Bucket{};
+            releaseChunk(c);
+            clearOccupied(idx);
+            break;
+        }
+        if (f.headPos == chunkEntries) {
+            f.head = c->next;
+            f.headPos = 0;
+            releaseChunk(c);
         }
     }
-
-    if (when >= nextObsAt)
-        runObserver(when);
-    curTick = when;
-    ++numExecuted;
-    // The entry stays in its chunk while it runs: the callback may
-    // append to this very bucket (same-cycle events land behind it),
-    // and the chunk goes back to the pool only after it returns.
-    cb();
-    cb.reset();
-
-    if (f.headPos == chunkEntries) {
-        f.head = c->next;
-        f.headPos = 0;
-        if (!f.head) {
-            f.tail = nullptr;
-            f.tailPos = chunkEntries;
-        }
-        releaseChunk(c);
-    } else if (c == f.tail && f.headPos == f.tailPos) {
-        f = Bucket{};
-        releaseChunk(c);
-    }
+    return n;
 }
 
 void
@@ -199,26 +201,9 @@ EventQueue::runFar()
 }
 
 std::uint64_t
-EventQueue::runUntil(Cycle limit)
-{
-    std::uint64_t n = 0;
-    while (!empty() && nextWhen() <= limit) {
-        runOne();
-        ++n;
-    }
-    // Simulated time reaches the limit even when later events remain
-    // pending.
-    if (curTick < limit)
-        curTick = limit;
-    return n;
-}
-
-std::uint64_t
 EventQueue::runAll(std::uint64_t max_events)
 {
-    std::uint64_t n = 0;
-    while (n < max_events && runOne())
-        ++n;
+    std::uint64_t n = run(noLimit, max_events);
     if (n == max_events && !empty())
         warn("event budget (%llu) exhausted with %zu events pending",
              static_cast<unsigned long long>(max_events), size());

@@ -13,10 +13,14 @@
  * bucket's FIFO is a list of small contiguous chunks, so the pop path
  * streams through memory instead of chasing one pointer per event.
  *
- * Callbacks are `InlineEvent`s: move-only callables stored entirely
- * inside the event entry (no heap allocation, ever — a capture that
- * does not fit is a compile error), sized so that a packet-delivery
- * closure (a Packet plus one pointer) fits inline.
+ * The run loop picks the next cycle once, then drains that cycle's
+ * bucket back to back, same-cycle events that callbacks append
+ * included.
+ *
+ * Callbacks are `InlineEvent`s: move-only, run-once callables stored
+ * entirely inside the event entry (no heap allocation, ever — a
+ * capture that does not fit is a compile error), sized so that a
+ * packet-delivery closure (a Packet plus one pointer) fits inline.
  */
 
 #ifndef CAIS_COMMON_EVENT_QUEUE_HH
@@ -38,13 +42,14 @@ namespace cais
 {
 
 /**
- * Small-buffer-only callable for scheduled events.
+ * Small-buffer-only, run-once callable for scheduled events.
  *
  * Unlike std::function there is no heap fallback: the callable is
  * constructed directly in `inlineCapacity` bytes of inline storage,
  * so the packet-delivery hot path never allocates. Captures must be
  * nothrow-move-constructible and fit the buffer (both enforced at
- * compile time).
+ * compile time). Running the event destroys its capture in the same
+ * indirect call, so an event runs at most once.
  */
 class InlineEvent
 {
@@ -84,13 +89,19 @@ class InlineEvent
     ~InlineEvent() { destroy(); }
 
     /** True when a callable is held. */
-    explicit operator bool() const { return call != nullptr; }
+    explicit operator bool() const { return invoke != nullptr; }
 
-    /** Invoke the stored callable. */
-    void operator()() { call(buf); }
-
-    /** Destroy the stored callable, leaving the event empty. */
-    void reset() noexcept { destroy(); }
+    /**
+     * Invoke the stored callable once and destroy it, leaving the
+     * event empty. The event must hold a callable.
+     */
+    void
+    operator()()
+    {
+        void (*run)(void *) = invoke;
+        invoke = nullptr;
+        run(buf);
+    }
 
     /**
      * Construct @p f in place. The event must be empty: this is the
@@ -110,7 +121,15 @@ class InlineEvent
         static_assert(std::is_nothrow_move_constructible_v<Fn>,
                       "event captures must be nothrow-move-constructible");
         ::new (static_cast<void *>(buf)) Fn(std::forward<F>(f));
-        call = [](void *p) { (*static_cast<Fn *>(p))(); };
+        // Call, then destroy: the capture is gone even if it throws.
+        invoke = [](void *p) {
+            struct Destroy
+            {
+                Fn *fn;
+                ~Destroy() { fn->~Fn(); }
+            } done{static_cast<Fn *>(p)};
+            (*done.fn)();
+        };
         // Null @p dst means "destroy only": one manager pointer covers
         // both relocation and destruction.
         relocate = [](void *dst, void *src) noexcept {
@@ -125,27 +144,27 @@ class InlineEvent
     void
     moveFrom(InlineEvent &other) noexcept
     {
-        call = other.call;
+        invoke = other.invoke;
         relocate = other.relocate;
-        if (call) {
+        if (invoke) {
             relocate(buf, other.buf);
-            other.call = nullptr;
-            other.relocate = nullptr;
+            other.invoke = nullptr;
         }
     }
 
     void
     destroy() noexcept
     {
-        if (call) {
+        if (invoke) {
             relocate(nullptr, buf);
-            call = nullptr;
-            relocate = nullptr;
+            invoke = nullptr;
         }
     }
 
+    // Only `invoke` says whether a callable is held; `relocate` may
+    // be stale once it is null.
     alignas(std::max_align_t) unsigned char buf[inlineCapacity];
-    void (*call)(void *) = nullptr;
+    void (*invoke)(void *) = nullptr;
     void (*relocate)(void *dst, void *src) noexcept = nullptr;
 };
 
@@ -206,7 +225,7 @@ class EventQueue
     }
 
     /** Pop and run the earliest event. @return false if queue empty. */
-    bool runOne();
+    bool runOne() { return run(noLimit, 1) == 1; }
 
     /**
      * Run events until the queue drains or simulated time would
@@ -215,7 +234,16 @@ class EventQueue
      * events remain pending.
      * @return the number of events executed.
      */
-    std::uint64_t runUntil(Cycle limit);
+    std::uint64_t
+    runUntil(Cycle limit)
+    {
+        std::uint64_t n = run(limit, ~0ull);
+        // Simulated time reaches the limit even when later events
+        // remain pending.
+        if (curTick < limit)
+            curTick = limit;
+        return n;
+    }
 
     /**
      * Run events until the queue drains.
@@ -320,10 +348,11 @@ class EventQueue
     };
 
     static constexpr std::size_t slabChunks = 64;
-    /** How many pops ahead runNear prefetches. */
+    /** How many pops ahead drain prefetches. */
     static constexpr std::size_t prefetchAhead = 3;
     static_assert(prefetchAhead >= 1 && prefetchAhead <= chunkEntries,
-                  "runNear's look-ahead crosses at most one chunk");
+                  "drain's look-ahead crosses at most one chunk");
+    static constexpr Cycle noLimit = ~0ull;
     static constexpr Cycle bucketMask = nearWindow - 1;
     static constexpr std::size_t bitmapWords = nearWindow / 64;
 
@@ -369,11 +398,19 @@ class EventQueue
         return curTick + ((idx - curTick) & bucketMask);
     }
 
-    /** Earliest pending cycle, or ~0ull when empty. */
-    Cycle nextWhen() const;
+    /**
+     * The one run loop: run events in (when, seq) order until the
+     * queue drains, the next event lies after @p limit, or @p budget
+     * events have run. @return the number of events run.
+     */
+    std::uint64_t run(Cycle limit, std::uint64_t budget);
 
-    /** Run the front event of bucket @p idx, which is at @p when. */
-    void runNear(std::size_t idx, Cycle when);
+    /**
+     * Run up to @p budget events of bucket @p idx, the current cycle's,
+     * front to back, same-cycle events that callbacks append included.
+     * @return the number of events run.
+     */
+    std::uint64_t drain(std::size_t idx, std::uint64_t budget);
 
     /** Run the far heap's top event. */
     void runFar();
@@ -397,7 +434,7 @@ class EventQueue
 
     Cycle curTick = 0;
     // Insertion order among far events; ring entries need none (see
-    // runOne).
+    // run).
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;
     std::size_t peak = 0;

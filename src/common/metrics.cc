@@ -13,19 +13,93 @@ namespace cais
 namespace
 {
 
-/** Index of @p path in the path-sorted table @p p, or p.size(). */
+/** First index of the path-sorted table @p p whose path is >= @p key. */
 std::size_t
-sortedIndexOf(const MetricPathTable &p, std::string_view path)
+lowerBound(const MetricPathTable &p, std::string_view key)
 {
     std::size_t lo = 0, hi = p.size();
     while (lo < hi) {
         const std::size_t mid = lo + (hi - lo) / 2;
-        if (p[mid] < path)
+        if (p[mid] < key)
             lo = mid + 1;
         else
             hi = mid;
     }
-    return lo < p.size() && p[lo] == path ? lo : p.size();
+    return lo;
+}
+
+/** Index of @p path in the path-sorted table @p p, or p.size(). */
+std::size_t
+sortedIndexOf(const MetricPathTable &p, std::string_view path)
+{
+    const std::size_t i = lowerBound(p, path);
+    return i < p.size() && p[i] == path ? i : p.size();
+}
+
+/**
+ * A '*' pattern split once into its literal head (before the first
+ * '*'), its literal tail (after the last) and the middle between them,
+ * whose '*'-separated literals must appear in order.
+ */
+struct Glob
+{
+    std::string_view head, mid, tail;
+    bool star = false;
+
+    explicit Glob(std::string_view pattern) : head(pattern)
+    {
+        const std::size_t first = pattern.find('*');
+        if (first == std::string_view::npos)
+            return;
+        const std::size_t last = pattern.rfind('*');
+        star = true;
+        head = pattern.substr(0, first);
+        mid = pattern.substr(first + 1, last - first - (last > first));
+        tail = pattern.substr(last + 1);
+    }
+
+    bool
+    matches(std::string_view path) const
+    {
+        if (!star)
+            return path == head;
+        if (path.size() < head.size() + tail.size() ||
+            !path.ends_with(tail) || !path.starts_with(head))
+            return false;
+        // Each middle literal at its leftmost place after the one
+        // before: if any placement fits, this one does.
+        std::string_view rest = path.substr(
+            head.size(), path.size() - head.size() - tail.size());
+        for (std::string_view m = mid; !m.empty();) {
+            const std::size_t cut = m.find('*');
+            const std::string_view lit = m.substr(0, cut);
+            const std::size_t at = rest.find(lit);
+            if (at == std::string_view::npos)
+                return false;
+            rest.remove_prefix(at + lit.size());
+            if (cut == std::string_view::npos)
+                break;
+            m.remove_prefix(cut + 1);
+        }
+        return true;
+    }
+};
+
+/**
+ * Call @p fn(i) for every index of the path-sorted table @p p whose
+ * path matches @p pattern, in path order. The paths that start with
+ * the pattern's literal head are one contiguous run of the table, so
+ * only that run is tested.
+ */
+template <class F>
+void
+forMatches(const MetricPathTable &p, std::string_view pattern, F &&fn)
+{
+    const Glob g(pattern);
+    for (std::size_t i = lowerBound(p, g.head);
+         i < p.size() && p[i].starts_with(g.head); ++i)
+        if (g.matches(p[i]))
+            fn(i);
 }
 
 } // namespace
@@ -53,28 +127,7 @@ bool
 MetricSnapshot::matches(std::string_view pattern,
                         std::string_view path)
 {
-    // Iterative glob over '*' (matches any run of characters). No
-    // character classes; metric paths are plain ASCII.
-    std::size_t p = 0, s = 0;
-    std::size_t star = std::string_view::npos, mark = 0;
-    while (s < path.size()) {
-        if (p < pattern.size() &&
-            (pattern[p] == path[s])) {
-            ++p;
-            ++s;
-        } else if (p < pattern.size() && pattern[p] == '*') {
-            star = p++;
-            mark = s;
-        } else if (star != std::string_view::npos) {
-            p = star + 1;
-            s = ++mark;
-        } else {
-            return false;
-        }
-    }
-    while (p < pattern.size() && pattern[p] == '*')
-        ++p;
-    return p == pattern.size();
+    return Glob(pattern).matches(path);
 }
 
 std::uint64_t
@@ -88,9 +141,8 @@ std::uint64_t
 MetricSnapshot::sumU64(std::string_view pattern) const
 {
     std::uint64_t total = 0;
-    for (std::size_t i = 0; i < vals.size(); ++i)
-        if (matches(pattern, (*paths)[i]))
-            total += integerReading(vals[i]);
+    forMatches(*paths, pattern,
+               [&](std::size_t i) { total += integerReading(vals[i]); });
     return total;
 }
 
@@ -98,9 +150,9 @@ std::uint64_t
 MetricSnapshot::maxU64(std::string_view pattern) const
 {
     std::uint64_t best = 0;
-    for (std::size_t i = 0; i < vals.size(); ++i)
-        if (matches(pattern, (*paths)[i]))
-            best = std::max(best, integerReading(vals[i]));
+    forMatches(*paths, pattern, [&](std::size_t i) {
+        best = std::max(best, integerReading(vals[i]));
+    });
     return best;
 }
 
@@ -111,12 +163,10 @@ MetricSnapshot::forEach(
         &fn) const
 {
     std::string path; // one buffer for every match
-    for (std::size_t i = 0; i < vals.size(); ++i) {
-        if (!matches(pattern, (*paths)[i]))
-            continue;
+    forMatches(*paths, pattern, [&](std::size_t i) {
         path.assign((*paths)[i]);
         fn(path, vals[i]);
-    }
+    });
 }
 
 void

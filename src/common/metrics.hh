@@ -112,7 +112,10 @@ struct MetricPathTable
  * the registry that took the snapshot (never copied), so a snapshot
  * costs one MetricValue per metric and may outlive the registry.
  * Pattern arguments use '*' to match any run of characters (including
- * dots), so "switch*.merge.loadReqs" and "*.hbm.bytes" both work.
+ * dots), so "switch*.merge.loadReqs" and "*.hbm.bytes" both work. A
+ * query tests only the paths that start with the pattern's literal
+ * head (one binary search), and rejects a path on its literal tail
+ * before walking any '*'.
  */
 class MetricSnapshot
 {

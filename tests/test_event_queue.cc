@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <random>
 #include <vector>
@@ -392,6 +393,162 @@ TEST(EventQueue, MatchesSortedModelAtHighOccupancy)
     }
 }
 
+namespace
+{
+
+/**
+ * Execution order of a schedule whose callbacks append same-cycle
+ * events while their bucket drains: cycle 5 starts with three events
+ * (one short of a chunk), and each appends two more at cycle 5 and
+ * one at cycle 6, so the bucket crosses several 4-entry chunk
+ * boundaries mid-drain; a far event and a later cycle interleave.
+ */
+template <class Queue>
+std::vector<int>
+runSameCycleAppends()
+{
+    Queue eq;
+    std::vector<int> order;
+    int next = 0;
+    std::function<void(int)> add = [&](int depth) {
+        eq.schedule(5, [&, tag = next++, depth] {
+            order.push_back(tag);
+            if (depth == 0)
+                return;
+            add(depth - 1);
+            eq.scheduleAfter(1, [&order, tag] {
+                order.push_back(1000 + tag);
+            });
+            add(depth - 1);
+        });
+    };
+    for (int i = 0; i < 3; ++i)
+        add(3);
+    eq.schedule(6, [&order] { order.push_back(-6); });
+    eq.schedule(2 * EventQueue::nearWindow,
+                [&order] { order.push_back(-9); });
+    eq.runAll();
+    return order;
+}
+
+/** (tag, now, executed) of every event of a mixed schedule. */
+struct TraceRow
+{
+    int tag;
+    Cycle now;
+    std::uint64_t executed;
+    bool operator==(const TraceRow &) const = default;
+};
+
+/**
+ * Seed @p eq with same-cycle bursts (two of them past a chunk),
+ * events that append to their own cycle and the next, and a far
+ * event; every event logs a TraceRow to @p trace.
+ */
+void
+seedMixedSchedule(EventQueue &eq, std::vector<TraceRow> &trace)
+{
+    auto log = [&eq, &trace](int tag) {
+        trace.push_back({tag, eq.now(), eq.executed()});
+    };
+    for (int i = 0; i < 10; ++i)
+        eq.schedule(3, [&eq, log, i] {
+            log(i);
+            if (i % 3 == 0)
+                eq.scheduleAfter(0, [log, i] { log(100 + i); });
+            eq.scheduleAfter(2, [log, i] { log(200 + i); });
+        });
+    for (int i = 0; i < 6; ++i)
+        eq.schedule(4, [log, i] { log(300 + i); });
+    eq.schedule(EventQueue::nearWindow + 3, [log] { log(400); });
+}
+
+} // namespace
+
+TEST(EventQueue, SameCycleAppendsAcrossChunksMatchSortedModel)
+{
+    auto bucketed = runSameCycleAppends<EventQueue>();
+    auto model = runSameCycleAppends<test::SortedEventModel>();
+    EXPECT_GT(bucketed.size(), 4 * EventQueue::chunkEntries);
+    EXPECT_EQ(bucketed, model);
+}
+
+TEST(EventQueue, BudgetStopMidBucketResumesLikeOneRun)
+{
+    std::vector<TraceRow> whole;
+    EventQueue once;
+    seedMixedSchedule(once, whole);
+    const std::uint64_t total = once.runAll();
+
+    // Budgets that stop inside the cycle-3 burst, on a chunk edge and
+    // one event at a time.
+    for (std::uint64_t k : {1ull, 3ull, 4ull, 7ull}) {
+        std::vector<TraceRow> pieces;
+        EventQueue eq;
+        seedMixedSchedule(eq, pieces);
+        std::uint64_t ran = 0;
+        while (!eq.empty()) {
+            const std::uint64_t n = eq.runAll(k);
+            ASSERT_LE(n, k);
+            ran += n;
+            // A stop leaves time at the cycle of the last event run.
+            EXPECT_EQ(eq.now(), pieces.back().now) << "k=" << k;
+            EXPECT_EQ(eq.executed(), ran) << "k=" << k;
+        }
+        EXPECT_EQ(ran, total) << "k=" << k;
+        EXPECT_EQ(pieces, whole) << "k=" << k;
+        EXPECT_EQ(eq.executed(), once.executed()) << "k=" << k;
+        EXPECT_EQ(eq.now(), once.now()) << "k=" << k;
+    }
+}
+
+TEST(EventQueue, ObserverFiresOncePerSamplePointBeforeItsCycle)
+{
+    // Bursts on sample points (10, 20), between them, a gap that
+    // skips two sample points (30, 40 fire before the event at 45),
+    // and a far event; same-cycle appends on a sample point too.
+    EventQueue eq;
+    std::vector<Cycle> eventAt;
+    struct Sample
+    {
+        Cycle at;
+        Cycle now;
+        std::uint64_t executed;
+    };
+    std::vector<Sample> samples;
+    eq.setPeriodicObserver(10, [&](Cycle at) {
+        samples.push_back({at, eq.now(), eq.executed()});
+    });
+    auto hit = [&] { eventAt.push_back(eq.now()); };
+    for (Cycle t : {Cycle{3}, Cycle{10}, Cycle{10}, Cycle{10}, Cycle{10},
+                    Cycle{10}, Cycle{15}, Cycle{20}, Cycle{45}})
+        eq.schedule(t, hit);
+    eq.schedule(20, [&] {
+        hit();
+        for (int i = 0; i < 5; ++i)
+            eq.scheduleAfter(0, hit);
+    });
+    const Cycle far = EventQueue::nearWindow + 5;
+    eq.schedule(far, hit);
+    eq.runAll();
+
+    std::vector<Cycle> points;
+    for (Cycle p = 10; p <= far; p += 10)
+        points.push_back(p);
+    ASSERT_EQ(samples.size(), points.size());
+    for (std::size_t i = 0; i < samples.size(); ++i) {
+        EXPECT_EQ(samples[i].at, points[i]);
+        // Fired before the first event at or after the sample point:
+        // exactly the events of earlier cycles have run.
+        const auto before = static_cast<std::uint64_t>(std::count_if(
+            eventAt.begin(), eventAt.end(),
+            [&](Cycle t) { return t < points[i]; }));
+        EXPECT_EQ(samples[i].executed, before) << "sample " << points[i];
+        EXPECT_LT(samples[i].now, points[i]);
+    }
+    EXPECT_EQ(eventAt.size(), 16u);
+}
+
 TEST(EventQueue, RedrainingSameScheduleDoesNotGrowChunkPool)
 {
     EventQueue eq;
@@ -475,6 +632,21 @@ TEST(InlineEvent, DestroysStoredCallableExactlyOnce)
         InlineEvent ev{DtorCounter(&dtors)};
         InlineEvent moved(std::move(ev));
         EXPECT_EQ(dtors, 0); // moved-from shells don't count
+    }
+    EXPECT_EQ(dtors, 1);
+}
+
+TEST(InlineEvent, RunningDestroysTheCaptureOnce)
+{
+    int dtors = 0;
+    {
+        InlineEvent ev{DtorCounter(&dtors)};
+        ev();
+        EXPECT_EQ(dtors, 1);
+        EXPECT_FALSE(static_cast<bool>(ev));
+        InlineEvent moved(std::move(ev));
+        EXPECT_FALSE(static_cast<bool>(moved));
+        EXPECT_EQ(dtors, 1);
     }
     EXPECT_EQ(dtors, 1);
 }

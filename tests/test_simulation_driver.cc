@@ -1,6 +1,11 @@
 /** @file Tests for the experiment driver: config mapping and the
  *  harvested metrics. */
 
+#include <algorithm>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/json.hh"
@@ -272,6 +277,85 @@ TEST(MetricsReport, TieredSnapshotsMatchGoldenDigest)
         EXPECT_EQ(digest, c.digest) << c.preset << " metrics digest is 0x"
                                     << std::hex << digest;
     }
+}
+
+namespace
+{
+
+/** Reference '*' glob by plain recursion: shares no code with the
+ *  snapshot's split-pattern matcher. */
+bool
+referenceGlob(std::string_view pattern, std::string_view path)
+{
+    if (pattern.empty())
+        return path.empty();
+    if (pattern[0] == '*')
+        return referenceGlob(pattern.substr(1), path) ||
+               (!path.empty() && referenceGlob(pattern, path.substr(1)));
+    return !path.empty() && pattern[0] == path[0] &&
+           referenceGlob(pattern.substr(1), path.substr(1));
+}
+
+} // namespace
+
+TEST(MetricSnapshot, PatternQueriesMatchReferenceGlobOnNvl72)
+{
+    // Every pattern runGraph's harvest stands for and perfbench
+    // queries, plus edge shapes (no literal head, no tail, adjacent
+    // stars, middle literals that must not overlap, no match), over
+    // every path of a finished nvl72 CAIS job.
+    const StrategySpec spec = strategyByName("CAIS");
+    System sys(presetConfig("nvl72").toSystemConfig(spec));
+    MetricRegistry reg;
+    sys.registerMetrics(reg);
+    OpGraph g = buildSubLayer(llama7B().scaled(0.0625, 0.03125),
+                              SubLayerId::L1);
+    GraphLowering lowering(sys, g, spec.opts);
+    lowering.lower();
+    sys.run();
+    const MetricSnapshot snap = reg.snapshot();
+    ASSERT_GT(snap.size(), 10000u);
+
+    const std::vector<std::string> patterns = {
+        "eventq.executed", "fabric.utilSeries", "link.*.packets",
+        "link.*.wireBytes", "link.*.busyCycles", "*.chip.forwarded",
+        "gpu*.hub.chunksInjected", "*.merge.loadReqs", "*.merge.redReqs",
+        "*.merge.loadHits", "*.merge.redHits", "*.merge.fetches",
+        "*.merge.sessionsClosed", "*.merge.evictions.lru",
+        "*.merge.evictions.timeout", "*.merge.throttle.hintsSent",
+        "*.merge.peakTableBytes", "*.merge.stagger", "*.nvls.multicasts",
+        "*.nvls.gatherReduces", "*.nvls.pushReduces", "*.sync.requests",
+        "gpu*.sync.requests", "gpu*.sched.dispatched", "gpu*.hbm.bytes",
+        "*", "**", "switch*", "*Reqs", "gpu1*.hbm.*", "link.*.*.packets",
+        "switch*.merge.*Stagger*", "gpu**bytes", "*.merge.*", "no.such*",
+        "eventq.executed*", "*eventq.executed", "link.*.packets.*",
+        "*.*.*.packets", "gpu*.*.*.*",
+    };
+    for (const std::string &pat : patterns) {
+        std::vector<std::string> want;
+        std::uint64_t sum = 0, max = 0;
+        for (std::size_t i = 0; i < snap.size(); ++i) {
+            EXPECT_EQ(MetricSnapshot::matches(pat, snap.path(i)),
+                      referenceGlob(pat, snap.path(i)))
+                << pat << " on " << snap.path(i);
+            if (!referenceGlob(pat, snap.path(i)))
+                continue;
+            want.emplace_back(snap.path(i));
+            sum += integerReading(snap.value(i));
+            max = std::max(max, integerReading(snap.value(i)));
+        }
+        std::vector<std::string> got;
+        snap.forEach(pat, [&](const std::string &path, const MetricValue &) {
+            got.push_back(path);
+        });
+        EXPECT_EQ(got, want) << pat;
+        EXPECT_EQ(snap.sumU64(pat), sum) << pat;
+        EXPECT_EQ(snap.maxU64(pat), max) << pat;
+    }
+    // The queries above are not vacuous.
+    for (const char *pat : {"eventq.executed", "link.*.packets",
+                            "*.merge.loadReqs", "gpu*.hbm.bytes"})
+        EXPECT_GT(snap.sumU64(pat), 0u) << pat;
 }
 
 TEST(MetricRegistry, SystemRegistersInPathOrder)
