@@ -28,7 +28,7 @@ main(int argc, char **argv)
     std::vector<SweepJob> jobs;
     for (std::uint32_t chunk : chunks) {
         RunConfig cfg = a.runConfig();
-        cfg.chunkBytes = chunk;
+        cfg.gpu.chunkBytes = chunk;
         addJob(jobs, strategyByName("CAIS"), g, cfg, "L1");
         addJob(jobs, strategyByName("SP-NVLS"), g, cfg, "L1");
     }

@@ -85,8 +85,8 @@ struct BenchArgs
         cfg.numGpus = gpus;
         cfg.numSwitches = switches;
         cfg.topology = topology;
-        cfg.chunkBytes = static_cast<std::uint32_t>(
-            params.getInt("chunk", cfg.chunkBytes));
+        cfg.gpu.chunkBytes = static_cast<std::uint32_t>(
+            params.getInt("chunk", cfg.gpu.chunkBytes));
         cfg.gpu.numSms = static_cast<int>(
             params.getInt("sms", cfg.gpu.numSms));
         cfg.gpu.maxStartSkew = static_cast<Cycle>(params.getInt(

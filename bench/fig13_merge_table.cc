@@ -94,7 +94,7 @@ main(int argc, char **argv)
                         static_cast<unsigned long long>(
                             r.peakMergeBytes / 1024),
                         static_cast<unsigned long long>(
-                            r.peakMergeBytes / cfg.chunkBytes * 128 /
+                            r.peakMergeBytes / cfg.gpu.chunkBytes * 128 /
                             1024));
         }
     }

@@ -57,7 +57,7 @@ main(int argc, char **argv)
     }
     std::printf("\n(100%% = same performance as an unbounded table; "
                 "entries are %u B chunks,\n one paper-entry = 128 B)\n",
-                base_cfg.chunkBytes);
+                base_cfg.gpu.chunkBytes);
     std::printf("paper: CAIS maintains performance at small tables; "
                 "the uncoordinated version degrades rapidly.\n");
     return 0;

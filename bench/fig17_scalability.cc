@@ -106,7 +106,7 @@ main(int argc, char **argv)
     // Hardware-cost bound (Sec. V-C.2).
     RunConfig cfg = a.runConfig();
     std::uint64_t bound = systemMergeTableBound(
-        cfg.gpu.maxCaisLoadOutstanding, cfg.chunkBytes,
+        cfg.gpu.maxCaisLoadOutstanding, cfg.gpu.chunkBytes,
         cfg.numSwitches, 8);
     std::printf("analytic system-wide merging bound (one GPU's "
                 "outstanding window): %llu KB\n",

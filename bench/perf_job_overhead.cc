@@ -13,9 +13,10 @@
  *
  * Runs TP-NVLS on Llama-7B L1 (dim 1/16, tok 1/32: perfbench's tier72
  * sizes) over the flat 8-GPU fabric, nvl72 and rail-optimized-4node,
- * plus one full-size static job: LADM on MegaGPT-4B L1 (dim 1, tok 1)
- * over nvl72, built, lowered, verified and bounded without running, as
- * every job of perfbench's static_gates is. Writes
+ * and CAIS-Base on nvl72 at the same sizes, plus one full-size static
+ * job: LADM on MegaGPT-4B L1 (dim 1, tok 1) over nvl72, built,
+ * lowered, verified and bounded without running, as every job of
+ * perfbench's static_gates is. Writes
  * BENCH_job_overhead.json (cais-job-overhead-v2) and prints one
  * markdown table per job.
  *
@@ -257,6 +258,9 @@ const JobCase kJobs[] = {
     {"nvl72", "nvl72", 72, "TP-NVLS", false},
     {"rail-optimized-4node", "rail-optimized-4node", 32, "TP-NVLS", false},
     {"nvl72", "nvl72", 72, "LADM", true},
+    // tier72's median job: 6th of its 11 strategies by job time. Last,
+    // so the jobs above see the heap they always saw.
+    {"nvl72", "nvl72", 72, "CAIS-Base", false},
 };
 
 double

@@ -25,7 +25,7 @@ renderMetricsReport(const RunConfig &cfg, const RunResult &r,
         .field("linkLatency", static_cast<std::uint64_t>(
                                   cfg.linkLatency))
         .field("chunkBytes", static_cast<std::uint64_t>(
-                                 cfg.chunkBytes))
+                                 cfg.gpu.chunkBytes))
         .field("mergeTableEntriesPerPort", cfg.mergeTableEntriesPerPort)
         .field("mergeTableBytesPerPort", cfg.mergeTableBytesPerPort)
         .field("unboundedMergeTable", cfg.unboundedMergeTable)

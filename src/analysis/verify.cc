@@ -1,6 +1,7 @@
 #include "analysis/verify.hh"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <map>
 #include <tuple>
@@ -203,8 +204,13 @@ struct Fans
  *  switch; a GPU turns its downlink back up the same switch. */
 struct FlatChannels
 {
+    static constexpr int families = 2; ///< up, down
+
     int G, S, V;
     VcTurns sw, gpu;
+
+    /** First channel of family @p f; familyBase(families) == count(). */
+    int familyBase(int f) const { return f * G * S * V; }
 
     int
     id(int dir, GpuId g, SwitchId s, int v) const
@@ -261,8 +267,17 @@ struct FlatChannels
  */
 struct TieredChannels
 {
+    static constexpr int families = 4; ///< U1, D1, U2, D2
+
     int G, V, rails, L, P, gpp;
     VcTurns sw, up, gpu;
+
+    int
+    familyBase(int f) const
+    {
+        const int base[families + 1] = {0, d1(), u2(), d2(), count()};
+        return base[f];
+    }
 
     int d1() const { return G * rails * V; }
     int u2() const { return 2 * G * rails * V; }
@@ -330,6 +345,89 @@ struct TieredChannels
 };
 
 /**
+ * V1's VC-class graph: node f * classes + v stands for every channel
+ * of link family f on VC v, and bit f' * classes + v' of its row is
+ * set when such a channel feeds one of family f' on VC v'. Only the
+ * policed class VCs carry turns, in or out, so higher VCs are left
+ * out. Every channel edge maps to a class edge, so an acyclic class
+ * graph proves the channel graph acyclic.
+ */
+struct ClassGraph
+{
+    static constexpr int classes = VcTurns::classes;
+    static constexpr int maxFamilies = 4;
+    static_assert(maxFamilies * classes < 32, "a row is one word");
+
+    std::array<std::uint32_t, maxFamilies * classes> row{};
+
+    /** Peel nodes without an edge into the live set; whatever is left
+     *  when none can be peeled lies on or leads into a cycle. */
+    bool
+    cyclic() const
+    {
+        std::uint32_t live = (1u << row.size()) - 1;
+        for (bool peeled = true; peeled;) {
+            peeled = false;
+            for (std::uint32_t m = live; m != 0; m &= m - 1) {
+                const int n = std::countr_zero(m);
+                if ((row[static_cast<std::size_t>(n)] & live) == 0) {
+                    live &= ~(1u << n);
+                    peeled = true;
+                }
+            }
+        }
+        return live != 0;
+    }
+};
+
+/** The family holding channel @p node. */
+template <typename Channels>
+int
+familyOf(const Channels &ch, int node)
+{
+    int f = 0;
+    while (node >= ch.familyBase(f + 1))
+        ++f;
+    return f;
+}
+
+/**
+ * Build @p ch's class graph from the first channel of each family on
+ * each class VC (@p every_channel false) or from all of its channels.
+ * The channels of one family differ only in their fans' positions,
+ * never in the fans' families or VC masks, so both give the same rows.
+ * A fan's base and stride are multiples of the VC count, so its VC
+ * mask is the targets' VCs.
+ */
+template <typename Channels>
+ClassGraph
+classGraph(const Channels &ch, bool every_channel)
+{
+    ClassGraph g;
+    for (int f = 0; f < Channels::families; ++f) {
+        const int begin = ch.familyBase(f);
+        const int end = ch.familyBase(f + 1);
+        const int stop = every_channel
+            ? end
+            : std::min(end, begin + ClassGraph::classes);
+        for (int node = begin; node < stop; ++node) {
+            const int v = node % ch.V;
+            if (v >= ClassGraph::classes)
+                continue; // no turns leave an unpoliced VC
+            const Fans fans = ch.targets(node);
+            for (int i = 0; i < fans.n; ++i) {
+                const Fan &fan = fans.fan[i];
+                g.row[static_cast<std::size_t>(
+                    f * ClassGraph::classes + v)] |=
+                    fan.vcs << (familyOf(ch, fan.base) *
+                                ClassGraph::classes);
+            }
+        }
+    }
+    return g;
+}
+
+/**
  * DFS for the first back edge, in ascending node order and over each
  * node's targets in ascending order, so reports are deterministic.
  * Targets are generated on demand from the node's fans; the walk keeps
@@ -338,7 +436,8 @@ struct TieredChannels
  */
 template <typename Channels>
 void
-reportFirstChannelCycle(Ctx &cx, const Channels &ch)
+reportFirstChannelCycle(std::vector<Diagnostic> &out,
+                        const Channels &ch)
 {
     struct Frame
     {
@@ -394,14 +493,14 @@ reportFirstChannelCycle(Ctx &cx, const Channels &ch)
                     cyc.push_back(ch.name(it->node));
                 cyc.push_back(ch.name(t));
                 const std::size_t channels = cyc.size() - 1;
-                cx.report(
-                    "V1",
-                    strfmt("channel-dependency cycle over %zu "
-                           "port/VC channels: a filled buffer on "
-                           "each waits on the next, so the fabric "
-                           "can deadlock",
-                           channels),
-                    std::move(cyc));
+                out.push_back(
+                    {"V1",
+                     strfmt("channel-dependency cycle over %zu "
+                            "port/VC channels: a filled buffer on "
+                            "each waits on the next, so the fabric "
+                            "can deadlock",
+                            channels),
+                     ruleInfo("V1").hint, std::move(cyc)});
                 return;
             } else if (color[static_cast<std::size_t>(t)] == 0) {
                 color[static_cast<std::size_t>(t)] = 1;
@@ -411,17 +510,19 @@ reportFirstChannelCycle(Ctx &cx, const Channels &ch)
     }
 }
 
+/** Calls @p fn with @p p's channel space, its turns built from the
+ *  coupling tables plus @p opts' injected couplings. */
+template <typename F>
 void
-checkV1(Ctx &cx)
+withChannels(const FabricParams &p, const Options &opts, F &&fn)
 {
-    const FabricParams &p = cx.sys.config().fabric;
     VcTurns sw, gpu;
     sw.unified = gpu.unified = p.sw.unifiedDataVc;
     for (const Coupling &c : switchCouplings())
         sw.add(c);
     for (const Coupling &c : gpuCouplings())
         gpu.add(c);
-    for (const ExtraCoupling &c : cx.opts.extraCouplings)
+    for (const ExtraCoupling &c : opts.extraCouplings)
         (c.atGpu ? gpu : sw).add(Coupling{c.from, c.to});
 
     if (p.multiTier()) {
@@ -429,15 +530,23 @@ checkV1(Ctx &cx)
         up.unified = p.sw.unifiedDataVc;
         for (const Coupling &c : leafUpCouplings())
             up.add(c);
-        reportFirstChannelCycle(
-            cx, TieredChannels{p.numGpus, p.sw.numVcs, p.railsPerGroup,
-                               p.numLeaves(), p.numSpines,
-                               p.gpusPerGroup(), sw, up, gpu});
+        fn(TieredChannels{p.numGpus, p.sw.numVcs, p.railsPerGroup,
+                          p.numLeaves(), p.numSpines, p.gpusPerGroup(),
+                          sw, up, gpu});
     } else {
-        reportFirstChannelCycle(
-            cx, FlatChannels{p.numGpus, p.numSwitches, p.sw.numVcs, sw,
-                             gpu});
+        fn(FlatChannels{p.numGpus, p.numSwitches, p.sw.numVcs, sw, gpu});
     }
+}
+
+/** The channel DFS runs only when the class graph has a cycle, which
+ *  no shipped coupling table closes. */
+void
+checkV1(Ctx &cx)
+{
+    withChannels(cx.sys.config().fabric, cx.opts, [&](const auto &ch) {
+        if (classGraph(ch, false).cyclic())
+            reportFirstChannelCycle(cx.out, ch);
+    });
 }
 
 // ------------------------------------------------------------------
@@ -1379,6 +1488,23 @@ verifySystem(const System &sys, const Options &opts)
         checkV4(cx);
     if (cx.enabled("V5"))
         checkV5(cx);
+    return r;
+}
+
+V1Graphs
+v1Graphs(const FabricParams &fabric, const Options &opts)
+{
+    V1Graphs r;
+    withChannels(fabric, opts, [&](const auto &ch) {
+        const ClassGraph reps = classGraph(ch, false);
+        const ClassGraph all = classGraph(ch, true);
+        r.fromRepresentatives.assign(reps.row.begin(), reps.row.end());
+        r.fromEveryChannel.assign(all.row.begin(), all.row.end());
+        r.classCyclic = reps.cyclic();
+        std::vector<Diagnostic> found;
+        reportFirstChannelCycle(found, ch);
+        r.channelCyclic = !found.empty();
+    });
     return r;
 }
 

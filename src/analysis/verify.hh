@@ -12,6 +12,8 @@
  *        switch forwarding paths and the protocol couplings of the
  *        in-switch compute units, must be acyclic (Dally & Seitz);
  *        a violation is reported as the offending port/VC cycle.
+ *        The per-(link family, VC) class graph is checked first; an
+ *        acyclic one proves the channel graph acyclic.
  *  - V2  credit conservation: initial link credits must equal the
  *        receiver-side buffer capacity per (link, VC), and no credits
  *        or packets may be in flight before the first event, so the
@@ -49,6 +51,7 @@
 #ifndef CAIS_ANALYSIS_VERIFY_HH
 #define CAIS_ANALYSIS_VERIFY_HH
 
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -159,6 +162,24 @@ struct VerifyResult
  * bit-identical to an ungated one.
  */
 VerifyResult verifySystem(const System &sys, const Options &opts = {});
+
+/**
+ * V1's two graphs for one fabric, for tests that hold the class-graph
+ * check to the channel DFS it stands in for. A class-graph row is a
+ * node f * 6 + v (link family f on VC class v; flat families up,
+ * down; tiered U1, D1, U2, D2), and its bit f' * 6 + v' is set when
+ * such a channel feeds one of family f' on VC v'.
+ */
+struct V1Graphs
+{
+    std::vector<std::uint32_t> fromRepresentatives; ///< what V1 builds
+    std::vector<std::uint32_t> fromEveryChannel;    ///< OR over all
+    bool classCyclic = false;   ///< V1 runs the DFS
+    bool channelCyclic = false; ///< the DFS finds a cycle
+};
+
+/** Build @p fabric's V1 graphs under @p opts' injected couplings. */
+V1Graphs v1Graphs(const FabricParams &fabric, const Options &opts = {});
 
 /**
  * Convenience for tools: build the System for (spec, graph, cfg),

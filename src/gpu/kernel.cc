@@ -6,14 +6,6 @@ namespace cais
 {
 
 bool
-isPullKind(RemoteOpKind k)
-{
-    return k == RemoteOpKind::plainLoad ||
-           k == RemoteOpKind::nvlsLdReduce ||
-           k == RemoteOpKind::caisLoad;
-}
-
-bool
 isCaisKind(RemoteOpKind k)
 {
     return k == RemoteOpKind::caisLoad || k == RemoteOpKind::caisRed;
@@ -46,14 +38,6 @@ KernelDesc::validate(int num_gpus) const
     if (smFrom < 0.0 || smTo > 1.0 || smFrom >= smTo)
         panic("kernel %s: bad SM partition [%f, %f)", name.c_str(),
               smFrom, smTo);
-    for (const TbGrid &grid : grids) {
-        for (const RemoteOp &op : grid.allPulls())
-            if (!isPullKind(op.kind))
-                panic("kernel %s: push op in pull list", name.c_str());
-        for (const RemoteOp &op : grid.allPushes())
-            if (isPullKind(op.kind))
-                panic("kernel %s: pull op in push list", name.c_str());
-    }
 }
 
 } // namespace cais

@@ -42,7 +42,13 @@ enum class RemoteOpKind : std::uint8_t
 };
 
 /** True for pull-mode kinds (issued alongside compute). */
-bool isPullKind(RemoteOpKind k);
+inline bool
+isPullKind(RemoteOpKind k)
+{
+    return k == RemoteOpKind::plainLoad ||
+           k == RemoteOpKind::nvlsLdReduce ||
+           k == RemoteOpKind::caisLoad;
+}
 
 /** True for kinds the compiler may lower to CAIS variants. */
 bool isCaisKind(RemoteOpKind k);
@@ -120,7 +126,9 @@ class TbGrid
         depRefs.reserve(num_deps);
     }
 
-    /** Append a TB; addPull/addPush/addDep extend the newest one. */
+    /** Append a TB; addPull/addPush/addDep extend the newest one.
+     *  addPull takes only pull kinds and addPush only push kinds, so
+     *  every grid's op lists hold the right kinds by construction. */
     TbDesc &
     add()
     {
@@ -134,6 +142,8 @@ class TbGrid
     void
     addPull(const RemoteOp &op)
     {
+        if (!isPullKind(op.kind))
+            panic("TbGrid: push op in pull list");
         last().pullCount++;
         pulls.push_back(op);
     }
@@ -141,6 +151,8 @@ class TbGrid
     void
     addPush(const RemoteOp &op)
     {
+        if (isPullKind(op.kind))
+            panic("TbGrid: pull op in push list");
         last().pushCount++;
         pushes.push_back(op);
     }
@@ -244,6 +256,8 @@ struct KernelDesc
     /** Sum of compute cycles over all TBs on @p gpu. */
     Cycle computeWork(GpuId gpu) const;
 
+    /** Panics unless there is one grid per GPU and the SM partition
+     *  is a non-empty range within [0, 1]. TbGrid checks op kinds. */
     void validate(int num_gpus) const;
 };
 

@@ -37,6 +37,7 @@ void
 Fabric::buildFlat()
 {
     double link_bw = p.perLinkBytesPerCycle();
+    MetricPath name(""); // link names fit the small-string buffer
 
     switches.reserve(static_cast<std::size_t>(p.numSwitches));
     for (SwitchId s = 0; s < p.numSwitches; ++s)
@@ -54,13 +55,13 @@ Fabric::buildFlat()
         row.resize(static_cast<std::size_t>(p.numSwitches));
         for (SwitchId s = 0; s < p.numSwitches; ++s) {
             row[static_cast<std::size_t>(s)] = std::make_unique<CreditLink>(
-                eq, strfmt("up.g%d.s%d", g, s), link_bw, p.linkLatency,
+                eq, name("up.g", g, ".s", s), link_bw, p.linkLatency,
                 p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(s)]->attachUplink(
                 g, row[static_cast<std::size_t>(s)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                eq, strfmt("dn.s%d.g%d", s, g), link_bw,
+                eq, name("dn.s", s, ".g", g), link_bw,
                 p.linkLatency, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(s)]->attachDownlink(
                 g, dl.get());
@@ -78,6 +79,7 @@ Fabric::buildTiered()
     const double rail_bw = p.perLinkBytesPerCycle();
     const double tier_bw = p.effectiveTierLinkBytesPerCycle();
     const Cycle tier_lat = p.effectiveTierLinkLatency();
+    MetricPath name(""); // link names fit the small-string buffer
 
     // Leaves own ports [0, gpp) for local GPUs and [gpp, gpp+spines)
     // for the spines; spines own one port per leaf.
@@ -102,13 +104,13 @@ Fabric::buildTiered()
         for (int r = 0; r < p.railsPerGroup; ++r) {
             int l = p.leafIndex(grp, r);
             row[static_cast<std::size_t>(r)] = std::make_unique<CreditLink>(
-                eq, strfmt("up.g%d.l%d", g, l), rail_bw, p.linkLatency,
+                eq, name("up.g", g, ".l", l), rail_bw, p.linkLatency,
                 p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 local, row[static_cast<std::size_t>(r)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                eq, strfmt("dn.l%d.g%d", l, g), rail_bw,
+                eq, name("dn.l", l, ".g", g), rail_bw,
                 p.linkLatency, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachDownlink(
                 local, dl.get());
@@ -129,13 +131,13 @@ Fabric::buildTiered()
         for (int k = 0; k < p.numSpines; ++k) {
             int spine = leaves + k;
             row[static_cast<std::size_t>(k)] = std::make_unique<CreditLink>(
-                eq, strfmt("t_up.l%d.k%d", l, k), tier_bw,
+                eq, name("t_up.l", l, ".k", k), tier_bw,
                 tier_lat, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(spine)]->attachUplink(
                 l, row[static_cast<std::size_t>(k)].get());
 
             auto dl = std::make_unique<CreditLink>(
-                eq, strfmt("t_dn.k%d.l%d", k, l), tier_bw,
+                eq, name("t_dn.k", k, ".l", l), tier_bw,
                 tier_lat, p.sw.numVcs, p.sw.vcDepth, p.utilBinWidth);
             switches[static_cast<std::size_t>(l)]->attachUplink(
                 gpp + k, dl.get());

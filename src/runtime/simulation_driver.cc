@@ -51,15 +51,15 @@ RunConfig::validationError() const
                       "of: %s)",
                       topology.c_str(), known.c_str());
     }
-    if (!isPowerOfTwo(chunkBytes))
+    if (!isPowerOfTwo(gpu.chunkBytes))
         return strfmt("chunkBytes is the address-hash interleave "
                       "width and must be a non-zero power of two "
                       "(got %u)",
-                      chunkBytes);
-    if (chunkBytes < 128)
+                      gpu.chunkBytes);
+    if (gpu.chunkBytes < 128)
         return strfmt("chunkBytes must be >= 128, one coalesced packet "
                       "(got %u)",
-                      chunkBytes);
+                      gpu.chunkBytes);
     if (perGpuBwPerDir <= 0.0)
         return strfmt("perGpuBwPerDir must be positive (got %g)",
                       perGpuBwPerDir);
@@ -112,19 +112,18 @@ RunConfig::toSystemConfig(const StrategySpec &spec) const
     }
     sc.fabric.perGpuBytesPerCycle = perGpuBwPerDir;
     sc.fabric.linkLatency = linkLatency;
-    sc.fabric.interleaveBytes = chunkBytes;
+    sc.fabric.interleaveBytes = gpu.chunkBytes;
     sc.fabric.utilBinWidth = utilBinWidth;
     sc.fabric.sw.unifiedDataVc = spec.unifiedDataVc;
 
     sc.gpu = gpu;
-    sc.gpu.chunkBytes = chunkBytes;
     sc.seed = seed;
 
-    sc.inswitch.merge.chunkBytes = chunkBytes;
+    sc.inswitch.merge.chunkBytes = gpu.chunkBytes;
     std::uint64_t table_bytes = mergeTableBytesPerPort
         ? mergeTableBytesPerPort
         : static_cast<std::uint64_t>(mergeTableEntriesPerPort) *
-              chunkBytes;
+              gpu.chunkBytes;
     sc.inswitch.merge.tableBytesPerPort =
         unboundedMergeTable ? 0 : table_bytes;
     sc.inswitch.merge.timeout = mergeTimeout;

@@ -37,6 +37,9 @@ struct RunConfig
      */
     std::string topology;
 
+    /** GPU model. gpu.chunkBytes is the run's one chunk size: it is
+     *  also the fabric's interleave width, the merge unit's chunk and
+     *  the unit of mergeTableEntriesPerPort. */
     GpuParams gpu;
 
     /**
@@ -50,8 +53,6 @@ struct RunConfig
 
     double perGpuBwPerDir = 450.0; ///< bytes/cycle per direction
     Cycle linkLatency = 250;
-
-    std::uint32_t chunkBytes = 4096;
 
     /**
      * Merging-table capacity as entries per port; the paper's 40 KB

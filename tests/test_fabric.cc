@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/log.hh"
 #include "noc/arbiter.hh"
 #include "noc/network.hh"
 
@@ -167,4 +168,49 @@ TEST(Fabric, RejectsMoreVcsThanTheArbiterMaskHolds)
     p.sw.numVcs = RoundRobinArbiter::maxInputs;
     EXPECT_EQ(p.validationError().find("at most 64 VCs"),
               std::string::npos);
+}
+
+TEST(Fabric, LinkNamesMatchTheirFormats)
+{
+    // The printf formats links were once named with, in forEachLink
+    // order (uplinks by GPU, downlinks by switch or leaf, then the
+    // tier links), on flat-8 and every preset.
+    std::vector<FabricParams> shapes = {FabricParams{}};
+    for (const std::string &name : FabricParams::presetNames())
+        shapes.push_back(FabricParams::preset(name));
+    for (const FabricParams &p : shapes) {
+        SCOPED_TRACE(p.str());
+        std::vector<std::string> want;
+        if (!p.multiTier()) {
+            for (int g = 0; g < p.numGpus; ++g)
+                for (int s = 0; s < p.numSwitches; ++s)
+                    want.push_back(strfmt("up.g%d.s%d", g, s));
+            for (int s = 0; s < p.numSwitches; ++s)
+                for (int g = 0; g < p.numGpus; ++g)
+                    want.push_back(strfmt("dn.s%d.g%d", s, g));
+        } else {
+            const int gpp = p.gpusPerGroup();
+            const int rails = p.railsPerGroup;
+            for (int g = 0; g < p.numGpus; ++g)
+                for (int r = 0; r < rails; ++r)
+                    want.push_back(strfmt("up.g%d.l%d", g,
+                                          p.leafIndex(g / gpp, r)));
+            for (int l = 0; l < p.numLeaves(); ++l)
+                for (int local = 0; local < gpp; ++local)
+                    want.push_back(strfmt("dn.l%d.g%d", l,
+                                          l / rails * gpp + local));
+            for (int l = 0; l < p.numLeaves(); ++l)
+                for (int k = 0; k < p.numSpines; ++k)
+                    want.push_back(strfmt("t_up.l%d.k%d", l, k));
+            for (int k = 0; k < p.numSpines; ++k)
+                for (int l = 0; l < p.numLeaves(); ++l)
+                    want.push_back(strfmt("t_dn.k%d.l%d", k, l));
+        }
+        EventQueue eq;
+        Fabric f(eq, p);
+        std::vector<std::string> got;
+        f.forEachLink(
+            [&](const CreditLink &l) { got.push_back(l.name()); });
+        EXPECT_EQ(got, want);
+    }
 }

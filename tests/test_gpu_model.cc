@@ -302,24 +302,20 @@ TEST(Kernel, TbGridSlicesItsFlatArrays)
 
 TEST(KernelDeathTest, ValidateRejectsPullKindInPushList)
 {
-    KernelDesc k;
-    k.name = "t";
-    k.grids.resize(2);
+    // The grid checks op kinds as they are added, so a wrong-kind op
+    // never reaches validate.
+    TbGrid grid;
+    grid.add();
     RemoteOp op;
     op.kind = RemoteOpKind::caisLoad;
-    k.grids[1].add();
-    k.grids[1].addPush(op);
-    EXPECT_DEATH(k.validate(2), "pull op in push list");
+    EXPECT_DEATH(grid.addPush(op), "pull op in push list");
 }
 
 TEST(KernelDeathTest, ValidateRejectsPushKindInPullList)
 {
-    KernelDesc k;
-    k.name = "t";
-    k.grids.resize(2);
+    TbGrid grid;
+    grid.add();
     RemoteOp op;
     op.kind = RemoteOpKind::plainWrite;
-    k.grids[0].add();
-    k.grids[0].addPull(op);
-    EXPECT_DEATH(k.validate(2), "push op in pull list");
+    EXPECT_DEATH(grid.addPull(op), "push op in pull list");
 }

@@ -91,7 +91,7 @@ TEST(PacketLayout, LargestCountsAndPaddingRoundTrip)
     // padded 65536-byte chunk carries 32768 bytes of protocol pad.
     constexpr std::uint32_t chunk = 65536;
     RunConfig cfg;
-    cfg.chunkBytes = chunk;
+    cfg.gpu.chunkBytes = chunk;
     ASSERT_EQ(cfg.validationError(), "");
     p.payloadBytes = chunk;
     p.reqBytes = chunk;

@@ -63,7 +63,7 @@ TEST_P(ChunkSweep, PayloadVolumeIsGranularityInvariant)
     RunConfig cfg;
     cfg.numGpus = 4;
     cfg.numSwitches = 2;
-    cfg.chunkBytes = GetParam();
+    cfg.gpu.chunkBytes = GetParam();
     cfg.gpu.jitterSigma = 0.0;
     cfg.gpu.maxStartSkew = 0;
     // Tensor bases align to the chunk size, so even the 8-16 KiB
@@ -146,7 +146,7 @@ TEST_P(TableSweep, BoundedTablesPreserveCompletion)
     EXPECT_GT(r.makespan, 0u);
     // Capacity in bytes is respected.
     EXPECT_LE(r.peakMergeBytes,
-              static_cast<std::uint64_t>(GetParam()) * cfg.chunkBytes);
+              static_cast<std::uint64_t>(GetParam()) * cfg.gpu.chunkBytes);
 }
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TableSweep,

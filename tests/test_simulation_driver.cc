@@ -25,7 +25,7 @@ TEST(Driver, ConfigMapsIntoSystemConfig)
     RunConfig cfg;
     cfg.numGpus = 4;
     cfg.numSwitches = 2;
-    cfg.chunkBytes = 8192;
+    cfg.gpu.chunkBytes = 8192;
     cfg.mergeTableEntriesPerPort = 100;
     StrategySpec spec = strategyByName("CAIS");
     SystemConfig sc = cfg.toSystemConfig(spec);

@@ -697,6 +697,81 @@ TEST(Verify, V1CyclePathsMatchGoldenForEveryCoupling)
     EXPECT_EQ(h, 0x5eca1afad55abe72ull) << std::hex << h;
 }
 
+TEST(Verify, V1ClassGraphMatchesChannelGraphOnEveryShape)
+{
+    // Every shape the front door accepts (the sweep of
+    // MetricRegistry.SystemRegistersInPathOrder), with the unified
+    // data VC off and on: the class graph V1 builds from one channel
+    // per (family, VC) is the one OR-ed over every channel, and its
+    // verdict is the full channel DFS's.
+    std::vector<RunConfig> shapes;
+    for (int gpus = 2; gpus <= maxFabricGpus; ++gpus) {
+        for (int switches : {1, 2, 3, 4, 7, 8, 11, 16}) {
+            RunConfig cfg;
+            cfg.numGpus = gpus;
+            cfg.numSwitches = switches;
+            shapes.push_back(cfg);
+        }
+        for (const std::string &name : FabricParams::presetNames()) {
+            RunConfig cfg;
+            cfg.topology = name;
+            cfg.numGpus = gpus;
+            shapes.push_back(cfg);
+        }
+    }
+    int checked = 0;
+    for (const RunConfig &cfg : shapes) {
+        if (!cfg.validationError().empty())
+            continue;
+        FabricParams p = cfg.toSystemConfig(StrategySpec{}).fabric;
+        for (bool unified : {false, true}) {
+            p.sw.unifiedDataVc = unified;
+            const verify::V1Graphs g = verify::v1Graphs(p);
+            ASSERT_EQ(g.fromRepresentatives, g.fromEveryChannel)
+                << p.str() << (unified ? ", unified VC" : "");
+            ASSERT_EQ(g.classCyclic, g.channelCyclic) << p.str();
+            EXPECT_FALSE(g.classCyclic) << p.str();
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 2 * 1153);
+}
+
+TEST(Verify, V1ClassGraphIsCyclicForEveryInjectedCycle)
+{
+    // The couplings and shapes of V1CyclePathsMatchGoldenForEveryCoupling:
+    // wherever the channel DFS finds a cycle, the class graph has one,
+    // so V1 runs the DFS and reports it.
+    RunConfig rail;
+    rail.topology = "rail-optimized-2node";
+    rail.numGpus = FabricParams::preset(rail.topology).numGpus;
+    SystemConfig unified = tinyConfig();
+    unified.fabric.sw.unifiedDataVc = true;
+    const SystemConfig shapes[] = {tinyConfig(), unified,
+                                   rail.toSystemConfig(makeCais())};
+    const int classes = static_cast<int>(VcClass::numClasses);
+    int cycles = 0;
+    for (const SystemConfig &c : shapes) {
+        for (bool at_gpu : {true, false}) {
+            for (int from = 0; from < classes; ++from) {
+                for (int to = 0; to < classes; ++to) {
+                    verify::Options o;
+                    o.extraCouplings.push_back(
+                        {at_gpu, static_cast<VcClass>(from),
+                         static_cast<VcClass>(to)});
+                    const verify::V1Graphs g =
+                        verify::v1Graphs(c.fabric, o);
+                    EXPECT_EQ(g.fromRepresentatives, g.fromEveryChannel);
+                    EXPECT_EQ(g.classCyclic, g.channelCyclic)
+                        << at_gpu << " " << from << "->" << to;
+                    cycles += g.channelCyclic;
+                }
+            }
+        }
+    }
+    EXPECT_EQ(cycles, 50);
+}
+
 // ---------------------------------------------------------------
 // Suppression
 // ---------------------------------------------------------------
@@ -805,11 +880,11 @@ TEST(Verify, RunConfigValidationRejectsBadBounds)
     EXPECT_NE(c.validationError().find("numSwitches"),
               std::string::npos);
     c = ok;
-    c.chunkBytes = 0;
+    c.gpu.chunkBytes = 0;
     EXPECT_NE(c.validationError().find("power of two"),
               std::string::npos);
     c = ok;
-    c.chunkBytes = 3000;
+    c.gpu.chunkBytes = 3000;
     EXPECT_NE(c.validationError().find("power of two"),
               std::string::npos);
     c = ok;
@@ -890,12 +965,12 @@ TEST(Verify, RunConfigValidationRejectsSubPacketChunk)
     // then abort inside GpuParams::validate.
     RunConfig c;
     for (std::uint32_t bytes : {1u, 32u, 64u}) {
-        c.chunkBytes = bytes;
+        c.gpu.chunkBytes = bytes;
         EXPECT_NE(c.validationError().find("chunkBytes must be >= 128"),
                   std::string::npos)
             << bytes;
     }
-    c.chunkBytes = 128;
+    c.gpu.chunkBytes = 128;
     EXPECT_EQ(c.validationError(), "");
 }
 
@@ -905,7 +980,7 @@ TEST(Verify, Chunk65536CaisL1RunsWithEveryRuleClean)
     // bases misaligned against the chunk-wide interleave, so session
     // chunks straddled two blocks (V3) and runGraph aborted.
     RunConfig cfg;
-    cfg.chunkBytes = 65536;
+    cfg.gpu.chunkBytes = 65536;
     cfg.verify = true;           // V1-V5 before, V8 after the run
     cfg.boundSlackRatio = 10.0;  // and V9
     LlmConfig m = megaGpt4B().scaled(0.25, 0.25);
@@ -919,7 +994,7 @@ TEST(Verify, Chunk65536CaisL1RunsWithEveryRuleClean)
 TEST(Verify, RunConfigValidateIsFatal)
 {
     RunConfig c;
-    c.chunkBytes = 3000;
+    c.gpu.chunkBytes = 3000;
     EXPECT_DEATH(c.validate(), "invalid RunConfig");
 }
 

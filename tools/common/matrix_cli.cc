@@ -156,8 +156,8 @@ MatrixArgs::runConfig(const std::string &topo) const
         cfg.numSwitches = static_cast<int>(
             params.getInt("switches", cfg.numSwitches));
     }
-    cfg.chunkBytes = static_cast<std::uint32_t>(
-        params.getInt("chunk", cfg.chunkBytes));
+    cfg.gpu.chunkBytes = static_cast<std::uint32_t>(
+        params.getInt("chunk", cfg.gpu.chunkBytes));
     cfg.gpu.numSms =
         static_cast<int>(params.getInt("sms", cfg.gpu.numSms));
     cfg.seed = static_cast<std::uint64_t>(params.getInt(
