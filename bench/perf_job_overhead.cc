@@ -16,7 +16,10 @@
  * and CAIS-Base on nvl72 at the same sizes, plus one full-size static
  * job: LADM on MegaGPT-4B L1 (dim 1, tok 1) over nvl72, built,
  * lowered, verified and bounded without running, as every job of
- * perfbench's static_gates is. Writes
+ * perfbench's static_gates is. Each job runs one untimed rep of its
+ * own before its timed reps, so what the process heap holds (the
+ * malloc mmap threshold, pages already faulted in) comes from that
+ * job, not from the row before it. Writes
  * BENCH_job_overhead.json (cais-job-overhead-v2) and prints one
  * markdown table per job.
  *
@@ -258,8 +261,7 @@ const JobCase kJobs[] = {
     {"nvl72", "nvl72", 72, "TP-NVLS", false},
     {"rail-optimized-4node", "rail-optimized-4node", 32, "TP-NVLS", false},
     {"nvl72", "nvl72", 72, "LADM", true},
-    // tier72's median job: 6th of its 11 strategies by job time. Last,
-    // so the jobs above see the heap they always saw.
+    // tier72's median job: 6th of its 11 strategies by job time.
     {"nvl72", "nvl72", 72, "CAIS-Base", false},
 };
 
@@ -322,10 +324,11 @@ main(int argc, char **argv)
         const double dim = job.fullStatic ? 1.0 : 0.0625;
         const double job_tok = job.fullStatic ? 1.0 : tok;
 
+        const OpGraph &graph = job.fullStatic ? full : small;
+        runJob(spec, graph, cfg, executes); // untimed: warms the heap
         std::vector<Sample> samples;
         for (int r = 0; r < reps; ++r)
-            samples.push_back(runJob(spec, job.fullStatic ? full : small,
-                                     cfg, executes));
+            samples.push_back(runJob(spec, graph, cfg, executes));
         const Sample &last = samples.back();
 
         std::printf("\n%s on %s (%d GPUs, dim %g tok %g), %s: %zu "

@@ -222,20 +222,26 @@ computeBound(const System &sys, const BoundOptions &opts)
 
     for (std::size_t ki = 0; ki < sys.numKernels(); ++ki) {
         const KernelDesc &k = sys.kernel(static_cast<KernelId>(ki));
-        if (k.totalTbs() == 0)
+        if (k.totalTbs(fp.numGpus) == 0)
             continue; // zero-TB kernels finish without launching
 
+        // A grid every GPU shares is summed once, for all of them.
+        const bool shared = k.grids.size() == 1;
         std::uint64_t exec_floor = 0;
         bool has_pull = false;
-        for (std::size_t g = 0; g < k.grids.size() && g < gpus; ++g) {
-            const TbGrid &grid = k.grids[g];
-            std::uint64_t grid_work = 0;
-            std::uint64_t max_tb = 0;
-            for (const TbDesc &tb : grid.tbs) {
-                std::uint64_t d =
-                    tbFloorCycles(tb.computeCycles, jittered);
-                grid_work += d;
-                max_tb = std::max(max_tb, d);
+        std::uint64_t grid_work = 0;
+        std::uint64_t max_tb = 0;
+        for (std::size_t g = 0; g < gpus; ++g) {
+            const TbGrid &grid = k.grid(static_cast<GpuId>(g));
+            if (g == 0 || !shared) {
+                grid_work = 0;
+                max_tb = 0;
+                for (const TbDesc &tb : grid.tbs) {
+                    std::uint64_t d =
+                        tbFloorCycles(tb.computeCycles, jittered);
+                    grid_work += d;
+                    max_tb = std::max(max_tb, d);
+                }
             }
             // Loads and reductions feed separate range lists, so one
             // sweep per op array keeps each list in TB order.

@@ -661,8 +661,8 @@ reportSessions(Ctx &cx, const KernelDesc &k)
         std::set<int> expected;
     };
     std::map<std::tuple<int, Addr, std::uint64_t>, OpGroup> groups;
-    for (GpuId g = 0; g < static_cast<GpuId>(k.grids.size()); ++g) {
-        const TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+    for (GpuId g = 0; g < G; ++g) {
+        const TbGrid &grid = k.grid(g);
         for (auto ops : {grid.allPulls(), grid.allPushes()}) {
             for (const RemoteOp &op : ops) {
                 if (!isSessionCounted(op.kind))
@@ -921,7 +921,8 @@ checkV3(Ctx &cx)
 
     // Straddles report in issue order (TB by TB, pulls before pushes).
     auto reportStraddles = [&](const KernelDesc &k) {
-        for (const TbGrid &grid : k.grids) {
+        for (GpuId g = 0; g < G; ++g) {
+            const TbGrid &grid = k.grid(g);
             for (const TbDesc &tb : grid.tbs) {
                 for (auto ops : {grid.pullOps(tb), grid.pushOps(tb)}) {
                     for (const RemoteOp &op : ops) {
@@ -967,8 +968,8 @@ checkV3(Ctx &cx)
             cx.sys.kernel(static_cast<KernelId>(ki));
         table.reset();
         bool straddled = false;
-        for (GpuId g = 0; g < static_cast<GpuId>(k.grids.size()); ++g) {
-            const TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+        for (GpuId g = 0; g < G; ++g) {
+            const TbGrid &grid = k.grid(g);
             for (auto ops : {grid.allPulls(), grid.allPushes()}) {
                 for (const RemoteOp &op : ops) {
                     if (!isSessionKind(op.kind))
@@ -1024,8 +1025,8 @@ checkV4(Ctx &cx)
         // sparse ids (hand-built kernels) index by rank instead.
         GroupId lo = 0, hi = -1;
         std::size_t grouped = 0;
-        for (const TbGrid &grid : k.grids)
-            for (const TbDesc &tb : grid.tbs)
+        for (GpuId g = 0; g < G; ++g)
+            for (const TbDesc &tb : k.grid(g).tbs)
                 if (tb.group != invalidId) {
                     lo = grouped ? std::min(lo, tb.group) : tb.group;
                     hi = grouped ? std::max(hi, tb.group) : tb.group;
@@ -1038,8 +1039,8 @@ checkV4(Ctx &cx)
                                        lo) >= grouped;
         ids.clear();
         if (sparse) {
-            for (const TbGrid &grid : k.grids)
-                for (const TbDesc &tb : grid.tbs)
+            for (GpuId g = 0; g < G; ++g)
+                for (const TbDesc &tb : k.grid(g).tbs)
                     if (tb.group != invalidId)
                         ids.push_back(tb.group);
             std::sort(ids.begin(), ids.end());
@@ -1056,8 +1057,7 @@ checkV4(Ctx &cx)
             sparse ? ids.size() : static_cast<std::size_t>(hi - lo) + 1;
         counts.assign(rows * static_cast<std::size_t>(G), 0);
         for (GpuId g = 0; g < G; ++g)
-            for (const TbDesc &tb :
-                 k.grids[static_cast<std::size_t>(g)].tbs)
+            for (const TbDesc &tb : k.grid(g).tbs)
                 if (tb.group != invalidId)
                     ++counts[rowOf(tb.group) *
                                  static_cast<std::size_t>(G) +
@@ -1204,7 +1204,8 @@ checkV5(Ctx &cx)
             }
             addEdge(static_cast<std::size_t>(d), ki);
         }
-        // Each produced tracker this kernel waits on, once.
+        // Each produced tracker this kernel waits on, once. The set
+        // does not depend on the GPU, so a shared grid is read once.
         depTrackers.clear();
         for (const TbGrid &grid : k.grids)
             for (const TileRef &ref : grid.allDeps()) {
@@ -1301,6 +1302,7 @@ checkV5(Ctx &cx)
         partial[ki] = k.smFrom > 0.0 || k.smTo < 1.0;
         if (!partial[ki])
             continue;
+        // Only the signs count, so a shared grid is read once.
         std::uint64_t pull = 0, push = 0;
         for (const TbGrid &grid : k.grids) {
             for (const RemoteOp &op : grid.allPulls())

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <vector>
 
 namespace cais
 {
@@ -52,13 +51,21 @@ ScopedLogLevel::~ScopedLogLevel()
 std::string
 vstrfmt(const char *fmt, std::va_list ap)
 {
+    // One pass into a stack buffer; only an output that does not fit
+    // is formatted again, straight into the string.
+    char buf[256];
     std::va_list ap2;
     va_copy(ap2, ap);
-    int n = std::vsnprintf(nullptr, 0, fmt, ap);
-    std::vector<char> buf(static_cast<size_t>(n) + 1);
-    std::vsnprintf(buf.data(), buf.size(), fmt, ap2);
+    const int n = std::vsnprintf(buf, sizeof(buf), fmt, ap);
+    std::string s;
+    if (n > 0 && static_cast<std::size_t>(n) < sizeof(buf)) {
+        s.assign(buf, static_cast<std::size_t>(n));
+    } else if (n > 0) {
+        s.resize(static_cast<std::size_t>(n));
+        std::vsnprintf(s.data(), s.size() + 1, fmt, ap2);
+    }
     va_end(ap2);
-    return std::string(buf.data(), static_cast<size_t>(n));
+    return s;
 }
 
 std::string

@@ -12,8 +12,10 @@ isCaisKind(RemoteOpKind k)
 }
 
 std::size_t
-KernelDesc::totalTbs() const
+KernelDesc::totalTbs(int num_gpus) const
 {
+    if (grids.size() == 1)
+        return grids.front().size() * static_cast<std::size_t>(num_gpus);
     std::size_t n = 0;
     for (const auto &g : grids)
         n += g.size();
@@ -24,7 +26,7 @@ Cycle
 KernelDesc::computeWork(GpuId gpu) const
 {
     Cycle c = 0;
-    for (const TbDesc &tb : grids[static_cast<std::size_t>(gpu)].tbs)
+    for (const TbDesc &tb : grid(gpu).tbs)
         c += tb.computeCycles;
     return c;
 }
@@ -32,9 +34,11 @@ KernelDesc::computeWork(GpuId gpu) const
 void
 KernelDesc::validate(int num_gpus) const
 {
-    if (grids.size() != static_cast<std::size_t>(num_gpus))
-        panic("kernel %s: grid count %zu != GPU count %d", name.c_str(),
-              grids.size(), num_gpus);
+    if (grids.size() != 1 &&
+        grids.size() != static_cast<std::size_t>(num_gpus))
+        panic("kernel %s: grid count %zu is neither 1 nor the GPU count "
+              "%d",
+              name.c_str(), grids.size(), num_gpus);
     if (smFrom < 0.0 || smTo > 1.0 || smFrom >= smTo)
         panic("kernel %s: bad SM partition [%f, %f)", name.c_str(),
               smFrom, smTo);

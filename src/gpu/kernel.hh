@@ -3,14 +3,15 @@
  * Kernel and thread-block descriptors.
  *
  * A KernelDesc is the unit the execution strategies schedule: one
- * logical operator kernel with a per-GPU grid of thread blocks. Each
+ * logical operator kernel with a grid of thread blocks per GPU, or one
+ * grid that every GPU runs when the kernel is GPU-invariant. Each
  * TbDesc carries a compute cost, remote communication ops (pull side
  * issued with compute, push side issued after), CAIS TB-group
  * membership, fine-grained tile dependencies, and the tile it
  * produces. These are *descriptors*: the runtime engine interprets
  * them against the GPU and fabric models.
  *
- * A TbGrid keeps one GPU's TBs dense: every TB's ops and deps live in
+ * A TbGrid keeps one grid's TBs dense: every TB's ops and deps live in
  * three flat arrays of the grid, and a TbDesc holds only a begin and a
  * count into each. Emitters reserve exact sizes first (DESIGN.md §6j).
  */
@@ -68,7 +69,13 @@ struct RemoteOp
     bool protocolPad = false;
 };
 
-/** Reference to a tile of a tracked tensor, at a specific GPU. */
+/** TileRef::atGpu of a consumer-local dep: the tile at the GPU that
+ *  runs the TB. Such a dep names no GPU id, so a grid whose deps are
+ *  all local or GPU-invariant can be shared by every GPU. */
+constexpr GpuId selfGpu = -2;
+
+/** Reference to a tile of a tracked tensor, at a specific GPU or at
+ *  selfGpu (System::enqueueTb resolves it). */
 struct TileRef
 {
     int tracker = invalidId; ///< index into the system's trackers
@@ -108,7 +115,7 @@ struct TbDesc
 
 static_assert(sizeof(TbDesc) <= 48, "TbDesc must stay dense");
 
-/** One GPU's thread blocks, with their ops and deps in flat arrays. */
+/** One grid of thread blocks, with their ops and deps in flat arrays. */
 class TbGrid
 {
   public:
@@ -218,8 +225,17 @@ struct KernelDesc
     KernelId id = invalidId;
     std::string name;
 
-    /** Per-GPU grids, indexed by GPU id. */
+    /** One grid per GPU, indexed by GPU id, or exactly one grid that
+     *  every GPU runs (a GPU-invariant kernel). Read through grid(). */
     std::vector<TbGrid> grids;
+
+    /** The grid GPU @p g runs. */
+    const TbGrid &
+    grid(GpuId g) const
+    {
+        return grids.size() == 1 ? grids.front()
+                                 : grids[static_cast<std::size_t>(g)];
+    }
 
     /** Tracker index fed by this kernel's output; invalidId if none. */
     int producesTracker = invalidId;
@@ -250,14 +266,15 @@ struct KernelDesc
      *  LADM kernels keep 1. */
     int schedPriority = 1;
 
-    /** Total thread blocks across GPUs. */
-    std::size_t totalTbs() const;
+    /** Total thread blocks across @p num_gpus GPUs. */
+    std::size_t totalTbs(int num_gpus) const;
 
     /** Sum of compute cycles over all TBs on @p gpu. */
     Cycle computeWork(GpuId gpu) const;
 
-    /** Panics unless there is one grid per GPU and the SM partition
-     *  is a non-empty range within [0, 1]. TbGrid checks op kinds. */
+    /** Panics unless there is one grid, or one grid per GPU, and the
+     *  SM partition is a non-empty range within [0, 1]. TbGrid checks
+     *  op kinds. */
     void validate(int num_gpus) const;
 };
 

@@ -77,7 +77,7 @@ class TbRun
     const TbGrid &
     grid() const
     {
-        return kernel.grids[static_cast<std::size_t>(gpuId)];
+        return kernel.grid(gpuId);
     }
 
     TbRunContext ctx;

@@ -16,18 +16,19 @@ namespace
 constexpr double pipelinedCommSmFrom = 0.8;
 
 /**
- * Tile deps of one consumer GPU on @p src (null: the op has no input),
- * at the GPU where each producer instance lives, for a walk over
- * ascending tiles: a sharded producer's owner is stepped forward,
- * never searched.
+ * Tile deps on @p src (null: the op has no input), at the GPU where
+ * each producer instance lives, for a walk over ascending tiles: a
+ * sharded producer's owner is stepped forward, never searched; any
+ * other input is the consumer's own (selfGpu). Either way the deps do
+ * not depend on the consumer GPU.
  */
 class DepAt
 {
   public:
-    DepAt(const TensorInfo *src_, GpuId consumer_gpu)
+    explicit DepAt(const TensorInfo *src_)
         : src(src_),
           sharded(src_ && src_->layout == TensorLayout::rowShardedHome),
-          gpu(sharded ? 0 : consumer_gpu)
+          gpu(sharded ? 0 : selfGpu)
     {
     }
 
@@ -137,11 +138,11 @@ GraphLowering::defineOutput(OpId id, TensorLayout layout,
 }
 
 KernelDesc
-GraphLowering::newKernel(const std::string &name)
+GraphLowering::newKernel(const std::string &name, bool gpu_invariant)
 {
     KernelDesc k;
     k.name = name;
-    k.grids.resize(static_cast<std::size_t>(G));
+    k.grids.resize(gpu_invariant ? 1 : static_cast<std::size_t>(G));
     k.launchOverhead = sys.config().gpu.kernelLaunchOverhead;
     return k;
 }
@@ -219,7 +220,8 @@ GraphLowering::lowerElementwise(OpId id)
     const TensorInfo *inT =
         in != invalidId ? outT[static_cast<std::size_t>(in)] : nullptr;
 
-    KernelDesc k = newKernel(n.name);
+    // Only a row-sharded output differs per GPU (its home shard).
+    KernelDesc k = newKernel(n.name, !row_sharded);
     if (!tileDeps() && in != invalidId)
         k.kernelDeps = barrierDeps(id);
     k.producesTracker = out.tracker;
@@ -227,13 +229,14 @@ GraphLowering::lowerElementwise(OpId id)
     Cycle cost = memBoundTbCycles(
         gp, out.bytesPerTile, n.kind == OpKind::layerNorm ? 3.0 : 2.0);
 
-    for (GpuId g = 0; g < G; ++g) {
-        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
+    for (std::size_t gi = 0; gi < k.grids.size(); ++gi) {
+        const auto g = static_cast<GpuId>(gi);
+        TbGrid &grid = k.grids[gi];
         const int lo = row_sharded ? out.shardBegin(g) : 0;
         const int hi = row_sharded ? out.shardBegin(g + 1) : out.numTiles;
         const auto tbs = static_cast<std::size_t>(hi - lo);
         grid.reserve(tbs, 0, 0, inT ? tbs : 0);
-        DepAt dep(inT, g);
+        DepAt dep(inT);
         for (int t = lo; t < hi; ++t) {
             TbDesc &tb = grid.add();
             tb.computeCycles = cost;
@@ -260,7 +263,7 @@ GraphLowering::lowerAttention(OpId id)
     const TensorInfo *inT =
         in != invalidId ? outT[static_cast<std::size_t>(in)] : nullptr;
 
-    KernelDesc k = newKernel(n.name);
+    KernelDesc k = newKernel(n.name, true);
     if (!tileDeps())
         k.kernelDeps = barrierDeps(id);
     k.producesTracker = out.tracker;
@@ -271,18 +274,16 @@ GraphLowering::lowerAttention(OpId id)
         n.flopScale);
 
     const auto tbs = static_cast<std::size_t>(out.numTiles);
-    for (GpuId g = 0; g < G; ++g) {
-        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
-        DepAt dep(inT, g);
-        for (int t = 0; t < out.numTiles; ++t) {
-            TbDesc &tb = grid.add();
-            tb.computeCycles = cost;
-            tb.producesTile = t;
-            tb.produceBytes = out.bytesPerTile;
-            if (inT)
-                grid.addDep(dep(t));
-        }
+    TbGrid &grid = k.grids.front();
+    grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+    DepAt dep(inT);
+    for (int t = 0; t < out.numTiles; ++t) {
+        TbDesc &tb = grid.add();
+        tb.computeCycles = cost;
+        tb.producesTile = t;
+        tb.produceBytes = out.bytesPerTile;
+        if (inT)
+            grid.addDep(dep(t));
     }
     finishKernel(id, std::move(k));
 }
@@ -310,7 +311,7 @@ GraphLowering::lowerGemmCol(OpId id)
     bool input_is_collective =
         in != invalidId && isCommOp(node(in).kind);
 
-    KernelDesc k = newKernel(n.name);
+    KernelDesc k = newKernel(n.name, true);
     k.smFrom = fusion.of(id).smFrom;
     k.smTo = fusion.of(id).smTo;
 
@@ -333,20 +334,18 @@ GraphLowering::lowerGemmCol(OpId id)
 
     const auto tbs = static_cast<std::size_t>(out.numTiles) *
                      static_cast<std::size_t>(nt);
-    for (GpuId g = 0; g < G; ++g) {
-        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
-        DepAt dep(inT, g);
-        for (int i = 0; i < out.numTiles; ++i) {
-            const TileRef in_tile = inT ? dep(i) : TileRef{};
-            for (int j = 0; j < nt; ++j) {
-                TbDesc &tb = grid.add();
-                tb.computeCycles = cost;
-                tb.producesTile = i;
-                tb.produceBytes = portion;
-                if (inT)
-                    grid.addDep(in_tile);
-            }
+    TbGrid &grid = k.grids.front();
+    grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+    DepAt dep(inT);
+    for (int i = 0; i < out.numTiles; ++i) {
+        const TileRef in_tile = inT ? dep(i) : TileRef{};
+        for (int j = 0; j < nt; ++j) {
+            TbDesc &tb = grid.add();
+            tb.computeCycles = cost;
+            tb.producesTile = i;
+            tb.produceBytes = portion;
+            if (inT)
+                grid.addDep(in_tile);
         }
     }
     finishKernel(id, std::move(k));
@@ -371,7 +370,9 @@ GraphLowering::lowerGemmRow(OpId id)
          opts.collectives == CollectiveImpl::t3) &&
         consumerIsReduction(id);
 
-    KernelDesc k = newKernel(n.name);
+    // A fused reduction pushes each GPU's partials off its home shard;
+    // materialized partials are the same grid on every GPU.
+    KernelDesc k = newKernel(n.name, !fused_reduction);
     k.smFrom = fusion.of(id).smFrom;
     k.smTo = fusion.of(id).smTo;
     if (!tileDeps())
@@ -438,7 +439,7 @@ GraphLowering::lowerGemmRow(OpId id)
             grid.reserve(tbs, 0,
                          tbs - static_cast<std::size_t>(hi - lo) * cols,
                          inT ? tbs : 0);
-            DepAt dep(inT, g);
+            DepAt dep(inT);
             GpuId owner = 0;
             for (int i = 0; i < rsOut.numTiles; ++i) {
                 const TileRef in_tile = inT ? dep(i) : TileRef{};
@@ -495,20 +496,18 @@ GraphLowering::lowerGemmRow(OpId id)
 
     const auto tbs = static_cast<std::size_t>(out.numTiles) *
                      static_cast<std::size_t>(nt_cols);
-    for (GpuId g = 0; g < G; ++g) {
-        TbGrid &grid = k.grids[static_cast<std::size_t>(g)];
-        grid.reserve(tbs, 0, 0, inT ? tbs : 0);
-        DepAt dep(inT, g);
-        for (int i = 0; i < out.numTiles; ++i) {
-            const TileRef in_tile = inT ? dep(i) : TileRef{};
-            for (int j = 0; j < nt_cols; ++j) {
-                TbDesc &tb = grid.add();
-                tb.computeCycles = cost;
-                tb.producesTile = i;
-                tb.produceBytes = portion;
-                if (inT)
-                    grid.addDep(in_tile);
-            }
+    TbGrid &grid = k.grids.front();
+    grid.reserve(tbs, 0, 0, inT ? tbs : 0);
+    DepAt dep(inT);
+    for (int i = 0; i < out.numTiles; ++i) {
+        const TileRef in_tile = inT ? dep(i) : TileRef{};
+        for (int j = 0; j < nt_cols; ++j) {
+            TbDesc &tb = grid.add();
+            tb.computeCycles = cost;
+            tb.producesTile = i;
+            tb.produceBytes = portion;
+            if (inT)
+                grid.addDep(in_tile);
         }
     }
     finishKernel(id, std::move(k));
@@ -745,7 +744,7 @@ GraphLowering::emitSoftwareReduceScatter(OpId rs,
         grid.reserve(tbs, 0,
                      tbs - static_cast<std::size_t>(shardSize(out, g)),
                      tbs);
-        DepAt dep(&partial, g);
+        DepAt dep(&partial);
         GpuId owner = 0;
         for (int i = 0; i < out.numTiles; ++i) {
             TbDesc &tb = grid.add();
@@ -822,6 +821,8 @@ GraphLowering::emitLadmAllReduce(OpId rs, const TensorInfo &partial)
     k.kernelDeps = barrierDeps(rs);
     k.producesTracker = out.tracker;
 
+    const Cycle cost = memBoundTbCycles(
+        gp, partial.bytesPerTile * static_cast<std::uint64_t>(G), 1.0);
     const auto tbs = static_cast<std::size_t>(out.numTiles);
     const auto gpus = static_cast<std::size_t>(G);
     for (GpuId g = 0; g < G; ++g) {
@@ -841,10 +842,7 @@ GraphLowering::emitLadmAllReduce(OpId rs, const TensorInfo &partial)
                 op.bytes = partial.bytesPerTile;
                 grid.addPull(op);
             }
-            tb.computeCycles = memBoundTbCycles(
-                gp,
-                partial.bytesPerTile * static_cast<std::uint64_t>(G),
-                1.0);
+            tb.computeCycles = cost;
             tb.producesTile = i;
             tb.produceBytes = out.bytesPerTile;
         }

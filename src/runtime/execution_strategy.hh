@@ -172,7 +172,11 @@ class GraphLowering
     std::vector<KernelId> barrierDeps(OpId id) const;
     TensorInfo &defineOutput(OpId id, TensorLayout layout,
                              std::int64_t cols, int need_factor);
-    KernelDesc newKernel(const std::string &name);
+
+    /** A kernel with one grid per GPU, or with one grid that every
+     *  GPU runs when @p gpu_invariant. */
+    KernelDesc newKernel(const std::string &name,
+                         bool gpu_invariant = false);
 
     /** Header of a collective kernel: comm accounting, priority 0,
      *  @p deps as barriers, or the comm SM partition when pipelined. */

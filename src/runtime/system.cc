@@ -270,7 +270,7 @@ System::addKernel(KernelDesc desc)
     desc.validate(numGpus());
     auto ks = std::make_unique<KernelState>();
     ks->desc = std::move(desc);
-    ks->remainingTbs = static_cast<int>(ks->desc.totalTbs());
+    ks->remainingTbs = static_cast<int>(ks->desc.totalTbs(numGpus()));
     ks->gpuFirstDispatch.assign(
         static_cast<std::size_t>(numGpus()), 0);
     ks->gpuLastFinish.assign(static_cast<std::size_t>(numGpus()), 0);
@@ -305,7 +305,7 @@ System::run()
                 ->dependents.push_back(ks->desc.id);
         for (GpuId g = 0; g < numGpus(); ++g) {
             ks->firstTb.push_back(static_cast<TbRecId>(tbs.size()));
-            const auto &grid = ks->desc.grids[static_cast<std::size_t>(g)];
+            const TbGrid &grid = ks->desc.grid(g);
             for (TbId i = 0; i < static_cast<TbId>(grid.size()); ++i) {
                 TbRecord &r = tbs.emplace_back();
                 r.ks = ks.get();
@@ -340,7 +340,7 @@ System::tryLaunch(KernelState &ks)
         ks.trackerDone = true;
     }
 
-    if (ks.desc.totalTbs() == 0) {
+    if (ks.desc.totalTbs(numGpus()) == 0) {
         ks.tbsDone = true;
         maybeFinishKernel(ks);
         return;
@@ -386,7 +386,7 @@ System::launchOnGpu(KernelState &ks, GpuId g)
 {
     // An empty grid has no work; its share is accounted as done.
     TbRecId first = ks.firstTb[static_cast<std::size_t>(g)];
-    const auto &grid = ks.desc.grids[static_cast<std::size_t>(g)];
+    const TbGrid &grid = ks.desc.grid(g);
     for (std::size_t i = 0; i < grid.size(); ++i)
         enqueueTb(first + static_cast<TbRecId>(i));
 }
@@ -394,8 +394,7 @@ System::launchOnGpu(KernelState &ks, GpuId g)
 const TbDesc &
 System::tbDesc(const TbRecord &r) const
 {
-    return r.ks->desc.grids[static_cast<std::size_t>(r.gpu)]
-        .tbs[static_cast<std::size_t>(r.idx)];
+    return r.ks->desc.grid(r.gpu).tbs[static_cast<std::size_t>(r.idx)];
 }
 
 void
@@ -403,13 +402,15 @@ System::enqueueTb(TbRecId rec)
 {
     // Each dependency counts down once when its tile is ready (inside
     // waitFor if it already is); the extra count is registration's
-    // own, so the TB turns ready once, after its last waitFor.
+    // own, so the TB turns ready once, after its last waitFor. A
+    // selfGpu dep waits on the tile at this TB's own GPU.
     TbRecord &r = tbs[rec];
-    const TbGrid &grid = r.ks->desc.grids[static_cast<std::size_t>(r.gpu)];
+    const TbGrid &grid = r.ks->desc.grid(r.gpu);
     const TbDesc &tb = grid.tbs[static_cast<std::size_t>(r.idx)];
     r.depsLeft = static_cast<int>(tb.depCount) + 1;
     for (const TileRef &ref : grid.deps(tb))
-        tracker(ref.tracker).waitFor(ref.atGpu, ref.tile, rec);
+        tracker(ref.tracker).waitFor(
+            ref.atGpu == selfGpu ? r.gpu : ref.atGpu, ref.tile, rec);
     onTileReady(rec);
 }
 
@@ -573,7 +574,7 @@ System::reportDeadlock() const
         }
         // Live TBs in (gpu, idx) order: the record layout.
         TbRecId end = ks->firstTb.front() +
-                      static_cast<TbRecId>(ks->desc.totalTbs());
+                      static_cast<TbRecId>(ks->desc.totalTbs(numGpus()));
         for (TbRecId rec = ks->firstTb.front(); rec < end; ++rec) {
             const TbRecord &r = tbs[rec];
             if (r.run)

@@ -254,9 +254,16 @@ TEST(Kernel, HelpersAndValidation)
     k.grids[0].add().computeCycles = 10;
     k.grids[0].add().computeCycles = 10;
     k.grids[1].add().computeCycles = 10;
-    EXPECT_EQ(k.totalTbs(), 3u);
+    EXPECT_EQ(k.totalTbs(2), 3u);
     EXPECT_EQ(k.computeWork(0), 20u);
     k.validate(2);
+
+    // One grid is every GPU's grid.
+    k.grids.resize(1);
+    EXPECT_EQ(k.totalTbs(4), 8u);
+    EXPECT_EQ(&k.grid(3), &k.grids.front());
+    EXPECT_EQ(k.computeWork(3), 20u);
+    k.validate(4);
 
     EXPECT_TRUE(isPullKind(RemoteOpKind::caisLoad));
     EXPECT_TRUE(isPullKind(RemoteOpKind::nvlsLdReduce));
@@ -318,4 +325,13 @@ TEST(KernelDeathTest, ValidateRejectsPushKindInPullList)
     RemoteOp op;
     op.kind = RemoteOpKind::plainWrite;
     EXPECT_DEATH(grid.addPull(op), "push op in pull list");
+}
+
+TEST(KernelDeathTest, ValidateRejectsGridCountNeitherOneNorGpuCount)
+{
+    KernelDesc k;
+    k.name = "t";
+    k.grids.resize(3);
+    EXPECT_DEATH(k.validate(4),
+                 "grid count 3 is neither 1 nor the GPU count 4");
 }

@@ -19,6 +19,17 @@ TEST(Log, StrfmtFormats)
     EXPECT_EQ(strfmt("%s", big.c_str()).size(), 500u);
 }
 
+TEST(Log, StrfmtFormatsShortAndLongOutputExactly)
+{
+    // Shorter than the stack buffer: formatted in one pass.
+    EXPECT_EQ(strfmt("%s.g%d.l%d", "t_dn", 2, 5), "t_dn.g2.l5");
+    // Longer than it: formatted again into the string, whole.
+    std::string tail(300, 'z');
+    std::string want = "head 12345 " + tail + " 0x2a end";
+    EXPECT_EQ(strfmt("head %d %s 0x%x end", 12345, tail.c_str(), 42),
+              want);
+}
+
 TEST(Log, LevelsRoundTrip)
 {
     LogLevel before = logLevel();

@@ -58,7 +58,8 @@ struct Fingerprint
         }
     }
 
-    void tb(const TbGrid &grid, const TbDesc &t)
+    /** @p t as GPU @p gpu runs it: selfGpu deps resolve to @p gpu. */
+    void tb(const TbGrid &grid, const TbDesc &t, GpuId gpu)
     {
         u(t.computeCycles);
         ops(grid.pullOps(t));
@@ -70,11 +71,12 @@ struct Fingerprint
         for (const TileRef &d : grid.deps(t)) {
             i(d.tracker);
             i(d.tile);
-            i(d.atGpu);
+            i(d.atGpu == selfGpu ? gpu : d.atGpu);
         }
     }
 
-    void kernel(const KernelDesc &k)
+    /** Each GPU's view of @p k, shared grid or not. */
+    void kernel(const KernelDesc &k, int num_gpus)
     {
         s(k.name);
         u(k.preLaunchSync);
@@ -88,11 +90,12 @@ struct Fingerprint
         for (KernelId d : k.kernelDeps)
             i(d);
         i(k.producesTracker);
-        u(k.grids.size());
-        for (const TbGrid &grid : k.grids) {
+        u(static_cast<std::uint64_t>(num_gpus));
+        for (GpuId g = 0; g < num_gpus; ++g) {
+            const TbGrid &grid = k.grid(g);
             u(grid.size());
             for (const TbDesc &t : grid.tbs)
-                tb(grid, t);
+                tb(grid, t, g);
         }
     }
 
@@ -100,7 +103,7 @@ struct Fingerprint
     {
         u(sys.numKernels());
         for (std::size_t k = 0; k < sys.numKernels(); ++k)
-            kernel(sys.kernel(static_cast<KernelId>(k)));
+            kernel(sys.kernel(static_cast<KernelId>(k)), sys.numGpus());
         u(sys.numTensors());
         for (std::size_t t = 0; t < sys.numTensors(); ++t) {
             const TensorInfo &ti = sys.tensor(t);
@@ -329,6 +332,58 @@ TEST(Lowering, LadmPullsEveryPeerPartial)
             EXPECT_EQ(kd.grids[0].pullOps(tb).size(), 3u);
     }
     EXPECT_TRUE(found);
+}
+
+TEST(Lowering, GpuInvariantKernelsShareOneGrid)
+{
+    // GEMM, attention and layer-norm kernels whose TBs, ops and deps
+    // are the same on every GPU hold one grid; collectives and CAIS's
+    // fused gemm-rs (each GPU pushes off its own home shard) hold G.
+    const OpGraph g = buildTransformerLayer(
+        megaGpt4B().scaled(0.25, 0.125), Pass::forward);
+    RunConfig nvl72;
+    nvl72.topology = "nvl72";
+    nvl72.numGpus = 72;
+    for (const RunConfig &cfg : {RunConfig{}, nvl72}) {
+        for (const StrategySpec &spec :
+             {makeTpNvls(), makeLadm(), makeCoconet(false)}) {
+            System sys(cfg.toSystemConfig(spec));
+            GraphLowering low(sys, g, spec.opts);
+            low.lower();
+            const auto G = static_cast<std::size_t>(sys.numGpus());
+            int shared = 0;
+            for (OpId id = 0; id < static_cast<OpId>(g.size()); ++id) {
+                if (isCommOp(g.node(id).kind))
+                    continue;
+                EXPECT_EQ(sys.kernel(low.opKernel(id)).grids.size(), 1u)
+                    << spec.name << "@" << cfg.topology << " "
+                    << g.node(id).name;
+                ++shared;
+            }
+            EXPECT_GT(shared, 0);
+            for (std::size_t k = 0; k < sys.numKernels(); ++k) {
+                const KernelDesc &kd = sys.kernel(static_cast<KernelId>(k));
+                if (!kd.commKernel)
+                    continue;
+                EXPECT_EQ(kd.grids.size(), G)
+                    << spec.name << "@" << cfg.topology << " " << kd.name;
+            }
+        }
+
+        System sys(cfg.toSystemConfig(makeCais()));
+        GraphLowering low(sys, g, makeCais().opts);
+        low.lower();
+        int fused = 0;
+        for (OpId id = 0; id < static_cast<OpId>(g.size()); ++id) {
+            if (g.node(id).kind != OpKind::gemmRowParallel)
+                continue;
+            EXPECT_EQ(sys.kernel(low.opKernel(id)).grids.size(),
+                      static_cast<std::size_t>(sys.numGpus()))
+                << "CAIS@" << cfg.topology << " " << g.node(id).name;
+            ++fused;
+        }
+        EXPECT_GT(fused, 0);
+    }
 }
 
 TEST(Lowering, AsymmetricOverlapAssignsSmHalves)

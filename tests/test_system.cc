@@ -230,6 +230,39 @@ TEST(System, TileDepsLaunchConsumersEarly)
     EXPECT_EQ(sys.makespan(), 1010u);
 }
 
+TEST(System, SelfDepWaitsOnExecutingGpu)
+{
+    System sys(smallConfig());
+    TensorInfo &t = sys.defineTensor(
+        "x", TensorLayout::perGpuPrivate, 128, 64, 2, 128, 1);
+
+    // Producer: GPU 0's tile is slow (1000 cyc), GPU 1's fast (100).
+    KernelDesc prod;
+    prod.name = "prod";
+    prod.grids.resize(2);
+    prod.producesTracker = t.tracker;
+    for (GpuId g = 0; g < 2; ++g) {
+        TbDesc &tb = prod.grids[g].add();
+        tb.computeCycles = g == 0 ? 1000 : 100;
+        tb.producesTile = 0;
+        tb.produceBytes = t.bytesPerTile;
+    }
+    sys.addKernel(std::move(prod));
+
+    // Consumer: one grid for both GPUs, its dep on the executing
+    // GPU's tile. Each GPU's TB waits on its own producer only.
+    KernelDesc cons;
+    cons.name = "cons";
+    cons.grids.resize(1);
+    cons.grids[0].add().computeCycles = 10;
+    cons.grids[0].addDep(TileRef{t.tracker, 0, selfGpu});
+    const KernelId kc = sys.addKernel(std::move(cons));
+    sys.run();
+    EXPECT_EQ(sys.kernelGpuSpan(kc, 0).second, 1010u);
+    EXPECT_EQ(sys.kernelGpuSpan(kc, 1).second, 110u);
+    EXPECT_EQ(sys.makespan(), 1010u);
+}
+
 TEST(System, PushedDataCompletesTrackerRemotely)
 {
     System sys(smallConfig());
