@@ -2,13 +2,18 @@
  * @file
  * Perf-regression harness for the event core (google-benchmark).
  *
- * Measures events/sec on three workload shapes:
+ * Measures events/sec on four workload shapes:
  *
  *  - a synthetic "hop storm" that mimics the deliver/wake/credit
  *    pattern CreditLink generates: many concurrent self-rescheduling
  *    chains with mixed near-future deltas, once with 1024 chains
  *    (everything in cache) and once with ~131k (the pending-set size
  *    of the 72-GPU LADM job, far larger than the caches);
+ *  - the same storm with 16-byte captures (a pointer and two 32-bit
+ *    words), shaped like a credit arrival or a drain wake: the events
+ *    whose capture shares its entry's first cache line with the
+ *    invoke/relocate thunks, so the entry layout has a number of its
+ *    own, in cache and at the 72-GPU pending-set size;
  *  - a same-cycle burst: 90 chains that each step one cycle per hop,
  *    so every cycle holds 90 events, the density of the 72-GPU LADM
  *    job (~92 events per simulated cycle);
@@ -172,6 +177,45 @@ hopStorm(Queue &eq, int chains, int hops, const Cycle (&deltas)[N])
     return storm.done;
 }
 
+/**
+ * The hop storm with 16-byte captures, shaped like a credit arrival
+ * (`[link, vc]`) or a drain wake: the hop count and a tag ride next
+ * to the pointer.
+ */
+template <std::size_t N>
+std::uint64_t
+smallHopStorm(EventQueue &eq, int chains, int hops, const Cycle (&deltas)[N])
+{
+    struct Storm
+    {
+        EventQueue *q;
+        const Cycle *deltas;
+        std::uint32_t hops;
+        std::uint64_t done = 0;
+    } storm{&eq, deltas, static_cast<std::uint32_t>(hops)};
+    struct Chain
+    {
+        Storm *s;
+        std::uint32_t hop;
+        std::uint32_t tag;
+
+        void
+        operator()()
+        {
+            if (++hop < s->hops)
+                s->q->scheduleAfter(s->deltas[hop % N], *this);
+            else
+                s->done += tag;
+        }
+    };
+    static_assert(sizeof(Chain) == 16, "a credit arrival's capture size");
+    for (int c = 0; c < chains; ++c)
+        eq.schedule(static_cast<Cycle>(c % 5),
+                    Chain{&storm, 0, static_cast<std::uint32_t>(c)});
+    eq.runAll();
+    return storm.done;
+}
+
 void
 BM_HopStorm_SeedReplica(benchmark::State &state)
 {
@@ -209,6 +253,34 @@ BM_HopStormHighOccupancy_Bucketed(benchmark::State &state)
                             std::int64_t{kWideChains} * kWideHopsPerChain);
 }
 BENCHMARK(BM_HopStormHighOccupancy_Bucketed);
+
+/** Report only, as is the high-occupancy one below: CI prints both
+ *  but sets no floor on them. */
+void
+BM_SmallCaptureHopStorm_Bucketed(benchmark::State &state)
+{
+    for (auto _ : state) {
+        EventQueue eq;
+        benchmark::DoNotOptimize(
+            smallHopStorm(eq, kChains, kHopsPerChain, kStormDeltas));
+    }
+    state.SetItemsProcessed(state.iterations() * kChains * kHopsPerChain);
+}
+BENCHMARK(BM_SmallCaptureHopStorm_Bucketed);
+
+void
+BM_SmallCaptureHopStormHighOccupancy_Bucketed(benchmark::State &state)
+{
+    for (auto _ : state) {
+        EventQueue eq;
+        benchmark::DoNotOptimize(smallHopStorm(eq, kWideChains,
+                                               kWideHopsPerChain,
+                                               kStormDeltas));
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            std::int64_t{kWideChains} * kWideHopsPerChain);
+}
+BENCHMARK(BM_SmallCaptureHopStormHighOccupancy_Bucketed);
 
 void
 BM_SameCycleBurst_SeedReplica(benchmark::State &state)

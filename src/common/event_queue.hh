@@ -162,10 +162,12 @@ class InlineEvent
     }
 
     // Only `invoke` says whether a callable is held; `relocate` may
-    // be stale once it is null.
-    alignas(std::max_align_t) unsigned char buf[inlineCapacity];
+    // be stale once it is null. The thunks come first, so a capture
+    // of up to 48 bytes (a credit arrival, a drain wake, a switch
+    // service) shares the entry's first cache line with them.
     void (*invoke)(void *) = nullptr;
     void (*relocate)(void *dst, void *src) noexcept = nullptr;
+    alignas(std::max_align_t) unsigned char buf[inlineCapacity];
 };
 
 static_assert(sizeof(InlineEvent) == 128,

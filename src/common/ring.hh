@@ -2,7 +2,7 @@
  * @file
  * Growable power-of-two ring buffer: the FIFO behind every per-hop
  * queue of the fabric model (link VC queues, switch input VCs, the
- * GPU hub's issue and wire-order queues, in-flight credit batches).
+ * GPU hub's issue and wire-order queues).
  *
  * Compared with std::deque it keeps one contiguous buffer, so push and
  * pop are an index mask and a placement move. Storage is allocated on

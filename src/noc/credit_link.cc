@@ -27,7 +27,7 @@ CreditLink::CreditLink(EventQueue &eq_, std::string name,
 void
 CreditLink::setProfiler(CausalProfiler *pr, std::uint64_t node)
 {
-    if (queuedTotal != 0)
+    if (queuedMask != 0)
         panic("link %s: profiler attached with packets queued",
               linkName.c_str());
     prof = pr;
@@ -49,7 +49,6 @@ CreditLink::send(Packet &&pkt)
             {prof->causeNode(), eq.now(), false});
     vcs[static_cast<std::size_t>(vc)].queue.push_back(std::move(pkt));
     queuedMask |= std::uint64_t(1) << vc;
-    ++queuedTotal;
     tryIssue();
 }
 
@@ -57,27 +56,12 @@ void
 CreditLink::returnCredit(int vc)
 {
     // The credit travels the reverse channel; charge the link latency
-    // but no serialization (credits ride dedicated wires). Credits for
-    // the same VC freed in the same cycle share one arrival event.
-    auto &pend = vcs[static_cast<std::size_t>(vc)].pendingCredits;
-    Cycle at = eq.now() + lat;
-    if (!pend.empty() && pend.back().first == at) {
-        ++pend.back().second;
-        return;
-    }
-    pend.push_back({at, 1});
+    // but no serialization (credits ride dedicated wires).
     eq.scheduleAfter(lat, [this, vc] {
-        auto &pd = vcs[static_cast<std::size_t>(vc)].pendingCredits;
-        addCredits(static_cast<std::size_t>(vc), pd.front().second);
-        pd.pop_front();
+        ++vcs[static_cast<std::size_t>(vc)].credits;
+        creditMask |= std::uint64_t(1) << vc;
         tryIssue();
     });
-}
-
-std::size_t
-CreditLink::totalQueued() const
-{
-    return queuedTotal;
 }
 
 void
@@ -110,7 +94,6 @@ CreditLink::tryIssue()
     VcState &st = vcs[idx];
     Packet pkt = std::move(st.queue.front());
     st.queue.pop_front();
-    --queuedTotal;
     if (st.queue.empty())
         queuedMask &= ~(std::uint64_t(1) << vc);
     if (--st.credits == 0)
@@ -174,8 +157,7 @@ CreditLink::tryIssue()
     }
 
     // The packet's VC is the queue it issued from, so the closure
-    // reads it from the packet. The packet is captured first, so it
-    // fills the event entry's first cache line.
+    // reads it from the packet.
     eq.schedule(deliver_at, [p = std::move(pkt), this]() mutable {
         // The delivery is the enabling cause of whatever the sink
         // records downstream (hub completions, TB wakeups).

@@ -107,9 +107,10 @@ class CreditLink : public Probe
     void send(Packet &&pkt);
 
     /**
-     * Free one receive-buffer slot; the credit flies back upstream.
-     * Credits freed for the same VC in the same cycle coalesce into
-     * one arrival event (they ride the same reverse-channel beat).
+     * Free one receive-buffer slot; the credit flies back upstream
+     * and arrives as its own event, one link latency later. No sink
+     * frees two slots of one VC in one cycle (DESIGN.md §6i), so one
+     * event per credit is also one event per arrival cycle.
      */
     void returnCredit(int vc);
 
@@ -122,7 +123,6 @@ class CreditLink : public Probe
     {
         return vcs[static_cast<std::size_t>(vc)].queue.size();
     }
-    std::size_t totalQueued() const;
     int
     credits(int vc) const
     {
@@ -152,18 +152,12 @@ class CreditLink : public Probe
     SerDivider serDiv;
     Cycle lat;
 
-    /**
-     * Everything one VC keeps, in one record: an issue touches the
-     * queue and the credit count, a credit arrival the count and the
-     * in-flight batches.
-     */
+    /** Everything one VC keeps, in one record: an issue touches the
+     *  queue and the credit count, a credit arrival the count. */
     struct VcState
     {
         Ring<Packet> queue;
         int credits = 0;
-        /** In-flight credit batches: (arrival cycle, count), one
-         *  scheduled event per batch, ordered by arrival cycle. */
-        Ring<std::pair<Cycle, int>> pendingCredits;
     };
 
     /** Causal-profiler provenance of one queued packet. */
@@ -173,13 +167,6 @@ class CreditLink : public Probe
         Cycle t = 0;           ///< cause time (the send cycle)
         bool creditStalled = false; ///< waited on credits, not the wire
     };
-
-    /** Credits for @p vc have arrived back at the sender. */
-    void addCredits(std::size_t vc, int n)
-    {
-        vcs[vc].credits += n;
-        creditMask |= std::uint64_t(1) << vc;
-    }
 
     std::vector<VcState> vcs;
 
@@ -199,7 +186,6 @@ class CreditLink : public Probe
     LinkDequeueListener *dequeueListener = nullptr;
     int dequeueTag = -1;
 
-    std::size_t queuedTotal = 0;
     Cycle busyUntil = 0;
     bool wakeScheduled = false;
 

@@ -11,17 +11,11 @@ SwitchChip::SwitchChip(EventQueue &eq_, PacketIdAllocator &ids,
                        const SwitchParams &params)
     : eq(eq_), switchId(id), node(node_id), p(params),
       inPorts(static_cast<std::size_t>(num_gpus)),
+      inVcs(static_cast<std::size_t>(num_gpus) *
+            static_cast<std::size_t>(params.numVcs)),
       outLinks(static_cast<std::size_t>(num_gpus), nullptr),
-      waiting(static_cast<std::size_t>(num_gpus) *
-              static_cast<std::size_t>(params.numVcs)),
-      pktIds(ids)
+      waiting(inVcs.size()), pktIds(ids)
 {
-    for (auto &port : inPorts) {
-        port.vcs.reserve(static_cast<std::size_t>(p.numVcs));
-        for (int v = 0; v < p.numVcs; ++v)
-            port.vcs.emplace_back(static_cast<std::size_t>(p.vcDepth));
-        port.busy.assign(static_cast<std::size_t>(p.numVcs), false);
-    }
 }
 
 void
@@ -43,16 +37,14 @@ SwitchChip::attachDownlink(GpuId g, CreditLink *to_gpu)
 void
 SwitchChip::setProfiler(CausalProfiler *pr)
 {
+    for (const InputVc &ivc : inVcs)
+        if (!ivc.buf.empty())
+            panic("switch %d: profiler attached with packets buffered",
+                  switchId);
     prof = pr;
-    for (auto &port : inPorts) {
-        for (const auto &vc : port.vcs)
-            if (!vc.empty())
-                panic("switch %d: profiler attached with packets "
-                      "buffered",
-                      switchId);
-        port.arrivals =
-            std::vector<Ring<Cycle>>(pr ? port.vcs.size() : 0);
-    }
+    for (auto &port : inPorts)
+        port.arrivals = std::vector<Ring<Cycle>>(
+            pr ? static_cast<std::size_t>(p.numVcs) : 0);
 }
 
 void
@@ -67,9 +59,10 @@ SwitchChip::acceptPacket(Packet &&pkt, CreditLink *from, int vc)
         // Ingress-arrival time: the VC-arbitration edge at
         // processHead covers [arrival, serve].
         in.arrivals[static_cast<std::size_t>(vc)].push_back(eq.now());
-    in.vcs[static_cast<std::size_t>(vc)].push(std::move(pkt));
-    if (!in.busy[static_cast<std::size_t>(vc)]) {
-        in.busy[static_cast<std::size_t>(vc)] = true;
+    InputVc &ivc = inputVc(port, vc);
+    ivc.buf.push(std::move(pkt));
+    if (!ivc.busy) {
+        ivc.busy = true;
         scheduleProcess(port, vc, p.pipelineDelay);
     }
 }
@@ -83,12 +76,13 @@ SwitchChip::scheduleProcess(int port, int vc, Cycle delay)
 void
 SwitchChip::processHead(int port, int vc)
 {
-    auto &in = inPorts[static_cast<std::size_t>(port)];
-    auto &buf = in.vcs[static_cast<std::size_t>(vc)];
+    InputVc &ivc = inputVc(port, vc);
+    VirtualChannel &buf = ivc.buf;
     if (buf.empty()) {
-        in.busy[static_cast<std::size_t>(vc)] = false;
+        ivc.busy = false;
         return;
     }
+    auto &in = inPorts[static_cast<std::size_t>(port)];
 
     Packet &head = buf.front();
 
@@ -186,20 +180,9 @@ std::size_t
 SwitchChip::peakInputOccupancy() const
 {
     std::size_t peak = 0;
-    for (const auto &port : inPorts)
-        for (const auto &vc : port.vcs)
-            peak = std::max(peak, vc.peakOccupancy());
+    for (const InputVc &ivc : inVcs)
+        peak = std::max(peak, ivc.buf.peakOccupancy());
     return peak;
-}
-
-std::size_t
-SwitchChip::inputOccupancy(int vc) const
-{
-    std::size_t n = 0;
-    for (const auto &port : inPorts)
-        if (vc >= 0 && vc < static_cast<int>(port.vcs.size()))
-            n += port.vcs[static_cast<std::size_t>(vc)].size();
-    return n;
 }
 
 void

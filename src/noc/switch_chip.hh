@@ -165,9 +165,6 @@ class SwitchChip : public PacketSink,
     /** Peak input-VC occupancy across all ports (buffer studies). */
     std::size_t peakInputOccupancy() const;
 
-    /** Live input-VC occupancy summed over ports for class @p vc. */
-    std::size_t inputOccupancy(int vc) const;
-
     void registerMetrics(MetricRegistry &reg,
                          const std::string &prefix) const override;
 
@@ -175,16 +172,30 @@ class SwitchChip : public PacketSink,
     struct InPort
     {
         CreditLink *link = nullptr;
-        std::vector<VirtualChannel> vcs;
-        /** True while a service event or a blocked head owns the VC. */
-        std::vector<bool> busy;
         /** Profiler only: ingress-arrival cycle of each buffered
-         *  packet, parallel to vcs; empty when unprofiled. */
+         *  packet, one ring per VC of this port; empty when
+         *  unprofiled. */
         std::vector<Ring<Cycle>> arrivals;
+    };
+
+    /** One input VC: its buffer and its service state, in one record
+     *  so a hop reads both from one place. */
+    struct InputVc
+    {
+        VirtualChannel buf{SwitchParams::vcDepth};
+        /** True while a service event or a blocked head owns the VC. */
+        bool busy = false;
     };
 
     void scheduleProcess(int port, int vc, Cycle delay);
     void processHead(int port, int vc);
+
+    /** Input VC @p vc of port @p port. */
+    InputVc &
+    inputVc(int port, int vc)
+    {
+        return inVcs[static_cast<std::size_t>(port * p.numVcs + vc)];
+    }
 
     /** Heads parked on output port @p out_port's class @p vc. */
     std::vector<std::pair<int, int>> &
@@ -206,6 +217,9 @@ class SwitchChip : public PacketSink,
     SwitchParams p;
 
     std::vector<InPort> inPorts;
+    /** Every port's input VCs, indexed port * numVcs + vc (see
+     *  inputVc()), as waiting is. */
+    std::vector<InputVc> inVcs;
     /** Downlink behind each output port. */
     std::vector<CreditLink *> outLinks;
 

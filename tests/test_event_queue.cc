@@ -677,3 +677,41 @@ TEST(InlineEvent, HoldsPacketSizedCaptureInline)
     ev();
     EXPECT_EQ(out, 7);
 }
+
+TEST(InlineEvent, SmallCaptureSharesTheThunksCacheLine)
+{
+    // The invoke/relocate thunks lead the entry, so a capture of up
+    // to 48 bytes (a credit arrival or a drain wake is 16) shares
+    // their cache line: running it touches one line, not two.
+    struct Small48
+    {
+        std::vector<const void *> *where;
+        unsigned char pad[40];
+        void operator()() { where->push_back(this); }
+    };
+    static_assert(sizeof(Small48) == 48, "capture under test");
+
+    std::vector<const void *> where;
+    InlineEvent ev(Small48{&where, {}});
+    ev();
+    ASSERT_EQ(where.size(), 1u);
+    auto off = static_cast<std::size_t>(
+        static_cast<const char *>(where[0]) -
+        reinterpret_cast<const char *>(&ev));
+    EXPECT_EQ(off, sizeof(InlineEvent) - InlineEvent::inlineCapacity);
+    EXPECT_LE(off + sizeof(Small48), 64u);
+
+    // Queue entries start on a cache line, so every queued capture of
+    // that size sits inside one line, across chunk boundaries too.
+    where.clear();
+    EventQueue eq;
+    for (int i = 0; i < 3 * static_cast<int>(EventQueue::chunkEntries);
+         ++i)
+        eq.schedule(1 + static_cast<Cycle>(i % 2), Small48{&where, {}});
+    eq.runAll();
+    ASSERT_EQ(where.size(), 3 * EventQueue::chunkEntries);
+    for (const void *w : where) {
+        auto line_off = reinterpret_cast<std::uintptr_t>(w) % 64;
+        EXPECT_LE(line_off + sizeof(Small48), 64u);
+    }
+}

@@ -91,6 +91,43 @@ TEST(CreditLink, CreditsThrottleWhenSinkHoldsBuffers)
     EXPECT_EQ(sink.got.size(), 2u);
 }
 
+TEST(CreditLink, SameCycleCreditReturnsIssueLikeOneBatch)
+{
+    PacketIdAllocator ids;
+    EventQueue eq;
+    const Cycle lat = 10;
+    const Cycle ser = 10; // 1000 wire bytes at 100 B/cycle
+    CreditLink link(eq, "l", 100.0, lat, 8, 1, 1000);
+    CaptureSink sink;
+    sink.eq = &eq;
+    sink.autoCredit = false;
+    link.setSink(&sink);
+
+    for (int i = 0; i < 3; ++i)
+        link.send(dataPacket(ids, 984));
+    eq.runAll();
+    ASSERT_EQ(sink.got.size(), 1u); // the one credit is spent
+    const int vc = static_cast<int>(sink.got[0].vc);
+    EXPECT_EQ(link.credits(vc), 0);
+
+    // Free two slots in one cycle: each credit arrives as its own
+    // event, lat cycles later, and nothing else runs by then.
+    const Cycle t = eq.now();
+    link.returnCredit(vc);
+    link.returnCredit(vc);
+    std::uint64_t before = eq.executed();
+    eq.runUntil(t + lat);
+    EXPECT_EQ(eq.executed() - before, 2u);
+    EXPECT_EQ(link.credits(vc), 1); // two arrived, one issued
+
+    // The held packets issue back to back, as one batch of two would.
+    eq.runAll();
+    ASSERT_EQ(sink.got.size(), 3u);
+    EXPECT_EQ(sink.at[1], t + lat + ser + lat);
+    EXPECT_EQ(sink.at[2], t + lat + 2 * ser + lat);
+    EXPECT_EQ(link.credits(vc), 0);
+}
+
 TEST(CreditLink, VcsIsolateBlockedTraffic)
 {
     PacketIdAllocator ids;

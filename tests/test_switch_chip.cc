@@ -160,6 +160,41 @@ TEST(SwitchChip, PeakInputOccupancyTracksBackpressure)
     EXPECT_GE(f.sw->peakInputOccupancy(), 2u);
 }
 
+TEST(SwitchChip, InputVcsOfDifferentPortsStayIndependent)
+{
+    // Both ports carry writeReq traffic on one VC class. Port 0's
+    // stream to GPU 1 is held head-of-line (GPU 1 keeps its credit,
+    // the output queue holds one packet); port 1's stream to GPU 0
+    // must still forward every packet.
+    MiniFabric f(1);
+    f.gpu1.autoCredit = false;
+    auto send = [&f](GpuId from, int n) {
+        for (int i = 0; i < n; ++i) {
+            Packet p =
+                makePacket(f.ids, PacketType::writeReq, from, 1 - from);
+            p.payloadBytes = 900;
+            f.ups[static_cast<std::size_t>(from)]->send(std::move(p));
+        }
+    };
+    send(0, 4);
+    send(1, 7);
+    f.eq.runAll();
+
+    const int vc = static_cast<int>(f.gpu0.got.at(0).vc);
+    // Port 0: one packet delivered, one on the downlink's send queue,
+    // two still buffered, so two of its 16 credits stay out.
+    EXPECT_EQ(f.gpu1.got.size(), 1u);
+    EXPECT_EQ(f.sw->downlinkQueue(1, static_cast<VcClass>(vc)), 1u);
+    EXPECT_EQ(f.ups[0]->credits(vc), 14);
+    // Port 1: everything forwarded, every credit back.
+    EXPECT_EQ(f.gpu0.got.size(), 7u);
+    EXPECT_EQ(f.ups[1]->credits(vc), 16);
+    // Each port's burst was buffered whole before the first service
+    // (pipeline delay 100 cycles, arrivals 10 cycles apart): the peak
+    // is port 1's 7, not port 0's 4.
+    EXPECT_EQ(f.sw->peakInputOccupancy(), 7u);
+}
+
 TEST(SwitchChip, UnifiedDataVcCollapsesClasses)
 {
     EXPECT_EQ(policedVc(VcClass::response, true), VcClass::reduction);
