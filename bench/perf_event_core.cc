@@ -107,14 +107,15 @@ class LegacyEventQueue
     std::uint64_t nextSeq = 0;
 };
 
-/** Payload sized like a Packet (104 bytes, causal-profiler
- *  provenance stamp included) so captures exercise the same SBO; no
- *  profiler is attached, so the floors in CI also lock the cost of
- *  the disabled profiling path. */
+/** Payload shaped like a Packet (64 bytes, one cache line), so a hop
+ *  capture is a link delivery's 72 bytes; no profiler is attached, so
+ *  the floors in CI also lock the cost of the disabled profiling
+ *  path. */
 struct HopPayload
 {
-    std::uint64_t words[13] = {};
+    std::uint64_t words[8] = {};
 };
+static_assert(sizeof(HopPayload) == 64, "a Packet's size");
 
 /** The in-cache storm: 1024 chains' captures fit in L2. */
 constexpr int kChains = 1024;
@@ -162,7 +163,7 @@ hopStorm(Queue &eq, int chains, int hops, const Cycle (&deltas)[N])
         void
         operator()()
         {
-            std::uint64_t &hop = payload.words[12];
+            std::uint64_t &hop = payload.words[7];
             payload.words[0] += hop;
             if (++hop < s->hops) {
                 s->q->scheduleAfter(s->deltas[hop % N], *this);
@@ -171,6 +172,7 @@ hopStorm(Queue &eq, int chains, int hops, const Cycle (&deltas)[N])
             }
         }
     };
+    static_assert(sizeof(Chain) == 72, "a link delivery's capture size");
     for (int c = 0; c < chains; ++c)
         eq.schedule(static_cast<Cycle>(c % 5), Chain{&storm, HopPayload{}});
     eq.runAll();

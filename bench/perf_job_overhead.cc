@@ -2,14 +2,16 @@
  * @file
  * Per-phase host cost of one simulation job.
  *
- * A runGraph job is nine phases: build the System, register its
- * metrics, lower the graph, verify it, run it, snapshot the registry,
- * compute the static bound, harvest the result (counters,
- * utilization, post-run gate) and tear everything down. On a 72-GPU
- * fabric the fixed phases can cost as much as the simulation itself,
- * so this bench times each phase separately and counts the heap
- * allocations it makes, through an operator new hook local to this
- * binary.
+ * A runGraph job that writes a metrics report (metrics=) is nine
+ * phases: build the System, register its metrics, lower the graph,
+ * verify it, run it, snapshot the registry, compute the static bound,
+ * harvest the result (counters and utilization read off the System,
+ * post-run gate) and tear everything down. Without a report runGraph
+ * skips registerMetrics and snapshot, so those two rows are what a
+ * report costs. On a 72-GPU fabric the fixed phases can cost as much
+ * as the simulation itself, so this bench times each phase separately
+ * and counts the heap allocations it makes, through an operator new
+ * hook local to this binary.
  *
  * Runs TP-NVLS on Llama-7B L1 (dim 1/16, tok 1/32: perfbench's tier72
  * sizes) over the flat 8-GPU fabric, nvl72 and rail-optimized-4node,
@@ -17,9 +19,12 @@
  * job: LADM on MegaGPT-4B L1 (dim 1, tok 1) over nvl72, built,
  * lowered, verified and bounded without running, as every job of
  * perfbench's static_gates is. Each job runs one untimed rep of its
- * own before its timed reps, so what the process heap holds (the
- * malloc mmap threshold, pages already faulted in) comes from that
- * job, not from the row before it. Writes
+ * own before its timed reps, so the pages the process heap has
+ * already faulted in come from that job, not from the row before it.
+ * glibc's trim and mmap thresholds are pinned at start, so whether
+ * freed heap goes back to the OS (and faults in again on the next
+ * rep) does not hang on the heap layout, which moves with as little
+ * as the length of the out= path. Writes
  * BENCH_job_overhead.json (cais-job-overhead-v2) and prints one
  * markdown table per job.
  *
@@ -27,6 +32,7 @@
  *     ./build/bench/perf_job_overhead --smoke   # 1 rep, tok 1/64
  */
 
+#include <malloc.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -215,18 +221,10 @@ runJob(const StrategySpec &spec, const OpGraph &graph,
     s.bound = bound_result.composite;
     m.mark(bound);
 
-    // runGraph's harvest: the snapshot walk, the windowed utilization
-    // aggregates, the series and the post-run gate.
+    // runGraph's harvest, read off the System (counters, utilization
+    // and the series in one walk), and the post-run gate.
     RunResult r;
-    r.makespan = sys->makespan();
-    harvestCounters(*snap, r);
-    const Cycle end = r.makespan ? r.makespan : 1;
-    r.avgUtil = sys->fabric().avgUtilization(0, end);
-    r.upUtil = sys->fabric().dirUtilization(true, 0, end);
-    r.dnUtil = sys->fabric().dirUtilization(false, 0, end);
-    r.gpuUtil = sys->gpuUtilization();
-    if (const MetricValue *ts = snap->find("fabric.utilSeries"))
-        r.utilSeries = ts->bins;
+    harvestCounters(*sys, r);
     if (!verify::verifyPostRun(*sys, bound_result, r.makespan, nullptr,
                                vo)
              .ok())
@@ -282,6 +280,15 @@ main(int argc, char **argv)
     for (int i = 1; i < argc; ++i)
         if (std::string(argv[i]) == "--smoke")
             smoke = true;
+    // Keep freed heap in the process and large blocks on the heap up
+    // to glibc's 64-bit mmap-threshold ceiling (32 MiB): a teardown
+    // then never hands pages back that the next rep faults in again.
+    // An allocator without these settings (a sanitizer's) still runs
+    // the bench, with page faults left to its own policy.
+    if (!mallopt(M_TRIM_THRESHOLD, 256 << 20) ||
+        !mallopt(M_MMAP_THRESHOLD, 32 << 20))
+        std::fprintf(stderr, "perf_job_overhead: mallopt failed; page "
+                             "faults are not pinned\n");
     const Params params = Params::fromArgs(argc, argv);
     const int reps =
         static_cast<int>(params.getInt("reps", smoke ? 1 : 5));

@@ -88,6 +88,8 @@ GpuHub::submit(const HubJob &job)
     }
 
     issueQueue.push_back(id);
+    if (job.ops[js.nextOp].kind == RemoteOpKind::caisLoad)
+        ++queuedCaisLoads;
     pump();
 }
 
@@ -118,8 +120,13 @@ GpuHub::pump()
     // guard keeps a single loop in control of the job cursors.
     if (pumping)
         return;
-    pumping = true;
     pumpScheduled = false;
+    // Capped and every queued job waits on a caisLoad: the loop below
+    // would rotate the whole queue once and leave it as it was.
+    if (caisLoadsOutstanding >= maxCaisLoads &&
+        queuedCaisLoads == issueQueue.size())
+        return;
+    pumping = true;
 
     Cycle now = eq.now();
     std::size_t rotations = issueQueue.size();
@@ -175,10 +182,15 @@ GpuHub::pump()
             js.nextOp = nonEmptyFrom(js.job.ops, js.nextOp + 1);
         }
         issueQueue.pop_front();
-        if (js.nextOp < js.job.ops.size())
+        if (op.kind == RemoteOpKind::caisLoad)
+            --queuedCaisLoads;
+        if (js.nextOp < js.job.ops.size()) {
             issueQueue.insert(
                 std::min<std::size_t>(issueWindow - 1, issueQueue.size()),
                 id);
+            if (js.job.ops[js.nextOp].kind == RemoteOpKind::caisLoad)
+                ++queuedCaisLoads;
+        }
         // No completion check here: the chunk just injected is still
         // counted in awaitingInject, so the job can only finish in
         // onLinkDequeue or acceptPacket, which both check.

@@ -175,6 +175,10 @@ class GpuHub : public PacketSink,
     std::vector<std::uint32_t> freeSlots;
     std::uint64_t nextJobSerial = 0;
     Ring<std::uint64_t> issueQueue; ///< jobs with chunks to send
+    /** Jobs in issueQueue whose next op is a caisLoad: when all of
+     *  them are and the CAIS-load cap holds, pump() has nothing to
+     *  issue. */
+    std::size_t queuedCaisLoads = 0;
 
     /**
      * Owning job of each cookie awaiting a response, indexed by

@@ -359,91 +359,80 @@ Fabric::forEachLink(
                 fn(*l);
 }
 
-std::vector<const CreditLink *>
-Fabric::allLinks(int dir) const
+Fabric::Utilization
+Fabric::utilization(Cycle t0, Cycle t1) const
 {
-    std::vector<const CreditLink *> ls;
-    if (dir == 0 || dir == 2) {
-        for (const auto &row : up)
-            for (const auto &l : row)
-                ls.push_back(l.get());
-        for (const auto &row : tierUp)
-            for (const auto &l : row)
-                ls.push_back(l.get());
-    }
-    if (dir == 1 || dir == 2) {
-        for (const auto &row : down)
-            for (const auto &l : row)
-                ls.push_back(l.get());
-        for (const auto &row : tierDown)
-            for (const auto &l : row)
-                ls.push_back(l.get());
-    }
-    return ls;
-}
-
-double
-Fabric::linkSetUtilization(const std::vector<const CreditLink *> &ls,
-                           Cycle t0, Cycle t1) const
-{
-    if (ls.empty() || t1 <= t0)
-        return 0.0;
+    Utilization out;
+    if (t1 <= t0)
+        return out;
+    const Cycle w = p.utilBinWidth; // every link's TimeSeries bin width
+    const auto first = static_cast<std::size_t>(t0 / w);
+    const auto last = static_cast<std::size_t>((t1 + w - 1) / w);
+    out.series.assign(last - first, 0.0);
+    // Up links (GPU uplinks, then leaf-to-spine) before down links,
+    // so avg sums every link's fraction in one fixed order and up/dn
+    // each sum a contiguous run of it.
     double total = 0.0;
-    for (const auto *l : ls) {
-        const TimeSeries &u = l->utilization();
-        Cycle w = u.binWidth();
-        std::size_t first = static_cast<std::size_t>(t0 / w);
-        std::size_t last = static_cast<std::size_t>((t1 + w - 1) / w);
-        double bytes = 0.0;
-        for (std::size_t i = first; i < last; ++i)
-            bytes += u.binValue(i);
-        double cap = l->bytesPerCycle() * static_cast<double>(t1 - t0);
-        total += std::min(1.0, bytes / cap);
+    std::size_t n_up = 0, n_dn = 0;
+    for (const auto *rows : {&up, &tierUp, &down, &tierDown}) {
+        const bool up_dir = rows == &up || rows == &tierUp;
+        for (const auto &row : *rows)
+            for (const auto &l : row) {
+                const TimeSeries &u = l->utilization();
+                const double bin_cap =
+                    l->bytesPerCycle() * static_cast<double>(w);
+                double bytes = 0.0;
+                for (std::size_t i = first; i < last; ++i) {
+                    const double b = u.binValue(i);
+                    bytes += b;
+                    out.series[i - first] += std::min(1.0, b / bin_cap);
+                }
+                const double f = std::min(
+                    1.0, bytes / (l->bytesPerCycle() *
+                                  static_cast<double>(t1 - t0)));
+                total += f;
+                (up_dir ? out.up : out.dn) += f;
+                ++(up_dir ? n_up : n_dn);
+            }
     }
-    return total / static_cast<double>(ls.size());
+    const auto mean = [](double sum, std::size_t n) {
+        return n ? sum / static_cast<double>(n) : 0.0;
+    };
+    out.avg = mean(total, n_up + n_dn);
+    out.up = mean(out.up, n_up);
+    out.dn = mean(out.dn, n_dn);
+    for (double &v : out.series)
+        v = mean(v, n_up + n_dn);
+    return out;
 }
 
 double
 Fabric::avgUtilization(Cycle t0, Cycle t1) const
 {
-    return linkSetUtilization(allLinks(2), t0, t1);
+    return utilization(t0, t1).avg;
 }
 
 double
 Fabric::dirUtilization(bool up_dir, Cycle t0, Cycle t1) const
 {
-    return linkSetUtilization(allLinks(up_dir ? 0 : 1), t0, t1);
+    const Utilization u = utilization(t0, t1);
+    return up_dir ? u.up : u.dn;
 }
 
 std::vector<double>
 Fabric::utilizationSeries(Cycle t0, Cycle t1) const
 {
-    auto ls = allLinks(2);
-    std::vector<double> out;
-    if (ls.empty() || t1 <= t0)
-        return out;
-    Cycle w = p.utilBinWidth;
-    std::size_t first = static_cast<std::size_t>(t0 / w);
-    std::size_t last = static_cast<std::size_t>((t1 + w - 1) / w);
-    out.assign(last - first, 0.0);
-    for (const auto *l : ls) {
-        double cap = l->bytesPerCycle() * static_cast<double>(w);
-        for (std::size_t i = first; i < last; ++i) {
-            out[i - first] +=
-                std::min(1.0, l->utilization().binValue(i) / cap);
-        }
-    }
-    for (auto &v : out)
-        v /= static_cast<double>(ls.size());
-    return out;
+    return utilization(t0, t1).series;
 }
 
 std::uint64_t
 Fabric::totalWireBytes() const
 {
     std::uint64_t n = 0;
-    for (const auto *l : allLinks(2))
-        n += l->totalWireBytes();
+    for (const auto *rows : {&up, &down, &tierUp, &tierDown})
+        for (const auto &row : *rows)
+            for (const auto &l : row)
+                n += l->totalWireBytes();
     return n;
 }
 

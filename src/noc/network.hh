@@ -132,20 +132,30 @@ class Fabric : public PortRouter
      */
     PacketIdAllocator &packetIds() { return pktIds; }
 
-    /**
-     * Mean link utilization in [t0, t1) as a fraction of capacity,
-     * averaged over all links and both directions (the metric of
-     * Fig. 15).
-     */
+    /** Link utilization over one window, from one walk over the links'
+     *  time bins. */
+    struct Utilization
+    {
+        /** Mean fraction of capacity over all links, both directions
+         *  (the metric of Fig. 15). */
+        double avg = 0.0;
+        double up = 0.0; ///< same, GPU-to-switch and leaf-to-spine links
+        double dn = 0.0; ///< same, switch-to-GPU and spine-to-leaf links
+        /** Per-bin fraction averaged over all links, for the bins
+         *  covering the window (the series of Fig. 16). */
+        std::vector<double> series;
+    };
+
+    /** Utilization in [t0, t1); all zero and no bins when empty. */
+    Utilization utilization(Cycle t0, Cycle t1) const;
+
+    /** utilization(t0, t1).avg. */
     double avgUtilization(Cycle t0, Cycle t1) const;
 
-    /** Same, restricted to one direction (up = GPU-to-switch). */
+    /** utilization(t0, t1).up or .dn (up = GPU-to-switch). */
     double dirUtilization(bool up, Cycle t0, Cycle t1) const;
 
-    /**
-     * Per-bin utilization fraction averaged over all links for bins
-     * covering [t0, t1) (the series of Fig. 16).
-     */
+    /** utilization(t0, t1).series. */
     std::vector<double> utilizationSeries(Cycle t0, Cycle t1) const;
 
     /** Total wire bytes moved on all links. */
@@ -167,10 +177,6 @@ class Fabric : public PortRouter
 
     int spinePort(const Packet &pkt) const;
     int railFor(const Packet &pkt) const;
-
-    double linkSetUtilization(const std::vector<const CreditLink *> &ls,
-                              Cycle t0, Cycle t1) const;
-    std::vector<const CreditLink *> allLinks(int dir) const; // 0 up,1 dn,2 both
 
     EventQueue &eq;
     FabricParams p;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <string_view>
 #include <utility>
 
 #include "analysis/bound_model.hh"
@@ -133,65 +132,44 @@ RunConfig::toSystemConfig(const StrategySpec &spec) const
     return sc;
 }
 
-/**
- * Fill @p r's counter-shaped fields in one walk over @p snap. Each
- * test below is exactly the '*' pattern it replaces: a path matches
- * "*.merge.<tail>" iff its last ".merge." is followed by <tail>, and
- * "link.*.wireBytes" iff it has both ends without overlap. The walk
- * visits paths in the same order as the pattern queries, so the
- * stagger mean sums identically.
- */
 void
-harvestCounters(const MetricSnapshot &snap, RunResult &r)
+harvestCounters(const System &sys, RunResult &r)
 {
-    static constexpr std::string_view merge = ".merge.";
-    static constexpr std::string_view linkHead = "link.";
-    static constexpr std::string_view wireTail = ".wireBytes";
-    static constexpr std::pair<std::string_view,
-                               std::uint64_t RunResult::*>
-        mergeSums[] = {
-            {"loadReqs", &RunResult::mergeLoadReqs},
-            {"redReqs", &RunResult::mergeRedReqs},
-            {"loadHits", &RunResult::mergeLoadHits},
-            {"redHits", &RunResult::mergeRedHits},
-            {"fetches", &RunResult::mergeFetches},
-            {"sessionsClosed", &RunResult::sessionsClosed},
-            {"evictions.lru", &RunResult::lruEvictions},
-            {"evictions.timeout", &RunResult::timeoutEvictions},
-            {"throttle.hintsSent", &RunResult::throttleHints},
-        };
+    r.makespan = sys.makespan();
+    r.eventsExecuted = sys.eq().executed();
+    r.gpuUtil = sys.gpuUtilization();
+
+    // The window the report's fabric.utilSeries reader uses.
+    const Fabric &fab = sys.fabric();
+    Fabric::Utilization u = fab.utilization(0, r.makespan ? r.makespan : 1);
+    r.avgUtil = u.avg;
+    r.upUtil = u.up;
+    r.dnUtil = u.dn;
+    r.utilSeries = std::move(u.series);
+    r.utilBinWidth = fab.params().utilBinWidth;
+    r.wireBytes = fab.totalWireBytes();
+
+    // Switches in path order: the stagger mean is a double sum, and
+    // this is the order the report lists the histograms in.
     double stagger_weighted = 0.0;
     std::uint64_t stagger_n = 0;
-    for (std::size_t i = 0; i < snap.size(); ++i) {
-        std::string_view p = snap.path(i);
-        const MetricValue &v = snap.value(i);
-        if (p == "eventq.executed") {
-            r.eventsExecuted += integerReading(v);
-            continue;
-        }
-        if (p.size() >= linkHead.size() + wireTail.size() &&
-            p.starts_with(linkHead) && p.ends_with(wireTail)) {
-            r.wireBytes += integerReading(v);
-            continue;
-        }
-        std::size_t at = p.rfind(merge);
-        if (at == std::string_view::npos)
-            continue;
-        std::string_view tail = p.substr(at + merge.size());
-        if (tail == "stagger") {
-            stagger_weighted += v.mean * static_cast<double>(v.count);
-            stagger_n += v.count;
-        } else if (tail == "peakTableBytes") {
-            r.peakMergeBytes =
-                std::max(r.peakMergeBytes, integerReading(v));
-        } else {
-            for (const auto &[name, field] : mergeSums)
-                if (tail == name) {
-                    r.*field += integerReading(v);
-                    break;
-                }
-        }
-    }
+    sys.forEachSwitchInPathOrder([&](SwitchId s, const std::string &) {
+        const MergeUnit &m = sys.switchCompute(s).merge();
+        const MergeStats &st = m.stats();
+        r.mergeLoadReqs += st.loadReqs.value();
+        r.mergeRedReqs += st.redReqs.value();
+        r.mergeLoadHits += st.loadHits.value();
+        r.mergeRedHits += st.redHits.value();
+        r.mergeFetches += st.fetches.value();
+        r.sessionsClosed += st.sessionsClosed.value();
+        r.lruEvictions += m.evictionStats().lruEvictions.value();
+        r.timeoutEvictions += m.evictionStats().timeoutEvictions.value();
+        r.throttleHints += m.throttler().hintsSent();
+        r.peakMergeBytes = std::max(r.peakMergeBytes, m.peakTableBytes());
+        const Histogram &h = m.staggerHist();
+        stagger_weighted += h.mean() * static_cast<double>(h.count());
+        stagger_n += h.count();
+    });
     // Count-weighted mean over the per-switch stagger histograms.
     r.staggerSamples = stagger_n;
     r.staggerUs = stagger_n
@@ -207,11 +185,6 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
     ScopedLogLevel verbosity(cfg.verbosity);
     cfg.validate();
     System sys(cfg.toSystemConfig(spec));
-
-    // The registry holds non-owning readers; registering before the
-    // run costs nothing and cannot perturb it.
-    MetricRegistry reg;
-    sys.registerMetrics(reg);
 
     // Deep trace: switch-side lifecycle hooks plus a periodic
     // counter-track sampler that runs outside the event stream, so a
@@ -258,7 +231,7 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
     RunResult r;
     r.strategy = spec.name;
     r.workload = workload_name;
-    r.makespan = sys.makespan();
+    harvestCounters(sys, r);
 
     // Static analytical bound (DESIGN.md §6h): descriptor-only, so
     // computing it never perturbs the finished event state. Harvested
@@ -272,25 +245,6 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
     r.boundMerge = bound.mergeService;
     r.boundCritPath = bound.criticalPath;
     r.boundBinding = bound.binding;
-
-    // Everything counter-shaped is harvested from the registry; only
-    // the windowed utilization aggregates still need Fabric methods
-    // (they are computations over [0, makespan), not plain readings).
-    MetricSnapshot snap = reg.snapshot();
-    harvestCounters(snap, r);
-
-    Cycle end = r.makespan ? r.makespan : 1;
-    r.avgUtil = sys.fabric().avgUtilization(0, end);
-    r.upUtil = sys.fabric().dirUtilization(true, 0, end);
-    r.dnUtil = sys.fabric().dirUtilization(false, 0, end);
-    r.gpuUtil = sys.gpuUtilization();
-    // The Fig. 16 series now lives in the registry (timeSeries kind),
-    // so the harvested copy and the report's metrics section agree by
-    // construction.
-    if (const MetricValue *ts = snap.find("fabric.utilSeries")) {
-        r.utilSeries = ts->bins;
-        r.utilBinWidth = ts->binWidth;
-    }
 
     // One pass over the kernels builds the timeline and (when
     // tracing) the per-GPU kernel spans.
@@ -367,10 +321,16 @@ runGraph(const StrategySpec &spec, const OpGraph &graph,
                  cfg.tracePath.c_str());
     }
 
-    if (!cfg.metricsPath.empty() &&
-        !writeMetricsReport(cfg.metricsPath, cfg, r, snap))
-        warn("could not write metrics report to %s",
-             cfg.metricsPath.c_str());
+    // The registry serves only the report: registration and the
+    // snapshot are read-only, so building them after the run reads
+    // the same values as building them before it would.
+    if (!cfg.metricsPath.empty()) {
+        MetricRegistry reg;
+        sys.registerMetrics(reg);
+        if (!writeMetricsReport(cfg.metricsPath, cfg, r, reg.snapshot()))
+            warn("could not write metrics report to %s",
+                 cfg.metricsPath.c_str());
+    }
 
     // Post-run verification gate (V8/V9): placed after the artifact
     // writers so traces/metrics/profiles survive a fatal diagnostic

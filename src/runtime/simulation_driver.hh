@@ -20,8 +20,6 @@
 namespace cais
 {
 
-class MetricSnapshot;
-
 /** Machine/scale knobs of one experiment run. */
 struct RunConfig
 {
@@ -212,11 +210,13 @@ struct RunResult
 };
 
 /**
- * Add a run's counter-shaped results (events, wire bytes, merge and
- * eviction counters, peak table bytes, stagger) from its metric
- * snapshot to @p r: the harvest step of runGraph.
+ * Fill @p r's run-wide results from the finished @p sys, read off its
+ * components: makespan, events, GPU and link utilization (the Fig. 16
+ * series included), wire bytes, and the merge, eviction and throttle
+ * counters, peak table bytes and stagger summed over the switches.
+ * The harvest step of runGraph; it needs no metric registry.
  */
-void harvestCounters(const MetricSnapshot &snap, RunResult &r);
+void harvestCounters(const System &sys, RunResult &r);
 
 /** Run @p graph under @p spec and collect metrics. */
 RunResult runGraph(const StrategySpec &spec, const OpGraph &graph,

@@ -662,32 +662,23 @@ System::registerMetrics(MetricRegistry &reg) const
             reg, path("gpu", g));
     });
 
-    // Tier-prefixed switch paths on multi-tier fabrics (leaf<G>.sw<R>,
-    // spine.sw<K>); flat shapes keep the historical switch<S> names so
-    // report diffs against older runs line up. The chip's paths sort
-    // before the engines' (chip < merge < nvls < sync).
-    auto addSwitch = [&](int s, const std::string &prefix) {
-        fab->switchChip(static_cast<SwitchId>(s))
-            .registerMetrics(reg, MetricPath(prefix)("chip"));
-        complexes[static_cast<std::size_t>(s)]->registerMetrics(reg,
-                                                                prefix);
+    // Each switch's chip paths sort before its engines' (chip < merge
+    // < nvls < sync). The link subtree goes in front of the first
+    // switch whose name sorts above "link": every flat switch<S>, but
+    // on multi-tier fabrics only the spines (leaf < link < spine).
+    bool links_added = false;
+    auto addLinks = [&] {
+        if (!links_added)
+            fab->registerMetrics(reg, "link");
+        links_added = true;
     };
-    const FabricParams &fp = cfg.fabric;
-    if (!fp.multiTier()) {
-        fab->registerMetrics(reg, "link");
-        forEachInPathOrder(0, static_cast<int>(complexes.size()),
-                           [&](int s) { addSwitch(s, path("switch", s)); });
-        return;
-    }
-    forEachInPathOrder(0, fp.numGroups, [&](int grp) {
-        forEachInPathOrder(0, fp.railsPerGroup, [&](int r) {
-            addSwitch(fp.leafIndex(grp, r), path("leaf", grp, ".sw", r));
-        });
+    forEachSwitchInPathOrder([&](SwitchId s, const std::string &name) {
+        if (name > "link")
+            addLinks();
+        fab->switchChip(s).registerMetrics(reg, MetricPath(name)("chip"));
+        complexes[static_cast<std::size_t>(s)]->registerMetrics(reg, name);
     });
-    fab->registerMetrics(reg, "link");
-    forEachInPathOrder(0, fp.numSpines, [&](int k) {
-        addSwitch(fp.numLeaves() + k, path("spine.sw", k));
-    });
+    addLinks();
 }
 
 void

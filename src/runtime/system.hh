@@ -28,6 +28,7 @@
 
 #include "common/event_queue.hh"
 #include "common/log.hh"
+#include "common/metrics.hh"
 #include "dataflow/tile_dependency.hh"
 #include "gpu/gpu_core.hh"
 #include "switchcompute/switch_compute.hh"
@@ -122,6 +123,7 @@ class System : public DataArrivalHandler, public TbListener
     System &operator=(const System &) = delete;
 
     EventQueue &eq() { return queue; }
+    const EventQueue &eq() const { return queue; }
     Fabric &fabric() { return *fab; }
     const Fabric &fabric() const { return *fab; }
     int numGpus() const { return cfg.fabric.numGpus; }
@@ -209,6 +211,39 @@ class System : public DataArrivalHandler, public TbListener
      * is read-only; call once per System per registry.
      */
     void registerMetrics(MetricRegistry &reg) const;
+
+    /**
+     * Calls @p fn(s, name) for every switch in the byte order of its
+     * metric-path name: leaf<G>.sw<R>, then spine.sw<K> on multi-tier
+     * fabrics; flat ones keep the historical switch<S>, so report diffs
+     * against older runs line up. registerMetrics and the RunResult
+     * harvest both walk the switches through it, so the harvest sums
+     * the per-switch stagger means in report order. @p name (a
+     * const std::string &) holds until the next call.
+     */
+    template <class F>
+    void
+    forEachSwitchInPathOrder(F &&fn) const
+    {
+        MetricPath path("");
+        const FabricParams &fp = cfg.fabric;
+        if (!fp.multiTier()) {
+            forEachInPathOrder(0, fp.numSwitches, [&](int s) {
+                fn(static_cast<SwitchId>(s), path("switch", s));
+            });
+            return;
+        }
+        forEachInPathOrder(0, fp.numGroups, [&](int grp) {
+            forEachInPathOrder(0, fp.railsPerGroup, [&](int r) {
+                fn(static_cast<SwitchId>(fp.leafIndex(grp, r)),
+                   path("leaf", grp, ".sw", r));
+            });
+        });
+        forEachInPathOrder(0, fp.numSpines, [&](int k) {
+            fn(static_cast<SwitchId>(fp.numLeaves() + k),
+               path("spine.sw", k));
+        });
+    }
 
     /** Attach @p h to every switch's merge and sync engines. */
     void setTraceHooks(SwitchTraceHooks *h);

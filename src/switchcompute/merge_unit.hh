@@ -102,6 +102,7 @@ class MergeUnit : public Probe
 
     const MergeStats &stats() const { return st; }
     const EvictionStats &evictionStats() const { return evSt; }
+    const ThrottleController &throttler() const { return throttle; }
 
     /**
      * Request stagger (first-to-last arrival per address), the Fig.

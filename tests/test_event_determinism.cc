@@ -26,9 +26,11 @@
 #include "runtime/simulation_driver.hh"
 #include "runtime/system.hh"
 #include "workload/transformer.hh"
+#include "run_result_equality.hh"
 #include "sorted_event_model.hh"
 
 using namespace cais;
+using cais::test::expectIdentical;
 
 namespace
 {
@@ -80,40 +82,6 @@ snapshotSmall()
     JsonWriter w;
     reg.snapshot().writeJson(w);
     return w.str() + "\nmakespan " + std::to_string(sys.makespan());
-}
-
-/** Field-by-field bit equality of two harvested results. */
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.makespan, b.makespan);
-    EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
-    EXPECT_EQ(a.avgUtil, b.avgUtil);
-    EXPECT_EQ(a.upUtil, b.upUtil);
-    EXPECT_EQ(a.dnUtil, b.dnUtil);
-    EXPECT_EQ(a.gpuUtil, b.gpuUtil);
-    EXPECT_EQ(a.wireBytes, b.wireBytes);
-    EXPECT_EQ(a.staggerUs, b.staggerUs);
-    EXPECT_EQ(a.staggerSamples, b.staggerSamples);
-    EXPECT_EQ(a.peakMergeBytes, b.peakMergeBytes);
-    EXPECT_EQ(a.mergeLoadReqs, b.mergeLoadReqs);
-    EXPECT_EQ(a.mergeRedReqs, b.mergeRedReqs);
-    EXPECT_EQ(a.mergeLoadHits, b.mergeLoadHits);
-    EXPECT_EQ(a.mergeRedHits, b.mergeRedHits);
-    EXPECT_EQ(a.mergeFetches, b.mergeFetches);
-    EXPECT_EQ(a.lruEvictions, b.lruEvictions);
-    EXPECT_EQ(a.timeoutEvictions, b.timeoutEvictions);
-    EXPECT_EQ(a.throttleHints, b.throttleHints);
-    EXPECT_EQ(a.sessionsClosed, b.sessionsClosed);
-    EXPECT_EQ(a.commKernelCycles, b.commKernelCycles);
-    EXPECT_EQ(a.computeKernelCycles, b.computeKernelCycles);
-    ASSERT_EQ(a.kernels.size(), b.kernels.size());
-    for (std::size_t k = 0; k < a.kernels.size(); ++k) {
-        EXPECT_EQ(a.kernels[k].name, b.kernels[k].name);
-        EXPECT_EQ(a.kernels[k].start, b.kernels[k].start);
-        EXPECT_EQ(a.kernels[k].finish, b.kernels[k].finish);
-    }
-    EXPECT_EQ(a.utilSeries, b.utilSeries);
 }
 
 /** One executed event: who ran, and at which cycle. */

@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "common/log.hh"
 #include "noc/arbiter.hh"
 #include "noc/network.hh"
@@ -137,6 +141,119 @@ TEST(Fabric, UtilizationAccountsBothDirections)
     EXPECT_GT(f.dirUtilization(false, 0, end), 0.0); // down: sw->g1
     EXPECT_GT(f.totalWireBytes(), 2u * (1u << 16));  // both hops
     EXPECT_FALSE(f.utilizationSeries(0, end).empty());
+}
+
+namespace
+{
+
+/** Windowed utilization of one link set, written the way Fabric
+ *  computed it before the one-walk helper: bin bytes summed in bin
+ *  order, one capped fraction per link, averaged in set order. */
+double
+setUtilization(const std::vector<const CreditLink *> &ls, Cycle t0,
+               Cycle t1)
+{
+    double total = 0.0;
+    for (const CreditLink *l : ls) {
+        const TimeSeries &u = l->utilization();
+        const Cycle w = u.binWidth();
+        double bytes = 0.0;
+        for (std::size_t i = t0 / w; i < (t1 + w - 1) / w; ++i)
+            bytes += u.binValue(i);
+        total += std::min(
+            1.0, bytes / (l->bytesPerCycle() * static_cast<double>(t1 - t0)));
+    }
+    return total / static_cast<double>(ls.size());
+}
+
+/** The per-bin series the same way: links outer, bins inner. */
+std::vector<double>
+setSeries(const std::vector<const CreditLink *> &ls, Cycle t0, Cycle t1,
+          Cycle w)
+{
+    std::vector<double> out(static_cast<std::size_t>((t1 + w - 1) / w -
+                                                     t0 / w));
+    for (const CreditLink *l : ls) {
+        const double cap = l->bytesPerCycle() * static_cast<double>(w);
+        for (std::size_t i = t0 / w; i < (t1 + w - 1) / w; ++i)
+            out[i - t0 / w] +=
+                std::min(1.0, l->utilization().binValue(i) / cap);
+    }
+    for (double &v : out)
+        v /= static_cast<double>(ls.size());
+    return out;
+}
+
+} // namespace
+
+TEST(Fabric, FusedUtilizationMatchesPerSetWalksOnTieredRun)
+{
+    // rail-optimized-2node: two groups of 8 GPUs, 4 rails, 4 spines.
+    // Writes across the groups load GPU, leaf-spine and spine-leaf
+    // links unevenly, so every reduction sees distinct per-link
+    // fractions, some capped at 1.
+    const FabricParams p = FabricParams::preset("rail-optimized-2node");
+    PacketIdAllocator ids;
+    EventQueue eq;
+    Fabric f(eq, p);
+    std::vector<CountingSink> sinks(static_cast<std::size_t>(p.numGpus));
+    for (GpuId g = 0; g < p.numGpus; ++g)
+        f.attachGpu(g, &sinks[static_cast<std::size_t>(g)]);
+    for (int i = 0; i < 96; ++i) {
+        const GpuId src = i % p.numGpus;
+        const GpuId dst = (src + p.gpusPerGroup() + i / 16) % p.numGpus;
+        Packet pkt = makePacket(ids, PacketType::writeReq, src, dst);
+        pkt.addr = makeAddr(dst, static_cast<std::uint64_t>(i) << 14);
+        pkt.payloadBytes = 4096u << (i % 4);
+        f.sendFromGpu(src, std::move(pkt));
+    }
+    eq.runAll();
+    const Cycle end = eq.now();
+    ASSERT_GT(end, 2 * p.utilBinWidth);
+
+    // Up links (GPU uplinks, leaf-to-spine), then down links
+    // (leaf-to-GPU, spine-to-leaf), each in Fabric's storage order.
+    std::vector<const CreditLink *> up, dn;
+    const int gpp = p.gpusPerGroup();
+    for (GpuId g = 0; g < p.numGpus; ++g)
+        for (int r = 0; r < f.uplinksPerGpu(); ++r)
+            up.push_back(&f.uplink(g, r));
+    for (int l = 0; l < p.numLeaves(); ++l)
+        for (int k = 0; k < p.numSpines; ++k)
+            up.push_back(&f.tierUplink(l, k));
+    for (int l = 0; l < p.numLeaves(); ++l)
+        for (int i = 0; i < gpp; ++i)
+            dn.push_back(&f.downlink(l, l / p.railsPerGroup * gpp + i));
+    for (int k = 0; k < p.numSpines; ++k)
+        for (int l = 0; l < p.numLeaves(); ++l)
+            dn.push_back(&f.tierDownlink(k, l));
+    std::vector<const CreditLink *> all = up;
+    all.insert(all.end(), dn.begin(), dn.end());
+
+    const std::pair<Cycle, Cycle> windows[] = {
+        {0, end}, {0, 1}, {end / 3, end + 5000}, {777, end / 2}};
+    for (const auto &[t0, t1] : windows) {
+        SCOPED_TRACE(testing::Message() << "[" << t0 << ", " << t1 << ")");
+        const Fabric::Utilization u = f.utilization(t0, t1);
+        EXPECT_EQ(u.avg, setUtilization(all, t0, t1));
+        EXPECT_EQ(u.up, setUtilization(up, t0, t1));
+        EXPECT_EQ(u.dn, setUtilization(dn, t0, t1));
+        EXPECT_EQ(u.series, setSeries(all, t0, t1, p.utilBinWidth));
+        EXPECT_EQ(u.avg, f.avgUtilization(t0, t1));
+        EXPECT_EQ(u.up, f.dirUtilization(true, t0, t1));
+        EXPECT_EQ(u.dn, f.dirUtilization(false, t0, t1));
+        EXPECT_EQ(u.series, f.utilizationSeries(t0, t1));
+    }
+    const Fabric::Utilization whole = f.utilization(0, end);
+    EXPECT_GT(whole.up, 0.0);
+    EXPECT_GT(whole.dn, 0.0);
+    EXPECT_NE(whole.up, whole.dn);
+    EXPECT_GT(*std::max_element(whole.series.begin(), whole.series.end()),
+              0.0);
+    // An empty window reads zero and has no bins.
+    const Fabric::Utilization none = f.utilization(end, end);
+    EXPECT_EQ(none.avg, 0.0);
+    EXPECT_TRUE(none.series.empty());
 }
 
 TEST(Fabric, PerLinkBandwidthSplitsAcrossSwitches)

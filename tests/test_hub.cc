@@ -222,6 +222,55 @@ TEST(Hub, CaisLoadCapLimitsOutstanding)
     EXPECT_TRUE(waiter.done());
 }
 
+TEST(Hub, CappedLoadsLetOtherKindsThrough)
+{
+    // While the CAIS-load cap holds, queued jobs whose next op is a
+    // caisLoad wait, and a job queued behind them still sends the
+    // write it starts with, then waits at its own caisLoad.
+    HubRig rig;
+    GpuHub &hub = rig.hub(0);
+    const auto cap = static_cast<std::uint64_t>(
+        rig.sc.gpu.maxCaisLoadOutstanding);
+    const std::uint64_t chunk = rig.sc.gpu.chunkBytes;
+    RemoteOp loads;
+    loads.kind = RemoteOpKind::caisLoad;
+    loads.base = makeAddr(1, 0x100000);
+    loads.bytes = (cap + 100) * chunk;
+    loads.expected = 1;
+    LoadWaiter waiter(rig);
+    hub.submit({.group = 1, .ops = {&loads, 1}, .waiter = waiter.run.get()});
+    EXPECT_EQ(hub.chunksInjected(), cap);
+
+    RemoteOp more = loads;
+    more.base = makeAddr(1, 0x800000);
+    more.bytes = 4 * chunk;
+    LoadWaiter waiter2(rig);
+    hub.submit({.group = 2, .ops = {&more, 1}, .waiter = waiter2.run.get()});
+    EXPECT_EQ(hub.chunksInjected(), cap);
+
+    RemoteOp mixed[2];
+    mixed[0].kind = RemoteOpKind::plainWrite;
+    mixed[0].base = makeAddr(1, 0x900000);
+    mixed[0].bytes = 3 * chunk;
+    mixed[1] = more;
+    mixed[1].base = makeAddr(1, 0xa00000);
+    mixed[1].bytes = 2 * chunk;
+    LoadWaiter waiter3(rig);
+    hub.submit({.group = 3, .ops = {mixed, 2}, .waiter = waiter3.run.get()});
+    // No response is back before two link latencies; uplink dequeues
+    // pump the write's chunks out meanwhile.
+    rig.eq().runUntil(100);
+    EXPECT_EQ(hub.chunksInjected(), cap + 3);
+    EXPECT_EQ(hub.queuedJobs(), 3u);
+
+    rig.eq().runAll();
+    EXPECT_EQ(hub.chunksInjected(), cap + 100 + 4 + 3 + 2);
+    EXPECT_TRUE(waiter.done());
+    EXPECT_TRUE(waiter2.done());
+    EXPECT_TRUE(waiter3.done());
+    EXPECT_TRUE(hub.idle());
+}
+
 TEST(Hub, ThrottleHintPausesGroupTraffic)
 {
     HubRig rig;

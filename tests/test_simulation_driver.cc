@@ -2,6 +2,9 @@
  *  harvested metrics. */
 
 #include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,6 +20,7 @@
 #include "runtime/system.hh"
 #include "workload/llm_config.hh"
 #include "workload/transformer.hh"
+#include "run_result_equality.hh"
 
 using namespace cais;
 
@@ -115,15 +119,17 @@ namespace
 {
 
 /**
- * runGraph's counter fields against the '*' pattern queries they
- * stand for, evaluated on the snapshot of an identical run driven
- * step by step (runs are deterministic, so both see the same
- * counters).
+ * runGraph's harvest, read off the System, against the '*' pattern
+ * queries it stands for and the report's fabric.utilSeries, evaluated
+ * on the snapshot of an identical run driven step by step (runs are
+ * deterministic, so both see the same counters).
  */
 void
-expectHarvestMatchesPatterns(const RunConfig &cfg, const LlmConfig &m)
+expectHarvestMatchesPatterns(const RunConfig &cfg, const LlmConfig &m,
+                             const char *strategy)
 {
-    StrategySpec spec = strategyByName("CAIS");
+    SCOPED_TRACE(strategy);
+    StrategySpec spec = strategyByName(strategy);
     OpGraph g = buildSubLayer(m, SubLayerId::L1);
     RunResult r = runGraph(spec, g, cfg, "L1");
 
@@ -165,12 +171,45 @@ expectHarvestMatchesPatterns(const RunConfig &cfg, const LlmConfig &m)
                       static_cast<double>(cyclesPerUs)
                 : 0.0);
 
-    // The run exercised the merge path, so the equalities are not
-    // all 0 == 0.
+    const MetricValue *ts = snap.find("fabric.utilSeries");
+    ASSERT_NE(ts, nullptr);
+    EXPECT_EQ(r.utilBinWidth, ts->binWidth);
+    EXPECT_EQ(r.utilSeries, ts->bins);
+
+    // The run moved data, and CAIS exercised the merge path, so the
+    // equalities are not all 0 == 0.
     EXPECT_GT(r.eventsExecuted, 0u);
     EXPECT_GT(r.wireBytes, 0u);
-    EXPECT_GT(r.mergeLoadReqs + r.mergeRedReqs, 0u);
-    EXPECT_GT(r.staggerSamples, 0u);
+    EXPECT_FALSE(r.utilSeries.empty());
+    if (spec.name == "CAIS") {
+        EXPECT_GT(r.mergeLoadReqs + r.mergeRedReqs, 0u);
+        EXPECT_GT(r.staggerSamples, 0u);
+    }
+}
+
+/** expectHarvestMatchesPatterns under CAIS and under T3-NVLS. */
+void
+expectHarvestMatchesPatterns(const RunConfig &cfg, const LlmConfig &m)
+{
+    for (const char *strategy : {"CAIS", "T3-NVLS"})
+        expectHarvestMatchesPatterns(cfg, m, strategy);
+}
+
+/** RunConfig of preset @p topology at its full GPU count. */
+RunConfig
+presetConfig(const std::string &topology)
+{
+    RunConfig cfg;
+    cfg.topology = topology;
+    cfg.numGpus = FabricParams::preset(topology).numGpus;
+    return cfg;
+}
+
+/** perfbench's tier72 job sizes, for the tiered presets. */
+LlmConfig
+tieredModel()
+{
+    return llama7B().scaled(0.0625, 0.03125);
 }
 
 } // namespace
@@ -181,12 +220,59 @@ TEST(Driver, HarvestMatchesPatternQueriesFlat)
     expectHarvestMatchesPatterns(cfg, megaGpt4B().scaled(0.25, 0.125));
 }
 
+TEST(Driver, HarvestMatchesPatternQueriesDgxH100)
+{
+    expectHarvestMatchesPatterns(presetConfig("dgx-h100"),
+                                 megaGpt4B().scaled(0.25, 0.125));
+}
+
 TEST(Driver, HarvestMatchesPatternQueriesNvl72)
 {
-    RunConfig cfg;
-    cfg.topology = "nvl72";
-    cfg.numGpus = FabricParams::preset("nvl72").numGpus;
-    expectHarvestMatchesPatterns(cfg, llama7B().scaled(0.0625, 0.03125));
+    expectHarvestMatchesPatterns(presetConfig("nvl72"), tieredModel());
+}
+
+TEST(Driver, HarvestMatchesPatternQueriesRailOptimized2Node)
+{
+    expectHarvestMatchesPatterns(presetConfig("rail-optimized-2node"),
+                                 tieredModel());
+}
+
+TEST(Driver, HarvestMatchesPatternQueriesRailOptimized4Node)
+{
+    expectHarvestMatchesPatterns(presetConfig("rail-optimized-4node"),
+                                 tieredModel());
+}
+
+TEST(Driver, MetricsReportLeavesResultUnchanged)
+{
+    // runGraph builds the metric registry only to write the report;
+    // the result is read off the System either way, field for field.
+    struct Case
+    {
+        const char *name;
+        RunConfig cfg;
+        LlmConfig model;
+    };
+    const Case cases[] = {
+        {"flat", RunConfig{}, megaGpt4B().scaled(0.25, 0.125)},
+        {"nvl72", presetConfig("nvl72"), tieredModel()},
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.name);
+        const StrategySpec spec = strategyByName("CAIS");
+        const OpGraph g = buildSubLayer(c.model, SubLayerId::L1);
+        const RunResult plain = runGraph(spec, g, c.cfg, "L1");
+        RunConfig with_report = c.cfg;
+        with_report.metricsPath = testing::TempDir() +
+                                  "driver_report_" + c.name + ".json";
+        const RunResult reported = runGraph(spec, g, with_report, "L1");
+        test::expectIdentical(plain, reported);
+        std::ifstream in(with_report.metricsPath);
+        const std::string doc((std::istreambuf_iterator<char>(in)),
+                              std::istreambuf_iterator<char>());
+        EXPECT_NE(doc.find("\"fabric.utilSeries\""), std::string::npos);
+        std::remove(with_report.metricsPath.c_str());
+    }
 }
 
 namespace
@@ -233,16 +319,6 @@ fnv1a(const std::string &bytes)
         h *= 0x100000001b3ull;
     }
     return h;
-}
-
-/** RunConfig of preset @p topology at its full GPU count. */
-RunConfig
-presetConfig(const std::string &topology)
-{
-    RunConfig cfg;
-    cfg.topology = topology;
-    cfg.numGpus = FabricParams::preset(topology).numGpus;
-    return cfg;
 }
 
 } // namespace
